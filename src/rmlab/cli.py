@@ -71,7 +71,7 @@ def _rep_seed(master: int, rep: int) -> int:
 
 
 def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord]:
-    cfg, scen, rep = args
+    cfg, scen, schedule, rep = args
     prot = cfg.protocol
     seed = _rep_seed(cfg.seed, rep)
     rng = np.random.default_rng(seed)
@@ -83,7 +83,7 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord]:
         record = run_pulsed(
             scen.state,
             samples,
-            golden_schedule(),
+            schedule,
             fluct=fluct,
             h_mod=scen.hamiltonian,
             n_meas=prot.n_meas,
@@ -104,7 +104,8 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord]:
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     scen = prepare_scenario(cfg.scenario)  # prepared once, reused by every repetition
     prot = cfg.protocol
-    work = [(cfg, scen, rep) for rep in range(prot.n_ave)]
+    schedule = golden_schedule() if prot.mode == "pulsed" else None
+    work = [(cfg, scen, schedule, rep) for rep in range(prot.n_ave)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(_one_repetition, work))

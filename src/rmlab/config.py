@@ -15,6 +15,7 @@ from typing import Any, Mapping
 
 from .pauli import TWO_PI
 from .protocol import EXACT_SHOTS, ReadoutErrorModel, default_readout
+from .pulses import golden_schedule
 from .scenarios import J_E, J_NNN, J_O, J_QUENCH, MU_EDGE, ScenarioConfig
 from .statevector import MAX_SUBSYSTEM
 
@@ -288,7 +289,7 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
             max_j = max(abs(J_E), abs(J_O), abs(J_NNN), abs(MU_EDGE))
         # rotation window times strongest coupling: spurious interaction
         # phase accrued while the rotations run
-        phase = 0.15 * max_j
+        phase = golden_schedule().T * max_j
         if phase > 1.0:
             warns.append(
                 f"rotation window accrues {phase:.2f} rad of interaction phase; "

@@ -12,6 +12,12 @@ Exact-probability mode (n_meas = EXACT_SHOTS) stores the full outcome
 distribution instead of sampled counts, which isolates estimator bias
 from shot noise.
 
+Pulse-level runs evolve all N_U samples of a run as the columns of one
+(2^L, N_U + 1) amplitude block. The drive is global, so a sample differs
+from the nominal schedule only by its per-site light shift and a few
+gains. The extra column, the nominal schedule, validates the time grid
+against a one-column run at twice the steps.
+
 Reproducibility contract: every stochastic step under sample k draws from
 a stream keyed by (seed, k), in a fixed order (pulse gains, then shot
 indices, then readout flips), so results do not depend on execution
@@ -30,7 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from .pauli import PauliString, PauliStringSum
-from .pulses import FluctuationModel, PulseSchedule, perturb
+from .pulses import FluctuationModel, PulseSchedule, Waveform, perturb
 from .statevector import (
     ConvergenceError,
     StateVector,
@@ -65,6 +71,9 @@ BIT_CONVENTION = "site 1 = leftmost bit, 1 = spin up"
 
 _RECORD_FORMAT = "rmlab-record"
 _RECORD_VERSION = 1
+
+# amplitudes per block that run_pulsed evolves at once (16 MB of complex)
+_BLOCK_AMPLITUDES = 2**20
 
 
 @dataclass(frozen=True)
@@ -393,24 +402,45 @@ def _x_total(num_sites: int) -> sparse.csr_matrix:
     return ham.to_sparse()
 
 
+def _gain(scaled: Waveform, nominal: Waveform) -> float:
+    """Factor by which perturb scaled a waveform (1 for a zero waveform)."""
+    i = int(np.argmax(np.abs(nominal.values)))
+    return float(scaled.values[i] / nominal.values[i]) if nominal.values[i] else 1.0
+
+
 def _pulsed_parts(
     schedule: PulseSchedule,
     labels: tuple[int, ...],
     x_tot: sparse.csr_matrix,
     occ: np.ndarray,
     h_mod: sparse.csr_matrix | None,
+    payload: Sequence[tuple[PulseSchedule, tuple[int, ...]]] = (),
 ):
     """H(t) = Omega/2 X_tot - Delta N_tot + f N_weighted + H_mod.
 
     The per-site detuning enters as -(Delta - f d_label) n_m, split into
     the two diagonal parts so the waveforms stay global.
+
+    With payload the parts are column-valued (see evolve_blend): column 0
+    is (schedule, labels) and column j the j-th payload pair, whose
+    schedule is ``schedule`` with its amplitudes scaled by perturb. The
+    Omega and Delta gains then scale the X_tot and N_tot coefficients per
+    column, and N_weighted becomes a (2^L, K) light-shift diagonal.
     """
-    n_tot = sparse.diags(occ.sum(axis=1))
-    dvec = np.array([schedule.delta_amps[l - 1] for l in labels])
-    n_weighted = sparse.diags(occ @ dvec)
+    columns = [(schedule, labels), *payload]
+    shifts = np.column_stack(
+        [occ @ np.array([s.delta_amps[l - 1] for l in labs]) for s, labs in columns]
+    )
+    if payload:
+        gain_omega = np.array([_gain(s.omega, schedule.omega) for s, _ in columns])
+        gain_delta = np.array([_gain(s.delta, schedule.delta) for s, _ in columns])
+        n_weighted = shifts
+    else:
+        gain_omega = gain_delta = 1.0
+        n_weighted = sparse.diags(shifts[:, 0])
     parts = [
-        (lambda t: schedule.omega.value(t) / 2.0, x_tot),
-        (lambda t: -schedule.delta.value(t), n_tot),
+        (lambda t: schedule.omega.value(t) / 2.0 * gain_omega, x_tot),
+        (lambda t: -schedule.delta.value(t) * gain_delta, sparse.diags(occ.sum(axis=1))),
         (lambda t: schedule.f.value(t), n_weighted),
     ]
     if h_mod is not None:
@@ -431,25 +461,24 @@ def _norm_budget(
     )
 
 
-def _validated_steps(
-    psi: StateVector,
-    parts,
-    T: float,
-    n0: int,
-    tol: float,
-) -> int:
-    """Smallest validated grid: doubles until the n vs 2n amplitudes agree.
+def _validated_block(psi: StateVector, nominal, block, T: float, n0: int, tol: float):
+    """Smallest validated step count, and ``block`` evolved on that grid.
 
-    At second order the n vs 2n distance is 3/4 of the n-grid error, so
-    passing at 0.75 tol certifies the coarse grid itself.
+    Column 0 of ``block`` is the nominal schedule that ``nominal``
+    describes on its own (``block`` may be ``nominal`` itself). It is
+    compared with a one-column run of ``nominal`` at twice the steps: at
+    second order the n vs 2n distance is 3/4 of the n-grid error, so
+    passing at 0.75 tol certifies the coarse grid itself. Otherwise the
+    step count doubles and the block is evolved again.
     """
     n = n0
     while True:
-        a = evolve_blend(psi, parts, 0.0, T, tol=None, initial_steps=n)
-        b = evolve_blend(psi, parts, 0.0, T, tol=None, initial_steps=2 * n)
-        err = float(np.linalg.norm(a.amp - b.amp))
+        out = evolve_blend(psi, block, 0.0, T, tol=None, initial_steps=n)
+        coarse = out[0] if isinstance(out, list) else out
+        fine = evolve_blend(psi, nominal, 0.0, T, tol=None, initial_steps=2 * n)
+        err = float(np.linalg.norm(coarse.amp - fine.amp))
         if err <= 0.75 * tol:
-            return n
+            return n, out
         n *= 2
         if n > 2**22:
             raise ConvergenceError(
@@ -477,13 +506,21 @@ def run_pulsed(
     integration per shot; it is rejected in exact-probability mode,
     where no shot loop exists.
 
-    The time grid is validated once by step doubling on the first
-    sample, then reused: gain draws rescale amplitudes by a few percent,
-    which does not change the resolution the schedule needs. The default
-    tol keeps the amplitude error two orders below the statistical
-    resolution of any shot-sampled study; the light shifts make the
-    integrator second order in practice, so each extra digit costs
-    3.2x the steps.
+    Scope "per_unitary" evolves all samples as the columns of one block
+    (up to 2^20 amplitudes; larger runs take several blocks): every site
+    sees the same global waveforms, so a sample differs from the nominal
+    schedule only in its light-shift diagonal and its gains. Column 0 of
+    the first block is the nominal schedule under the first sample's
+    labels, and it alone validates the time grid: it must agree with a
+    one-column run at twice the steps to 0.75 tol, or the step count
+    doubles and the block is evolved again.
+    Scope "per_shot" validates the same way with the nominal column only.
+    The validated grid serves every sample: gain draws rescale amplitudes
+    by a few percent, which does not change the resolution the schedule
+    needs. The default tol keeps the amplitude error two orders below the
+    statistical resolution of any shot-sampled study; the light shifts
+    make the integrator second order in practice, so each extra digit
+    costs 3.2x the steps.
     """
     if fluct is None:
         fluct = FluctuationModel(eps_percent=0.0)
@@ -508,20 +545,24 @@ def run_pulsed(
     n_cells = max(1, len(schedule.breakpoints()) - 1)
     n_burst = int(np.ceil(_norm_budget(schedule, num_sites, h_bound) * schedule.T / 1.5))
     n0 = n_cells * max(1, int(np.ceil(n_burst / n_cells)))
-    parts0 = _pulsed_parts(schedule, samples[0].labels, x_tot, occ, h_sparse)
-    steps = _validated_steps(psi, parts0, schedule.T, n0, tol)
 
-    def evolve_under(sched: PulseSchedule, labels: tuple[int, ...]) -> StateVector:
-        parts = _pulsed_parts(sched, labels, x_tot, occ, h_sparse)
-        return evolve_blend(psi, parts, 0.0, sched.T, tol=None, initial_steps=steps)
+    def parts(payload=()):
+        return _pulsed_parts(schedule, samples[0].labels, x_tot, occ, h_sparse, payload)
 
+    nominal = parts()
+    rngs = [_stream(seed, sample.realization) for sample in samples]
     entries = []
-    for sample in samples:
-        rng = _stream(seed, sample.realization)
-        if fluct.scope == "per_shot":
+    if fluct.scope == "per_shot":
+        steps, _ = _validated_block(psi, nominal, nominal, schedule.T, n0, tol)
+        for sample, rng in zip(samples, rngs):
             idx = np.empty(int(n_meas), dtype=np.int64)
             for shot in range(int(n_meas)):
-                rotated = evolve_under(perturb(schedule, fluct, rng), sample.labels)
+                shot_parts = _pulsed_parts(
+                    perturb(schedule, fluct, rng), sample.labels, x_tot, occ, h_sparse
+                )
+                rotated = evolve_blend(
+                    psi, shot_parts, 0.0, schedule.T, tol=None, initial_steps=steps
+                )
                 idx[shot] = sample_basis_indices(rotated, 1, rng)[0]
             if readout is not None:
                 bits = _bits_from_indices(idx, num_sites)
@@ -534,17 +575,33 @@ def run_pulsed(
                     seed=sample.realization,
                 )
             )
-            continue
-        rotated = evolve_under(perturb(schedule, fluct, rng), sample.labels)
-        if exact:
-            entries.append(_exact_entry(rotated, sample.labels, readout))
-        else:
-            entries.append(
-                _sample_entry(
-                    rotated, sample.labels, int(n_meas), readout, rng,
-                    sample.realization,
-                )
+    else:
+        payload = [
+            (perturb(schedule, fluct, rng), sample.labels)
+            for sample, rng in zip(samples, rngs)
+        ]
+        # one column of each block is the nominal schedule
+        width = max(1, (_BLOCK_AMPLITUDES >> num_sites) - 1)
+        steps, block = _validated_block(
+            psi, nominal, parts(payload[:width]), schedule.T, n0, tol
+        )
+        rotated = block[1:]
+        for start in range(width, len(payload), width):
+            block = evolve_blend(
+                psi, parts(payload[start : start + width]), 0.0, schedule.T,
+                tol=None, initial_steps=steps,
             )
+            rotated += block[1:]
+        for sample, rng, state in zip(samples, rngs, rotated):
+            if exact:
+                entries.append(_exact_entry(state, sample.labels, readout))
+            else:
+                entries.append(
+                    _sample_entry(
+                        state, sample.labels, int(n_meas), readout, rng,
+                        sample.realization,
+                    )
+                )
 
     meta = {
         "seed": int(seed),

@@ -282,8 +282,8 @@ class ScenarioConfig:
             raise ValueError(f"phase must be one of {PHASES}, got {self.phase!r}")
         if self.ramp not in RAMPS:
             raise ValueError(f"ramp must be one of {RAMPS}, got {self.ramp!r}")
-        even = self.kind != "af"
-        _check_sites(self.num_sites, 6 if self.kind in ("ssh_gs", "adiabatic") else 2, even)
+        # the Hamiltonian of every kind needs an even chain
+        _check_sites(self.num_sites, 6 if self.kind in ("ssh_gs", "adiabatic") else 2, even=True)
         if self.kind == "adiabatic":
             if self.t_prep is None or self.t_prep <= 0:
                 raise ValueError("adiabatic scenario requires t_prep > 0")
@@ -308,7 +308,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
         h = model_hamiltonian(L, cfg.phase)
         return PreparedScenario(prepare_exact_gs(L, cfg.phase), h, f"ssh_gs:{cfg.phase}")
     if cfg.kind == "af":
-        h = model_hamiltonian(L, cfg.phase) if L >= 6 and L % 2 == 0 else quench_hamiltonian(L)
+        h = model_hamiltonian(L, cfg.phase) if L >= 6 else quench_hamiltonian(L)
         return PreparedScenario(prepare_af(L), h, "af")
     if cfg.kind == "adiabatic":
         h = model_hamiltonian(L, cfg.phase)

@@ -64,6 +64,22 @@ def test_seed_override_changes_results(tmp_path):
     assert meta["seed"] == 99
 
 
+def test_pulsed_run_loads_the_schedule_once(tmp_path, monkeypatch):
+    import rmlab.cli as cli
+
+    calls = []
+    load = cli.golden_schedule
+    monkeypatch.setattr(cli, "golden_schedule", lambda: calls.append(1) or load())
+    cfg = tmp_path / "pulsed.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"kind": "af", "num_sites": 4},
+        "protocol": {"mode": "pulsed", "n_unitaries": 2, "n_meas": 10, "n_ave": 3, "tol": 1e-3},
+        "estimators": {"subsystems": [[1, 2]]},
+    }))
+    assert run_cli("run", cfg, "--out", tmp_path / "out") == 0
+    assert len(calls) == 1
+
+
 def test_oracle_reports_exact_values(tmp_path):
     out = tmp_path / "oracle"
     assert run_cli("oracle", SMOKE, "--out", out) == 0

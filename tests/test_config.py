@@ -196,6 +196,36 @@ def test_pulsed_warning_on_strong_coupling():
     assert validate(calm)[1] == []
 
 
+def test_interaction_window_is_the_golden_schedule(monkeypatch):
+    import types
+
+    import rmlab.config as config
+
+    calm = parse_config(doc(
+        scenario={"kind": "quench", "num_sites": 4, "j_quench_mhz": 0.18},
+        protocol={"mode": "pulsed", "n_meas": 100},
+    ))
+    # a 10 us rotation window turns the calm coupling into a strong one
+    monkeypatch.setattr(config, "golden_schedule", lambda: types.SimpleNamespace(T=10.0))
+    assert any("interaction phase" in w for w in validate(calm)[1])
+
+
+def test_every_valid_af_config_prepares():
+    from rmlab.scenarios import prepare_scenario
+    from rmlab.statevector import MAX_SITES
+
+    accepted = []
+    for num_sites in range(1, MAX_SITES + 2):
+        try:
+            cfg = parse_config(doc(scenario={"kind": "af", "num_sites": num_sites}))
+        except ConfigError:
+            continue
+        assert validate(cfg)[0] == []
+        assert prepare_scenario(cfg.scenario).state.num_sites == num_sites
+        accepted.append(num_sites)
+    assert accepted == list(range(2, MAX_SITES + 1, 2))
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

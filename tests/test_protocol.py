@@ -302,6 +302,104 @@ def test_pulsed_with_interactions_runs(golden):
         assert abs(e.probs.sum() - 1.0) < 1e-12
 
 
+def _per_unitary_reference(psi, samples, schedule, fluct, h_mod, n_meas, readout, seed, steps):
+    """The loop run_pulsed's block replaces: one evolve_blend per sample,
+    gains then shots then flips drawn from the (seed, k) stream."""
+    from rmlab.protocol import (
+        _exact_entry, _occupation_bits, _pulsed_parts, _sample_entry, _stream, _x_total,
+    )
+    from rmlab.pulses import perturb
+    from rmlab.statevector import evolve_blend
+
+    L = psi.num_sites
+    x_tot, occ = _x_total(L), _occupation_bits(L)
+    h_sparse = None if h_mod is None else h_mod.to_sparse()
+    entries = []
+    for sample in samples:
+        rng = _stream(seed, sample.realization)
+        parts = _pulsed_parts(perturb(schedule, fluct, rng), sample.labels, x_tot, occ, h_sparse)
+        state = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
+        if n_meas == EXACT_SHOTS:
+            entries.append(_exact_entry(state, sample.labels, readout))
+        else:
+            entries.append(
+                _sample_entry(state, sample.labels, n_meas, readout, rng, sample.realization)
+            )
+    # the grid contract: the nominal schedule under the first labels agrees
+    # with twice the steps to 0.75 tol
+    nominal = _pulsed_parts(schedule, samples[0].labels, x_tot, occ, h_sparse)
+    coarse, fine = (
+        evolve_blend(psi, nominal, 0.0, schedule.T, tol=None, initial_steps=n)
+        for n in (steps, 2 * steps)
+    )
+    return entries, float(np.linalg.norm(coarse.amp - fine.amp))
+
+
+def _assert_same_entries(record, reference):
+    for got, want in zip(record.entries, reference, strict=True):
+        assert got.labels == want.labels
+        assert got.seed == want.seed
+        if want.probs is None:
+            assert got.counts == want.counts
+        else:
+            assert np.max(np.abs(got.probs - want.probs)) < 1e-12
+
+
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 300])
+def test_pulsed_block_matches_per_unitary_loop(golden, with_h, n_meas):
+    h = build_ssh(4, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
+    psi = ground_state(h)[1]
+    samples = sample_unitaries(4, 5, np.random.default_rng(15))
+    args = (
+        psi, samples, golden, FluctuationModel(3.0), h if with_h else None,
+        n_meas, default_readout(), 17,
+    )
+    rec = run_pulsed(*args[:3], fluct=args[3], h_mod=args[4], n_meas=n_meas,
+                     readout=args[6], seed=args[7], tol=1e-4)
+    reference, err = _per_unitary_reference(*args, rec.meta["steps"])
+    _assert_same_entries(rec, reference)
+    assert err <= 0.75e-4
+
+
+def test_pulsed_tight_tol_doubles_block_grid(golden):
+    rng = np.random.default_rng(16)
+    psi = random_state(2, rng)
+    samples = sample_unitaries(2, 3, rng)
+    kwargs = dict(fluct=FluctuationModel(3.0), n_meas=EXACT_SHOTS, seed=4)
+    loose = run_pulsed(psi, samples, golden, tol=1e-4, **kwargs)
+    tight = run_pulsed(psi, samples, golden, tol=1e-8, **kwargs)
+    ratio = tight.meta["steps"] // loose.meta["steps"]
+    assert ratio >= 2 and tight.meta["steps"] == ratio * loose.meta["steps"]
+    reference, err = _per_unitary_reference(
+        psi, samples, golden, kwargs["fluct"], None, EXACT_SHOTS, None, 4,
+        tight.meta["steps"],
+    )
+    _assert_same_entries(tight, reference)
+    assert err <= 0.75e-8
+    # the grid before the last doubling did not pass
+    _, err_half = _per_unitary_reference(
+        psi, samples[:1], golden, kwargs["fluct"], None, EXACT_SHOTS, None, 4,
+        tight.meta["steps"] // 2,
+    )
+    assert err_half > 0.75e-8
+
+
+def test_pulsed_blocks_split_without_changing_records(golden, monkeypatch):
+    import rmlab.protocol as protocol
+
+    rng = np.random.default_rng(17)
+    psi = random_state(3, rng)
+    samples = sample_unitaries(3, 7, rng)
+    kwargs = dict(fluct=FluctuationModel(3.0), n_meas=EXACT_SHOTS, seed=8, tol=1e-4)
+    whole = run_pulsed(psi, samples, golden, **kwargs)
+    # three columns a block: the nominal one and two samples
+    monkeypatch.setattr(protocol, "_BLOCK_AMPLITUDES", 3 * 2**3)
+    split = run_pulsed(psi, samples, golden, **kwargs)
+    assert split.meta == whole.meta
+    _assert_same_entries(split, whole.entries)
+
+
 # ---------------------------------------------------------------------------
 # NDJSON persistence
 # ---------------------------------------------------------------------------

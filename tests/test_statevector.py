@@ -125,6 +125,74 @@ def test_evolve_blend_matches_static():
     assert np.max(np.abs(out1.amp - out2.amp)) < 1e-9
 
 
+def _block_problem(num_sites, k):
+    """Shared X drive, a per-column drive gain and per-column diagonals."""
+    rng = np.random.default_rng(21)
+    x = sum(
+        PauliString.from_ops({m: "X"}, num_sites).to_matrix()
+        for m in range(1, num_sites + 1)
+    )
+    zz = build_ssh(num_sites, 0.8, -0.4).to_sparse()
+    gains = 1.0 + 0.05 * rng.normal(size=k)
+    shifts = rng.normal(size=(2**num_sites, k))
+    drive = lambda t: 1.5 * np.cos(4.0 * t)
+    block = [
+        (lambda t: drive(t) * gains, sparse.csr_matrix(x)),
+        (lambda t: 0.6 * np.sin(2.0 * t), shifts),
+        (1.0, zz),
+    ]
+    columns = [
+        [
+            (lambda t, g=g: drive(t) * g, sparse.csr_matrix(x)),
+            (lambda t: 0.6 * np.sin(2.0 * t), sparse.diags(shifts[:, j])),
+            (1.0, zz),
+        ]
+        for j, g in enumerate(gains)
+    ]
+    return block, columns
+
+
+def test_evolve_blend_block_matches_single_columns():
+    psi = random_state(3, np.random.default_rng(22))
+    block, columns = _block_problem(3, 4)
+    out = evolve_blend(psi, block, 0.0, 0.8, tol=None, initial_steps=50)
+    assert isinstance(out, list) and len(out) == 4
+    for state, parts in zip(out, columns):
+        ref = evolve_blend(psi, parts, 0.0, 0.8, tol=None, initial_steps=50)
+        assert isinstance(ref, StateVector)
+        assert np.max(np.abs(state.amp - ref.amp)) < 1e-12
+    # step doubling refines the shared grid until every column meets tol
+    refined = evolve_blend(psi, block, 0.0, 0.8, tol=1e-6)
+    for state, parts in zip(refined, columns):
+        ref = evolve_blend(psi, parts, 0.0, 0.8, tol=1e-6)
+        assert np.linalg.norm(state.amp - ref.amp) < 2e-6
+
+
+def test_evolve_blend_rejects_mismatched_columns():
+    psi = random_state(2, np.random.default_rng(23))
+    diag = np.ones((4, 3))
+    with pytest.raises(ValueError, match="column count"):
+        evolve_blend(psi, [(lambda t: np.ones(2), diag)], 0.0, 1.0, tol=None)
+    with pytest.raises(ValueError, match="dense part"):
+        evolve_blend(psi, [(1.0, np.ones(4))], 0.0, 1.0, tol=None)
+
+
+def test_taylor_series_raises_when_not_converged():
+    from rmlab.statevector import _taylor_apply
+
+    v = random_state(2, np.random.default_rng(24)).amp
+    # |H| dt = 100 is far past the step budget of 2
+    with pytest.raises(NumericalContractError, match="not converged"):
+        _taylor_apply(lambda w: 100.0 * w, v, 1.0)
+    # one column converging does not excuse another
+    block = np.stack([v, v], axis=1)
+    with pytest.raises(NumericalContractError, match="not converged"):
+        _taylor_apply(lambda w: w * np.array([0.0, 100.0]), block, 1.0)
+    small = _taylor_apply(lambda w: w * np.array([0.0, 1.0]), block, 1.0)
+    assert np.allclose(small[:, 0], v, atol=1e-15)
+    assert np.allclose(small[:, 1], np.exp(-1j) * v, atol=1e-14)
+
+
 def test_evolve_conserves_magnetization():
     # hopping Hamiltonian commutes with total n
     h = build_ssh(4, 3.0, -1.1, j_nnn=0.25)
