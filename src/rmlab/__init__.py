@@ -19,8 +19,6 @@ from .pauli import (
     square_observable,
     build_ssh,
     build_staggered_xy,
-    hamiltonian_to_json,
-    hamiltonian_from_json,
 )
 from .statevector import (
     StateVector,
@@ -37,7 +35,6 @@ from .statevector import (
     evolve_static,
     ground_state,
     sample_basis_indices,
-    sample_bitstrings,
     reduced_density,
     exact_purity,
     state_fidelity,
@@ -61,7 +58,6 @@ from .pulses import (
     measured_axis,
     axis_fidelity,
     figure_of_merit,
-    figure_of_merit_antisymmetric,
     mc_rotation_stats,
     calibrate,
     schedule_to_json,
@@ -93,7 +89,6 @@ from .estimators import (
     pauli_expectation,
     observable_expectation,
     hamiltonian_variance,
-    repeat_and_aggregate,
     bootstrap_over_unitaries,
     RESULT_COLUMNS,
     results_to_csv,

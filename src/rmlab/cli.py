@@ -4,9 +4,10 @@ Subcommands: run (full pipeline to CSV + measurement records), oracle
 (exact statevector reference for the same config), calibrate (pulse
 search plus noise report), validate (check a config and exit).
 
-Repetitions are independent: each gets a seed derived from the master
-seed by index, so results do not depend on the thread count, only on the
-config and seed.
+Repetitions are independent: repetition r runs under the seed that
+``_rep_seed`` derives as ``SeedSequence([master, r])``, the package's only
+repetition-seed scheme, so results do not depend on the thread count,
+only on the config and seed.
 """
 
 from __future__ import annotations
@@ -190,7 +191,6 @@ def cmd_calibrate(args) -> int:
             objective=args.objective,
             fidelity_floor=args.floor,
             stats_targets=(0.53, 0.57, 0.55) if args.objective == "stats" else None,
-            seed=args.seed,
             maxiter=args.maxiter,
         )
         schedule = realistic_schedule(result.params)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .pauli import PauliString, PauliStringSum, conjugate_by_labels, square_observable
 from .protocol import EXACT_SHOTS, MeasurementRecord, UnitaryMeasurement
-from .statevector import MAX_SUBSYSTEM
+from .statevector import MAX_SUBSYSTEM, apply_site_matrices, bits_to_index, index_to_bits
 
 __all__ = [
     "EstimatorResult",
@@ -50,7 +50,6 @@ __all__ = [
     "pauli_expectation",
     "observable_expectation",
     "hamiltonian_variance",
-    "repeat_and_aggregate",
     "bootstrap_over_unitaries",
     "RESULT_COLUMNS",
     "results_to_csv",
@@ -99,35 +98,24 @@ def _check_subsystem(sites: Sequence[int], num_sites: int) -> tuple[int, ...]:
     return sub
 
 
+def _sampled_outcomes(entry: UnitaryMeasurement) -> tuple[np.ndarray, np.ndarray]:
+    """(basis indices, multiplicities) of a counts entry, in key order."""
+    idx = np.array([int(key, 2) for key in entry.counts], dtype=np.int64)
+    mult = np.array(list(entry.counts.values()), dtype=float)
+    return idx, mult
+
+
 def _marginal_distribution(
     entry: UnitaryMeasurement, num_sites: int, sites: tuple[int, ...]
 ) -> np.ndarray:
     """Subsystem outcome distribution, empirical or exact."""
-    ell = len(sites)
     if entry.probs is not None:
         shaped = entry.probs.reshape((2,) * num_sites)
         drop = tuple(ax for ax in range(num_sites) if (ax + 1) not in sites)
         return shaped.sum(axis=drop).reshape(-1)
-    acc = np.zeros(2**ell)
-    total = 0
-    for key, c in entry.counts.items():
-        idx = 0
-        for m in sites:
-            idx = (idx << 1) | (key[m - 1] == "1")
-        acc[idx] += c
-        total += c
-    return acc / total
-
-
-def _kernel_quadratic(p: np.ndarray) -> float:
-    """p^T (kron of per-site kernels) p on a 2^l distribution vector."""
-    ell = p.size.bit_length() - 1
-    q = p
-    for site in range(1, ell + 1):
-        left = 2 ** (site - 1)
-        right = 2 ** (ell - site)
-        q = np.einsum("ab,ibj->iaj", _KERNEL, q.reshape(left, 2, right)).reshape(-1)
-    return float(p @ q)
+    idx, mult = _sampled_outcomes(entry)
+    sub = bits_to_index(index_to_bits(idx, num_sites)[:, [m - 1 for m in sites]])
+    return np.bincount(sub, weights=mult, minlength=2 ** len(sites)) / mult.sum()
 
 
 def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> EstimatorResult:
@@ -141,10 +129,11 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
         raise ValueError("record has no entries")
     sub = _check_subsystem(sites, record.num_sites)
     ell = len(sub)
-    x_values = [
-        _kernel_quadratic(_marginal_distribution(e, record.num_sites, sub))
-        for e in record.entries
-    ]
+    kernel = [_KERNEL] * ell
+    x_values = []
+    for e in record.entries:
+        p = _marginal_distribution(e, record.num_sites, sub)
+        x_values.append(float(p @ apply_site_matrices(p, kernel)))
     x = math.fsum(x_values) / len(x_values)
     if record.n_meas == EXACT_SHOTS:
         value = x
@@ -174,13 +163,11 @@ def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
     sub = _check_subsystem(sites, record.num_sites)
     ell = len(sub)
     n = record.n_meas
+    cols = [m - 1 for m in sub]
     per_unitary = []
     for e in record.entries:
-        keys = list(e.counts)
-        mult = np.array([e.counts[k] for k in keys], dtype=float)
-        bits = np.array(
-            [[k[m - 1] == "1" for m in sub] for k in keys], dtype=np.int8
-        )
+        idx, mult = _sampled_outcomes(e)
+        bits = index_to_bits(idx, record.num_sites)[:, cols]
         # kernel value per outcome pair from the Hamming distance
         dist = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
         kern = (2.0**ell) * (-2.0) ** (-dist.astype(float))
@@ -206,14 +193,9 @@ def _entry_outcomes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rows, weights): distinct outcome bit rows and their probabilities."""
     if entry.probs is not None:
-        idx = np.arange(2**num_sites)
-        shifts = np.arange(num_sites - 1, -1, -1)
-        bits = ((idx[:, None] >> shifts) & 1).astype(np.int8)
-        return bits, entry.probs
-    keys = list(entry.counts)
-    bits = np.array([[c == "1" for c in k] for k in keys], dtype=np.int8)
-    weights = np.array([entry.counts[k] for k in keys], dtype=float)
-    return bits, weights / weights.sum()
+        return index_to_bits(np.arange(2**num_sites), num_sites), entry.probs
+    idx, mult = _sampled_outcomes(entry)
+    return index_to_bits(idx, num_sites), mult / mult.sum()
 
 
 def _phase_sign(p: PauliString) -> float:
@@ -311,36 +293,6 @@ def hamiltonian_variance(
 # ---------------------------------------------------------------------------
 # Repetition statistics
 # ---------------------------------------------------------------------------
-
-
-def repeat_and_aggregate(
-    experiment: Callable[[int], float],
-    n_ave: int,
-    master_seed: int,
-    descriptor: str = "",
-    n_unitaries: int = 0,
-    n_meas: float = 0,
-) -> EstimatorResult:
-    """Mean and sample std of an experiment over independent repetitions.
-
-    The experiment closure receives a derived seed per repetition and
-    must be a pure function of it (fresh state prep, fresh unitaries,
-    fresh shots). std uses ddof=1 and is 0 when n_ave == 1.
-    """
-    if n_ave < 1:
-        raise ValueError("n_ave must be at least 1")
-    rep_seeds = np.random.SeedSequence(master_seed).generate_state(n_ave)
-    values = np.array([float(experiment(int(s))) for s in rep_seeds])
-    value = math.fsum(values) / n_ave
-    std = float(values.std(ddof=1)) if n_ave > 1 else 0.0
-    return EstimatorResult(
-        value=value,
-        std=std,
-        n_unitaries=n_unitaries,
-        n_meas=n_meas,
-        n_ave=n_ave,
-        descriptor=descriptor,
-    )
 
 
 def bootstrap_over_unitaries(

@@ -21,7 +21,6 @@ before anything is handed to the time-evolution engine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -39,8 +38,6 @@ __all__ = [
     "square_observable",
     "build_ssh",
     "build_staggered_xy",
-    "hamiltonian_to_json",
-    "hamiltonian_from_json",
     "TWO_PI",
 ]
 
@@ -103,17 +100,6 @@ _CONJ_LETTER = {
 _CONJ_SIGN = {
     1: np.array([1, 1, 1, -1], dtype=np.int8),
     2: np.array([1, -1, 1, 1], dtype=np.int8),
-    3: np.array([1, 1, 1, 1], dtype=np.int8),
-}
-# Inverse maps, for undoing a conjugation: R^dag sigma R.
-_CONJ_LETTER_INV = {
-    1: np.array([0, 1, 3, 2], dtype=np.int8),
-    2: np.array([0, 3, 2, 1], dtype=np.int8),
-    3: np.array([0, 1, 2, 3], dtype=np.int8),
-}
-_CONJ_SIGN_INV = {
-    1: np.array([1, 1, -1, 1], dtype=np.int8),
-    2: np.array([1, 1, 1, -1], dtype=np.int8),
     3: np.array([1, 1, 1, 1], dtype=np.int8),
 }
 
@@ -211,29 +197,24 @@ for _c, _k in _CODE.items():
 _DEC = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)
 
 
-def conjugate_by_labels(
-    p: PauliString, labels: Iterable[int], inverse: bool = False
-) -> PauliString:
+def conjugate_by_labels(p: PauliString, labels: Iterable[int]) -> PauliString:
     """Conjugate ``p`` by the product of labelled local rotations.
 
-    Returns U p U^dag for U = prod_m R_{labels[m]} (or U^dag p U when
-    ``inverse`` is set). The result is again a single Pauli string whose
-    phase is +-1 times the input phase, because each rotation permutes
-    {X, Y, Z} up to sign.
+    Returns U p U^dag for U = prod_m R_{labels[m]}. The result is again a
+    single Pauli string whose phase is +-1 times the input phase, because
+    each rotation permutes {X, Y, Z} up to sign.
     """
     labels = list(labels)
     if len(labels) != p.num_sites:
         raise ValueError("one label per site required")
-    letter_map = _CONJ_LETTER_INV if inverse else _CONJ_LETTER
-    sign_map = _CONJ_SIGN_INV if inverse else _CONJ_SIGN
     word = []
     sign = 1
     for c, lab in zip(p.letters, labels):
         if lab not in (1, 2, 3):
             raise ValueError(f"invalid rotation label {lab}")
         k = _CODE[c]
-        word.append(_LETTERS[letter_map[lab][k]])
-        sign *= int(sign_map[lab][k])
+        word.append(_LETTERS[_CONJ_LETTER[lab][k]])
+        sign *= int(_CONJ_SIGN[lab][k])
     phase = (p.phase_pow + (2 if sign < 0 else 0)) % 4
     return PauliString("".join(word), phase)
 
@@ -398,55 +379,3 @@ def build_ssh(
 def build_staggered_xy(L: int, j: float) -> PauliStringSum:
     """Uniform-magnitude staggered chain: J = +j on even bonds, -j on odd."""
     return build_ssh(L, j_e=j, j_o=-j)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip for the chain parameters
-# ---------------------------------------------------------------------------
-
-_HAM_KEYS = {"L", "J_e", "J_o", "J_nnn", "mu_edge", "angular"}
-
-
-def hamiltonian_to_json(
-    L: int,
-    j_e: float,
-    j_o: float,
-    j_nnn: float = 0.0,
-    mu_edge: float = 0.0,
-    angular: bool = True,
-) -> str:
-    """Serialize chain parameters. ``angular`` marks rad/us coefficients."""
-    return json.dumps(
-        {
-            "L": L,
-            "J_e": j_e,
-            "J_o": j_o,
-            "J_nnn": j_nnn,
-            "mu_edge": mu_edge,
-            "angular": angular,
-        },
-        sort_keys=True,
-    )
-
-
-def hamiltonian_from_json(text: str) -> PauliStringSum:
-    """Build the chain from a parameter JSON, converting MHz when needed.
-
-    With ``angular`` false (the default for config files) every coefficient
-    is interpreted as plain MHz and multiplied by 2*pi, so the returned sum
-    is always in angular rad/us, ready for time evolution.
-    """
-    data = json.loads(text)
-    unknown = set(data) - _HAM_KEYS
-    if unknown:
-        raise ValueError(f"unknown Hamiltonian keys {sorted(unknown)}")
-    if "L" not in data:
-        raise ValueError("missing L")
-    scale = 1.0 if data.get("angular", False) else TWO_PI
-    return build_ssh(
-        int(data["L"]),
-        scale * float(data.get("J_e", 0.0)),
-        scale * float(data.get("J_o", 0.0)),
-        scale * float(data.get("J_nnn", 0.0)),
-        scale * float(data.get("mu_edge", 0.0)),
-    )

@@ -30,20 +30,25 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .pauli import PauliString, PauliStringSum
+from .pauli import PauliStringSum
 from .pulses import FluctuationModel, PulseSchedule, Waveform, perturb
 from .statevector import (
     ConvergenceError,
     StateVector,
     apply_local_unitaries,
+    apply_site_matrices,
+    bits_to_index,
     evolve_blend,
+    index_to_bits,
     index_to_bitstring,
+    occupation,
     sample_basis_indices,
+    x_total,
 )
 
 __all__ = [
@@ -259,14 +264,7 @@ def apply_readout_to_probs(
 ) -> np.ndarray:
     """Exact-mode counterpart: push the distribution through the flip
     channel on every site."""
-    m = model.matrix()
-    out = np.asarray(probs, dtype=float)
-    for site in range(1, num_sites + 1):
-        left = 2 ** (site - 1)
-        right = 2 ** (num_sites - site)
-        cube = out.reshape(left, 2, right)
-        out = np.einsum("ab,ibj->iaj", m, cube).reshape(-1)
-    return out
+    return apply_site_matrices(np.asarray(probs, dtype=float), [model.matrix()] * num_sites)
 
 
 def _counts_from_indices(idx: np.ndarray, num_sites: int) -> dict[str, int]:
@@ -274,17 +272,6 @@ def _counts_from_indices(idx: np.ndarray, num_sites: int) -> dict[str, int]:
     return {
         index_to_bitstring(int(v), num_sites): int(c) for v, c in zip(vals, mult)
     }
-
-
-def _bits_from_indices(idx: np.ndarray, num_sites: int) -> np.ndarray:
-    shifts = np.arange(num_sites - 1, -1, -1)
-    return (np.asarray(idx)[:, None] >> shifts) & 1
-
-
-def _indices_from_bits(bits: np.ndarray) -> np.ndarray:
-    num_sites = bits.shape[1]
-    weights = 1 << np.arange(num_sites - 1, -1, -1)
-    return bits @ weights
 
 
 def _sample_entry(
@@ -298,9 +285,8 @@ def _sample_entry(
     """Shot sampling and readout flips, in the frozen draw order."""
     idx = sample_basis_indices(psi, n_meas, rng)
     if readout is not None:
-        bits = _bits_from_indices(idx, psi.num_sites)
-        bits = apply_readout_errors(bits, readout, rng)
-        idx = _indices_from_bits(bits)
+        bits = apply_readout_errors(index_to_bits(idx, psi.num_sites), readout, rng)
+        idx = bits_to_index(bits)
     return UnitaryMeasurement(
         labels=labels,
         counts=_counts_from_indices(idx, psi.num_sites),
@@ -388,20 +374,6 @@ def _readout_meta(readout: ReadoutErrorModel | None):
 # ---------------------------------------------------------------------------
 
 
-def _occupation_bits(num_sites: int) -> np.ndarray:
-    """(2^L, L) matrix of n_m values per basis index, site 1 first."""
-    idx = np.arange(2**num_sites)
-    shifts = np.arange(num_sites - 1, -1, -1)
-    return ((idx[:, None] >> shifts) & 1).astype(float)
-
-
-def _x_total(num_sites: int) -> sparse.csr_matrix:
-    ham = PauliStringSum(num_sites)
-    for m in range(1, num_sites + 1):
-        ham.add_term(1.0, PauliString.from_ops({m: "X"}, num_sites))
-    return ham.to_sparse()
-
-
 def _gain(scaled: Waveform, nominal: Waveform) -> float:
     """Factor by which perturb scaled a waveform (1 for a zero waveform)."""
     i = int(np.argmax(np.abs(nominal.values)))
@@ -412,6 +384,7 @@ def _pulsed_parts(
     schedule: PulseSchedule,
     labels: tuple[int, ...],
     x_tot: sparse.csr_matrix,
+    n_tot: sparse.csr_matrix,
     occ: np.ndarray,
     h_mod: sparse.csr_matrix | None,
     payload: Sequence[tuple[PulseSchedule, tuple[int, ...]]] = (),
@@ -419,7 +392,8 @@ def _pulsed_parts(
     """H(t) = Omega/2 X_tot - Delta N_tot + f N_weighted + H_mod.
 
     The per-site detuning enters as -(Delta - f d_label) n_m, split into
-    the two diagonal parts so the waveforms stay global.
+    the two diagonal parts so the waveforms stay global. ``occ`` is the
+    (2^L, L) table of n_m per basis index that N_weighted is built from.
 
     With payload the parts are column-valued (see evolve_blend): column 0
     is (schedule, labels) and column j the j-th payload pair, whose
@@ -440,7 +414,7 @@ def _pulsed_parts(
         n_weighted = sparse.diags(shifts[:, 0])
     parts = [
         (lambda t: schedule.omega.value(t) / 2.0 * gain_omega, x_tot),
-        (lambda t: -schedule.delta.value(t) * gain_delta, sparse.diags(occ.sum(axis=1))),
+        (lambda t: -schedule.delta.value(t) * gain_delta, n_tot),
         (lambda t: schedule.f.value(t), n_weighted),
     ]
     if h_mod is not None:
@@ -531,8 +505,9 @@ def run_pulsed(
         raise ValueError("at least one unitary sample required")
 
     num_sites = psi.num_sites
-    x_tot = _x_total(num_sites)
-    occ = _occupation_bits(num_sites)
+    x_tot = x_total(num_sites)
+    n_tot = occupation(num_sites, range(1, num_sites + 1))
+    occ = index_to_bits(np.arange(2**num_sites), num_sites).astype(float)
     h_sparse = None
     h_bound = 0.0
     if h_mod is not None:
@@ -547,7 +522,7 @@ def run_pulsed(
     n0 = n_cells * max(1, int(np.ceil(n_burst / n_cells)))
 
     def parts(payload=()):
-        return _pulsed_parts(schedule, samples[0].labels, x_tot, occ, h_sparse, payload)
+        return _pulsed_parts(schedule, samples[0].labels, x_tot, n_tot, occ, h_sparse, payload)
 
     nominal = parts()
     rngs = [_stream(seed, sample.realization) for sample in samples]
@@ -558,16 +533,15 @@ def run_pulsed(
             idx = np.empty(int(n_meas), dtype=np.int64)
             for shot in range(int(n_meas)):
                 shot_parts = _pulsed_parts(
-                    perturb(schedule, fluct, rng), sample.labels, x_tot, occ, h_sparse
+                    perturb(schedule, fluct, rng), sample.labels, x_tot, n_tot, occ, h_sparse
                 )
                 rotated = evolve_blend(
                     psi, shot_parts, 0.0, schedule.T, tol=None, initial_steps=steps
                 )
                 idx[shot] = sample_basis_indices(rotated, 1, rng)[0]
             if readout is not None:
-                bits = _bits_from_indices(idx, num_sites)
-                bits = apply_readout_errors(bits, readout, rng)
-                idx = _indices_from_bits(bits)
+                bits = apply_readout_errors(index_to_bits(idx, num_sites), readout, rng)
+                idx = bits_to_index(bits)
             entries.append(
                 UnitaryMeasurement(
                     labels=sample.labels,

@@ -59,7 +59,6 @@ __all__ = [
     "measured_axis",
     "axis_fidelity",
     "figure_of_merit",
-    "figure_of_merit_antisymmetric",
     "mc_rotation_stats",
     "calibrate",
     "schedule_to_json",
@@ -636,8 +635,9 @@ def figure_of_merit(rset: Sequence[np.ndarray]) -> tuple[float, float, float]:
     The two ordered terms are complex conjugates, so A_a = 2 |<up|R_b
     R_g^dag|up>|^2. The ideal rotation set gives exactly (1, 1, 1); a fully
     random pair averages 2 * 1/2 = 1 as well, while coinciding rotations
-    push A to 2. See figure_of_merit_antisymmetric for the literal
-    Levi-Civita contraction, kept for auditing.
+    push A to 2. The literal Levi-Civita contraction eps_{abg} of the
+    same overlaps is not a useful score: the conjugate pairs cancel to
+    2i Im<up|R_b R_g^dag|up>, which is (0, 0, i) on the ideal set.
     """
     r = _check_unitary(rset)
     out = []
@@ -645,24 +645,6 @@ def figure_of_merit(rset: Sequence[np.ndarray]) -> tuple[float, float, float]:
         b, g = _PAIRS[a]
         m = r[b - 1] @ r[g - 1].conj().T
         out.append(2.0 * float(np.abs(m[1, 1]) ** 2))
-    return tuple(out)
-
-
-def figure_of_merit_antisymmetric(rset: Sequence[np.ndarray]) -> tuple[complex, ...]:
-    """Literal eps_{abg} <up|R_b R_g^dag|up> contraction, kept for auditing.
-
-    The two ordered terms are conjugates, so each component is 2i times the
-    imaginary part of one overlap: the ideal set gives (0, 0, i), not a
-    useful scalar score, which is why the squared-magnitude reading above
-    is the operative one.
-    """
-    r = _check_unitary(rset)
-    out = []
-    for a in (1, 2, 3):
-        b, g = _PAIRS[a]
-        m1 = (r[b - 1] @ r[g - 1].conj().T)[1, 1]
-        m2 = (r[g - 1] @ r[b - 1].conj().T)[1, 1]
-        out.append(complex(m1 - m2))
     return tuple(out)
 
 
@@ -796,7 +778,6 @@ def calibrate(
     stats_targets: Sequence[float] | None = None,
     std_targets: Sequence[float] | None = None,
     eps_percent: float = 3.0,
-    seed: int = 7,
     maxiter: int = 4000,
     budget: float = _STEP_BUDGET,
     free: Sequence[str] | None = None,
@@ -811,8 +792,7 @@ def calibrate(
     published noise statistics. free restricts the search to the named
     knobs, holding the rest at their start values; Nelder-Mead in four
     well-chosen coordinates beats it in thirteen sloppy ones.
-    Deterministic for fixed inputs; seed is reserved for future
-    stochastic objectives.
+    Deterministic for fixed inputs.
     """
     if objective not in ("fidelity", "stats"):
         raise ValueError("objective must be fidelity or stats")

@@ -31,10 +31,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .pauli import (
-    PauliString,
     PauliStringSum,
     TWO_PI,
     build_ssh,
@@ -47,7 +45,9 @@ from .statevector import (
     evolve_blend,
     evolve_static,
     ground_state,
+    occupation,
     product_state,
+    x_total,
 )
 
 __all__ = [
@@ -162,20 +162,6 @@ def quench(psi: StateVector, j: float = J_QUENCH, duration: float = 1.0) -> Stat
 # ---------------------------------------------------------------------------
 
 
-def _x_total(num_sites: int) -> sparse.csr_matrix:
-    s = PauliStringSum(num_sites)
-    for m in range(1, num_sites + 1):
-        s.add_term(1.0, PauliString.from_ops({m: "X"}, num_sites))
-    return s.to_sparse()
-
-
-def _occupation_diag(num_sites: int, sites: range) -> sparse.csr_matrix:
-    counts = np.zeros(2**num_sites)
-    for m in sites:
-        counts += [(i >> (num_sites - m)) & 1 for i in range(2**num_sites)]
-    return sparse.diags(counts).tocsr()
-
-
 def _progress(ramp: str, t_prep: float) -> Callable[[float], float]:
     def lam(t: float) -> float:
         u = min(max(t / t_prep, 0.0), 1.0)
@@ -230,8 +216,8 @@ def prepare_adiabatic(
         # lam = 0 and the all-down state is not the initial ground state
         raise ValueError("delta_init must dominate the edge pin: need -delta_init > MU_EDGE")
     h_sp = model_hamiltonian(num_sites, phase).to_sparse()
-    x_sp = _x_total(num_sites)
-    n_sp = _occupation_diag(num_sites, range(1, num_sites + 1))
+    x_sp = x_total(num_sites)
+    n_sp = occupation(num_sites, range(1, num_sites + 1))
     lam = progress if progress is not None else _progress(ramp, t_prep)
 
     def drive(t: float) -> float:
@@ -243,7 +229,7 @@ def prepare_adiabatic(
 
     parts = [(1.0, h_sp), (drive, x_sp), (detuning, n_sp)]
     if stagger:
-        odd_sp = _occupation_diag(num_sites, range(1, num_sites + 1, 2))
+        odd_sp = occupation(num_sites, range(1, num_sites + 1, 2))
 
         def bias(t: float) -> float:
             u = lam(t)

@@ -19,6 +19,13 @@ doubling until two grids agree within ``tol``.
 ``evolve_blend`` also evolves a block of K copies of one state at once when
 its parts are column-valued (per-column coefficients or a (2^L, K) diagonal):
 the columns share the step grid and every sparse product becomes one matmat.
+
+This module owns the bit convention for the whole package:
+``index_to_bits`` / ``bits_to_index`` are the only conversions between
+basis indices and site bits, and ``apply_site_matrices`` is the only
+site-by-site 2x2 kernel (local rotations, readout flips and the purity
+estimator's factorized kernel all go through it). The pulse drive's
+operators, ``x_total`` and ``occupation``, are built here on top of them.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, expm_multiply
 
-from .pauli import PAULI_MATRICES, ROTATION_MATRICES, PauliString, PauliStringSum
+from .pauli import ROTATION_MATRICES, PauliString, PauliStringSum
 
 __all__ = [
     "StateVector",
@@ -48,18 +55,18 @@ __all__ = [
     "bits_to_index",
     "index_to_bits",
     "index_to_bitstring",
+    "apply_site_matrices",
+    "x_total",
+    "occupation",
     "expectation",
     "apply_local_unitaries",
     "evolve_blend",
     "evolve_static",
     "ground_state",
     "sample_basis_indices",
-    "sample_bitstrings",
     "reduced_density",
     "exact_purity",
     "state_fidelity",
-    "save_amplitudes",
-    "load_amplitudes",
 ]
 
 MAX_SITES = 14
@@ -141,16 +148,20 @@ class ReducedDensityMatrix:
 # ---------------------------------------------------------------------------
 
 
-def bits_to_index(bits: Sequence[int]) -> int:
-    """Basis index of a bit pattern given site-1-first."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | (int(b) & 1)
-    return idx
+def index_to_bits(idx: int | np.ndarray, num_sites: int) -> np.ndarray:
+    """Site bits of basis indices: shape (...) -> int8 (..., L), site 1 first."""
+    shifts = np.arange(num_sites - 1, -1, -1)
+    return ((np.asarray(idx)[..., None] >> shifts) & 1).astype(np.int8)
 
 
-def index_to_bits(idx: int, num_sites: int) -> np.ndarray:
-    return np.array([(idx >> (num_sites - 1 - m)) & 1 for m in range(num_sites)], dtype=np.int8)
+def bits_to_index(bits: Sequence[int] | np.ndarray) -> int | np.ndarray:
+    """Basis indices of bit rows given site-1-first: (..., L) -> (...).
+
+    The inverse of ``index_to_bits``; a single row gives a Python int.
+    """
+    bits = np.asarray(bits)
+    idx = bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def index_to_bitstring(idx: int, num_sites: int) -> str:
@@ -176,6 +187,26 @@ def random_state(num_sites: int, rng: np.random.Generator) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
+# Drive operators
+# ---------------------------------------------------------------------------
+
+
+def x_total(num_sites: int) -> sparse.csr_matrix:
+    """sum_m X_m, the global drive, as a sparse matrix."""
+    ham = PauliStringSum(num_sites)
+    for m in range(1, num_sites + 1):
+        ham.add_term(1.0, PauliString.from_ops({m: "X"}, num_sites))
+    return ham.to_sparse()
+
+
+def occupation(num_sites: int, sites: Iterable[int]) -> sparse.csr_matrix:
+    """sum of n_m over the given 1-based sites, as a sparse diagonal."""
+    cols = [m - 1 for m in sites]
+    counts = index_to_bits(np.arange(2**num_sites), num_sites)[:, cols].sum(axis=1)
+    return sparse.diags(counts.astype(float)).tocsr()
+
+
+# ---------------------------------------------------------------------------
 # Expectation values and local rotations
 # ---------------------------------------------------------------------------
 
@@ -198,12 +229,21 @@ def expectation(psi: StateVector, obs: PauliStringSum) -> float:
     return float(val.real)
 
 
-def _apply_one_site(amp: np.ndarray, num_sites: int, site: int, u: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix on a 1-based site of the amplitude vector."""
-    left = 2 ** (site - 1)
-    right = 2 ** (num_sites - site)
-    cube = amp.reshape(left, 2, right)
-    return np.einsum("ab,ibj->iaj", u, cube).reshape(-1)
+def apply_site_matrices(v: np.ndarray, matrices: Sequence[np.ndarray | None]) -> np.ndarray:
+    """(m_1 kron ... kron m_L) v for one 2x2 matrix per site, site 1 first.
+
+    ``None`` skips a site (the identity). Each site costs one einsum over
+    a (left, 2, right) view, so the product is never formed.
+    """
+    num_sites = len(matrices)
+    if v.shape != (2**num_sites,):
+        raise ValueError("vector length must be 2**len(matrices)")
+    for site, m in enumerate(matrices):
+        if m is None:
+            continue
+        cube = v.reshape(2**site, 2, 2 ** (num_sites - site - 1))
+        v = np.einsum("ab,ibj->iaj", m, cube).reshape(-1)
+    return v
 
 
 def apply_local_unitaries(
@@ -219,18 +259,12 @@ def apply_local_unitaries(
     if (labels is None) == (matrices is None):
         raise ValueError("pass exactly one of labels or matrices")
     if labels is not None:
-        matrices = [ROTATION_MATRICES[int(lab)] for lab in labels]
-        skip_identity = [int(lab) == 3 for lab in labels]
+        matrices = [None if int(lab) == 3 else ROTATION_MATRICES[int(lab)] for lab in labels]
     else:
-        skip_identity = [False] * len(matrices)
+        matrices = [np.asarray(u, dtype=complex) for u in matrices]
     if len(matrices) != psi.num_sites:
         raise ValueError("one unitary per site required")
-    amp = psi.amp
-    for m, (u, skip) in enumerate(zip(matrices, skip_identity), start=1):
-        if skip:
-            continue
-        amp = _apply_one_site(amp, psi.num_sites, m, np.asarray(u, dtype=complex))
-    return StateVector(amp, psi.num_sites)
+    return StateVector(apply_site_matrices(psi.amp, matrices), psi.num_sites)
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +535,6 @@ def sample_basis_indices(psi: StateVector, n_meas: int, rng: np.random.Generator
     return rng.choice(p.size, size=n_meas, p=p)
 
 
-def sample_bitstrings(psi: StateVector, n_meas: int, rng: np.random.Generator) -> dict[str, int]:
-    """Counts map bitstring -> multiplicity, site 1 leftmost."""
-    idx = sample_basis_indices(psi, n_meas, rng)
-    vals, counts = np.unique(idx, return_counts=True)
-    return {
-        index_to_bitstring(int(v), psi.num_sites): int(c) for v, c in zip(vals, counts)
-    }
-
-
 # ---------------------------------------------------------------------------
 # Reduced states and purities
 # ---------------------------------------------------------------------------
@@ -551,23 +576,3 @@ def exact_purity(psi: StateVector, sites: Sequence[int]) -> float:
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:
     return float(np.abs(np.vdot(a.amp, b.amp)) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# Binary amplitude dump (little-endian interleaved re/im doubles)
-# ---------------------------------------------------------------------------
-
-
-def save_amplitudes(psi: StateVector, path: str) -> None:
-    flat = np.empty(2 * psi.amp.size, dtype="<f8")
-    flat[0::2] = psi.amp.real
-    flat[1::2] = psi.amp.imag
-    flat.tofile(path)
-
-
-def load_amplitudes(path: str, num_sites: int) -> StateVector:
-    flat = np.fromfile(path, dtype="<f8")
-    if flat.size != 2 ** (num_sites + 1):
-        raise ValueError("file size inconsistent with num_sites")
-    amp = flat[0::2] + 1j * flat[1::2]
-    return StateVector(amp, num_sites)

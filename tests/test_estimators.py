@@ -15,21 +15,21 @@ from rmlab.estimators import (
     pauli_expectation,
     purity_estimate,
     purity_pairwise,
-    repeat_and_aggregate,
     results_to_csv,
 )
-from rmlab.estimators import _kernel_quadratic
 from rmlab.pauli import PauliString, PauliStringSum, build_ssh, square_observable
 from rmlab.protocol import (
     EXACT_SHOTS,
     MeasurementRecord,
     UnitaryMeasurement,
     all_label_settings,
+    default_readout,
     run_ideal,
     sample_unitaries,
 )
 from rmlab.statevector import (
     StateVector,
+    apply_site_matrices,
     exact_purity,
     expectation,
     product_state,
@@ -116,6 +116,8 @@ def test_bell_pair_single_site_purity():
 
 
 def test_kernel_factorization_matches_double_sum():
+    # the per-site factor of 2^l (-2)^(-D), applied through the site kernel
+    kernel = np.array([[2.0, -1.0], [-1.0, 2.0]])
     rng = np.random.default_rng(11)
     for ell in (1, 2, 3, 4):
         for _ in range(5):
@@ -126,7 +128,7 @@ def test_kernel_factorization_matches_double_sum():
                 for t in range(2**ell):
                     d = bin(s ^ t).count("1")
                     direct += (2.0**ell) * (-2.0) ** (-d) * p[s] * p[t]
-            assert abs(_kernel_quadratic(p) - direct) < 1e-12
+            assert abs(p @ apply_site_matrices(p, [kernel] * ell) - direct) < 1e-12
 
 
 def test_correction_arithmetic_fixed_point():
@@ -149,6 +151,26 @@ def test_pairwise_route_is_identical():
         a = purity_estimate(rec, sites).value
         b = purity_pairwise(rec, sites).value
         assert abs(a - b) < 1e-12
+
+
+def test_marginal_matches_per_key_loop():
+    # the per-key loop the vectorised marginal replaced; integer counts make
+    # the two routes exactly equal
+    from rmlab.estimators import _marginal_distribution
+
+    rng = np.random.default_rng(21)
+    psi = random_state(5, rng)
+    rec = run_ideal(psi, sample_unitaries(5, 6, rng), 50, readout=default_readout(), seed=3)
+    for sites in ((1,), (2, 4, 5), (1, 2, 3, 4, 5)):
+        for e in rec.entries:
+            acc = np.zeros(2 ** len(sites))
+            for key, c in e.counts.items():
+                idx = 0
+                for m in sites:
+                    idx = (idx << 1) | (key[m - 1] == "1")
+                acc[idx] += c
+            want = acc / sum(e.counts.values())
+            assert np.array_equal(_marginal_distribution(e, 5, sites), want)
 
 
 def test_correction_unbiased_under_multinomial_resampling():
@@ -317,30 +339,6 @@ def test_precomputed_square_agrees():
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
-
-
-def test_repeat_deterministic_experiment():
-    est = repeat_and_aggregate(lambda seed: 0.75, 5, master_seed=1)
-    assert est.value == pytest.approx(0.75)
-    assert est.std == 0.0
-    assert est.n_ave == 5
-
-
-def test_repeat_reproducible():
-    def experiment(seed: int) -> float:
-        return float(np.random.default_rng(seed).normal())
-
-    a = repeat_and_aggregate(experiment, 20, master_seed=7)
-    b = repeat_and_aggregate(experiment, 20, master_seed=7)
-    c = repeat_and_aggregate(experiment, 20, master_seed=8)
-    assert a.value == b.value and a.std == b.std
-    assert a.value != c.value
-    assert a.std > 0
-
-
-def test_repeat_single_repetition():
-    est = repeat_and_aggregate(lambda s: 1.0, 1, master_seed=0)
-    assert est.std == 0.0
 
 
 def test_bootstrap_over_unitaries():

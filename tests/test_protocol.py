@@ -305,19 +305,20 @@ def test_pulsed_with_interactions_runs(golden):
 def _per_unitary_reference(psi, samples, schedule, fluct, h_mod, n_meas, readout, seed, steps):
     """The loop run_pulsed's block replaces: one evolve_blend per sample,
     gains then shots then flips drawn from the (seed, k) stream."""
-    from rmlab.protocol import (
-        _exact_entry, _occupation_bits, _pulsed_parts, _sample_entry, _stream, _x_total,
-    )
+    from rmlab.protocol import _exact_entry, _pulsed_parts, _sample_entry, _stream
     from rmlab.pulses import perturb
-    from rmlab.statevector import evolve_blend
+    from rmlab.statevector import evolve_blend, index_to_bits, occupation, x_total
 
     L = psi.num_sites
-    x_tot, occ = _x_total(L), _occupation_bits(L)
+    x_tot, n_tot = x_total(L), occupation(L, range(1, L + 1))
+    occ = index_to_bits(np.arange(2**L), L).astype(float)
     h_sparse = None if h_mod is None else h_mod.to_sparse()
     entries = []
     for sample in samples:
         rng = _stream(seed, sample.realization)
-        parts = _pulsed_parts(perturb(schedule, fluct, rng), sample.labels, x_tot, occ, h_sparse)
+        parts = _pulsed_parts(
+            perturb(schedule, fluct, rng), sample.labels, x_tot, n_tot, occ, h_sparse
+        )
         state = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
         if n_meas == EXACT_SHOTS:
             entries.append(_exact_entry(state, sample.labels, readout))
@@ -327,7 +328,7 @@ def _per_unitary_reference(psi, samples, schedule, fluct, h_mod, n_meas, readout
             )
     # the grid contract: the nominal schedule under the first labels agrees
     # with twice the steps to 0.75 tol
-    nominal = _pulsed_parts(schedule, samples[0].labels, x_tot, occ, h_sparse)
+    nominal = _pulsed_parts(schedule, samples[0].labels, x_tot, n_tot, occ, h_sparse)
     coarse, fine = (
         evolve_blend(psi, nominal, 0.0, schedule.T, tol=None, initial_steps=n)
         for n in (steps, 2 * steps)

@@ -18,7 +18,6 @@ from rmlab.pulses import (
     default_realistic_params,
     draw_gains,
     figure_of_merit,
-    figure_of_merit_antisymmetric,
     ideal_schedule,
     mc_rotation_stats,
     measured_axis,
@@ -227,15 +226,6 @@ def test_fom_rejects_non_unitary():
     bad = [np.eye(2) * 1.1, np.eye(2), np.eye(2)]
     with pytest.raises(ValueError):
         figure_of_merit(bad)
-
-
-def test_antisymmetric_reading_on_ideal_set():
-    # conjugate-pair cancellation kills the real parts; the (1,2) overlap
-    # <up|R1 R2^dag|up> = (1+i)/2 is complex, leaving exactly i for alpha=3
-    lit = figure_of_merit_antisymmetric(ideal_rset())
-    assert abs(lit[0]) < 1e-12
-    assert abs(lit[1]) < 1e-12
-    assert abs(lit[2] - 1j) < 1e-12
 
 
 def test_mc_rotation_stats_deterministic():
