@@ -15,7 +15,6 @@ from .pauli import (
     PauliString,
     PauliStringSum,
     pauli_mul,
-    conjugate_by_labels,
     square_observable,
     build_ssh,
     build_staggered_xy,

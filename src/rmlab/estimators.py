@@ -16,13 +16,15 @@ algebra, not approximation; purity_pairwise walks the pairs directly
 so tests can confirm the identity.
 
 Pauli expectations. Rotating the state by U and reading z is the same
-as measuring the back-rotated observable, so each recorded pattern
-estimates Tr[P ρ] whenever the forward-conjugated string U P U† is
-diagonal. Under uniform label sampling that happens with probability
-3^-w (w = support weight), hence the importance weight 3^w on diagonal
-hits and 0 otherwise: the classical-shadow estimator, linear in the
-outcome probabilities. Records store nominal labels, so miscalibrated
-rotations shift these estimates exactly as they would in the lab.
+as measuring U P U†, so each recorded pattern estimates Tr[P ρ] whenever
+U P U† is diagonal. That is a label rule, tested for each string against
+the whole (N_U, L) label array at once: every X site needs label 2, every
+Y site label 1 and every Z site label 3 (`PauliString.diagonalized_by`).
+Under uniform label sampling a hit has probability 3^-w (w = support
+weight), hence the importance weight 3^w on hits and 0 otherwise: the
+classical-shadow estimator, linear in the outcome probabilities. Records
+store nominal labels, so miscalibrated rotations shift these estimates
+exactly as they would in the lab.
 
 All reductions over unitaries use compensated summation, making results
 independent of worker count or reduction order at the 1e-13 level.
@@ -38,7 +40,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliStringSum, conjugate_by_labels, square_observable
+from .pauli import LABELS, PauliString, PauliStringSum, square_observable
 from .protocol import EXACT_SHOTS, MeasurementRecord, UnitaryMeasurement
 from .statevector import MAX_SUBSYSTEM, apply_site_matrices, bits_to_index, index_to_bits
 
@@ -188,53 +190,39 @@ def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
 # ---------------------------------------------------------------------------
 
 
-def _entry_outcomes(
-    entry: UnitaryMeasurement, num_sites: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, weights): distinct outcome bit rows and their probabilities."""
-    if entry.probs is not None:
-        return index_to_bits(np.arange(2**num_sites), num_sites), entry.probs
-    idx, mult = _sampled_outcomes(entry)
-    return index_to_bits(idx, num_sites), mult / mult.sum()
+def _outcome_table(record: MeasurementRecord):
+    """(labels, every, rows): the ``(N_U, L)`` label array, ``arange(2^L)``
+    for an exact record (None otherwise), and per unitary its (outcome
+    indices, weights). Exact rows share ``every`` as their indices."""
+    labels = np.array([e.labels for e in record.entries], dtype=np.int8)
+    if not np.isin(labels, LABELS).all():
+        raise ValueError(f"invalid rotation label; expected one of {LABELS}")
+    if record.n_meas == EXACT_SHOTS:
+        every = np.arange(2**record.num_sites)
+        return labels, every, [(every, e.probs) for e in record.entries]
+    rows = []
+    for e in record.entries:
+        idx, mult = _sampled_outcomes(e)
+        rows.append((idx, mult / mult.sum()))
+    return labels, None, rows
 
 
-def _phase_sign(p: PauliString) -> float:
-    if p.phase_pow == 0:
-        return 1.0
-    if p.phase_pow == 2:
-        return -1.0
-    raise ValueError("observable strings must carry a real +-1 phase")
-
-
-def _string_term(
-    p: PauliString,
-    tables: Sequence[tuple[tuple[int, ...], np.ndarray, np.ndarray]],
-) -> float:
-    """Shadow estimate of one Pauli string over prepared outcome tables."""
+def _string_term(p: PauliString, table) -> float:
+    """Shadow estimate of one Pauli string over a prepared outcome table."""
+    sign = p.rotated_sign
     w = p.weight
     if w == 0:
-        return _phase_sign(p)
-    weight_factor = float(3**w)
-    contributions = []
-    for labels, bits, probs in tables:
-        q = conjugate_by_labels(p, labels)
-        if not q.is_diagonal():
-            contributions.append(0.0)
-            continue
-        cols = [m - 1 for m, c in enumerate(q.letters, start=1) if c == "Z"]
-        # product of z eigenvalues (2b - 1): -1 for every 0 bit in support
-        zeros = len(cols) - bits[:, cols].sum(axis=1)
-        z = np.where(zeros % 2 == 0, 1.0, -1.0)
-        contributions.append(
-            weight_factor * _phase_sign(q) * float(z @ probs)
-        )
+        return sign
+    labels, every, rows = table
+    factor = float(3**w) * sign
+    # an exact record's z eigenvalues are the same for every unitary
+    z_every = None if every is None else p.support_z_signs(every)
+    contributions = [0.0] * len(rows)
+    for k in np.flatnonzero(p.diagonalized_by(labels)):
+        idx, weights = rows[k]
+        z = z_every if idx is every else p.support_z_signs(idx)
+        contributions[k] = factor * float(z @ weights)
     return math.fsum(contributions) / len(contributions)
-
-
-def _outcome_tables(record: MeasurementRecord):
-    return [
-        (e.labels, *_entry_outcomes(e, record.num_sites)) for e in record.entries
-    ]
 
 
 def pauli_expectation(record: MeasurementRecord, p: PauliString) -> float:
@@ -243,7 +231,7 @@ def pauli_expectation(record: MeasurementRecord, p: PauliString) -> float:
         raise ValueError("string length differs from the record")
     if record.n_unitaries == 0:
         raise ValueError("record has no entries")
-    return _string_term(p, _outcome_tables(record))
+    return _string_term(p, _outcome_table(record))
 
 
 def observable_expectation(record: MeasurementRecord, obs: PauliStringSum) -> float:
@@ -252,10 +240,10 @@ def observable_expectation(record: MeasurementRecord, obs: PauliStringSum) -> fl
         raise ValueError("observable length differs from the record")
     if record.n_unitaries == 0:
         raise ValueError("record has no entries")
-    tables = _outcome_tables(record)
+    table = _outcome_table(record)
     parts = []
     for word, coeff in obs.items():
-        parts.append(coeff * _string_term(PauliString(word), tables))
+        parts.append(coeff * _string_term(PauliString(word), table))
     total = math.fsum(c.real for c in map(complex, parts)) + 1j * math.fsum(
         c.imag for c in map(complex, parts)
     )

@@ -13,6 +13,11 @@ Conventions used across the package:
   counts ``|up>``. The cyclic algebra X Y = i Z holds unchanged.
 * A Pauli string is stored as a letter word over {I, X, Y, Z} plus an integer
   power of i, so products are exact integer arithmetic.
+* Bit masks are derived from the word where a fast path needs them, never
+  stored: site m is bit ``2^(L-m)``, ``x_mask`` holds the X and Y sites and
+  ``z_mask`` the Y and Z sites. Since Y = i X Z and Z|b> = (2b - 1)|b>,
+  column j of the string has its one nonzero in row ``j ^ x_mask``, equal to
+  ``i^phase * i^#Y * (-1)^popcount(~j & z_mask)``.
 
 Hamiltonian builders are unit agnostic: coefficients pass through unchanged.
 The configuration layer converts plain MHz to angular rad/us (factor 2*pi)
@@ -21,8 +26,10 @@ before anything is handed to the time-evolution engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from collections import defaultdict
+from dataclasses import dataclass
+from functools import partial
+from typing import Mapping
 
 import numpy as np
 
@@ -34,7 +41,6 @@ __all__ = [
     "PauliString",
     "PauliStringSum",
     "pauli_mul",
-    "conjugate_by_labels",
     "square_observable",
     "build_ssh",
     "build_staggered_xy",
@@ -88,22 +94,30 @@ _MUL_PHASE = np.array(
     dtype=np.int8,
 )
 
-# Heisenberg maps R_label sigma R_label^dag -> (letter, sign), derived from
-# the 2x2 matrices above and frozen here as integer tables. Label 1 rotates
-# the Bloch sphere by +pi/2 about x (Y -> Z, Z -> -Y); label 2 by +pi/2
-# about y (Z -> X, X -> -Z); label 3 is the identity.
-_CONJ_LETTER = {
-    1: np.array([0, 1, 3, 2], dtype=np.int8),
-    2: np.array([0, 3, 2, 1], dtype=np.int8),
-    3: np.array([0, 1, 2, 3], dtype=np.int8),
-}
-_CONJ_SIGN = {
-    1: np.array([1, 1, 1, -1], dtype=np.int8),
-    2: np.array([1, -1, 1, 1], dtype=np.int8),
-    3: np.array([1, 1, 1, 1], dtype=np.int8),
-}
+# The label whose rotation R maps each letter onto Z, by letter code
+# I, X, Y, Z (0: any label). Label 1 rotates the Bloch sphere by +pi/2
+# about x (Y -> +Z), label 2 by +pi/2 about y (X -> -Z), label 3 is the
+# identity (Z -> Z).
+_DIAGONALIZING_LABEL = np.array([0, 2, 1, 3], dtype=np.int8)
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+
+
+def _masks(letters: str) -> tuple[int, int]:
+    """(x_mask, z_mask) of a letter word; site m is bit 2^(L-m)."""
+    return int("0" + letters.translate(_X_BITS), 2), int("0" + letters.translate(_Z_BITS), 2)
+
+
+def _z_signs(idx: np.ndarray, mask: int) -> np.ndarray:
+    """(-1)^popcount(~idx & mask) as floats: the product of Z eigenvalues
+    (2b - 1) over the sites in ``mask``, by an xor-fold parity."""
+    v = ~np.asarray(idx, dtype=np.int64) & mask
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return 1.0 - 2.0 * (v & 1)
 
 
 def _check_letters(letters: str) -> None:
@@ -137,17 +151,27 @@ class PauliString:
         return _PHASES[self.phase_pow]
 
     @property
-    def support(self) -> tuple[int, ...]:
-        """1-based sites carrying a non-identity letter."""
-        return tuple(m + 1 for m, c in enumerate(self.letters) if c != "I")
-
-    @property
     def weight(self) -> int:
         return sum(1 for c in self.letters if c != "I")
 
-    def is_diagonal(self) -> bool:
-        """True when the string contains only I and Z letters."""
-        return all(c in "IZ" for c in self.letters)
+    def diagonalized_by(self, labels: np.ndarray) -> np.ndarray:
+        """Rows of an ``(N_U, L)`` label array whose rotations U make U P U^dag
+        diagonal; it then equals rotated_sign * (Z on every support site)."""
+        need = _DIAGONALIZING_LABEL[_ENC[np.frombuffer(self.letters.encode(), np.uint8)]]
+        on = need > 0
+        return (labels[:, on] == need[on]).all(axis=1)
+
+    @property
+    def rotated_sign(self) -> float:
+        """Sign of the diagonal string on a hit: (-1)^#X times the phase."""
+        if self.phase_pow % 2:
+            raise ValueError("observable strings must carry a real +-1 phase")
+        return -1.0 if (self.letters.count("X") + self.phase_pow // 2) % 2 else 1.0
+
+    def support_z_signs(self, idx: np.ndarray) -> np.ndarray:
+        """Product of Z eigenvalues over the support on basis indices ``idx``."""
+        x_mask, z_mask = _masks(self.letters)
+        return _z_signs(idx, x_mask | z_mask)
 
     @classmethod
     def identity(cls, num_sites: int) -> "PauliString":
@@ -195,28 +219,6 @@ _ENC = np.zeros(128, dtype=np.int8)
 for _c, _k in _CODE.items():
     _ENC[ord(_c)] = _k
 _DEC = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)
-
-
-def conjugate_by_labels(p: PauliString, labels: Iterable[int]) -> PauliString:
-    """Conjugate ``p`` by the product of labelled local rotations.
-
-    Returns U p U^dag for U = prod_m R_{labels[m]}. The result is again a
-    single Pauli string whose phase is +-1 times the input phase, because
-    each rotation permutes {X, Y, Z} up to sign.
-    """
-    labels = list(labels)
-    if len(labels) != p.num_sites:
-        raise ValueError("one label per site required")
-    word = []
-    sign = 1
-    for c, lab in zip(p.letters, labels):
-        if lab not in (1, 2, 3):
-            raise ValueError(f"invalid rotation label {lab}")
-        k = _CODE[c]
-        word.append(_LETTERS[_CONJ_LETTER[lab][k]])
-        sign *= int(_CONJ_SIGN[lab][k])
-    phase = (p.phase_pow + (2 if sign < 0 else 0)) % 4
-    return PauliString("".join(word), phase)
 
 
 class PauliStringSum:
@@ -306,17 +308,24 @@ class PauliStringSum:
         return out
 
     def to_sparse(self):
-        """CSR matrix; each string contributes one generalized permutation."""
+        """CSR matrix with sorted indices. Terms sharing an x_mask fill the
+        same entries; each entry sums them in insertion order from +0, and
+        exact zeros are dropped."""
         from scipy import sparse
 
         dim = 2**self.num_sites
-        out = sparse.csr_matrix((dim, dim), dtype=complex)
+        cols = np.arange(dim)
+        groups: dict[int, np.ndarray] = defaultdict(partial(np.zeros, dim, dtype=complex))
         for word, c in self._terms.items():
-            term = sparse.identity(1, dtype=complex, format="csr")
-            for letter in word:
-                term = sparse.kron(term, sparse.csr_matrix(PAULI_MATRICES[letter]))
-            out = out + c * term
-        return out.tocsr()
+            x_mask, z_mask = _masks(word)
+            groups[x_mask] += c * (_PHASES[word.count("Y") % 4] * _z_signs(cols, z_mask))
+        x_masks = np.fromiter(groups, dtype=np.int64, count=len(groups))
+        rows = (x_masks[:, None] ^ cols).ravel()
+        data = np.array(list(groups.values()), dtype=complex).ravel()
+        keep = data != 0
+        return sparse.csr_matrix(
+            (data[keep], (rows[keep], np.tile(cols, len(groups))[keep])), shape=(dim, dim)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [f"({c:.6g})*{w}" for w, c in self.items()]

@@ -32,6 +32,7 @@ from rmlab.statevector import (
     apply_site_matrices,
     exact_purity,
     expectation,
+    index_to_bits,
     product_state,
     random_state,
 )
@@ -259,6 +260,80 @@ def test_identity_rotations_scale_z_correlators():
     assert abs(
         pauli_expectation(rec, PauliString("ZZ")) - 9 * correlator([1, 2])
     ) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Label-mask shadow rule against the per-unitary conjugation loop
+# ---------------------------------------------------------------------------
+
+# Heisenberg maps R_label sigma R_label^dag -> (letter code, sign), codes
+# I=0, X=1, Y=2, Z=3: the integer tables the per-unitary loop used.
+_REF_LETTER = {1: (0, 1, 3, 2), 2: (0, 3, 2, 1), 3: (0, 1, 2, 3)}
+_REF_SIGN = {1: (1, 1, 1, -1), 2: (1, -1, 1, 1), 3: (1, 1, 1, 1)}
+
+
+def _reference_string_term(p: PauliString, record: MeasurementRecord) -> float:
+    """Per-unitary conjugation of p, then the z-eigenvalue product."""
+    L = record.num_sites
+    if p.weight == 0:
+        return {0: 1.0, 2: -1.0}[p.phase_pow]
+    contributions = []
+    for e in record.entries:
+        if e.probs is not None:
+            bits, probs = index_to_bits(np.arange(2**L), L), e.probs
+        else:
+            idx = np.array([int(key, 2) for key in e.counts], dtype=np.int64)
+            mult = np.array(list(e.counts.values()), dtype=float)
+            bits, probs = index_to_bits(idx, L), mult / mult.sum()
+        word, sign = [], 1
+        for c, lab in zip(p.letters, e.labels):
+            k = "IXYZ".index(c)
+            word.append("IXYZ"[_REF_LETTER[lab][k]])
+            sign *= _REF_SIGN[lab][k]
+        if any(c in "XY" for c in word):
+            contributions.append(0.0)
+            continue
+        phase = (p.phase_pow + (2 if sign < 0 else 0)) % 4
+        cols = [m for m, c in enumerate(word) if c == "Z"]
+        zeros = len(cols) - bits[:, cols].sum(axis=1)
+        z = np.where(zeros % 2 == 0, 1.0, -1.0)
+        contributions.append(float(3**p.weight) * {0: 1.0, 2: -1.0}[phase] * float(z @ probs))
+    return math.fsum(contributions) / len(contributions)
+
+
+def _reference_observable(record: MeasurementRecord, obs: PauliStringSum) -> float:
+    parts = [c * _reference_string_term(PauliString(w), record) for w, c in obs.items()]
+    return math.fsum(complex(c).real for c in parts)
+
+
+@pytest.mark.parametrize("L", [4, 8])
+@pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 300])
+@pytest.mark.parametrize("flips", [False, True])
+def test_label_mask_matches_conjugation_loop(L, n_meas, flips):
+    rng = np.random.default_rng(100 + L)
+    psi = random_state(L, rng)
+    readout = default_readout() if flips else None
+    rec = run_ideal(psi, sample_unitaries(L, 40, rng), n_meas, readout=readout, seed=5)
+    h = build_ssh(L, 0.484 * TWO_PI, -0.18 * TWO_PI, 0.04 * TWO_PI, mu_edge=0.1)
+    for obs in (h, square_observable(h)):
+        assert observable_expectation(rec, obs) == _reference_observable(rec, obs)
+    words = ["I" * L, "Z" * L, "X" + "I" * (L - 1), "IY" + "Z" * (L - 2)]
+    words += ["".join(rng.choice(list("IXYZ"), size=L)) for _ in range(20)]
+    for word in words:
+        for phase_pow in (0, 2):
+            p = PauliString(word, phase_pow)
+            assert pauli_expectation(rec, p) == _reference_string_term(p, rec)
+
+
+def test_invalid_label_rejected():
+    rec = MeasurementRecord(
+        num_sites=2,
+        mode="ideal",
+        n_meas=EXACT_SHOTS,
+        entries=(UnitaryMeasurement(labels=(1, 4), probs=np.full(4, 0.25)),),
+    )
+    with pytest.raises(ValueError):
+        pauli_expectation(rec, PauliString("ZI"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from rmlab.pauli import (
     LABELS,
@@ -18,10 +19,11 @@ from rmlab.pauli import (
     PauliStringSum,
     build_ssh,
     build_staggered_xy,
-    conjugate_by_labels,
     pauli_mul,
     square_observable,
 )
+from rmlab.scenarios import model_hamiltonian, quench_hamiltonian
+from rmlab.statevector import x_total
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,43 +70,79 @@ def test_to_matrix_site_order():
     assert np.allclose(p.to_matrix(), np.kron(Z, I2))
 
 
+def _rotated(letters: str, labels, phase_pow: int = 0) -> np.ndarray:
+    """Dense U P U^dag for U = kron of the labelled rotations."""
+    u = np.array([[1.0 + 0j]])
+    for lab in labels:
+        u = np.kron(u, ROTATION_MATRICES[lab])
+    return u @ (1j**phase_pow * dense(letters)) @ u.conj().T
+
+
+def _is_diagonal(m: np.ndarray) -> bool:
+    return np.allclose(m, np.diag(np.diag(m)))
+
+
 @pytest.mark.parametrize("label", LABELS)
 @pytest.mark.parametrize("letter", "IXYZ")
 def test_conjugation_against_dense(label, letter):
+    # the label rule: a hit exactly when R P R^dag is diagonal, and then
+    # R P R^dag = rotated_sign * (Z on the support)
     p = PauliString(letters=letter)
-    q = conjugate_by_labels(p, [label])
-    r = ROTATION_MATRICES[label]
-    assert np.allclose(q.phase * dense(q.letters), r @ dense(letter) @ r.conj().T)
+    want = _rotated(letter, [label])
+    hit = bool(p.diagonalized_by(np.array([[label]]))[0])
+    assert hit == _is_diagonal(want)
+    if hit:
+        assert np.allclose(want, p.rotated_sign * np.diag(p.support_z_signs(np.arange(2))))
 
 
 def test_frozen_conjugation_values():
-    # oracle-derived signs, frozen: R1 Z R1^dag = -Y, R2 X R2^dag = -Z
-    q = conjugate_by_labels(PauliString(letters="Z"), [1])
-    assert (q.letters, q.phase) == ("Y", -1)
-    q = conjugate_by_labels(PauliString(letters="X"), [2])
-    assert (q.letters, q.phase) == ("Z", -1)
-    q = conjugate_by_labels(PauliString(letters="Z"), [2])
-    assert (q.letters, q.phase) == ("X", 1)
-    q = conjugate_by_labels(PauliString(letters="Y"), [1])
-    assert (q.letters, q.phase) == ("Z", 1)
+    # oracle-derived, frozen: R2 X R2^dag = -Z, R1 Y R1^dag = Z, R3 Z R3^dag = Z,
+    # while R1 Z R1^dag = -Y and R2 Z R2^dag = X are not diagonal
+    rule = {
+        letter: [bool(PauliString(letter).diagonalized_by(np.array([[lab]]))[0]) for lab in LABELS]
+        for letter in "IXYZ"
+    }
+    assert rule == {
+        "I": [True, True, True],
+        "X": [False, True, False],
+        "Y": [True, False, False],
+        "Z": [False, False, True],
+    }
+    assert PauliString("X").rotated_sign == -1.0
+    assert PauliString("Y").rotated_sign == 1.0
+    assert PauliString("Z").rotated_sign == 1.0
+    assert PauliString("XX", phase_pow=2).rotated_sign == -1.0
+    assert list(PauliString("Z").support_z_signs(np.arange(2))) == [-1.0, 1.0]
+    # support {1, 2}: the Z eigenvalue product is +1 where the two bits agree
+    assert list(PauliString("XZ").support_z_signs(np.arange(4))) == [1.0, -1.0, -1.0, 1.0]
+    with pytest.raises(ValueError):
+        PauliString("Z", phase_pow=1).rotated_sign
 
 
 @given(
     st.text(alphabet="IXYZ", min_size=1, max_size=4),
-    st.lists(st.sampled_from(LABELS), min_size=4, max_size=4),
+    st.lists(
+        st.lists(st.sampled_from(LABELS), min_size=4, max_size=4), min_size=1, max_size=4
+    ),
     st.integers(0, 3),
 )
 @settings(max_examples=60, deadline=None)
-def test_conjugation_round_trip(letters, labels, phase_pow):
-    # multi-site forward map against the dense U P U^dag, U = kron of R_label
-    labels = labels[: len(letters)]
+def test_conjugation_round_trip(letters, label_rows, phase_pow):
+    # multi-site label rule on a whole label array against the dense
+    # U P U^dag, U = kron of R_label, one row at a time
+    labels = np.array(label_rows)[:, : len(letters)]
     p = PauliString(letters=letters, phase_pow=phase_pow)
-    q = conjugate_by_labels(p, labels)
-    u = np.array([[1.0 + 0j]])
-    for lab in labels:
-        u = np.kron(u, ROTATION_MATRICES[lab])
-    want = u @ (p.phase * dense(letters)) @ u.conj().T
-    assert np.allclose(q.phase * dense(q.letters), want)
+    hits = p.diagonalized_by(labels)
+    assert hits.shape == (len(labels),)
+    z = p.support_z_signs(np.arange(2 ** len(letters)))
+    for row, hit in zip(labels, hits):
+        want = _rotated(letters, row, phase_pow)
+        assert bool(hit) == _is_diagonal(want)
+        if hit and phase_pow % 2 == 0:
+            assert np.allclose(want, p.rotated_sign * np.diag(z))
+    if phase_pow % 2:
+        with pytest.raises(ValueError):
+            p.rotated_sign
 
 
 @given(st.text(alphabet="IXYZ", min_size=1, max_size=5), st.data())
@@ -183,3 +221,88 @@ def test_staggered_xy_alternation():
     assert abs(words["XXII"] - (+0.09)) < 1e-15
     assert abs(words["IXXI"] - (-0.09)) < 1e-15
     assert abs(words["IIXX"] - (+0.09)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# to_sparse against the per-letter kron chain it replaced
+# ---------------------------------------------------------------------------
+
+
+def _kron_chain(s: PauliStringSum):
+    """Reference to_sparse: a sparse kron chain per term, summed in CSR."""
+    dim = 2**s.num_sites
+    out = sparse.csr_matrix((dim, dim), dtype=complex)
+    for word, c in s._terms.items():
+        term = sparse.identity(1, dtype=complex, format="csr")
+        for letter in word:
+            term = sparse.kron(term, sparse.csr_matrix(PAULI_MATRICES[letter]))
+        out = out + c * term
+    return out.tocsr()
+
+
+def _assert_same_csr(got, want) -> None:
+    assert got.shape == want.shape
+    assert got.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+_COEFFS = (1.0, -1.0, 0.5, -0.25, 0.5j, -1.0j, 0.3 + 0.7j, -0.3 - 0.7j)
+
+
+@st.composite
+def _pauli_sums(draw):
+    L = draw(st.integers(1, 6))
+    word = st.text(alphabet="IXYZ", min_size=L, max_size=L)
+    s = PauliStringSum(L)
+    for w, c, k in draw(
+        st.lists(st.tuples(word, st.sampled_from(_COEFFS), st.integers(0, 3)), max_size=12)
+    ):
+        s.add_term(c, PauliString(w, k))
+        if draw(st.booleans()):
+            # XX + YY on a pair of sites cancels on the equal-bit entries
+            s.add_term(c, PauliString(w.replace("X", "Y"), k))
+    return s
+
+
+@given(_pauli_sums())
+@settings(max_examples=80, deadline=None)
+def test_to_sparse_matches_kron_chain(s):
+    _assert_same_csr(s.to_sparse(), _kron_chain(s))
+    assert np.allclose(s.to_sparse().toarray(), s.to_matrix())
+
+
+def test_to_sparse_drops_cancelled_entries():
+    s = PauliStringSum(2, {"XX": 1.0, "YY": 1.0})
+    m = s.to_sparse()
+    assert m.nnz == 2 and np.all(m.data != 0)
+    _assert_same_csr(m, _kron_chain(s))
+    assert PauliStringSum(3).to_sparse().nnz == 0
+
+
+@pytest.mark.parametrize("L", [6, 8, 10])
+@pytest.mark.parametrize("phase", ["topological", "trivial"])
+def test_to_sparse_model_hamiltonian_matches_kron_chain(L, phase):
+    h = model_hamiltonian(L, phase)
+    _assert_same_csr(h.to_sparse(), _kron_chain(h))
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10])
+def test_to_sparse_quench_hamiltonian_matches_kron_chain(L):
+    h = quench_hamiltonian(L)
+    _assert_same_csr(h.to_sparse(), _kron_chain(h))
+
+
+def test_x_total_matches_kron_chain():
+    for L in (1, 4, 8):
+        xt = PauliStringSum(L)
+        for m in range(1, L + 1):
+            xt.add_term(1.0, PauliString.from_ops({m: "X"}, L))
+        _assert_same_csr(x_total(L), _kron_chain(xt))
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_to_sparse_squared_hamiltonian_matches_kron_chain(L):
+    h2 = square_observable(model_hamiltonian(L))
+    _assert_same_csr(h2.to_sparse(), _kron_chain(h2))

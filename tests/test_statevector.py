@@ -278,6 +278,32 @@ def test_ground_state_degenerate_error():
         ground_state(zz)
 
 
+def test_lanczos_ground_state_reproducible_and_exact():
+    # L = 12 takes the Lanczos path; H conserves the excitation number, so
+    # an independent dense eigh per sector (at most C(12, 6) = 924 states)
+    # gives the reference ground state
+    from rmlab.scenarios import model_hamiltonian
+
+    h = model_hamiltonian(12)
+    e, psi = ground_state(h)
+    e_again, psi_again = ground_state(h)
+    assert e == e_again and psi.amp.tobytes() == psi_again.amp.tobytes()
+    hm = h.to_sparse()
+    excitations = index_to_bits(np.arange(2**12), 12).sum(axis=1)
+    best = None
+    for n in range(13):
+        idx = np.flatnonzero(excitations == n)
+        vals, vecs = eigh(hm[idx][:, idx].toarray())
+        if best is None or vals[0] < best[0]:
+            best = (vals[0], idx, vecs[:, 0])
+    e_ref, idx, vec = best
+    ref = np.zeros(2**12, dtype=complex)
+    ref[idx] = vec
+    ref *= np.vdot(ref, psi.amp) / abs(np.vdot(ref, psi.amp))
+    assert abs(e - e_ref) < 1e-9
+    assert np.max(np.abs(psi.amp - ref)) < 1e-9
+
+
 def test_ground_state_phase_deterministic():
     h = build_ssh(4, 1.0, -0.4, mu_edge=0.2)
     _, a = ground_state(h)
