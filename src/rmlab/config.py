@@ -130,7 +130,10 @@ def _typecheck(raw: dict, types: Mapping[str, Any], where: str, errs: list[str])
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a JSON document, raising ConfigError with every problem found."""
+    """Parse a JSON document, raising ConfigError with every problem found.
+
+    The cross-field rules are ``validate``'s, which the runner calls once.
+    """
     errs: list[str] = []
     try:
         doc = json.loads(text)
@@ -208,19 +211,13 @@ def parse_config(text: str) -> ExperimentConfig:
         energy=est_raw.get("energy", False),
     )
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         scenario=scenario,
         protocol=protocol,
         targets=targets,
         seed=top.get("seed", 0),
         out=top.get("out", "results"),
     )
-    # structural validation only; the shot budget is the runner's gate
-    # because only it knows about --allow-large
-    problems = validate(cfg, allow_large=True)[0]
-    if problems:
-        raise ConfigError(problems)
-    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ from scipy import sparse
 from .pauli import PauliStringSum
 from .pulses import FluctuationModel, PulseSchedule, Waveform, perturb
 from .statevector import (
+    _EXP_WEIGHT,
+    _ORDER,
+    _STEP_BUDGET,
     ConvergenceError,
     StateVector,
     apply_local_unitaries,
@@ -441,9 +444,10 @@ def _validated_block(psi: StateVector, nominal, block, T: float, n0: int, tol: f
     Column 0 of ``block`` is the nominal schedule that ``nominal``
     describes on its own (``block`` may be ``nominal`` itself). It is
     compared with a one-column run of ``nominal`` at twice the steps: at
-    second order the n vs 2n distance is 3/4 of the n-grid error, so
-    passing at 0.75 tol certifies the coarse grid itself. Otherwise the
-    step count doubles and the block is evolved again.
+    order p the n vs 2n distance is (1 - 2^-p) of the n-grid error, so
+    passing at (1 - 2^-p) tol, 15/16 tol for the fourth-order step,
+    certifies the coarse grid itself. Otherwise the step count doubles and
+    the block is evolved again.
     """
     n = n0
     while True:
@@ -451,7 +455,7 @@ def _validated_block(psi: StateVector, nominal, block, T: float, n0: int, tol: f
         coarse = out[0] if isinstance(out, list) else out
         fine = evolve_blend(psi, nominal, 0.0, T, tol=None, initial_steps=2 * n)
         err = float(np.linalg.norm(coarse.amp - fine.amp))
-        if err <= 0.75 * tol:
+        if err <= (1.0 - 2.0**-_ORDER) * tol:
             return n, out
         n *= 2
         if n > 2**22:
@@ -486,15 +490,14 @@ def run_pulsed(
     schedule only in its light-shift diagonal and its gains. Column 0 of
     the first block is the nominal schedule under the first sample's
     labels, and it alone validates the time grid: it must agree with a
-    one-column run at twice the steps to 0.75 tol, or the step count
+    one-column run at twice the steps to 15/16 tol, or the step count
     doubles and the block is evolved again.
     Scope "per_shot" validates the same way with the nominal column only.
     The validated grid serves every sample: gain draws rescale amplitudes
     by a few percent, which does not change the resolution the schedule
     needs. The default tol keeps the amplitude error two orders below the
-    statistical resolution of any shot-sampled study; the light shifts
-    make the integrator second order in practice, so each extra digit
-    costs 3.2x the steps.
+    statistical resolution of any shot-sampled study; the integrator is
+    fourth order, so each extra digit costs about 1.8x the steps.
     """
     if fluct is None:
         fluct = FluctuationModel(eps_percent=0.0)
@@ -518,7 +521,8 @@ def run_pulsed(
 
     # Taylor-safe and kink-aligned starting grid
     n_cells = max(1, len(schedule.breakpoints()) - 1)
-    n_burst = int(np.ceil(_norm_budget(schedule, num_sites, h_bound) * schedule.T / 1.5))
+    burst = _norm_budget(schedule, num_sites, h_bound) * _EXP_WEIGHT * schedule.T
+    n_burst = int(np.ceil(burst / _STEP_BUDGET))
     n0 = n_cells * max(1, int(np.ceil(n_burst / n_cells)))
 
     def parts(payload=()):

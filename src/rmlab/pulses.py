@@ -31,10 +31,9 @@ from importlib import resources
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .pauli import PAULI_MATRICES, ROTATION_MATRICES, TWO_PI
-from .statevector import ConvergenceError, NumericalContractError
+from .statevector import _GAUSS_OFF, ConvergenceError, NumericalContractError
 
 __all__ = [
     "AMP_CAP",
@@ -460,9 +459,6 @@ def _label_segments(schedule: PulseSchedule, label: int):
     return segs
 
 
-_GAUSS_OFF = 1.0 / (2.0 * math.sqrt(3.0))  # two-point Gauss nodes, step units
-
-
 def _rotvec_matrices(kx, ky, kz, phase) -> np.ndarray:
     """exp(-i (kx X + ky Y + kz Z + phase I)) elementwise; shape (..., 2, 2)."""
     r = np.sqrt(kx * kx + ky * ky + kz * kz)
@@ -512,7 +508,7 @@ def _reduce_matmul(us: np.ndarray) -> np.ndarray:
 def _segment_steps(seg, budget: float) -> int:
     dt_seg, w0, w1, dd0, dd1, ff0, ff1 = seg
     if w0 == w1 and dd0 == dd1 and ff0 == ff1:
-        return 1  # frozen-midpoint step is exact on constant segments
+        return 1  # the Magnus step is exact on constant segments
     bound = max(abs(w0), abs(w1)) / 2 + max(abs(dd0) + abs(ff0), abs(dd1) + abs(ff1))
     return max(1, int(np.ceil(bound * dt_seg / budget)))
 
@@ -525,9 +521,9 @@ def propagator_batch(
 ) -> np.ndarray:
     """(n, 2, 2) propagators for n relative-gain draws (columns GAIN_COLUMNS).
 
-    Constant segments use one exact step each; ramp segments use midpoint
-    substeps with |H| dt <= budget (second-order accurate, adequate for
-    statistics; use single_qubit_propagator for certified tolerances).
+    Constant segments use one exact step each; ramp segments use
+    fourth-order Magnus substeps with |H| dt <= budget (use
+    single_qubit_propagator for certified tolerances).
     Single-draw calls vectorize over steps, many-draw calls over draws.
     """
     if label not in (1, 2, 3):
@@ -794,6 +790,9 @@ def calibrate(
     well-chosen coordinates beats it in thirteen sloppy ones.
     Deterministic for fixed inputs.
     """
+    # deferred: scipy.optimize costs a quarter second of every start-up
+    from scipy.optimize import minimize
+
     if objective not in ("fidelity", "stats"):
         raise ValueError("objective must be fidelity or stats")
     if objective == "stats" and stats_targets is None:

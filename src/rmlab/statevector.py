@@ -9,12 +9,14 @@ Basis convention (see :mod:`rmlab.pauli`): site 1 is the most significant
 bit and bit 1 means ``|up>``. All Hamiltonian coefficients handed to the
 evolution routines must be angular frequencies in rad/us with times in us.
 
-The integrator uses piecewise-constant sub-stepping: within each substep the
-Hamiltonian is frozen at the midpoint value and its action is exponentiated
-by a Taylor series (the step size is chosen so that ``|H| * dt <= 2``, where
-the series reaches machine precision in about 25 terms; a series that has
-not converged by term 40 raises). The final answer is refined by step
-doubling until two grids agree within ``tol``.
+The integrator is the fourth-order commutator-free Magnus scheme CFM4
+(Blanes and Moan, Appl. Numer. Math. 56, 1519 (2006)): each step applies
+two exponentials exp(-i dt B), B a blend of H at the two Gauss nodes, each
+by a Taylor series (kept within ``|B| * dt <= 2``, where the series
+reaches machine precision in about 25 terms; a series that has not
+converged by term 40 raises). The final answer is refined by step doubling
+until two grids agree within ``tol``; the refinement jump and the grid
+certificate in :mod:`rmlab.protocol` both follow from the order ``_ORDER``.
 
 ``evolve_blend`` also evolves a block of K copies of one state at once when
 its parts are column-valued (per-column coefficients or a (2^L, K) diagonal):
@@ -73,9 +75,24 @@ MAX_SITES = 14
 MAX_SUBSYSTEM = 12
 
 _NORM_TOL = 1e-9
-# |H| * dt per exponential substep: keeps the Taylor series comfortably
-# convergent (~20 terms); accuracy is owned by the step-doubling refinement
+# |B| * dt for each exponential exp(-i dt B), B a blend of H at the Gauss
+# nodes: keeps the Taylor series comfortably convergent (~20 terms);
+# accuracy is owned by the step-doubling refinement
 _STEP_BUDGET = 2.0
+
+# CFM4 step: Gauss nodes at t + (1/2 -+ _GAUSS_OFF) dt, shared with the
+# closed-form Magnus step in pulses, and the blend weights of its two
+# exponentials
+_GAUSS_OFF = 1.0 / (2.0 * math.sqrt(3.0))
+_A1 = 0.25 - _GAUSS_OFF
+_A2 = 0.25 + _GAUSS_OFF
+# |a1| + |a2| = 1/sqrt(3) bounds one exponent's norm per unit of dt * max |H|
+_EXP_WEIGHT = abs(_A1) + abs(_A2)
+# convergence order of the step; the refinement jump and the grid
+# certificates are derived from it
+_ORDER = 4
+# step-doubling rounds before refinement gives up
+_MAX_REFINE = 16
 
 
 class NumericalContractError(RuntimeError):
@@ -339,8 +356,12 @@ class _BlendHamiltonian:
                 # infinity norm, used only for step-size selection
                 self.bounds.append(float(np.abs(m).sum(axis=1).max()))
 
-    def matvec_at(self, t: float):
-        cs = [c(t) for c in self.coeffs]
+    def values(self, t: float) -> list:
+        """Coefficient values at t, in part order."""
+        return [c(t) for c in self.coeffs]
+
+    def matvec(self, cs: Sequence):
+        """v -> sum_k cs[k] A_k v, for coefficient values ``cs``."""
         mats = self.mats
         diags = self.diags
 
@@ -353,9 +374,9 @@ class _BlendHamiltonian:
 
         return mv
 
-    def norm_bound(self, t: float) -> float:
-        """Bound on |H(t)|; for a block, the largest over its columns."""
-        bound = sum(abs(c(t)) * b for c, b in zip(self.coeffs, self.bounds))
+    def norm_bound(self, cs: Sequence) -> float:
+        """Bound on |sum_k cs[k] A_k|; for a block, the largest over its columns."""
+        bound = sum(abs(c) * b for c, b in zip(cs, self.bounds))
         return bound if self.columns is None else float(np.max(bound))
 
 
@@ -386,16 +407,26 @@ def _taylor_apply(mv, v: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n: int) -> np.ndarray:
+    """n CFM4 steps: exp(-i dt (a1 H1 + a2 H2)) exp(-i dt (a2 H1 + a1 H2)).
+
+    H1 and H2 are H at the earlier and later Gauss node. The right-hand
+    exponential acts first, so it puts the larger weight a2 on the earlier
+    node; the reverse order converges at second order only.
+    """
     dt = (t1 - t0) / n
     v = amp
     for k in range(n):
-        tm = t0 + (k + 0.5) * dt
-        mv = ham.matvec_at(tm)
-        # split further if a coefficient spike makes this step too large
-        pieces = max(1, int(np.ceil(ham.norm_bound(tm) * dt / _STEP_BUDGET)))
-        sub = dt / pieces
-        for _ in range(pieces):
-            v = _taylor_apply(mv, v, sub)
+        t = t0 + k * dt
+        h1 = ham.values(t + (0.5 - _GAUSS_OFF) * dt)
+        h2 = ham.values(t + (0.5 + _GAUSS_OFF) * dt)
+        for w1, w2 in ((_A2, _A1), (_A1, _A2)):
+            cs = [w1 * c1 + w2 * c2 for c1, c2 in zip(h1, h2)]
+            mv = ham.matvec(cs)
+            # split further if a coefficient spike makes this exponent too large
+            pieces = max(1, int(np.ceil(ham.norm_bound(cs) * dt / _STEP_BUDGET)))
+            sub = dt / pieces
+            for _ in range(pieces):
+                v = _taylor_apply(mv, v, sub)
     return v
 
 
@@ -405,16 +436,17 @@ def evolve_blend(
     t0: float,
     t1: float,
     tol: float = 1e-9,
-    max_refine: int = 16,
     initial_steps: int | None = None,
 ) -> StateVector | list[StateVector]:
     """Evolve under H(t) = sum_k c_k(t) A_k from t0 to t1.
 
-    Coefficients are evaluated at substep midpoints (exact for piecewise
-    linear waveforms sampled densely enough). Step doubling refines the grid
-    until the final amplitudes move by less than ``tol``; pass ``tol=None``
-    to accept the first grid (used by the measurement pipeline after the
-    grid has been validated once on an identical-cost sample).
+    Each CFM4 step evaluates the coefficients at its two Gauss nodes and
+    applies two exponentials of their blends, which is fourth order in the
+    step for smooth coefficients. Step doubling refines the grid until the
+    final amplitudes move by less than ``tol``, jumping by
+    ``(err/tol)^(1/_ORDER)`` toward the grid that meets it; pass
+    ``tol=None`` to accept the first grid (used by the measurement pipeline
+    after the grid has been validated once on an identical-cost sample).
 
     Column-valued parts (a coefficient returning a length-K array, or a
     dense (2^L, K) diagonal block) evolve K copies of psi as one block,
@@ -431,24 +463,24 @@ def evolve_blend(
     span = t1 - t0
     if initial_steps is None:
         grid = np.linspace(t0, t1, 33)
-        peak = max(ham.norm_bound(float(t)) for t in grid)
-        n = max(1, int(np.ceil(peak * span / _STEP_BUDGET)))
+        peak = max(ham.norm_bound(ham.values(float(t))) for t in grid)
+        n = max(1, int(np.ceil(peak * _EXP_WEIGHT * span / _STEP_BUDGET)))
     else:
         n = max(1, int(initial_steps))
     v = _run_steps(ham, amp, t0, t1, n)
     if tol is not None:
-        for _ in range(max_refine):
-            # second-order midpoint rule: error ~ n^-2, so jump toward the
-            # target grid instead of doubling blindly
-            n2 = n * 2
-            v2 = _run_steps(ham, amp, t0, t1, n2)
+        for _ in range(_MAX_REFINE):
+            v2 = _run_steps(ham, amp, t0, t1, 2 * n)
             err = float(np.max(_norms(v2 - v)))
-            n, v = n2, v2
             if err <= tol:
+                n, v = 2 * n, v2
                 break
-            factor = math.sqrt(err / tol)
-            n = int(np.ceil(n * min(16.0, max(2.0, 1.3 * factor)) / 2.0))
-            v = _run_steps(ham, amp, t0, t1, n)
+            # error ~ n^-_ORDER: jump toward the target grid instead of
+            # doubling blindly; the smallest jump reuses the doubled grid
+            jump = min(16.0, max(2.0, 1.3 * (err / tol) ** (1.0 / _ORDER)))
+            n_next = int(np.ceil(n * jump))
+            v = v2 if n_next == 2 * n else _run_steps(ham, amp, t0, t1, n_next)
+            n = n_next
         else:
             raise ConvergenceError(
                 f"refinement stalled at {n} steps, last change {err:.3e} > tol {tol:.3e}"

@@ -66,10 +66,23 @@ def test_seed_override_changes_results(tmp_path):
 
 def test_pulsed_run_loads_the_schedule_once(tmp_path, monkeypatch):
     import rmlab.cli as cli
+    import rmlab.config as config
+    import rmlab.pulses as pulses
 
-    calls = []
-    load = cli.golden_schedule
-    monkeypatch.setattr(cli, "golden_schedule", lambda: calls.append(1) or load())
+    calls = {"load": 0, "parse": 0, "validate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "golden_schedule", counted("load", cli.golden_schedule))
+    monkeypatch.setattr(pulses, "schedule_from_json", counted("parse", pulses.schedule_from_json))
+    validate = counted("validate", config.validate)
+    monkeypatch.setattr(cli, "validate", validate)
+    monkeypatch.setattr(config, "validate", validate)
     cfg = tmp_path / "pulsed.json"
     cfg.write_text(json.dumps({
         "scenario": {"kind": "af", "num_sites": 4},
@@ -77,7 +90,8 @@ def test_pulsed_run_loads_the_schedule_once(tmp_path, monkeypatch):
         "estimators": {"subsystems": [[1, 2]]},
     }))
     assert run_cli("run", cfg, "--out", tmp_path / "out") == 0
-    assert len(calls) == 1
+    # one load for the runner, one for validate's interaction-phase warning
+    assert calls == {"load": 1, "parse": 2, "validate": 1}
 
 
 def test_oracle_reports_exact_values(tmp_path):

@@ -139,31 +139,35 @@ def test_subsystem_entries_must_be_int_lists():
 # ---------------------------------------------------------------------------
 
 
+def problems(text: str) -> list[str]:
+    """Cross-field violations of a document that parses."""
+    return validate(parse_config(text))[0]
+
+
 def test_eps_requires_pulsed_mode():
-    with pytest.raises(ConfigError, match="requires pulsed"):
-        parse_config(doc(protocol={"eps_percent": 3, "n_meas": 100}))
+    errs = problems(doc(protocol={"eps_percent": 3, "n_meas": 100}))
+    assert any("requires pulsed" in e for e in errs)
 
 
 def test_per_shot_requires_sampled_readout():
-    with pytest.raises(ConfigError, match="per_shot requires sampled"):
-        parse_config(doc(protocol={"fluctuation_scope": "per_shot"}))
+    assert any(
+        "per_shot requires sampled" in e
+        for e in problems(doc(protocol={"fluctuation_scope": "per_shot"}))
+    )
 
 
 def test_sites_outside_chain_rejected():
-    with pytest.raises(ConfigError, match="outside 1..4"):
-        parse_config(doc(estimators={"subsystems": [[1, 5]]}))
+    assert any("outside 1..4" in e for e in problems(doc(estimators={"subsystems": [[1, 5]]})))
 
 
 def test_sites_must_be_sorted_and_distinct():
-    with pytest.raises(ConfigError, match="sorted and distinct"):
-        parse_config(doc(estimators={"subsystems": [[2, 1]]}))
-    with pytest.raises(ConfigError, match="sorted and distinct"):
-        parse_config(doc(estimators={"subsystems": [[1, 1]]}))
+    for sites in ([2, 1], [1, 1]):
+        errs = problems(doc(estimators={"subsystems": [sites]}))
+        assert any("sorted and distinct" in e for e in errs)
 
 
 def test_nothing_to_estimate_rejected():
-    with pytest.raises(ConfigError, match="nothing to estimate"):
-        parse_config(doc(estimators={"subsystems": []}))
+    assert any("nothing to estimate" in e for e in problems(doc(estimators={"subsystems": []})))
 
 
 def test_budget_only_enforced_by_validate():

@@ -1,7 +1,11 @@
 """The public surface: every exported name resolves."""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +46,13 @@ def test_package_exports_resolve():
     for name in exported:
         assert name in public, name
         assert getattr(rmlab, name) is public[name], name
+
+
+def test_cli_import_leaves_the_optimizer_out():
+    # scipy.optimize serves calibrate alone and costs a quarter second
+    code = "import sys, rmlab.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(rmlab.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

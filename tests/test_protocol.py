@@ -327,7 +327,7 @@ def _per_unitary_reference(psi, samples, schedule, fluct, h_mod, n_meas, readout
                 _sample_entry(state, sample.labels, n_meas, readout, rng, sample.realization)
             )
     # the grid contract: the nominal schedule under the first labels agrees
-    # with twice the steps to 0.75 tol
+    # with twice the steps to 15/16 tol
     nominal = _pulsed_parts(schedule, samples[0].labels, x_tot, n_tot, occ, h_sparse)
     coarse, fine = (
         evolve_blend(psi, nominal, 0.0, schedule.T, tol=None, initial_steps=n)
@@ -360,16 +360,17 @@ def test_pulsed_block_matches_per_unitary_loop(golden, with_h, n_meas):
                      readout=args[6], seed=args[7], tol=1e-4)
     reference, err = _per_unitary_reference(*args, rec.meta["steps"])
     _assert_same_entries(rec, reference)
-    assert err <= 0.75e-4
+    assert err <= 15 / 16 * 1e-4
 
 
 def test_pulsed_tight_tol_doubles_block_grid(golden):
+    # one step per waveform cell already meets 1e-8 here; 1e-10 does not
     rng = np.random.default_rng(16)
-    psi = random_state(2, rng)
-    samples = sample_unitaries(2, 3, rng)
+    psi = random_state(3, rng)
+    samples = sample_unitaries(3, 3, rng)
     kwargs = dict(fluct=FluctuationModel(3.0), n_meas=EXACT_SHOTS, seed=4)
     loose = run_pulsed(psi, samples, golden, tol=1e-4, **kwargs)
-    tight = run_pulsed(psi, samples, golden, tol=1e-8, **kwargs)
+    tight = run_pulsed(psi, samples, golden, tol=1e-10, **kwargs)
     ratio = tight.meta["steps"] // loose.meta["steps"]
     assert ratio >= 2 and tight.meta["steps"] == ratio * loose.meta["steps"]
     reference, err = _per_unitary_reference(
@@ -377,13 +378,34 @@ def test_pulsed_tight_tol_doubles_block_grid(golden):
         tight.meta["steps"],
     )
     _assert_same_entries(tight, reference)
-    assert err <= 0.75e-8
+    assert err <= 15 / 16 * 1e-10
     # the grid before the last doubling did not pass
     _, err_half = _per_unitary_reference(
         psi, samples[:1], golden, kwargs["fluct"], None, EXACT_SHOTS, None, 4,
         tight.meta["steps"] // 2,
     )
-    assert err_half > 0.75e-8
+    assert err_half > 15 / 16 * 1e-10
+
+
+def test_validated_grid_is_within_tol_of_four_times_the_steps(golden):
+    # at fourth order the n vs 2n distance is 15/16 of the n-grid error, so
+    # a grid accepted at 15/16 tol is itself within tol of the exact state
+    from rmlab.protocol import _pulsed_parts, _validated_block
+    from rmlab.statevector import evolve_blend, index_to_bits, occupation, x_total
+
+    L = 3
+    psi = random_state(L, np.random.default_rng(30))
+    h = build_ssh(L, 5 * 0.484 * 2 * np.pi, -5 * 0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
+    occ = index_to_bits(np.arange(2**L), L).astype(float)
+    parts = _pulsed_parts(
+        golden, (1, 2, 3), x_total(L), occupation(L, range(1, L + 1)), occ, h.to_sparse()
+    )
+    for tol in (1e-6, 1e-8):
+        # a start off the waveform's kinks has to double before it passes
+        n, out = _validated_block(psi, parts, parts, golden.T, 75, tol)
+        assert n > 75
+        fine = evolve_blend(psi, parts, 0.0, golden.T, tol=None, initial_steps=4 * n)
+        assert np.linalg.norm(out.amp - fine.amp) <= tol
 
 
 def test_pulsed_blocks_split_without_changing_records(golden, monkeypatch):

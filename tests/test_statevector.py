@@ -151,26 +151,69 @@ def test_evolve_static_vs_expm():
     assert np.max(np.abs(out.amp - ref)) < 1e-10
 
 
-def test_evolve_blend_vs_ode_oracle():
-    # smooth two-part blend checked against a tight adaptive ODE solve
-    rng = np.random.default_rng(4)
-    psi = random_state(2, rng)
+def _smooth_sweep():
+    """Two non-commuting parts with smooth coefficients on two sites, and
+    the state at t = 1 from a tight adaptive ODE solve."""
+    psi = random_state(2, np.random.default_rng(4))
     a = PauliString(letters="XX").to_matrix()
     b = PauliString(letters="ZI").to_matrix()
     parts = [
         (lambda t: 1.3 * np.cos(2.0 * t), sparse.csr_matrix(a)),
         (lambda t: 0.7 * np.sin(3.0 * t) + 0.2, sparse.csr_matrix(b)),
     ]
-    out = evolve_blend(psi, parts, 0.0, 1.0, tol=1e-8)
 
     def rhs(t, y):
         h = 1.3 * np.cos(2.0 * t) * a + (0.7 * np.sin(3.0 * t) + 0.2) * b
         return -1j * (h @ y)
 
     sol = solve_ivp(rhs, (0.0, 1.0), psi.amp, rtol=1e-11, atol=1e-13, method="DOP853")
-    assert np.max(np.abs(out.amp - sol.y[:, -1])) < 2e-7
+    return psi, parts, sol.y[:, -1]
+
+
+def test_evolve_blend_vs_ode_oracle():
+    psi, parts, ref = _smooth_sweep()
+    out = evolve_blend(psi, parts, 0.0, 1.0, tol=1e-8)
+    assert np.max(np.abs(out.amp - ref)) < 2e-7
     # exponential stepping preserves the norm regardless of tolerance
     assert abs(np.linalg.norm(out.amp) - 1.0) < 1e-12
+
+
+def test_evolve_blend_is_fourth_order():
+    # a step with its two exponentials swapped still converges, at second
+    # order (4x per doubling); CFM4 gains 16x
+    psi, parts, ref = _smooth_sweep()
+    err = {
+        n: np.linalg.norm(
+            evolve_blend(psi, parts, 0.0, 1.0, tol=None, initial_steps=n).amp - ref
+        )
+        for n in (8, 16, 32)
+    }
+    assert err[8] / err[16] >= 2**3.5
+    assert err[16] / err[32] >= 2**3.5
+
+
+def test_refinement_jumps_by_the_fourth_root(monkeypatch):
+    import rmlab.statevector as statevector
+
+    runs = []
+    run_steps = statevector._run_steps
+
+    def recorded(ham, amp, t0, t1, n):
+        runs.append((n, run_steps(ham, amp, t0, t1, n)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(statevector, "_run_steps", recorded)
+    psi, parts, ref = _smooth_sweep()
+    tol = 1e-8
+    out = evolve_blend(psi, parts, 0.0, 1.0, tol=tol, initial_steps=8)
+    # 8 vs 16 steps misses tol; at fourth order the grid it jumps to passes
+    # its own doubling check, so refinement ends there
+    (n0, v0), (n1, v1), (n2, _), (n3, _) = runs
+    assert (n0, n1) == (8, 16)
+    jump = 1.3 * (np.linalg.norm(v1 - v0) / tol) ** 0.25
+    assert 2.0 < jump < 16.0
+    assert n2 == int(np.ceil(n0 * jump)) and n3 == 2 * n2
+    assert np.linalg.norm(out.amp - ref) < tol
 
 
 def test_evolve_blend_matches_static():
