@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Run the benchmark's workloads and collect their result lines in one file.
+
+    python3 scripts/bench.py OUT.json [--seed N] [--seconds S]
+
+For every workload in rmbench/workloads.py this runs the unchanged
+``rmbench/run.py`` twice from the repository root: once end to end
+(``--trace 0``) and once traced per layer (``--trace 1``). OUT.json
+holds each run's last output line (the result) under the workload's
+name, and the provenance of the first run: git hash, source digest
+(the hash does not see uncommitted edits), numpy and scipy versions,
+nproc and the line counts of ``src`` and ``tests``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROVENANCE_KEYS = ("git_hash", "src_sha256", "numpy", "scipy", "nproc", "source_lines")
+
+
+def run_set(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    """One rmbench/run.py set: its result line and its provenance record."""
+    cmd = [
+        sys.executable, "rmbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    provenance = json.loads(lines[-2].removeprefix("provenance: "))
+    return json.loads(lines[-1]), provenance
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="JSON file to write")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=float, default=40.0)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "rmbench"))
+    from workloads import WORKLOADS
+
+    report: dict = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
+    for name in WORKLOADS:
+        results = {}
+        for trace, kind in ((0, "end_to_end"), (1, "per_layer")):
+            print(f"{name} {kind} ...", file=sys.stderr, flush=True)
+            results[kind], provenance = run_set(name, args.seed, args.seconds, trace)
+        report["workloads"][name] = results
+        report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS})
+    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

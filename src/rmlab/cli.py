@@ -20,6 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import (
@@ -230,6 +231,8 @@ def _write_meta(cfg: ExperimentConfig, out_dir: Path, extra: dict, name: str = "
         "rotation_order": ROTATION_ORDER,
         "seed": cfg.seed,
         "version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
     meta.update(extra)
     (out_dir / name).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -20,7 +20,9 @@ certificate in :mod:`rmlab.protocol` both follow from the order ``_ORDER``.
 
 ``evolve_blend`` also evolves a block of K copies of one state at once when
 its parts are column-valued (per-column coefficients or a (2^L, K) diagonal):
-the columns share the step grid and every sparse product becomes one matmat.
+the columns share the step grid. H is assembled once per exponential
+(``_BlendHamiltonian``), so a Taylor term makes one sparse product per
+coefficient kind, on real arithmetic where a block meets a real matrix.
 
 This module owns the bit convention for the whole package:
 ``index_to_bits`` / ``bits_to_index`` are the only conversions between
@@ -32,6 +34,7 @@ operators, ``x_total`` and ``occupation``, are built here on top of them.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -309,11 +312,54 @@ def _norms(v: np.ndarray):
     return np.linalg.norm(v) if v.ndim == 1 else np.linalg.norm(v, axis=0)
 
 
-class _BlendHamiltonian:
-    """H(t) = sum_k c_k(t) A_k with sparse Hermitian A_k.
+def _split(m: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal of a square sparse matrix, and its off-diagonal entries as
+    keys ``row * n + column`` with their values."""
+    m = sparse.csr_matrix(m, copy=True)
+    m.sum_duplicates()
+    n = m.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
+    off = rows != m.indices
+    return m.diagonal(), rows[off] * n + m.indices[off], m.data[off]
 
-    Diagonal parts are kept as plain vectors so their action costs one
-    elementwise multiply instead of a sparse matvec.
+
+def _union_csr(entries: Sequence[tuple[np.ndarray, np.ndarray]], n: int, block: bool):
+    """One n x n CSR pattern covering every (keys, values) pair of ``entries``
+    (see ``_split``), and each pair's values on it, one row per pair, zero
+    where the pair has no entry. The CSR holds the first row. On a block
+    the values are stored real when none has an imaginary part."""
+    union = np.sort(np.concatenate([keys for keys, _ in entries]))
+    # drop repeats by hand: np.unique hashes, which costs ten times the sort
+    union = union[np.append(True, union[1:] != union[:-1])]
+    rows, cols = np.divmod(union, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    data = np.zeros((len(entries), union.size), dtype=np.result_type(*(v for _, v in entries)))
+    for row, (keys, values) in zip(data, entries):
+        row[np.searchsorted(union, keys)] = values
+    data = data.real.astype(float) if block and not data.imag.any() else data.astype(complex)
+    return sparse.csr_matrix((data[0], cols, indptr), shape=(n, n)), data
+
+
+def _sparse_product(m: sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """m @ v for complex v; a real m acts on v's real and imaginary parts
+    as twice as many real columns."""
+    if m.dtype.kind == "c":
+        return m @ v
+    w = np.ascontiguousarray(v).reshape(len(v), -1).view(float)
+    return (m @ w).view(complex).reshape(v.shape)
+
+
+class _BlendHamiltonian:
+    """H(t) = sum_k c_k(t) A_k with sparse Hermitian A_k, assembled per exponential.
+
+    At construction each sparse part is split into its diagonal and its
+    off-diagonal entries. Off-diagonals whose coefficient is a scalar share
+    one CSR on the union of their patterns, with one aligned row of values
+    per part; an off-diagonal whose coefficient is column-valued gets its
+    own CSR. ``matvec`` then folds every diagonal into one vector (or block)
+    and blends the shared data into one matrix, once per exponential, so a
+    Taylor term costs one elementwise multiply, one sparse product for the
+    shared matrix and one per column-valued part.
 
     Column-valued parts make H act on a (2^L, K) block: a coefficient that
     returns a length-K array gives column j its j-th value, and a dense
@@ -321,13 +367,18 @@ class _BlendHamiltonian:
     ``columns`` is then K; it is None when every part is shared by all
     columns, and the state stays a single vector. Coefficients are called
     once at ``t0`` to find out which kind they are.
+
+    On a block, an off-diagonal CSR with no imaginary entries is stored
+    real and multiplies the block as 2K real columns, half the
+    multiply-adds of the complex product. A single vector keeps complex
+    matrices: scipy's one-vector kernel beats its two-column one.
     """
 
     def __init__(self, parts: Sequence[tuple[float | Coefficient, Operator]], t0: float):
         if not parts:
             raise ValueError("at least one Hamiltonian part required")
         self.coeffs = [_as_coefficient(c) for c, _ in parts]
-        probes = [c(t0) for c, _ in parts if callable(c)]
+        probes = [c(t0) if callable(c) else None for c, _ in parts]
         dense = [m for _, m in parts if isinstance(m, np.ndarray)]
         if any(m.ndim != 2 for m in dense):
             raise ValueError("a dense part must be a (2^L, K) block of diagonals")
@@ -335,41 +386,61 @@ class _BlendHamiltonian:
         if len(widths) > 1:
             raise ValueError(f"column-valued parts disagree on the column count: {sorted(widths)}")
         self.columns = widths.pop() if widths else None
-        self.mats = []
-        self.diags = []
+        block = self.columns is not None
         self.bounds = []
-        for _, m in parts:
+        # (part index, diagonal): one (2^L,) vector, (2^L, 1) on a block, or a dense block
+        self.diags = []
+        # off-diagonal entries, (part index, (keys, values)), by coefficient kind
+        shared, own = [], []
+        dim = parts[0][1].shape[0]
+        for k, ((_, m), probe) in enumerate(zip(parts, probes)):
             if isinstance(m, np.ndarray):
-                self.mats.append(None)
-                self.diags.append(m)
+                self.diags.append((k, m))
                 self.bounds.append(np.max(np.abs(m), axis=0))
                 continue
             m = m.tocsr()
-            d = m.diagonal()
-            if m.nnz == np.count_nonzero(d):
-                self.mats.append(None)
-                self.diags.append(d if self.columns is None else d[:, None])
-                self.bounds.append(float(np.max(np.abs(d))))
-            else:
-                self.mats.append(m)
-                self.diags.append(None)
-                # infinity norm, used only for step-size selection
-                self.bounds.append(float(np.abs(m).sum(axis=1).max()))
+            # infinity norm, used only for step-size selection
+            self.bounds.append(float(abs(m).sum(axis=1).max()))
+            d, keys, values = _split(m)
+            if d.any():
+                self.diags.append((k, d[:, None] if block else d))
+            if keys.size:
+                (own if np.ndim(probe) == 1 else shared).append((k, (keys, values)))
+        # (part index, CSR) per off-diagonal part with a column-valued coefficient
+        self.own = [(k, _union_csr([entry], dim, block)[0]) for k, entry in own]
+        # (part indices, CSR on the union pattern, one row of values per part)
+        self.shared = None
+        if shared:
+            index = [k for k, _ in shared]
+            self.shared = (index, *_union_csr([entry for _, entry in shared], dim, block))
 
     def values(self, t: float) -> list:
         """Coefficient values at t, in part order."""
         return [c(t) for c in self.coeffs]
 
     def matvec(self, cs: Sequence):
-        """v -> sum_k cs[k] A_k v, for coefficient values ``cs``."""
-        mats = self.mats
-        diags = self.diags
+        """v -> sum_k cs[k] A_k v, for coefficient values ``cs``.
+
+        The diagonals and the shared matrix are blended here, once; the
+        returned function applies them to each Taylor term.
+        """
+        # 0 when no part has a diagonal
+        diag = sum(cs[k] * d for k, d in self.diags)
+        products = [(m, cs[k]) for k, m in self.own]
+        if self.shared is not None:
+            index, template, data = self.shared
+            # a shallow copy shares the pattern arrays; only the values change
+            m = copy.copy(template)
+            m.data = np.array([cs[k] for k in index]) @ data
+            products.append((m, None))
 
         def mv(v: np.ndarray) -> np.ndarray:
-            out = None
-            for c, m, d in zip(cs, mats, diags):
-                term = (c * d) * v if m is None else c * (m @ v)
-                out = term if out is None else out + term
+            out = diag * v
+            for m, c in products:
+                w = _sparse_product(m, v)
+                if c is not None:
+                    w *= c
+                out += w
             return out
 
         return mv
@@ -380,25 +451,36 @@ class _BlendHamiltonian:
         return bound if self.columns is None else float(np.max(bound))
 
 
+def _sq_norms(v: np.ndarray):
+    """Squared 2-norm of a complex vector, or of each column of a block."""
+    if v.ndim == 1:
+        return np.vdot(v, v).real
+    r = np.ascontiguousarray(v).view(float)
+    s = np.einsum("ij,ij->j", r, r)
+    return s[0::2] + s[1::2]
+
+
 def _taylor_apply(mv, v: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) v by Taylor series, for a vector or a (2^L, K) block.
 
     The caller keeps |H| dt within _STEP_BUDGET. The series stops once its
     last term is below 1e-16 of the input in every column; one that has
     not got there by term _TAYLOR_TERMS raises NumericalContractError.
+    The sum accumulates in place in a copy, so ``v`` is never written to,
+    even by an ``mv`` that returns its argument.
     """
-    out = v.copy()
+    out = v.astype(complex)
     term = v
     block = v.ndim == 2
-    tiny = 1e-16 * _norms(v)
+    tiny2 = (1e-16 * _norms(v)) ** 2
     for k in range(1, _TAYLOR_TERMS + 1):
         term = mv(term) * (-1j * dt / k)
-        out = out + term
+        out += term
         # the one-vector test stays scalar: it runs once per term
         if block:
-            if (np.linalg.norm(term, axis=0) <= tiny).all():
+            if (_sq_norms(term) <= tiny2).all():
                 return out
-        elif np.linalg.norm(term) <= tiny:
+        elif _sq_norms(term) <= tiny2:
             return out
     raise NumericalContractError(
         f"Taylor series not converged in {_TAYLOR_TERMS} terms at dt = {dt:.3g}; "
@@ -452,7 +534,14 @@ def evolve_blend(
     dense (2^L, K) diagonal block) evolve K copies of psi as one block,
     column j under the j-th values, and return the K states as a list. The
     columns share one step grid: it is sized by the largest column bound,
-    and ``tol`` applies to the column that moves most.
+    and ``tol`` applies to the column that moves most. Each Taylor term
+    costs one multiply for all diagonals, one sparse product for the
+    off-diagonal parts with a scalar coefficient and one per column-valued
+    off-diagonal part (see ``_BlendHamiltonian``).
+
+    Each callable coefficient is called once at ``t0`` to learn its kind,
+    then once per Gauss node: 1 + 2n calls for a run of n steps with
+    ``tol=None`` and ``initial_steps=n``.
     """
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")

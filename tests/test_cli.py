@@ -3,7 +3,9 @@
 import csv
 import json
 
+import numpy as np
 import pytest
+import scipy
 
 from rmlab.cli import main
 from rmlab.config import config_hash, load_config
@@ -37,6 +39,7 @@ def test_run_produces_csv_records_and_meta(tmp_path):
     assert meta["rotation_order"] == ROTATION_ORDER
     assert meta["seed"] == cfg.seed
     assert meta["descriptor"] == "af"
+    assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -103,7 +106,8 @@ def test_oracle_reports_exact_values(tmp_path):
     assert rows[0]["quantity"] == "purity" and float(rows[0]["value"]) == 1.0
     assert rows[1]["quantity"] == "energy" and abs(float(rows[1]["value"])) < 1e-12
     assert rows[0]["N_meas"] == "exact" and rows[0]["mode"] == "oracle"
-    assert (out / "oracle_meta.json").exists()
+    meta = json.loads((out / "oracle_meta.json").read_text())
+    assert meta["numpy"] == np.__version__ and meta["scipy"] == scipy.__version__
 
 
 def test_validate_prints_hash(capsys):

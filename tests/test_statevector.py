@@ -293,6 +293,95 @@ def test_taylor_series_raises_when_not_converged():
     assert np.allclose(small[:, 1], np.exp(-1j) * v, atol=1e-14)
 
 
+def test_taylor_apply_leaves_its_input_alone():
+    from rmlab.statevector import _taylor_apply
+
+    v = random_state(3, np.random.default_rng(25)).amp
+    block = np.stack([v, 1j * v], axis=1)
+    for w in (v, block):
+        kept = w.copy()
+        # an operator that hands back its argument: H = 1
+        out = _taylor_apply(lambda u: u, w, 0.3)
+        assert np.max(np.abs(out - np.exp(-0.3j) * kept)) < 1e-15
+        assert np.array_equal(w, kept)
+
+
+def _per_part(parts, cs, v):
+    """The per-part sum the fused operator replaces: sum_k c_k (A_k @ v)."""
+    out = np.zeros_like(v)
+    for c, (_, m) in zip(cs, parts):
+        out = out + c * (m * v if isinstance(m, np.ndarray) else m @ v)
+    return out
+
+
+def _blend_cases():
+    """(parts, columns) covering every kind of part the fused operator sorts."""
+    L, k = 3, 4
+    rng = np.random.default_rng(26)
+    model = build_ssh(L, 0.9, -0.4).to_sparse() + 0.7 * occupation(L, [1, 3])
+    hop = build_ssh(L, 0.5, 0.2).to_sparse()
+    y_sum = sum(PauliString.from_ops({m: "Y"}, L).to_matrix() for m in range(1, L + 1))
+    y_sum = sparse.csr_matrix(y_sum)
+    gains = 1.0 + 0.1 * rng.normal(size=k)
+    shifts = rng.normal(size=(2**L, k))
+    drive = lambda t: 1.3 * np.cos(2.0 * t)
+    vector = [
+        (1.0, model),  # diagonal and off-diagonal entries
+        (drive, x_total(L)),  # no diagonal at all
+        (lambda t: 0.4 + t, occupation(L, range(1, L + 1))),  # purely diagonal
+        (0.3, hop),  # shares the pattern of model, another scalar coefficient
+    ]
+    block = [
+        (lambda t: drive(t) * gains, x_total(L)),  # column-valued off-diagonal
+        (lambda t: -0.8 * t * gains, occupation(L, range(1, L + 1))),
+        (lambda t: 0.6 * np.sin(t), shifts),  # dense diagonal block
+        (1.0, model),
+    ]
+    return {
+        "vector real": (vector, None),
+        "vector complex": (vector + [(lambda t: 0.2 * t, y_sum)], None),
+        "vector no diagonal": ([(drive, x_total(L))], None),
+        "block real": (block, k),
+        "block complex": (block + [(0.5, y_sum)], k),
+        "block complex column": (block + [(lambda t: t * gains, y_sum)], k),
+        "block no diagonal": (block[:1], k),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_blend_cases()))
+def test_fused_matvec_matches_per_part_sum(case):
+    from rmlab.statevector import _BlendHamiltonian
+
+    parts, columns = _blend_cases()[case]
+    ham = _BlendHamiltonian(parts, 0.0)
+    assert ham.columns == columns
+    rng = np.random.default_rng(27)
+    shape = (8,) if columns is None else (8, columns)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for t in (0.0, 0.37):
+        cs = ham.values(t)
+        got = ham.matvec(cs)(v)
+        want = _per_part(parts, cs, v)
+        assert got.shape == v.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+def test_coefficients_are_called_once_per_probe_and_gauss_node(columns):
+    # rmbench's statevector.coeff_evals counts exactly these calls
+    calls = []
+
+    def drive(t):
+        calls.append(t)
+        return np.cos(t) if columns is None else np.cos(t) * np.ones(columns)
+
+    psi = random_state(3, np.random.default_rng(28))
+    parts = [(drive, x_total(3)), (0.5, occupation(3, [2]))]
+    n = 7
+    evolve_blend(psi, parts, 0.0, 1.0, tol=None, initial_steps=n)
+    assert len(calls) == 1 + 2 * n
+
+
 def test_evolve_conserves_magnetization():
     # hopping Hamiltonian commutes with total n
     h = build_ssh(4, 3.0, -1.1, j_nnn=0.25)
