@@ -9,7 +9,9 @@ For every workload in rmbench/workloads.py this runs the unchanged
 holds each run's last output line (the result) under the workload's
 name, and the provenance of the first run: git hash, source digest
 (the hash does not see uncommitted edits), numpy and scipy versions,
-nproc and the line counts of ``src`` and ``tests``.
+nproc and the line counts of ``src`` and ``tests``. ``git_dirty`` is
+true when the work tree differed from that hash before the runs, so the
+source digest, not the hash, names the code that ran.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ def run_set(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict,
     return json.loads(lines[-1]), provenance
 
 
+def git_dirty() -> bool | None:
+    """Whether the work tree has uncommitted changes; None outside git."""
+    proc = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, capture_output=True, text=True)
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="JSON file to write")
@@ -46,6 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(ROOT / "rmbench"))
     from workloads import WORKLOADS
 
+    dirty = git_dirty()
     report: dict = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
     for name in WORKLOADS:
         results = {}
@@ -53,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name} {kind} ...", file=sys.stderr, flush=True)
             results[kind], provenance = run_set(name, args.seed, args.seconds, trace)
         report["workloads"][name] = results
-        report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS})
+        report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS} | {"git_dirty": dirty})
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -5,6 +5,11 @@ can also be computed here exactly (for 2 <= L <= 14): expectation values,
 reduced density matrices, subsystem purities, ground states, and Schroedinger
 evolution under a time-dependent Hamiltonian.
 
+``ground_state`` diagonalises H one excitation-number sector at a time (the
+SSH and staggered-XY chains conserve it): dense ``eigh`` on sectors of up
+to ``_DENSE_SECTOR`` states, seeded Lanczos above, in real arithmetic when
+H is real. An H that links two sectors is one sector of 2^L states.
+
 Basis convention (see :mod:`rmlab.pauli`): site 1 is the most significant
 bit and bit 1 means ``|up>``. All Hamiltonian coefficients handed to the
 evolution routines must be angular frequencies in rad/us with times in us.
@@ -201,7 +206,11 @@ def all_down(num_sites: int) -> StateVector:
 
 
 def random_state(num_sites: int, rng: np.random.Generator) -> StateVector:
-    """Haar-random pure state (Gaussian amplitudes, normalized)."""
+    """Haar-random pure state (Gaussian amplitudes, normalized).
+
+    No pipeline stage calls it: it is the tests' independent source of
+    generic input states.
+    """
     amp = rng.normal(size=2**num_sites) + 1j * rng.normal(size=2**num_sites)
     return StateVector(amp / np.linalg.norm(amp), num_sites)
 
@@ -603,39 +612,81 @@ def evolve_static(psi: StateVector, h: PauliStringSum, duration: float) -> State
 # ---------------------------------------------------------------------------
 
 
+# Excitation-number sectors up to this many states are diagonalised
+# densely, larger ones by seeded Lanczos. On the real blocks of
+# model_hamiltonian with one BLAS thread, dense was faster up to 364
+# states (6.4 against 8.3 ms) and Lanczos from 495 on (6 against 12 ms).
+_DENSE_SECTOR = 400
+
+
+def _lowest_pair(block: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest eigenpairs of a Hermitian block (one for a 1x1)."""
+    n = block.shape[0]
+    if n <= _DENSE_SECTOR:
+        return eigh(block.toarray(), subset_by_index=[0, min(1, n - 1)])
+    # ARPACK's own random start differs from call to call
+    v0 = np.random.default_rng(0).standard_normal(n).astype(block.dtype)
+    return eigsh(block, k=2, which="SA", v0=v0)
+
+
 def ground_state(
     obs: PauliStringSum,
     degeneracy_gap: float = 1e-10,
     residual_tol: float = 1e-8,
 ) -> tuple[float, StateVector]:
-    """Lowest eigenpair of a Hermitian Pauli sum.
+    """Lowest eigenpair of a Hermitian Pauli sum, one sector at a time.
 
-    Dense diagonalization up to 2^10, Lanczos above, started from a fixed
-    seeded vector. Raises DegenerateGroundStateError when the first gap is
-    below ``degeneracy_gap`` (the caller should pin the edge with mu_edge).
-    The returned eigenvector satisfies |H v - E v| <= residual_tol and has
-    its largest-magnitude amplitude rotated to the positive real axis so
-    repeated runs agree exactly.
+    The basis is split into excitation-number sectors (popcount of the
+    index) and H is permuted once so that each sector is a contiguous
+    diagonal block. Each block gives its two lowest levels: dense ``eigh``
+    up to ``_DENSE_SECTOR`` states, Lanczos from a fixed seeded vector
+    above. The arithmetic is real when H has no imaginary entry. If any
+    entry of H links two sectors, the whole space is one sector. Sectors
+    are visited in the order of their Gershgorin lower bounds, and the
+    visit stops at the first bound that is not below the second-lowest
+    level found so far: no later sector can hold either of the two lowest
+    levels.
+
+    Raises DegenerateGroundStateError when the two lowest levels over all
+    sectors lie within ``degeneracy_gap`` (the caller should pin the edge
+    with mu_edge). The returned eigenvector satisfies |H v - E v| <=
+    residual_tol on the full H and has its largest-magnitude amplitude
+    rotated to the positive real axis so repeated runs agree exactly.
     """
     if not obs.is_hermitian():
         raise ValueError("ground_state requires a Hermitian operator")
     dim = 2**obs.num_sites
     h = obs.to_sparse()
-    if dim <= 1024:
-        vals, vecs = eigh(h.toarray(), subset_by_index=[0, 1])
-    else:
-        # ARPACK's own random start differs from call to call
-        v0 = np.random.default_rng(0).standard_normal(dim).astype(h.dtype)
-        vals, vecs = eigsh(h, k=2, which="SA", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    gap = float(vals[1] - vals[0])
+    if not h.data.imag.any():
+        h = h.real
+    sector = index_to_bits(np.arange(dim), obs.num_sites).sum(axis=1)
+    rows = np.repeat(np.arange(dim), np.diff(h.indptr))
+    if np.any(sector[rows] != sector[h.indices]):
+        sector[:] = 0
+    order = np.argsort(sector, kind="stable")
+    edges = np.flatnonzero(np.diff(sector[order], prepend=-1, append=-1))
+    blocks = h[order][:, order]
+    # Gershgorin: no level of a sector lies below the least over its rows
+    # of H_ii - sum_{j != i} |H_ij|; the row sum of |H| includes |H_ii|
+    diag = blocks.diagonal().real
+    floor = np.minimum.reduceat(diag + abs(diag) - abs(blocks).sum(axis=1).A1, edges[:-1])
+    # (energy, sector start, sector stop, vector on the sector)
+    levels = []
+    for s in np.argsort(floor, kind="stable"):
+        if len(levels) >= 2 and floor[s] >= levels[1][0]:
+            break
+        a, b = edges[s], edges[s + 1]
+        vals, vecs = _lowest_pair(blocks[a:b, a:b])
+        levels += [(float(val), a, b, vec) for val, vec in zip(vals, vecs.T)]
+        levels.sort(key=lambda level: level[0])
+    gap = levels[1][0] - levels[0][0]
     if gap < degeneracy_gap:
         raise DegenerateGroundStateError(
             f"ground state degenerate within {gap:.3e}; add a mu_edge pinning term"
         )
-    energy = float(vals[0])
-    vec = vecs[:, 0].astype(complex)
+    energy, a, b, sub = levels[0]
+    vec = np.zeros(dim, dtype=complex)
+    vec[order[a:b]] = sub
     residual = float(np.linalg.norm(h @ vec - energy * vec))
     if residual > residual_tol:
         raise NumericalContractError(f"eigen residual {residual:.3e} > {residual_tol:.1e}")
@@ -698,4 +749,6 @@ def exact_purity(psi: StateVector, sites: Sequence[int]) -> float:
 
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2. No pipeline stage calls it: it is the tests' independent
+    check of prepared and ground states against a reference."""
     return float(np.abs(np.vdot(a.amp, b.amp)) ** 2)

@@ -410,30 +410,121 @@ def test_ground_state_degenerate_error():
         ground_state(zz)
 
 
-def test_lanczos_ground_state_reproducible_and_exact():
-    # L = 12 takes the Lanczos path; H conserves the excitation number, so
-    # an independent dense eigh per sector (at most C(12, 6) = 924 states)
-    # gives the reference ground state
-    from rmlab.scenarios import model_hamiltonian
+def _sector_levels(h: PauliStringSum):
+    """(lowest level, its sector's indices, its vector) per excitation-number
+    sector, by an independent dense eigh of each block; H must conserve N."""
+    L = h.num_sites
+    hm = h.to_sparse()
+    excitations = index_to_bits(np.arange(2**L), L).sum(axis=1)
+    levels = []
+    for n in range(L + 1):
+        idx = np.flatnonzero(excitations == n)
+        block = hm[idx][:, idx].toarray()
+        vals, vecs = eigh(block.real if not block.imag.any() else block, subset_by_index=[0, 0])
+        levels.append((vals[0], idx, vecs[:, 0]))
+    return levels
 
-    h = model_hamiltonian(12)
+
+def _check_against_sector_reference(h: PauliStringSum, tol: float) -> None:
+    L = h.num_sites
     e, psi = ground_state(h)
     e_again, psi_again = ground_state(h)
     assert e == e_again and psi.amp.tobytes() == psi_again.amp.tobytes()
-    hm = h.to_sparse()
-    excitations = index_to_bits(np.arange(2**12), 12).sum(axis=1)
-    best = None
-    for n in range(13):
-        idx = np.flatnonzero(excitations == n)
-        vals, vecs = eigh(hm[idx][:, idx].toarray())
-        if best is None or vals[0] < best[0]:
-            best = (vals[0], idx, vecs[:, 0])
-    e_ref, idx, vec = best
-    ref = np.zeros(2**12, dtype=complex)
+    e_ref, idx, vec = min(_sector_levels(h), key=lambda level: level[0])
+    ref = np.zeros(2**L, dtype=complex)
     ref[idx] = vec
     ref *= np.vdot(ref, psi.amp) / abs(np.vdot(ref, psi.amp))
-    assert abs(e - e_ref) < 1e-9
-    assert np.max(np.abs(psi.amp - ref)) < 1e-9
+    assert abs(e - e_ref) < tol
+    assert np.max(np.abs(psi.amp - ref)) < tol
+
+
+def test_lanczos_ground_state_reproducible_and_exact():
+    # at L = 12 the sectors of 495 to 924 states are above the dense cut
+    # and take the Lanczos path; H conserves the excitation number, so an
+    # independent dense eigh per sector gives the reference ground state
+    from rmlab.scenarios import model_hamiltonian
+
+    _check_against_sector_reference(model_hamiltonian(12), 1e-9)
+
+
+def test_ground_state_at_fourteen_sites_reproducible_and_exact():
+    # the largest chain: sectors of up to C(14, 7) = 3432 states
+    from rmlab.scenarios import model_hamiltonian
+
+    _check_against_sector_reference(model_hamiltonian(14), 1e-9)
+
+
+def _assert_dense_ground(h: PauliStringSum) -> None:
+    """ground_state against one dense complex eigh on the full space."""
+    e, psi = ground_state(h)
+    vals, vecs = eigh(h.to_sparse().toarray(), subset_by_index=[0, 1])
+    assert vals[1] - vals[0] > 1e-6
+    assert abs(e - vals[0]) < 1e-10
+    assert state_fidelity(psi, StateVector(vecs[:, 0], h.num_sites)) >= 1 - 1e-12
+    # the largest amplitude is rotated to the positive real axis
+    top = psi.amp[np.argmax(np.abs(psi.amp))]
+    assert abs(top.imag) < 1e-12 and top.real > 0
+
+
+@pytest.mark.parametrize("phase", ["topological", "trivial"])
+@pytest.mark.parametrize("L", [6, 8, 10])
+def test_sector_ground_state_matches_full_space_eigh(L, phase):
+    from rmlab.scenarios import model_hamiltonian
+
+    _assert_dense_ground(model_hamiltonian(L, phase))
+
+
+def test_degenerate_levels_in_different_sectors_raise():
+    # hopping chain in a field: the lowest N = 1 and N = 2 levels cross at
+    # this field, and each is the only low level of its own sector
+    L = 4
+    h = PauliStringSum(L)
+    for m in range(1, L):
+        h.add_term(1.0, PauliString.from_ops({m: "X", m + 1: "X"}, L))
+        h.add_term(1.0, PauliString.from_ops({m: "Y", m + 1: "Y"}, L))
+    for m in range(1, L + 1):
+        h.add_term((np.sqrt(5) - 1) / 2, PauliString.from_ops({m: "Z"}, L))
+    lows = sorted(level[0] for level in _sector_levels(h))
+    assert lows[1] - lows[0] < 1e-12 and lows[2] - lows[0] > 1.0
+    with pytest.raises(DegenerateGroundStateError):
+        ground_state(h)
+
+
+def test_transverse_field_breaks_sectors_and_keeps_the_dense_ground_state():
+    from rmlab.scenarios import model_hamiltonian
+
+    # one sector of 2^L states: dense at L = 8, Lanczos at L = 10
+    for L in (8, 10):
+        h = model_hamiltonian(L)
+        for m in range(1, L + 1):
+            h.add_term(0.7, PauliString.from_ops({m: "X"}, L))
+        _assert_dense_ground(h)
+
+
+def test_sector_blocks_are_real_unless_h_has_imaginary_entries(monkeypatch):
+    from rmlab import statevector
+    from rmlab.scenarios import model_hamiltonian
+
+    kinds = []
+
+    def spy(a, *args, **kwargs):
+        kinds.append(a.dtype.kind)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(statevector, "eigh", spy)
+    L = 8
+    h = model_hamiltonian(L)
+    ground_state(h)
+    assert set(kinds) == {"f"}
+    # a Dzyaloshinskii-Moriya term X Y - Y X conserves N but is imaginary
+    for m in range(1, L):
+        h.add_term(0.9, PauliString.from_ops({m: "X", m + 1: "Y"}, L))
+        h.add_term(-0.9, PauliString.from_ops({m: "Y", m + 1: "X"}, L))
+    assert h.to_sparse().data.imag.any()
+    kinds.clear()
+    _assert_dense_ground(h)
+    assert set(kinds) == {"c"}
+    _check_against_sector_reference(h, 1e-10)
 
 
 def test_ground_state_phase_deterministic():
