@@ -12,18 +12,27 @@ name, and the provenance of the first run: git hash, source digest
 nproc and the line counts of ``src`` and ``tests``. ``git_dirty`` is
 true when the work tree differed from that hash before the runs, so the
 source digest, not the hash, names the code that ran.
+
+After the workloads it runs the tier-1 tests (``TIER1_ARGS``) once
+and stores, under ``tier1``, the command, its exit code, the outcome
+counts from pytest's summary line (passed, failed, ...) and its wall
+time in seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROVENANCE_KEYS = ("git_hash", "src_sha256", "numpy", "scipy", "nproc", "source_lines")
+TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def run_set(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -36,6 +45,18 @@ def run_set(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict,
     lines = proc.stdout.strip().splitlines()
     provenance = json.loads(lines[-2].removeprefix("provenance: "))
     return json.loads(lines[-1]), provenance
+
+
+def run_tier1() -> dict:
+    """Run the tier-1 tests once from the repository root: counts and wall time."""
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1_ARGS], cwd=ROOT, env=env, capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (\w+)", summary.split(" in ")[0])}
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1_ARGS),
+            "returncode": proc.returncode, "counts": counts, "wall_s": wall_s}
 
 
 def git_dirty() -> bool | None:
@@ -63,6 +84,8 @@ def main(argv: list[str] | None = None) -> int:
             results[kind], provenance = run_set(name, args.seed, args.seconds, trace)
         report["workloads"][name] = results
         report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS} | {"git_dirty": dirty})
+    print("tier-1 tests ...", file=sys.stderr, flush=True)
+    report["tier1"] = run_tier1()
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -7,7 +7,9 @@ search plus noise report), validate (check a config and exit).
 Repetitions are independent: repetition r runs under the seed that
 ``_rep_seed`` derives as ``SeedSequence([master, r])``, the package's only
 repetition-seed scheme, so results do not depend on the thread count,
-only on the config and seed.
+only on the config and seed. What every repetition shares (the prepared
+scenario, the pulse schedule and, when the variance is requested, H^2) is
+built once per run.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -38,8 +41,9 @@ from .estimators import (
     purity_estimate,
     results_to_csv,
 )
-from .pauli import ROTATION_ORDER, TWO_PI
+from .pauli import ROTATION_ORDER, TWO_PI, square_observable
 from .protocol import (
+    _RECORD_VERSION,
     BIT_CONVENTION,
     EXACT_SHOTS,
     MeasurementRecord,
@@ -61,7 +65,6 @@ from .pulses import (
 )
 from .scenarios import PreparedScenario, prepare_scenario
 from .statevector import exact_purity, expectation
-from .pauli import square_observable
 
 
 def _sites_label(sites) -> str:
@@ -73,7 +76,7 @@ def _rep_seed(master: int, rep: int) -> int:
 
 
 def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord]:
-    cfg, scen, schedule, rep = args
+    cfg, scen, schedule, h_squared, rep = args
     prot = cfg.protocol
     seed = _rep_seed(cfg.seed, rep)
     rng = np.random.default_rng(seed)
@@ -99,21 +102,35 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord]:
     if cfg.targets.energy:
         values["energy:model"] = observable_expectation(record, scen.hamiltonian)
     if cfg.targets.variance:
-        values["variance:model"] = hamiltonian_variance(record, scen.hamiltonian).value
+        values["variance:model"] = hamiltonian_variance(
+            record, scen.hamiltonian, h_squared=h_squared
+        ).value
     return rep, values, record
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    scen = prepare_scenario(cfg.scenario)  # prepared once, reused by every repetition
+    """Run every repetition, then write records, results.csv and run_meta.json.
+
+    The scenario, the pulse schedule and H^2 (only when the variance is
+    requested) are built once per run and shared by all repetitions.
+    run_meta.json records the record format version and the wall time of
+    each stage: prepare (those shared inputs), repetitions, and write
+    (records and results.csv).
+    """
+    start = time.perf_counter()
+    scen = prepare_scenario(cfg.scenario)
     prot = cfg.protocol
     schedule = golden_schedule() if prot.mode == "pulsed" else None
-    work = [(cfg, scen, schedule, rep) for rep in range(prot.n_ave)]
+    h_squared = square_observable(scen.hamiltonian) if cfg.targets.variance else None
+    work = [(cfg, scen, schedule, h_squared, rep) for rep in range(prot.n_ave)]
+    prepared = time.perf_counter()
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(_one_repetition, work))
     else:
         done = [_one_repetition(w) for w in work]
     done.sort(key=lambda item: item[0])
+    repeated = time.perf_counter()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     records_dir = out_dir / "records"
@@ -141,7 +158,13 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
             }
         )
     (out_dir / "results.csv").write_text(results_to_csv(rows))
-    _write_meta(cfg, out_dir, extra={"descriptor": scen.descriptor})
+    stages_s = {
+        "prepare": prepared - start,
+        "repetitions": repeated - prepared,
+        "write": time.perf_counter() - repeated,
+    }
+    extra = {"descriptor": scen.descriptor, "record_version": _RECORD_VERSION, "stages_s": stages_s}
+    _write_meta(cfg, out_dir, extra=extra)
     print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows, {prot.n_ave} repetitions)")
     return 0
 

@@ -12,6 +12,14 @@ Exact-probability mode (n_meas = EXACT_SHOTS) stores the full outcome
 distribution instead of sampled counts, which isolates estimator bias
 from shot noise.
 
+Records persist as UTF-8 NDJSON (save_record / load_record): a header
+line, then one line per entry. Format version 2 stores an exact entry's
+2^L probabilities as one base64 string of their little-endian float64
+bytes (key "probs_f64le"), which round-trips bit for bit; sampled
+entries keep their bitstring -> count object. load_record also reads
+version 1, whose exact entries hold the probabilities as a JSON list of
+text floats ("probs").
+
 Pulse-level runs evolve all N_U samples of a run as the columns of one
 (2^L, N_U + 1) amplitude block. The drive is global, so a sample differs
 from the nominal schedule only by its per-site light shift and a few
@@ -26,6 +34,7 @@ order or worker count.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -78,7 +87,9 @@ EXACT_SHOTS = math.inf
 BIT_CONVENTION = "site 1 = leftmost bit, 1 = spin up"
 
 _RECORD_FORMAT = "rmlab-record"
-_RECORD_VERSION = 1
+_RECORD_VERSION = 2
+# exact-entry key of each version load_record reads (save_record writes v2)
+_PROBS_KEY = {1: "probs", 2: "probs_f64le"}
 
 # amplitudes per block that run_pulsed evolves at once (16 MB of complex)
 _BLOCK_AMPLITUDES = 2**20
@@ -603,7 +614,13 @@ def run_pulsed(
 
 
 def save_record(record: MeasurementRecord, path: str | Path) -> None:
-    """Newline-delimited JSON: a header object, then one entry per line."""
+    """Newline-delimited JSON, format version 2: a header, then one entry per line.
+
+    Each line is a JSON object with sorted keys. An exact entry stores its
+    probabilities under "probs_f64le" as the base64 text of their
+    little-endian float64 bytes, so load_record gets the same bits back;
+    a sampled entry stores its "counts" object.
+    """
     header = {
         "format": _RECORD_FORMAT,
         "version": _RECORD_VERSION,
@@ -622,11 +639,31 @@ def save_record(record: MeasurementRecord, path: str | Path) -> None:
             if e.counts is not None:
                 doc["counts"] = e.counts
             else:
-                doc["probs"] = e.probs.tolist()
+                raw = np.asarray(e.probs, dtype="<f8").tobytes()
+                doc[_PROBS_KEY[_RECORD_VERSION]] = base64.b64encode(raw).decode("ascii")
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _entry_probs(doc: dict, version: int) -> np.ndarray | None:
+    """An entry's exact probabilities as a float64 array the entry owns."""
+    stored = doc.get(_PROBS_KEY[version])
+    if stored is None:
+        return None
+    if version == 1:
+        return np.array(stored, dtype=np.float64)
+    raw = base64.b64decode(stored, validate=True)
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
 def load_record(path: str | Path) -> MeasurementRecord:
+    """Read a record written by save_record, format version 1 or 2.
+
+    Version 2 exact entries decode from "probs_f64le" (base64 of
+    little-endian float64 bytes), version 1 ones from the "probs" list of
+    text floats; both give float64 arrays the record owns. Any other
+    version raises ValueError, as does an exact entry that does not hold
+    2^L probabilities.
+    """
     with open(path) as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
@@ -634,8 +671,9 @@ def load_record(path: str | Path) -> MeasurementRecord:
     header = json.loads(lines[0])
     if header.get("format") != _RECORD_FORMAT:
         raise ValueError("not a measurement record file")
-    if header.get("version") != _RECORD_VERSION:
-        raise ValueError(f"unsupported record version {header.get('version')!r}")
+    version = header.get("version")
+    if version not in tuple(_PROBS_KEY):
+        raise ValueError(f"unsupported record version {version!r}")
     n_meas = header["n_meas"]
     n_meas = EXACT_SHOTS if n_meas == "exact" else int(n_meas)
     entries = []
@@ -647,7 +685,7 @@ def load_record(path: str | Path) -> MeasurementRecord:
                 counts={k: int(v) for k, v in doc["counts"].items()}
                 if "counts" in doc
                 else None,
-                probs=np.array(doc["probs"]) if "probs" in doc else None,
+                probs=_entry_probs(doc, version),
                 seed=doc.get("seed"),
             )
         )

@@ -67,6 +67,64 @@ def test_seed_override_changes_results(tmp_path):
     assert meta["seed"] == 99
 
 
+def _variance_config(tmp_path, n_meas="exact", variance=True):
+    cfg = tmp_path / "variance.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"kind": "ssh_gs", "num_sites": 6, "phase": "topological"},
+        "protocol": {"mode": "ideal", "n_unitaries": 8, "n_meas": n_meas, "n_ave": 2},
+        "estimators": {"subsystems": [[1, 2]], "variance": variance, "energy": True},
+        "seed": 5,
+    }))
+    return cfg
+
+
+@pytest.mark.parametrize("variance, builds", [(True, 1), (False, 0)])
+def test_run_squares_the_hamiltonian_once(tmp_path, monkeypatch, variance, builds):
+    import rmlab.cli as cli
+    import rmlab.estimators as estimators
+
+    calls = {"square": 0, "in_prepare": 0}
+    square, prepare = cli.square_observable, cli.prepare_scenario
+
+    def counted_square(obs):
+        calls["square"] += 1
+        return square(obs)
+
+    def counted_prepare(*args, **kwargs):
+        before = calls["square"]
+        scen = prepare(*args, **kwargs)
+        calls["in_prepare"] += calls["square"] - before
+        return scen
+
+    monkeypatch.setattr(cli, "square_observable", counted_square)
+    monkeypatch.setattr(estimators, "square_observable", counted_square)
+    monkeypatch.setattr(cli, "prepare_scenario", counted_prepare)
+    cfg = _variance_config(tmp_path, variance=variance)
+    assert run_cli("run", cfg, "--out", tmp_path / "out") == 0
+    assert calls == {"square": builds, "in_prepare": 0}
+
+
+def test_variance_run_does_not_depend_on_thread_count(tmp_path):
+    cfg = _variance_config(tmp_path, n_meas=200)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("run", cfg, "--out", a) == 0
+    assert run_cli("run", cfg, "--out", b, "--threads", 2) == 0
+    assert "variance,model" in (a / "results.csv").read_text()
+    assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+    for name in ("rep_000.ndjson", "rep_001.ndjson"):
+        assert (a / "records" / name).read_bytes() == (b / "records" / name).read_bytes()
+
+
+def test_run_meta_reports_record_version_and_stage_times(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("run", SMOKE, "--out", out) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["record_version"] == 2
+    assert json.loads((out / "records" / "rep_000.ndjson").read_text().splitlines()[0])["version"] == 2
+    assert sorted(meta["stages_s"]) == ["prepare", "repetitions", "write"]
+    assert all(isinstance(t, float) and t >= 0.0 for t in meta["stages_s"].values())
+
+
 def test_pulsed_run_loads_the_schedule_once(tmp_path, monkeypatch):
     import rmlab.cli as cli
     import rmlab.config as config

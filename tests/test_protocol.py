@@ -1,11 +1,14 @@
 """Experiment orchestration: sampling, readout errors, records, NDJSON."""
 
+import base64
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rmlab.pauli import build_ssh
+from rmlab.estimators import hamiltonian_variance, purity_estimate
+from rmlab.pauli import TWO_PI, build_ssh
 from rmlab.protocol import (
     EXACT_SHOTS,
     MeasurementRecord,
@@ -442,14 +445,65 @@ def test_roundtrip_counts(tmp_path):
 
 def test_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(15)
-    psi = random_state(2, rng)
-    rec = run_ideal(psi, sample_unitaries(2, 2, rng), EXACT_SHOTS)
+    psi = random_state(10, rng)
+    rec = run_ideal(psi, sample_unitaries(10, 100, rng), EXACT_SHOTS)
     path = tmp_path / "rec.ndjson"
     save_record(rec, path)
     back = load_record(path)
-    assert back.n_meas == EXACT_SHOTS
+    assert back.n_meas == EXACT_SHOTS and len(back.entries) == 100
     for a, b in zip(back.entries, rec.entries):
-        assert np.allclose(a.probs, b.probs, atol=0)
+        assert a.probs.dtype == np.float64
+        assert a.probs.flags.writeable and a.probs.flags.owndata
+        assert a.probs.tobytes() == b.probs.tobytes()
+        assert (a.labels, a.seed) == (b.labels, b.seed)
+
+
+def _save_record_v1(record: MeasurementRecord, path) -> None:
+    """The version-1 writer: exact probabilities as a JSON list of text floats."""
+    header = {
+        "format": "rmlab-record",
+        "version": 1,
+        "num_sites": record.num_sites,
+        "mode": record.mode,
+        "n_meas": "exact" if record.n_meas == EXACT_SHOTS else int(record.n_meas),
+        "bit_convention": "site 1 = leftmost bit, 1 = spin up",
+        "meta": record.meta,
+    }
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for e in record.entries:
+            doc: dict = {"labels": list(e.labels)}
+            if e.seed is not None:
+                doc["seed"] = e.seed
+            if e.counts is not None:
+                doc["counts"] = e.counts
+            else:
+                doc["probs"] = e.probs.tolist()
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def test_version_1_exact_record_loads_like_version_2(tmp_path):
+    h = build_ssh(6, 0.484 * TWO_PI, -0.18 * TWO_PI, 0.04 * TWO_PI, mu_edge=0.1)
+    _, psi = ground_state(h)
+    rng = np.random.default_rng(4)
+    rec = run_ideal(psi, sample_unitaries(6, 20, rng), EXACT_SHOTS, seed=4)
+    v1, v2 = tmp_path / "v1.ndjson", tmp_path / "v2.ndjson"
+    _save_record_v1(rec, v1)
+    save_record(rec, v2)
+    assert '"probs": [' in v1.read_text() and '"probs": [' not in v2.read_text()
+    old, new = load_record(v1), load_record(v2)
+    for a, b in zip(old.entries, new.entries):
+        assert a.probs.dtype == np.float64 and a.probs.flags.writeable
+        assert a.probs.tobytes() == b.probs.tobytes()
+    assert purity_estimate(old, [1, 2, 3]).value == purity_estimate(new, [1, 2, 3]).value
+    assert hamiltonian_variance(old, h).value == hamiltonian_variance(new, h).value
+
+
+def test_version_1_sampled_record_loads(tmp_path):
+    path = tmp_path / "v1.ndjson"
+    _save_record_v1(_toy_record(), path)
+    back = load_record(path)
+    assert [e.counts for e in back.entries] == [e.counts for e in _toy_record().entries]
 
 
 def test_header_checked(tmp_path):
@@ -459,6 +513,28 @@ def test_header_checked(tmp_path):
         load_record(path)
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
+        load_record(path)
+    path.write_text(json.dumps({"format": "rmlab-record", "version": 3}) + "\n")
+    with pytest.raises(ValueError, match="unsupported record version 3"):
+        load_record(path)
+
+
+@pytest.mark.parametrize("n_probs", [3, 5])
+def test_version_2_entry_of_wrong_length_rejected(tmp_path, n_probs):
+    rng = np.random.default_rng(6)
+    rec = run_ideal(random_state(2, rng), sample_unitaries(2, 2, rng), EXACT_SHOTS)
+    path = tmp_path / "rec.ndjson"
+    save_record(rec, path)
+    header, first, second = path.read_text().splitlines()
+    doc = json.loads(second)
+    probs = np.full(n_probs, 1.0 / n_probs)
+    doc["probs_f64le"] = base64.b64encode(probs.astype("<f8").tobytes()).decode("ascii")
+    path.write_text("\n".join([header, first, json.dumps(doc)]) + "\n")
+    with pytest.raises(ValueError, match="2\\^num_sites"):
+        load_record(path)
+    doc["probs_f64le"] = base64.b64encode(b"\0" * 12).decode("ascii")
+    path.write_text("\n".join([header, first, json.dumps(doc)]) + "\n")
+    with pytest.raises(ValueError):
         load_record(path)
 
 
