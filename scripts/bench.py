@@ -17,11 +17,18 @@ After the workloads it runs the tier-1 tests (``TIER1_ARGS``) once
 and stores, under ``tier1``, the command, its exit code, the outcome
 counts from pytest's summary line (passed, failed, ...) and its wall
 time in seconds.
+
+Next to ``source_lines`` the provenance holds ``public_surface``: per
+rmlab module, the names in its ``__all__`` and the parameters with
+defaults of those names that are callable (a dataclass's fields with
+defaults count, as its constructor's), plus both totals.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import json
 import os
 import re
@@ -59,6 +66,28 @@ def run_tier1() -> dict:
             "returncode": proc.returncode, "counts": counts, "wall_s": wall_s}
 
 
+def public_surface() -> dict:
+    """Exported names and their defaulted parameters, per module and in total."""
+    sys.path.insert(0, str(ROOT / "src"))
+    report: dict = {"modules": {}, "names": 0, "defaulted_params": 0}
+    for path in sorted((ROOT / "src" / "rmlab").glob("[!_]*.py")):
+        mod = importlib.import_module(f"rmlab.{path.stem}")
+        names = getattr(mod, "__all__", None)
+        if names is None:
+            continue
+        defaulted = 0
+        for name in names:
+            try:
+                params = inspect.signature(getattr(mod, name)).parameters.values()
+            except (TypeError, ValueError):  # constants, and classes with no signature
+                continue
+            defaulted += sum(p.default is not inspect.Parameter.empty for p in params)
+        report["modules"][path.stem] = {"names": len(names), "defaulted_params": defaulted}
+        report["names"] += len(names)
+        report["defaulted_params"] += defaulted
+    return report
+
+
 def git_dirty() -> bool | None:
     """Whether the work tree has uncommitted changes; None outside git."""
     proc = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, capture_output=True, text=True)
@@ -84,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
             results[kind], provenance = run_set(name, args.seed, args.seconds, trace)
         report["workloads"][name] = results
         report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS} | {"git_dirty": dirty})
+    report["provenance"]["public_surface"] = public_surface()
     print("tier-1 tests ...", file=sys.stderr, flush=True)
     report["tier1"] = run_tier1()
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -50,13 +50,11 @@ from .pulses import (
     RealisticParams,
     ideal_schedule,
     realistic_schedule,
-    default_realistic_params,
     perturb,
     single_qubit_propagator,
     propagator_batch,
     measured_axis,
     axis_fidelity,
-    figure_of_merit,
     mc_rotation_stats,
     calibrate,
     schedule_to_json,
@@ -68,7 +66,6 @@ from .protocol import (
     BIT_CONVENTION,
     UnitarySample,
     ReadoutErrorModel,
-    default_readout,
     UnitaryMeasurement,
     MeasurementRecord,
     sample_unitaries,
@@ -85,10 +82,8 @@ from .estimators import (
     NormalizationError,
     purity_estimate,
     purity_pairwise,
-    pauli_expectation,
     observable_expectation,
     hamiltonian_variance,
-    bootstrap_over_unitaries,
     RESULT_COLUMNS,
     results_to_csv,
 )

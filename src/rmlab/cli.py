@@ -54,9 +54,9 @@ from .protocol import (
 )
 from .pulses import (
     FluctuationModel,
+    RealisticParams,
     axis_fidelity,
     calibrate,
-    default_realistic_params,
     golden_schedule,
     mc_rotation_stats,
     realistic_schedule,
@@ -115,7 +115,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     requested) are built once per run and shared by all repetitions.
     run_meta.json records the record format version and the wall time of
     each stage: prepare (those shared inputs), repetitions, and write
-    (records and results.csv).
+    (records and results.csv). Records under ``records/`` that this run did
+    not write, left by an earlier run with more repetitions, are deleted.
     """
     start = time.perf_counter()
     scen = prepare_scenario(cfg.scenario)
@@ -135,8 +136,14 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records_dir = out_dir / "records"
     records_dir.mkdir(exist_ok=True)
+    written = set()
     for rep, _, record in done:
-        save_record(record, records_dir / f"rep_{rep:03d}.ndjson")
+        path = records_dir / f"rep_{rep:03d}.ndjson"
+        save_record(record, path)
+        written.add(path)
+    # records of an earlier run into the same directory would pass for this run's
+    for stale in set(records_dir.glob("rep_*.ndjson")) - written:
+        stale.unlink()
 
     rows = []
     keys = list(done[0][1].keys())
@@ -211,7 +218,7 @@ def cmd_calibrate(args) -> int:
         source = "shipped golden schedule"
     else:
         result = calibrate(
-            start=default_realistic_params(),
+            start=RealisticParams(),
             objective=args.objective,
             fidelity_floor=args.floor,
             stats_targets=(0.53, 0.57, 0.55) if args.objective == "stats" else None,

@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Any, Mapping
 
 from .pauli import TWO_PI
-from .protocol import EXACT_SHOTS, ReadoutErrorModel, default_readout
+from .protocol import EXACT_SHOTS, ReadoutErrorModel, _check_n_meas
 from .pulses import golden_schedule
 from .scenarios import J_E, J_NNN, J_O, J_QUENCH, MU_EDGE, ScenarioConfig
 from .statevector import MAX_SUBSYSTEM
@@ -176,7 +176,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if prot_raw["n_meas"] == "exact":
             prot_raw["n_meas"] = EXACT_SHOTS
         elif isinstance(prot_raw["n_meas"], str):
-            errs.append("protocol.n_meas: must be a positive integer or \"exact\"")
+            errs.append(
+                f"protocol.n_meas: the only string value is \"exact\", got {prot_raw['n_meas']!r}"
+            )
     readout_raw = prot_raw.pop("readout", None)
     readout = None
     if readout_raw is not None:
@@ -239,10 +241,11 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
         errs.append(f"protocol.mode: must be one of {MODES}")
     if prot.n_unitaries < 1:
         errs.append("protocol.n_unitaries: must be at least 1")
-    if prot.n_meas != EXACT_SHOTS and (
-        not isinstance(prot.n_meas, int) or prot.n_meas < 1
-    ):
-        errs.append("protocol.n_meas: must be a positive integer or \"exact\"")
+    try:
+        exact = _check_n_meas(prot.n_meas)
+    except ValueError as e:
+        errs.append(f"protocol.n_meas: {e}")
+        exact = None
     if prot.n_ave < 1:
         errs.append("protocol.n_ave: must be at least 1")
     if not 0.0 <= prot.eps_percent < 100.0:
@@ -251,18 +254,21 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
         errs.append("protocol.eps_percent: amplitude noise requires pulsed mode")
     if prot.fluctuation_scope not in ("per_unitary", "per_shot"):
         errs.append("protocol.fluctuation_scope: must be per_unitary or per_shot")
-    if prot.fluctuation_scope == "per_shot" and prot.n_meas == EXACT_SHOTS:
+    if prot.fluctuation_scope == "per_shot" and exact:
         errs.append("protocol.fluctuation_scope: per_shot requires sampled n_meas")
     if prot.tol <= 0:
         errs.append("protocol.tol: must be positive")
 
-    if prot.n_meas != EXACT_SHOTS and isinstance(prot.n_meas, int) and prot.n_meas >= 1:
+    if exact is False:
         total = prot.n_unitaries * prot.n_meas
         if total > SHOT_BUDGET and not allow_large:
             errs.append(
                 f"protocol: N_U * N_meas = {total} exceeds the shot budget "
                 f"{SHOT_BUDGET}; pass allow_large to override"
             )
+        if prot.n_meas < 2 and cfg.targets.subsystems:
+            # the purity estimator's shot-noise correction divides by N_meas - 1
+            errs.append("protocol.n_meas: purity estimation needs at least 2 shots per unitary")
 
     for i, sites in enumerate(cfg.targets.subsystems):
         bad = [s for s in sites if not 1 <= s <= scen.num_sites]
@@ -303,7 +309,6 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Normalized plain-dict form, inverse of parse_config."""
     scen = asdict(cfg.scenario)
-    scen.pop("tol")
     scen["j_quench_mhz"] = scen.pop("j_quench") / TWO_PI
     if scen["t_prep"] is None:
         scen.pop("t_prep")

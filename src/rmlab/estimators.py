@@ -36,7 +36,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -49,10 +49,8 @@ __all__ = [
     "NormalizationError",
     "purity_estimate",
     "purity_pairwise",
-    "pauli_expectation",
     "observable_expectation",
     "hamiltonian_variance",
-    "bootstrap_over_unitaries",
     "RESULT_COLUMNS",
     "results_to_csv",
 ]
@@ -64,20 +62,15 @@ class NormalizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """A value with repetition statistics and enough context to report it."""
+    """One experiment's estimate and enough context to report it.
+
+    The spread over repetitions is the runner's to take (results.csv).
+    """
 
     value: float
-    std: float = 0.0
     n_unitaries: int = 0
     n_meas: float = 0
-    n_ave: int = 1
     descriptor: str = ""
-
-    def __post_init__(self) -> None:
-        if self.std < 0:
-            raise ValueError("std must be non-negative")
-        if self.n_ave < 1:
-            raise ValueError("n_ave must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +148,9 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
 def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> EstimatorResult:
     """Same purity through the U-statistic over distinct shot pairs.
 
-    O(r^2 l) in the number r of distinct outcomes per unitary; exists to
-    pin the closed-form correction against an independent route.
+    O(r^2 l) in the number r of distinct outcomes per unitary. No pipeline
+    stage calls it: it is the tests' independent route that pins the
+    closed-form correction of purity_estimate.
     """
     if record.n_meas == EXACT_SHOTS:
         raise ValueError("pairwise estimator needs sampled shots")
@@ -225,15 +219,6 @@ def _string_term(p: PauliString, table) -> float:
     return math.fsum(contributions) / len(contributions)
 
 
-def pauli_expectation(record: MeasurementRecord, p: PauliString) -> float:
-    """Estimate Tr[P rho] from nominal labels and recorded outcomes."""
-    if p.num_sites != record.num_sites:
-        raise ValueError("string length differs from the record")
-    if record.n_unitaries == 0:
-        raise ValueError("record has no entries")
-    return _string_term(p, _outcome_table(record))
-
-
 def observable_expectation(record: MeasurementRecord, obs: PauliStringSum) -> float:
     """Linear combination of string estimates; identity enters exactly."""
     if obs.num_sites != record.num_sites:
@@ -276,35 +261,6 @@ def hamiltonian_variance(
         n_meas=record.n_meas,
         descriptor="normalized_variance",
     )
-
-
-# ---------------------------------------------------------------------------
-# Repetition statistics
-# ---------------------------------------------------------------------------
-
-
-def bootstrap_over_unitaries(
-    record: MeasurementRecord,
-    estimator: Callable[[MeasurementRecord], float],
-    n_boot: int = 200,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Resample unitaries with replacement; (mean, std) of the estimate.
-
-    An alternative error bar to repetition std when only one experiment
-    exists.
-    """
-    if n_boot < 2:
-        raise ValueError("n_boot must be at least 2")
-    rng = np.random.default_rng(seed)
-    n = record.n_unitaries
-    values = np.array(
-        [
-            float(estimator(record.subset(rng.integers(0, n, size=n))))
-            for _ in range(n_boot)
-        ]
-    )
-    return float(values.mean()), float(values.std(ddof=1))
 
 
 # ---------------------------------------------------------------------------

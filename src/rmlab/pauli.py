@@ -190,7 +190,11 @@ class PauliString:
         return cls("".join(word))
 
     def to_matrix(self) -> np.ndarray:
-        """Dense 2^L x 2^L matrix, site 1 as the most significant factor."""
+        """Dense 2^L x 2^L matrix, site 1 as the most significant factor.
+
+        A Kronecker chain, independent of the bitmask path: no pipeline
+        stage calls it; the tests check ``to_sparse`` against it.
+        """
         out = np.array([[self.phase]], dtype=complex)
         for c in self.letters:
             out = np.kron(out, PAULI_MATRICES[c])
@@ -260,10 +264,6 @@ class PauliStringSum:
     def coefficient(self, word: str) -> complex:
         return self._terms.get(word, 0.0 + 0.0j)
 
-    @property
-    def identity_coefficient(self) -> complex:
-        return self.coefficient("I" * self.num_sites)
-
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 
@@ -301,6 +301,8 @@ class PauliStringSum:
         return out
 
     def to_matrix(self) -> np.ndarray:
+        """Dense matrix as the sum of the strings' Kronecker chains: the
+        tests' reference for ``to_sparse``, unused by the pipeline."""
         dim = 2**self.num_sites
         out = np.zeros((dim, dim), dtype=complex)
         for word, c in self._terms.items():

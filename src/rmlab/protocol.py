@@ -68,7 +68,6 @@ __all__ = [
     "BIT_CONVENTION",
     "UnitarySample",
     "ReadoutErrorModel",
-    "default_readout",
     "UnitaryMeasurement",
     "MeasurementRecord",
     "sample_unitaries",
@@ -133,11 +132,6 @@ class ReadoutErrorModel:
         return np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
 
 
-def default_readout() -> ReadoutErrorModel:
-    """The reference flip rates: 1% false up, 3% false down."""
-    return ReadoutErrorModel(p_up_given_down=0.01, p_down_given_up=0.03)
-
-
 @dataclass(frozen=True)
 class UnitaryMeasurement:
     """Outcomes recorded under one rotation pattern.
@@ -160,12 +154,6 @@ class UnitaryMeasurement:
                 self, "probs", np.asarray(self.probs, dtype=float)
             )
 
-    @property
-    def n_shots(self) -> int | float:
-        if self.counts is None:
-            return EXACT_SHOTS
-        return sum(self.counts.values())
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -185,10 +173,8 @@ class MeasurementRecord:
     def __post_init__(self) -> None:
         if self.mode not in ("ideal", "pulsed"):
             raise ValueError("mode must be ideal or pulsed")
-        exact = self.n_meas == EXACT_SHOTS
+        exact = _check_n_meas(self.n_meas)
         if not exact:
-            if not (isinstance(self.n_meas, (int, np.integer)) and self.n_meas >= 1):
-                raise ValueError("n_meas must be a positive integer or EXACT_SHOTS")
             object.__setattr__(self, "n_meas", int(self.n_meas))
         object.__setattr__(self, "entries", tuple(self.entries))
         dim = 2**self.num_sites
@@ -249,7 +235,8 @@ def all_label_settings(num_sites: int) -> list[UnitarySample]:
     """Every one of the 3^L label patterns once, in lexicographic order.
 
     Exact enumeration replaces sampling in the smallest systems, turning
-    statistical estimator checks into identities.
+    statistical estimator checks into identities. No pipeline stage calls
+    it: it is the tests' exact 3-design over labels.
     """
     out = []
     for k in range(3**num_sites):
@@ -324,11 +311,15 @@ def _stream(seed: int, k: int) -> np.random.Generator:
 
 
 def _check_n_meas(n_meas: int | float) -> bool:
-    """True for exact mode; validates the sampled case."""
+    """True for exact mode, False for a positive integer shot count.
+
+    The package's one n_meas rule: anything else raises ValueError. Records,
+    runs and config validation all call it.
+    """
     if n_meas == EXACT_SHOTS:
         return True
     if not (isinstance(n_meas, (int, np.integer)) and n_meas >= 1):
-        raise ValueError("n_meas must be a positive integer or EXACT_SHOTS")
+        raise ValueError('n_meas must be a positive integer or EXACT_SHOTS ("exact" in a config)')
     return False
 
 

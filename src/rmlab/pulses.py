@@ -50,14 +50,12 @@ __all__ = [
     "RotationStats",
     "ideal_schedule",
     "realistic_schedule",
-    "default_realistic_params",
     "perturb",
     "draw_gains",
     "single_qubit_propagator",
     "propagator_batch",
     "measured_axis",
     "axis_fidelity",
-    "figure_of_merit",
     "mc_rotation_stats",
     "calibrate",
     "schedule_to_json",
@@ -77,6 +75,8 @@ TARGET_AXES = {
 }
 
 _STEP_BUDGET = 0.02  # |H| * dt per closed-form substep on ramp segments
+# amplitude noise, in percent, under which calibrate's stats targets hold
+_STATS_EPS_PERCENT = 3.0
 
 
 class ConstraintError(ValueError):
@@ -220,10 +220,6 @@ class PulseSchedule:
             )
         )
 
-    def detuning(self, t, label: int) -> np.ndarray:
-        """Delta(t) - f(t) d_label, the effective detuning seen by a site."""
-        return self.delta.value(t) - self.f.value(t) * self.delta_amps[label - 1]
-
     def validate_realistic(self) -> None:
         """Amplitude cap on the drive, slew limit on every physical channel.
 
@@ -301,7 +297,9 @@ def ideal_schedule(T: float, ratio: float) -> PulseSchedule:
     the bookkeeping phase stays exact. delta_amps = (0, Delta_plateau,
     ratio*Omega): label 1 is resonant in the first half and parked in the
     second, label 2 accrues its +pi/2 z-phase first and is resonant second
-    (Delta - f d2 = 0), label 3 is parked throughout.
+    (Delta - f d2 = 0), label 3 is parked throughout. No pipeline stage
+    calls it: it is the tests' analytical reference for the propagators
+    and the pulse-level evolution.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -334,6 +332,16 @@ class RealisticParams:
     rotation). Label 2 collects its z-phase while f is high and the
     drive is off, then rides the same resonant pulse as label 1; only
     label 3 stays detuned while the drive is on.
+
+    The defaults project the sequential reference onto the slew and drive
+    caps. First a phasing window: f at unit height, drive off, so label 2
+    accrues d2 * window as its +pi/2 z-phase (no extra turns: the total
+    phase is pi/2 exactly, keeping its fluctuation sensitivity at 3% of
+    pi/2). Then a drive window: f steps down to f_low, omega sweeps a
+    pi/2 X-area shared by labels 1 and 2, delta splits the residual
+    f_low*d2 detuning symmetrically between them, and f_low*d3 holds
+    label 3 near a full generalized-Rabi cycle so it barely leaves the
+    z-axis.
     """
 
     T: float = 0.15
@@ -372,21 +380,6 @@ class RealisticParams:
 
     def with_vector(self, x: Sequence[float]) -> "RealisticParams":
         return replace(self, **{k: float(v) for k, v in zip(self._FIELDS, x)})
-
-
-def default_realistic_params() -> RealisticParams:
-    """Projection of the sequential reference onto the slew and drive caps.
-
-    First a phasing window: f at unit height, drive off, so label 2
-    accrues d2 * window as its +pi/2 z-phase (no extra turns: the total
-    phase is pi/2 exactly, keeping its fluctuation sensitivity at 3% of
-    pi/2). Then a drive window: f steps down to f_low, omega sweeps a
-    pi/2 X-area shared by labels 1 and 2, delta splits the residual
-    f_low*d2 detuning symmetrically between them, and f_low*d3 holds
-    label 3 near a full generalized-Rabi cycle so it barely leaves the
-    z-axis.
-    """
-    return RealisticParams()
 
 
 def _two_level_envelope(params: RealisticParams) -> Waveform:
@@ -610,38 +603,27 @@ def axis_fidelity(u: np.ndarray, label: int) -> float:
     return float((1.0 + measured_axis(u) @ TARGET_AXES[label]) / 2.0)
 
 
-def _check_unitary(rset: Sequence[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    for u in rset:
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (2, 2):
-            raise ValueError("rotations must be 2x2")
-        if np.linalg.norm(u @ u.conj().T - np.eye(2)) > 1e-8:
-            raise ValueError("rotation is not unitary to 1e-8")
-        out.append(u)
-    return out
-
-
 _PAIRS = {1: (2, 3), 2: (3, 1), 3: (1, 2)}  # (beta, gamma) with eps_{a,b,g} = +1
 
 
-def figure_of_merit(rset: Sequence[np.ndarray]) -> tuple[float, float, float]:
-    """A_a = sum over both ordered pairs (b, g) of |<up|R_b R_g^dag|up>|^2.
+def _half_merits(u: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A_a/2 = |<up|U_b U_g^dag|up>|^2 for a = 1, 2, 3, one value per draw.
 
-    The two ordered terms are complex conjugates, so A_a = 2 |<up|R_b
-    R_g^dag|up>|^2. The ideal rotation set gives exactly (1, 1, 1); a fully
-    random pair averages 2 * 1/2 = 1 as well, while coinciding rotations
-    push A to 2. The literal Levi-Civita contraction eps_{abg} of the
-    same overlaps is not a useful score: the conjugate pairs cancel to
-    2i Im<up|R_b R_g^dag|up>, which is (0, 0, i) on the ideal set.
+    ``u`` maps each label to its (n, 2, 2) propagators; (b, g) is the
+    cyclic pair of a. The figure of merit A_a sums the overlap over both
+    ordered pairs, which are complex conjugates, hence the half. The ideal
+    rotation set gives exactly 1/2, coinciding rotations give 1. A
+    left-diagonal z-phase on any U, which z-basis readout cannot see,
+    leaves the value unchanged. (The literal Levi-Civita contraction of
+    the overlaps is no score: the conjugate pairs cancel to 2i Im.)
     """
-    r = _check_unitary(rset)
-    out = []
+    half = []
     for a in (1, 2, 3):
         b, g = _PAIRS[a]
-        m = r[b - 1] @ r[g - 1].conj().T
-        out.append(2.0 * float(np.abs(m[1, 1]) ** 2))
-    return tuple(out)
+        # <up| U_b U_g^dag |up> = sum_k U_b[1, k] conj(U_g[1, k])
+        m = np.einsum("nk,nk->n", u[b][:, 1, :], u[g][:, 1, :].conj())
+        half.append(np.abs(m) ** 2)
+    return tuple(half)
 
 
 @dataclass(frozen=True)
@@ -663,7 +645,6 @@ def mc_rotation_stats(
     eps_percent: float,
     n_draws: int,
     rng: np.random.Generator,
-    budget: float = _STEP_BUDGET,
 ) -> RotationStats:
     """Distribution of A_a/2 over n_draws amplitude-noise realizations.
 
@@ -673,13 +654,7 @@ def mc_rotation_stats(
     """
     model = FluctuationModel(eps_percent=eps_percent)
     gains = draw_gains(model, rng, n_draws)
-    u = {a: propagator_batch(schedule, a, gains, budget) for a in (1, 2, 3)}
-    half = []
-    for a in (1, 2, 3):
-        b, g = _PAIRS[a]
-        # <up| U_b U_g^dag |up> = sum_k U_b[1, k] conj(U_g[1, k])
-        m = np.einsum("nk,nk->n", u[b][:, 1, :], u[g][:, 1, :].conj())
-        half.append(np.abs(m) ** 2)
+    half = _half_merits({a: propagator_batch(schedule, a, gains) for a in (1, 2, 3)})
     fids = tuple(
         axis_fidelity(single_qubit_propagator(schedule, a), a) for a in (1, 2, 3)
     )
@@ -712,13 +687,10 @@ def _schedule_or_none(params: RealisticParams) -> PulseSchedule | None:
         return None
 
 
-def _noiseless_fidelities(schedule: PulseSchedule, budget: float) -> np.ndarray:
+def _noiseless_fidelities(schedule: PulseSchedule) -> np.ndarray:
     zero = np.zeros((1, 5))
     return np.array(
-        [
-            axis_fidelity(propagator_batch(schedule, a, zero, budget)[0], a)
-            for a in (1, 2, 3)
-        ]
+        [axis_fidelity(propagator_batch(schedule, a, zero)[0], a) for a in (1, 2, 3)]
     )
 
 
@@ -739,10 +711,9 @@ def _sigma_gains(eps_percent: float) -> np.ndarray:
     return pts
 
 
-def _sigma_point_stats(
-    schedule: PulseSchedule, eps_percent: float, budget: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature estimate of (means, stds) of A_a/2 under amplitude noise.
+def _sigma_point_stats(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature estimate of (means, stds) of A_a/2 under the amplitude
+    noise of the stats targets, _STATS_EPS_PERCENT.
 
     Additive across channels: exact through second order in sigma for the
     mean, first order for the std. Deterministic and smooth in the
@@ -750,14 +721,11 @@ def _sigma_point_stats(
     right surrogate inside a Nelder-Mead loop; final verification always
     re-measures with mc_rotation_stats.
     """
-    pts = _sigma_gains(eps_percent)
-    u = {a: propagator_batch(schedule, a, pts, budget) for a in (1, 2, 3)}
+    pts = _sigma_gains(_STATS_EPS_PERCENT)
+    half = _half_merits({a: propagator_batch(schedule, a, pts) for a in (1, 2, 3)})
     means = np.empty(3)
     stds = np.empty(3)
-    for a in (1, 2, 3):
-        b, g = _PAIRS[a]
-        m = np.einsum("nk,nk->n", u[b][:, 1, :], u[g][:, 1, :].conj())
-        vals = np.abs(m) ** 2
+    for a, vals in zip((1, 2, 3), half):
         a0 = vals[0]
         plus, minus = vals[1::2], vals[2::2]
         means[a - 1] = a0 + np.sum(plus + minus - 2.0 * a0) / 6.0
@@ -772,22 +740,19 @@ def calibrate(
     objective: str = "fidelity",
     fidelity_floor: float = 0.995,
     stats_targets: Sequence[float] | None = None,
-    std_targets: Sequence[float] | None = None,
-    eps_percent: float = 3.0,
     maxiter: int = 4000,
-    budget: float = _STEP_BUDGET,
     free: Sequence[str] | None = None,
 ) -> CalibrationResult:
     """Derivative-free tuning of the trapezoid knobs.
 
     objective "fidelity" maximizes the worst noiseless axis fidelity.
-    objective "stats" instead pulls the noise-averaged means of A_a/2
-    toward stats_targets (and their spreads toward std_targets when
-    given) while penalizing fidelities below the floor, which is how the
-    shipped golden schedule trades a little axis purity for the
-    published noise statistics. free restricts the search to the named
-    knobs, holding the rest at their start values; Nelder-Mead in four
-    well-chosen coordinates beats it in thirteen sloppy ones.
+    objective "stats" instead pulls the means of A_a/2 under
+    _STATS_EPS_PERCENT amplitude noise toward stats_targets while
+    penalizing fidelities below the floor, which is how the shipped
+    golden schedule trades a little axis purity for the published noise
+    statistics. free restricts the search to the named knobs, holding the
+    rest at their start values; Nelder-Mead in four well-chosen
+    coordinates beats it in thirteen sloppy ones.
     Deterministic for fixed inputs.
     """
     # deferred: scipy.optimize costs a quarter second of every start-up
@@ -797,7 +762,7 @@ def calibrate(
         raise ValueError("objective must be fidelity or stats")
     if objective == "stats" and stats_targets is None:
         raise ValueError("stats objective requires stats_targets")
-    params0 = start if start is not None else default_realistic_params()
+    params0 = start if start is not None else RealisticParams()
     if _schedule_or_none(params0) is None:
         raise CalibrationError("infeasible starting point")
     full0 = params0.to_vector()
@@ -824,17 +789,15 @@ def calibrate(
         s = _schedule_or_none(p)
         if s is None:
             return 1e3 + float(np.sum(np.abs(z)))
-        fids = _noiseless_fidelities(s, budget)
+        fids = _noiseless_fidelities(s)
         worst = float(fids.min())
         if objective == "fidelity":
             return -worst
         # Quadratic penalties equilibrate slightly inside the wall, so the
         # wall stands half a millifidelity above the floor we verify.
         penalty = 4e3 * max(0.0, fidelity_floor + 5e-4 - worst) ** 2
-        means, stds = _sigma_point_stats(s, eps_percent, budget)
+        means, _ = _sigma_point_stats(s)
         miss = float(np.sum((means - np.asarray(stats_targets)) ** 2))
-        if std_targets is not None:
-            miss += float(np.sum((stds - np.asarray(std_targets)) ** 2))
         return miss + penalty
 
     res = minimize(
@@ -847,14 +810,14 @@ def calibrate(
     sched = _schedule_or_none(best)
     if sched is None:
         raise CalibrationError("optimizer left the feasible region")
-    fids = tuple(float(v) for v in _noiseless_fidelities(sched, budget))
+    fids = tuple(float(v) for v in _noiseless_fidelities(sched))
     if min(fids) < fidelity_floor:
         raise CalibrationError(
             f"fidelity floor {fidelity_floor} not reached: best {fids}"
         )
     stats = None
     if objective == "stats":
-        means, stds = _sigma_point_stats(sched, eps_percent, budget)
+        means, stds = _sigma_point_stats(sched)
         stats = RotationStats(
             half_means=tuple(float(v) for v in means),
             half_stds=tuple(float(v) for v in stds),

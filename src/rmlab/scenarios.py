@@ -15,9 +15,7 @@ state would stay frozen in its N = 0 sector forever. The sweep therefore
 drives the chain with a transverse field while a strong uniform detuning
 is removed: the drive swells and retires as a single smooth bump while
 the detuning is dragged from far below resonance to zero, so each
-excitation enters through an avoided crossing the drive holds open. An
-optional staggered detuning bias guides the fill-in toward the
-half-filled pattern that the dimer ground state grows out of.
+excitation enters through an avoided crossing the drive holds open.
 
 The quench scenario evolves a single flipped spin at the chain center
 under the staggered-coupling chain (J_e = -J_o); the excitation spreads
@@ -58,7 +56,6 @@ __all__ = [
     "J_QUENCH",
     "OMEGA_PREP",
     "DELTA_PREP",
-    "STAGGER_PREP",
     "PHASES",
     "KINDS",
     "RAMPS",
@@ -83,10 +80,12 @@ MU_EDGE = TWO_PI * 1.0
 # staggered-chain quench coupling
 J_QUENCH = TWO_PI * 0.18
 
-# adiabatic sweep defaults, see prepare_adiabatic
+# adiabatic sweep drive and starting detuning, see prepare_adiabatic.
+# DELTA_PREP < 0 penalizes excitations, and -DELTA_PREP > MU_EDGE keeps
+# filling the pinned edge site unprofitable, so all-down is the ground
+# state at the start of the sweep.
 OMEGA_PREP = TWO_PI * 0.5
 DELTA_PREP = -TWO_PI * 1.5
-STAGGER_PREP = 0.0
 
 PHASES = ("topological", "trivial")
 KINDS = ("ssh_gs", "af", "adiabatic", "quench")
@@ -100,29 +99,20 @@ def _check_sites(num_sites: int, minimum: int, even: bool) -> None:
         raise ValueError(f"num_sites must be even, got {num_sites}")
 
 
-def model_hamiltonian(
-    num_sites: int,
-    phase: str = "topological",
-    *,
-    j_e: float = J_E,
-    j_o: float = J_O,
-    j_nnn: float = J_NNN,
-    mu_edge: float = MU_EDGE,
-) -> PauliStringSum:
-    """Dimerized chain with the edge pin; `trivial` swaps j_e and j_o.
+def model_hamiltonian(num_sites: int, phase: str = "topological") -> PauliStringSum:
+    """Dimerized chain with the edge pin; `trivial` swaps J_E and J_O.
 
     Without the pin the two near-degenerate edge orbitals of the
     topological phase hybridize into a state shared between the chain
     ends, washing out the dimer purity contrast (the half-cut purity
-    drops toward 1/4 instead of 1/2). mu_edge > 0 localizes one edge
+    drops toward 1/4 instead of 1/2). MU_EDGE > 0 localizes one edge
     excitation at site 1 and restores the product structure.
     """
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
     _check_sites(num_sites, 6, even=True)
-    if phase == "trivial":
-        j_e, j_o = j_o, j_e
-    return build_ssh(num_sites, j_e, j_o, j_nnn, mu_edge=mu_edge)
+    j_e, j_o = (J_O, J_E) if phase == "trivial" else (J_E, J_O)
+    return build_ssh(num_sites, j_e, j_o, J_NNN, mu_edge=MU_EDGE)
 
 
 def quench_hamiltonian(num_sites: int, j: float = J_QUENCH) -> PauliStringSum:
@@ -178,9 +168,6 @@ def prepare_adiabatic(
     *,
     phase: str = "topological",
     ramp: str = "linear",
-    omega_drive: float = OMEGA_PREP,
-    delta_init: float = DELTA_PREP,
-    stagger: float = STAGGER_PREP,
     tol: float = 1e-9,
     progress: Callable[[float], float] | None = None,
 ) -> StateVector:
@@ -188,13 +175,11 @@ def prepare_adiabatic(
 
     The schedule in sweep progress lam in [0, 1]:
 
-        drive     (omega_drive/2) sin^2(pi lam) X_total, a single bump
+        drive     (OMEGA_PREP/2) sin^2(pi lam) X_total, a single bump
                   that vanishes at both ends
-        detuning  -delta_init (1 - lam) N_total (delta_init < 0
+        detuning  -DELTA_PREP (1 - lam) N_total (DELTA_PREP < 0
                   penalizes excitations, so the sweep starts with the
                   all-down ground state and ends on the bare chain)
-        bias      optional staggered term -stagger * 4 lam(1-lam) on
-                  odd sites, zero at both ends
 
     `ramp` reshapes lam(t) (linear or smoothstep); `progress` overrides
     it entirely, which is how a frozen sweep (progress always 0) is
@@ -209,33 +194,19 @@ def prepare_adiabatic(
         raise ValueError("t_prep must be positive")
     if ramp not in RAMPS:
         raise ValueError(f"ramp must be one of {RAMPS}, got {ramp!r}")
-    if delta_init >= 0:
-        raise ValueError("delta_init must be negative (excitations start penalized)")
-    if -delta_init <= MU_EDGE:
-        # otherwise filling the pinned edge site is already profitable at
-        # lam = 0 and the all-down state is not the initial ground state
-        raise ValueError("delta_init must dominate the edge pin: need -delta_init > MU_EDGE")
     h_sp = model_hamiltonian(num_sites, phase).to_sparse()
     x_sp = x_total(num_sites)
     n_sp = occupation(num_sites, range(1, num_sites + 1))
     lam = progress if progress is not None else _progress(ramp, t_prep)
 
     def drive(t: float) -> float:
-        return 0.5 * omega_drive * np.sin(np.pi * lam(t)) ** 2
+        return 0.5 * OMEGA_PREP * np.sin(np.pi * lam(t)) ** 2
 
     def detuning(t: float) -> float:
         # coefficient of N_total: -delta, positive while delta < 0
-        return -delta_init * (1.0 - lam(t))
+        return -DELTA_PREP * (1.0 - lam(t))
 
     parts = [(1.0, h_sp), (drive, x_sp), (detuning, n_sp)]
-    if stagger:
-        odd_sp = occupation(num_sites, range(1, num_sites + 1, 2))
-
-        def bias(t: float) -> float:
-            u = lam(t)
-            return -stagger * 4.0 * u * (1.0 - u)
-
-        parts.append((bias, odd_sp))
     return evolve_blend(all_down(num_sites), parts, 0.0, t_prep, tol=tol)
 
 
@@ -259,7 +230,6 @@ class ScenarioConfig:
     ramp: str = "linear"
     quench_time: float = 1.0
     j_quench: float = J_QUENCH
-    tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -298,7 +268,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedScenario:
         return PreparedScenario(prepare_af(L), h, "af")
     if cfg.kind == "adiabatic":
         h = model_hamiltonian(L, cfg.phase)
-        psi = prepare_adiabatic(L, cfg.t_prep, phase=cfg.phase, ramp=cfg.ramp, tol=cfg.tol)
+        psi = prepare_adiabatic(L, cfg.t_prep, phase=cfg.phase, ramp=cfg.ramp)
         return PreparedScenario(psi, h, f"adiabatic:{cfg.phase}:T_P={cfg.t_prep:g}")
     wall = -(-L // 2)
     psi = quench(prepare_domain_wall(L), cfg.j_quench, cfg.quench_time)

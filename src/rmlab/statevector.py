@@ -164,9 +164,6 @@ class ReducedDensityMatrix:
     def purity(self) -> float:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 # ---------------------------------------------------------------------------
 # Constructors and index helpers
@@ -275,24 +272,15 @@ def apply_site_matrices(v: np.ndarray, matrices: Sequence[np.ndarray | None]) ->
     return v
 
 
-def apply_local_unitaries(
-    psi: StateVector,
-    labels: Sequence[int] | None = None,
-    matrices: Sequence[np.ndarray] | None = None,
-) -> StateVector:
-    """Product of single-site unitaries, given as rotation labels or 2x2s.
+def apply_local_unitaries(psi: StateVector, labels: Sequence[int]) -> StateVector:
+    """Product of the single-site rotations named by one label per site.
 
     Labels use the protocol convention 1 -> exp(-i pi/4 X),
     2 -> exp(-i pi/4 Y), 3 -> identity.
     """
-    if (labels is None) == (matrices is None):
-        raise ValueError("pass exactly one of labels or matrices")
-    if labels is not None:
-        matrices = [None if int(lab) == 3 else ROTATION_MATRICES[int(lab)] for lab in labels]
-    else:
-        matrices = [np.asarray(u, dtype=complex) for u in matrices]
-    if len(matrices) != psi.num_sites:
-        raise ValueError("one unitary per site required")
+    if len(labels) != psi.num_sites:
+        raise ValueError("one label per site required")
+    matrices = [None if int(lab) == 3 else ROTATION_MATRICES[int(lab)] for lab in labels]
     return StateVector(apply_site_matrices(psi.amp, matrices), psi.num_sites)
 
 
@@ -617,6 +605,10 @@ def evolve_static(psi: StateVector, h: PauliStringSum, duration: float) -> State
 # model_hamiltonian with one BLAS thread, dense was faster up to 364
 # states (6.4 against 8.3 ms) and Lanczos from 495 on (6 against 12 ms).
 _DENSE_SECTOR = 400
+# two lowest levels closer than this are a degenerate ground state
+_DEGENERACY_GAP = 1e-10
+# largest accepted |H v - E v| of the returned ground state
+_RESIDUAL_TOL = 1e-8
 
 
 def _lowest_pair(block: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -629,11 +621,7 @@ def _lowest_pair(block: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return eigsh(block, k=2, which="SA", v0=v0)
 
 
-def ground_state(
-    obs: PauliStringSum,
-    degeneracy_gap: float = 1e-10,
-    residual_tol: float = 1e-8,
-) -> tuple[float, StateVector]:
+def ground_state(obs: PauliStringSum) -> tuple[float, StateVector]:
     """Lowest eigenpair of a Hermitian Pauli sum, one sector at a time.
 
     The basis is split into excitation-number sectors (popcount of the
@@ -648,10 +636,11 @@ def ground_state(
     levels.
 
     Raises DegenerateGroundStateError when the two lowest levels over all
-    sectors lie within ``degeneracy_gap`` (the caller should pin the edge
+    sectors lie within ``_DEGENERACY_GAP`` (the caller should pin the edge
     with mu_edge). The returned eigenvector satisfies |H v - E v| <=
-    residual_tol on the full H and has its largest-magnitude amplitude
-    rotated to the positive real axis so repeated runs agree exactly.
+    ``_RESIDUAL_TOL`` on the full H, or NumericalContractError is raised,
+    and has its largest-magnitude amplitude rotated to the positive real
+    axis so repeated runs agree exactly.
     """
     if not obs.is_hermitian():
         raise ValueError("ground_state requires a Hermitian operator")
@@ -680,7 +669,7 @@ def ground_state(
         levels += [(float(val), a, b, vec) for val, vec in zip(vals, vecs.T)]
         levels.sort(key=lambda level: level[0])
     gap = levels[1][0] - levels[0][0]
-    if gap < degeneracy_gap:
+    if gap < _DEGENERACY_GAP:
         raise DegenerateGroundStateError(
             f"ground state degenerate within {gap:.3e}; add a mu_edge pinning term"
         )
@@ -688,8 +677,8 @@ def ground_state(
     vec = np.zeros(dim, dtype=complex)
     vec[order[a:b]] = sub
     residual = float(np.linalg.norm(h @ vec - energy * vec))
-    if residual > residual_tol:
-        raise NumericalContractError(f"eigen residual {residual:.3e} > {residual_tol:.1e}")
+    if residual > _RESIDUAL_TOL:
+        raise NumericalContractError(f"eigen residual {residual:.3e} > {_RESIDUAL_TOL:.1e}")
     k = int(np.argmax(np.abs(vec)))
     vec = vec * (abs(vec[k]) / vec[k])
     return energy, StateVector(vec / np.linalg.norm(vec), obs.num_sites)

@@ -8,7 +8,7 @@ import pytest
 import scipy
 
 from rmlab.cli import main
-from rmlab.config import config_hash, load_config
+from rmlab.config import config_hash, config_to_dict, load_config
 from rmlab.pauli import ROTATION_ORDER
 from rmlab.protocol import BIT_CONVENTION, load_record
 
@@ -56,6 +56,34 @@ def test_thread_count_does_not_change_results(tmp_path):
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
     for name in ("rep_000.ndjson", "rep_001.ndjson"):
         assert (a / "records" / name).read_bytes() == (b / "records" / name).read_bytes()
+
+
+def _smoke_variant(tmp_path, **protocol):
+    """smoke_ideal_L4 with protocol fields replaced, as a config file."""
+    doc = config_to_dict(load_config(SMOKE))
+    doc["protocol"].update(protocol)
+    path = tmp_path / ("smoke_" + "_".join(f"{k}{v}" for k, v in protocol.items()) + ".json")
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_rerun_with_fewer_repetitions_leaves_no_stale_records(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("run", _smoke_variant(tmp_path, n_ave=3), "--out", out) == 0
+    assert run_cli("run", _smoke_variant(tmp_path, n_ave=2), "--out", out) == 0
+    records = sorted(p.name for p in (out / "records").iterdir())
+    assert records == ["rep_000.ndjson", "rep_001.ndjson"]
+
+
+def test_single_shot_purity_run_is_a_config_error(tmp_path, capsys):
+    # the purity correction needs two shots; validate rejects the run
+    # before it starts instead of the estimator failing in repetition 0
+    out = tmp_path / "run"
+    assert run_cli("run", _smoke_variant(tmp_path, n_meas=1), "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "config error: protocol.n_meas:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_seed_override_changes_results(tmp_path):

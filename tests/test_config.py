@@ -18,7 +18,7 @@ from rmlab.config import (
     validate,
 )
 from rmlab.pauli import TWO_PI
-from rmlab.protocol import EXACT_SHOTS, ReadoutErrorModel
+from rmlab.protocol import EXACT_SHOTS, MeasurementRecord, ReadoutErrorModel, _check_n_meas
 from rmlab.scenarios import ScenarioConfig
 
 MINIMAL = {
@@ -168,6 +168,26 @@ def test_sites_must_be_sorted_and_distinct():
 
 def test_nothing_to_estimate_rejected():
     assert any("nothing to estimate" in e for e in problems(doc(estimators={"subsystems": []})))
+
+
+def test_n_meas_rule_is_the_protocols():
+    # validate and MeasurementRecord report the one protocol rule
+    with pytest.raises(ValueError) as rule:
+        _check_n_meas(0)
+    assert problems(doc(protocol={"n_meas": 0})) == [f"protocol.n_meas: {rule.value}"]
+    with pytest.raises(ValueError) as record:
+        MeasurementRecord(num_sites=2, mode="ideal", n_meas=0, entries=())
+    assert str(record.value) == str(rule.value)
+
+
+def test_single_shot_rejected_with_a_purity_target():
+    # the purity estimator's shot-noise correction divides by N_meas - 1
+    errs = problems(doc(protocol={"n_meas": 1}))
+    assert errs == ["protocol.n_meas: purity estimation needs at least 2 shots per unitary"]
+    # without a purity target one shot per unitary is a valid run
+    energy_only = {"subsystems": [], "energy": True}
+    assert problems(doc(protocol={"n_meas": 1}, estimators=energy_only)) == []
+    assert problems(doc(protocol={"n_meas": 2})) == []
 
 
 def test_budget_only_enforced_by_validate():

@@ -1,4 +1,4 @@
-"""Estimator exactness, bias correction, and aggregation statistics."""
+"""Estimator exactness, bias correction, and the results table."""
 
 import math
 
@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from rmlab.estimators import (
-    EstimatorResult,
     NormalizationError,
     RESULT_COLUMNS,
-    bootstrap_over_unitaries,
     hamiltonian_variance,
     observable_expectation,
-    pauli_expectation,
     purity_estimate,
     purity_pairwise,
     results_to_csv,
@@ -21,9 +18,9 @@ from rmlab.pauli import PauliString, PauliStringSum, build_ssh, square_observabl
 from rmlab.protocol import (
     EXACT_SHOTS,
     MeasurementRecord,
+    ReadoutErrorModel,
     UnitaryMeasurement,
     all_label_settings,
-    default_readout,
     run_ideal,
     sample_unitaries,
 )
@@ -42,6 +39,14 @@ TWO_PI = 2.0 * np.pi
 
 def _enumerated(psi: StateVector) -> MeasurementRecord:
     return run_ideal(psi, all_label_settings(psi.num_sites), EXACT_SHOTS)
+
+
+def _string_expectation(record: MeasurementRecord, p: PauliString) -> float:
+    """Shadow estimate of one string: the one-term sum whose coefficient
+    is the string's +-1 phase."""
+    obs = PauliStringSum(p.num_sites)
+    obs.add_term(1.0, p)
+    return observable_expectation(record, obs)
 
 
 def _all_subsystems(num_sites: int):
@@ -87,11 +92,11 @@ def test_observable_two_design_exactness():
 def test_single_string_examples():
     up_down = product_state([1, 0])
     rec = _enumerated(up_down)
-    assert abs(pauli_expectation(rec, PauliString("ZI")) - 1.0) < 1e-12
-    assert abs(pauli_expectation(rec, PauliString("IZ")) + 1.0) < 1e-12
+    assert abs(_string_expectation(rec, PauliString("ZI")) - 1.0) < 1e-12
+    assert abs(_string_expectation(rec, PauliString("IZ")) + 1.0) < 1e-12
     plus = StateVector(np.array([1.0, 0, 1.0, 0]) / np.sqrt(2), 2)
     rec = _enumerated(plus)
-    assert abs(pauli_expectation(rec, PauliString("XI")) - 1.0) < 1e-10
+    assert abs(_string_expectation(rec, PauliString("XI")) - 1.0) < 1e-10
 
 
 def test_cross_string_matches_oracle():
@@ -100,7 +105,7 @@ def test_cross_string_matches_oracle():
     rec = _enumerated(psi)
     s = PauliStringSum(4)
     s.add_term(1.0, PauliString("XXII"))
-    assert abs(pauli_expectation(rec, PauliString("XXII")) - expectation(psi, s)) < 1e-10
+    assert abs(_string_expectation(rec, PauliString("XXII")) - expectation(psi, s)) < 1e-10
 
 
 def test_bell_pair_single_site_purity():
@@ -161,7 +166,8 @@ def test_marginal_matches_per_key_loop():
 
     rng = np.random.default_rng(21)
     psi = random_state(5, rng)
-    rec = run_ideal(psi, sample_unitaries(5, 6, rng), 50, readout=default_readout(), seed=3)
+    readout = ReadoutErrorModel(0.01, 0.03)
+    rec = run_ideal(psi, sample_unitaries(5, 6, rng), 50, readout=readout, seed=3)
     for sites in ((1,), (2, 4, 5), (1, 2, 3, 4, 5)):
         for e in rec.entries:
             acc = np.zeros(2 ** len(sites))
@@ -256,9 +262,9 @@ def test_identity_rotations_scale_z_correlators():
                 total += z * c
         return total / (len(rec.entries) * 40)
 
-    assert abs(pauli_expectation(rec, PauliString("ZI")) - 3 * correlator([1])) < 1e-12
+    assert abs(_string_expectation(rec, PauliString("ZI")) - 3 * correlator([1])) < 1e-12
     assert abs(
-        pauli_expectation(rec, PauliString("ZZ")) - 9 * correlator([1, 2])
+        _string_expectation(rec, PauliString("ZZ")) - 9 * correlator([1, 2])
     ) < 1e-12
 
 
@@ -312,7 +318,7 @@ def _reference_observable(record: MeasurementRecord, obs: PauliStringSum) -> flo
 def test_label_mask_matches_conjugation_loop(L, n_meas, flips):
     rng = np.random.default_rng(100 + L)
     psi = random_state(L, rng)
-    readout = default_readout() if flips else None
+    readout = ReadoutErrorModel(0.01, 0.03) if flips else None
     rec = run_ideal(psi, sample_unitaries(L, 40, rng), n_meas, readout=readout, seed=5)
     h = build_ssh(L, 0.484 * TWO_PI, -0.18 * TWO_PI, 0.04 * TWO_PI, mu_edge=0.1)
     for obs in (h, square_observable(h)):
@@ -322,7 +328,7 @@ def test_label_mask_matches_conjugation_loop(L, n_meas, flips):
     for word in words:
         for phase_pow in (0, 2):
             p = PauliString(word, phase_pow)
-            assert pauli_expectation(rec, p) == _reference_string_term(p, rec)
+            assert _string_expectation(rec, p) == _reference_string_term(p, rec)
 
 
 def test_invalid_label_rejected():
@@ -333,7 +339,7 @@ def test_invalid_label_rejected():
         entries=(UnitaryMeasurement(labels=(1, 4), probs=np.full(4, 0.25)),),
     )
     with pytest.raises(ValueError):
-        pauli_expectation(rec, PauliString("ZI"))
+        _string_expectation(rec, PauliString("ZI"))
 
 
 # ---------------------------------------------------------------------------
@@ -412,29 +418,6 @@ def test_precomputed_square_agrees():
 
 
 # ---------------------------------------------------------------------------
-# Aggregation
-# ---------------------------------------------------------------------------
-
-
-def test_bootstrap_over_unitaries():
-    rng = np.random.default_rng(31)
-    psi = random_state(2, rng)
-    rec = run_ideal(psi, sample_unitaries(2, 30, rng), 20, seed=9)
-    fn = lambda r: purity_estimate(r, (1,)).value
-    m1, s1 = bootstrap_over_unitaries(rec, fn, n_boot=50, seed=4)
-    m2, s2 = bootstrap_over_unitaries(rec, fn, n_boot=50, seed=4)
-    assert (m1, s1) == (m2, s2)
-    assert s1 > 0
-
-
-def test_estimator_result_validation():
-    with pytest.raises(ValueError):
-        EstimatorResult(value=1.0, std=-0.1)
-    with pytest.raises(ValueError):
-        EstimatorResult(value=1.0, n_ave=0)
-
-
-# ---------------------------------------------------------------------------
 # Input validation
 # ---------------------------------------------------------------------------
 
@@ -466,7 +449,7 @@ def test_string_length_checked():
     psi = random_state(2, rng)
     rec = _enumerated(psi)
     with pytest.raises(ValueError):
-        pauli_expectation(rec, PauliString("ZII"))
+        _string_expectation(rec, PauliString("ZII"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from rmlab.protocol import (
     UnitarySample,
     apply_readout_errors,
     apply_readout_to_probs,
-    default_readout,
     load_record,
     run_ideal,
     run_pulsed,
@@ -70,7 +69,7 @@ def test_zero_model_is_identity():
 
 def test_flip_rates_within_binomial_windows():
     rng = np.random.default_rng(2)
-    model = default_readout()
+    model = ReadoutErrorModel(0.01, 0.03)
     ones = np.ones((10_000, 10), dtype=int)
     rate_down = 1.0 - apply_readout_errors(ones, model, rng).mean()
     assert 0.028 <= rate_down <= 0.032
@@ -198,9 +197,10 @@ def test_run_ideal_seed_determinism():
     rng = np.random.default_rng(6)
     psi = random_state(3, rng)
     samples = sample_unitaries(3, 4, rng)
-    a = run_ideal(psi, samples, 50, readout=default_readout(), seed=17)
-    b = run_ideal(psi, samples, 50, readout=default_readout(), seed=17)
-    c = run_ideal(psi, samples, 50, readout=default_readout(), seed=18)
+    readout = ReadoutErrorModel(0.01, 0.03)
+    a = run_ideal(psi, samples, 50, readout=readout, seed=17)
+    b = run_ideal(psi, samples, 50, readout=readout, seed=17)
+    c = run_ideal(psi, samples, 50, readout=readout, seed=18)
     assert all(x.counts == y.counts for x, y in zip(a.entries, b.entries))
     assert any(x.counts != y.counts for x, y in zip(a.entries, c.entries))
 
@@ -253,7 +253,7 @@ def test_pulsed_determinism_with_noise(golden):
     kwargs = dict(
         fluct=FluctuationModel(3.0),
         n_meas=30,
-        readout=default_readout(),
+        readout=ReadoutErrorModel(0.01, 0.03),
         seed=5,
     )
     a = run_pulsed(psi, samples, golden, **kwargs)
@@ -357,7 +357,7 @@ def test_pulsed_block_matches_per_unitary_loop(golden, with_h, n_meas):
     samples = sample_unitaries(4, 5, np.random.default_rng(15))
     args = (
         psi, samples, golden, FluctuationModel(3.0), h if with_h else None,
-        n_meas, default_readout(), 17,
+        n_meas, ReadoutErrorModel(0.01, 0.03), 17,
     )
     rec = run_pulsed(*args[:3], fluct=args[3], h_mod=args[4], n_meas=n_meas,
                      readout=args[6], seed=args[7], tol=1e-4)

@@ -5,6 +5,7 @@ import pytest
 
 from rmlab.pauli import TWO_PI, build_ssh, square_observable
 from rmlab.scenarios import (
+    DELTA_PREP,
     J_QUENCH,
     MU_EDGE,
     PreparedScenario,
@@ -185,8 +186,13 @@ def test_adiabatic_validation():
         prepare_adiabatic(8, 0.0)
     with pytest.raises(ValueError):
         prepare_adiabatic(8, 1.0, ramp="steep")
-    with pytest.raises(ValueError):
-        prepare_adiabatic(8, 1.0, delta_init=1.0)
+
+
+def test_sweep_starts_with_all_down_as_ground_state():
+    # excitations start penalized, and more strongly than the edge pin
+    # rewards filling site 1, so all-down is the ground state at lam = 0
+    assert DELTA_PREP < 0
+    assert -DELTA_PREP > MU_EDGE
 
 
 @pytest.mark.slow
