@@ -64,7 +64,7 @@ from .pulses import (
     single_qubit_propagator,
 )
 from .scenarios import PreparedScenario, prepare_scenario
-from .statevector import exact_purity, expectation
+from .statevector import _INTEGRATOR_COUNTS, exact_purity, expectation
 
 
 def _sites_label(sites) -> str:
@@ -75,8 +75,16 @@ def _rep_seed(master: int, rep: int) -> int:
     return int(np.random.SeedSequence([master, rep]).generate_state(1)[0])
 
 
-def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord]:
+def _integrator_since(start: dict[str, int]) -> dict[str, int]:
+    """Integrator work this process has done since the ``start`` counts."""
+    return {key: count - start[key] for key, count in _INTEGRATOR_COUNTS.items()}
+
+
+def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dict[str, int]]:
+    """One repetition's estimates and record, and the integrator work it did
+    (its own difference, so a worker process reports only its share)."""
     cfg, scen, schedule, h_squared, rep = args
+    start = dict(_INTEGRATOR_COUNTS)
     prot = cfg.protocol
     seed = _rep_seed(cfg.seed, rep)
     rng = np.random.default_rng(seed)
@@ -105,7 +113,7 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord]:
         values["variance:model"] = hamiltonian_variance(
             record, scen.hamiltonian, h_squared=h_squared
         ).value
-    return rep, values, record
+    return rep, values, record, _integrator_since(start)
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
@@ -113,16 +121,20 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 
     The scenario, the pulse schedule and H^2 (only when the variance is
     requested) are built once per run and shared by all repetitions.
-    run_meta.json records the record format version and the wall time of
+    run_meta.json records the record format version, the wall time of
     each stage: prepare (those shared inputs), repetitions, and write
-    (records and results.csv). Records under ``records/`` that this run did
-    not write, left by an earlier run with more repetitions, are deleted.
+    (records and results.csv), and the integrator's exponentials and
+    Taylor terms summed over the run, whatever the thread count. Records
+    under ``records/`` that this run did not write, left by an earlier run
+    with more repetitions, are deleted.
     """
     start = time.perf_counter()
+    start_counts = dict(_INTEGRATOR_COUNTS)
     scen = prepare_scenario(cfg.scenario)
     prot = cfg.protocol
     schedule = golden_schedule() if prot.mode == "pulsed" else None
     h_squared = square_observable(scen.hamiltonian) if cfg.targets.variance else None
+    integrator = _integrator_since(start_counts)
     work = [(cfg, scen, schedule, h_squared, rep) for rep in range(prot.n_ave)]
     prepared = time.perf_counter()
     if threads > 1:
@@ -132,12 +144,15 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         done = [_one_repetition(w) for w in work]
     done.sort(key=lambda item: item[0])
     repeated = time.perf_counter()
+    for *_, counts in done:
+        for key, count in counts.items():
+            integrator[key] += count
 
     out_dir.mkdir(parents=True, exist_ok=True)
     records_dir = out_dir / "records"
     records_dir.mkdir(exist_ok=True)
     written = set()
-    for rep, _, record in done:
+    for rep, _, record, _ in done:
         path = records_dir / f"rep_{rep:03d}.ndjson"
         save_record(record, path)
         written.add(path)
@@ -148,7 +163,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     rows = []
     keys = list(done[0][1].keys())
     for key in keys:
-        series = np.array([values[key] for _, values, _ in done])
+        series = np.array([values[key] for _, values, *_ in done])
         quantity, target = key.split(":", 1)
         rows.append(
             {
@@ -170,7 +185,12 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         "repetitions": repeated - prepared,
         "write": time.perf_counter() - repeated,
     }
-    extra = {"descriptor": scen.descriptor, "record_version": _RECORD_VERSION, "stages_s": stages_s}
+    extra = {
+        "descriptor": scen.descriptor,
+        "integrator": integrator,
+        "record_version": _RECORD_VERSION,
+        "stages_s": stages_s,
+    }
     _write_meta(cfg, out_dir, extra=extra)
     print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows, {prot.n_ave} repetitions)")
     return 0

@@ -499,7 +499,10 @@ def run_pulsed(
     by a few percent, which does not change the resolution the schedule
     needs. The default tol keeps the amplitude error two orders below the
     statistical resolution of any shot-sampled study; the integrator is
-    fourth order, so each extra digit costs about 1.8x the steps.
+    fourth order, so each extra digit costs about 1.8x the steps. Wall
+    time grows by less: a stretch of cells where the waveforms are
+    constant is one exponential whatever its step count, so only the
+    ramps and varying cells pay for the finer grid.
     """
     if fluct is None:
         fluct = FluctuationModel(eps_percent=0.0)

@@ -15,13 +15,18 @@ bit and bit 1 means ``|up>``. All Hamiltonian coefficients handed to the
 evolution routines must be angular frequencies in rad/us with times in us.
 
 The integrator is the fourth-order commutator-free Magnus scheme CFM4
-(Blanes and Moan, Appl. Numer. Math. 56, 1519 (2006)): each step applies
-two exponentials exp(-i dt B), B a blend of H at the two Gauss nodes, each
-by a Taylor series (kept within ``|B| * dt <= 2``, where the series
-reaches machine precision in about 25 terms; a series that has not
-converged by term 40 raises). The final answer is refined by step doubling
-until two grids agree within ``tol``; the refinement jump and the grid
-certificate in :mod:`rmlab.protocol` both follow from the order ``_ORDER``.
+(Blanes and Moan, Appl. Numer. Math. 56, 1519 (2006)): a step applies two
+exponentials exp(-i dt B), B a blend of H at the two Gauss nodes. Where
+consecutive steps see exactly the same coefficient values at every node
+(a constant stretch of a pulse schedule, or a static H) both blends are
+that one H, and the whole run of steps is the single exponential
+exp(-i m dt H). Each exponential is a Taylor series, split into pieces of
+``|B| * t <= 2``, where the series reaches machine precision in about 25
+terms; a series that has not converged by term 40 raises. The final
+answer is refined by step doubling until two grids agree within ``tol``;
+the refinement jump and the grid certificate in :mod:`rmlab.protocol`
+both follow from the order ``_ORDER``. ``evolve_static`` is the same
+engine on a constant H.
 
 ``evolve_blend`` also evolves a block of K copies of one state at once when
 its parts are column-valued (per-column coefficients or a (2^L, K) diagonal):
@@ -47,7 +52,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh, expm_multiply
+from scipy.sparse.linalg import eigsh
 
 from .pauli import ROTATION_MATRICES, PauliString, PauliStringSum
 
@@ -83,9 +88,9 @@ MAX_SITES = 14
 MAX_SUBSYSTEM = 12
 
 _NORM_TOL = 1e-9
-# |B| * dt for each exponential exp(-i dt B), B a blend of H at the Gauss
-# nodes: keeps the Taylor series comfortably convergent (~20 terms);
-# accuracy is owned by the step-doubling refinement
+# |B| * t for each Taylor piece of an exponential exp(-i t B), B a blend of
+# H at the Gauss nodes: keeps the series comfortably convergent (~25
+# terms); accuracy is owned by the step-doubling refinement
 _STEP_BUDGET = 2.0
 
 # CFM4 step: Gauss nodes at t + (1/2 -+ _GAUSS_OFF) dt, shared with the
@@ -296,6 +301,11 @@ Operator = "sparse.spmatrix | np.ndarray"
 # Taylor terms after which an unconverged series is an error
 _TAYLOR_TERMS = 40
 
+# integrator work done in this process since import: exponentials (one
+# blend of H each) and Taylor terms (one application of H each); a caller
+# takes differences
+_INTEGRATOR_COUNTS = {"exponentials": 0, "taylor_terms": 0}
+
 
 def _as_coefficient(c: float | Coefficient) -> Coefficient:
     if callable(c):
@@ -474,15 +484,33 @@ def _taylor_apply(mv, v: np.ndarray, dt: float) -> np.ndarray:
         term = mv(term) * (-1j * dt / k)
         out += term
         # the one-vector test stays scalar: it runs once per term
-        if block:
-            if (_sq_norms(term) <= tiny2).all():
-                return out
-        elif _sq_norms(term) <= tiny2:
+        if (_sq_norms(term) <= tiny2).all() if block else _sq_norms(term) <= tiny2:
+            _INTEGRATOR_COUNTS["taylor_terms"] += k
             return out
     raise NumericalContractError(
         f"Taylor series not converged in {_TAYLOR_TERMS} terms at dt = {dt:.3g}; "
         "|H| dt is beyond the step budget"
     )
+
+
+def _equal(a: Sequence, b: Sequence) -> bool:
+    """Two lists of coefficient values are exactly equal: == per scalar,
+    elementwise per column array, no tolerance."""
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b)
+    )
+
+
+def _exponential(ham: _BlendHamiltonian, cs: Sequence, tau: float, v: np.ndarray) -> np.ndarray:
+    """exp(-i tau B) v for the blend B = sum_k cs[k] A_k, in as many Taylor
+    pieces as keep |B| tau within the step budget for each."""
+    mv = ham.matvec(cs)
+    pieces = max(1, int(np.ceil(ham.norm_bound(cs) * tau / _STEP_BUDGET)))
+    sub = tau / pieces
+    for _ in range(pieces):
+        v = _taylor_apply(mv, v, sub)
+    _INTEGRATOR_COUNTS["exponentials"] += 1
+    return v
 
 
 def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n: int) -> np.ndarray:
@@ -491,21 +519,38 @@ def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n:
     H1 and H2 are H at the earlier and later Gauss node. The right-hand
     exponential acts first, so it puts the larger weight a2 on the earlier
     node; the reverse order converges at second order only.
+
+    A step whose two nodes give exactly equal coefficient values has
+    H1 = H2 = H, and since a1 + a2 = 1/2 it is exp(-i dt H). The steps
+    that follow it with those same values at both nodes join it, and the
+    run of m steps is applied as the one exponential exp(-i m dt H). That
+    is the propagator of the same n-step grid, with only the Taylor
+    roundoff changed; every node is still evaluated exactly once.
     """
     dt = (t1 - t0) / n
-    v = amp
-    for k in range(n):
+
+    def nodes(k: int):
+        if k == n:
+            return None
         t = t0 + k * dt
-        h1 = ham.values(t + (0.5 - _GAUSS_OFF) * dt)
-        h2 = ham.values(t + (0.5 + _GAUSS_OFF) * dt)
-        for w1, w2 in ((_A2, _A1), (_A1, _A2)):
-            cs = [w1 * c1 + w2 * c2 for c1, c2 in zip(h1, h2)]
-            mv = ham.matvec(cs)
-            # split further if a coefficient spike makes this exponent too large
-            pieces = max(1, int(np.ceil(ham.norm_bound(cs) * dt / _STEP_BUDGET)))
-            sub = dt / pieces
-            for _ in range(pieces):
-                v = _taylor_apply(mv, v, sub)
+        return ham.values(t + (0.5 - _GAUSS_OFF) * dt), ham.values(t + (0.5 + _GAUSS_OFF) * dt)
+
+    v = amp
+    k = 0
+    step = nodes(0)
+    while step is not None:
+        h1, h2 = step
+        start = k
+        k += 1
+        step = nodes(k)
+        if not _equal(h1, h2):
+            for w1, w2 in ((_A2, _A1), (_A1, _A2)):
+                v = _exponential(ham, [w1 * c1 + w2 * c2 for c1, c2 in zip(h1, h2)], dt, v)
+            continue
+        while step is not None and _equal(step[0], h1) and _equal(step[1], h1):
+            k += 1
+            step = nodes(k)
+        v = _exponential(ham, h1, (k - start) * dt, v)
     return v
 
 
@@ -521,11 +566,14 @@ def evolve_blend(
 
     Each CFM4 step evaluates the coefficients at its two Gauss nodes and
     applies two exponentials of their blends, which is fourth order in the
-    step for smooth coefficients. Step doubling refines the grid until the
-    final amplitudes move by less than ``tol``, jumping by
+    step for smooth coefficients; a run of steps whose node values are all
+    exactly equal is one exponential (see ``_run_steps``), so a constant
+    stretch costs Taylor terms in proportion to |H| times its length, not
+    to its step count. Step doubling refines the grid until the final
+    amplitudes move by less than ``tol``, jumping by
     ``(err/tol)^(1/_ORDER)`` toward the grid that meets it; pass
-    ``tol=None`` to accept the first grid (used by the measurement pipeline
-    after the grid has been validated once on an identical-cost sample).
+    ``tol=None`` to accept the first grid (used by the measurement pipeline,
+    whose grid is certified separately: see ``protocol._validated_block``).
 
     Column-valued parts (a coefficient returning a length-K array, or a
     dense (2^L, K) diagonal block) evolve K copies of psi as one block,
@@ -582,17 +630,14 @@ def evolve_blend(
 
 
 def evolve_static(psi: StateVector, h: PauliStringSum, duration: float) -> StateVector:
-    """Evolve under a constant Hamiltonian, exactly, in one call."""
+    """Evolve under a constant Hamiltonian: one step of ``evolve_blend``,
+    which is the single exponential exp(-i duration H), exact up to the
+    Taylor roundoff."""
     if duration < 0:
         raise ValueError("duration must be non-negative")
     if duration == 0.0:
         return psi.copy()
-    h_csr = h.to_sparse()
-    v = expm_multiply(-1j * duration * h_csr, psi.amp)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise NumericalContractError(f"norm drift {abs(norm - 1.0):.3e} during evolution")
-    return StateVector(v / norm, psi.num_sites)
+    return evolve_blend(psi, [(1.0, h.to_sparse())], 0.0, duration, tol=None, initial_steps=1)
 
 
 # ---------------------------------------------------------------------------

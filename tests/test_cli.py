@@ -153,6 +153,37 @@ def test_run_meta_reports_record_version_and_stage_times(tmp_path):
     assert all(isinstance(t, float) and t >= 0.0 for t in meta["stages_s"].values())
 
 
+_TINY_RUNS = {
+    # per repetition, a 300-step block and the 600-step grid check: the
+    # golden schedule's constant cells fuse into 153 and 303 exponentials
+    "pulsed": (
+        {"kind": "af", "num_sites": 4},
+        {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 2, "eps_percent": 3.0, "tol": 1e-4},
+        {"exponentials": 2 * (153 + 303), "taylor_terms": 8979},
+    ),
+    # the sweep's refinement, once per run; ideal repetitions integrate nothing
+    "adiabatic": (
+        {"kind": "adiabatic", "num_sites": 6, "t_prep": 0.05},
+        {"mode": "ideal", "n_unitaries": 3, "n_meas": 20, "n_ave": 2},
+        {"exponentials": 460, "taylor_terms": 2584},
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", sorted(_TINY_RUNS))
+def test_run_meta_counts_integrator_work_over_the_run(tmp_path, kind, threads):
+    scenario, protocol, counts = _TINY_RUNS[kind]
+    cfg = tmp_path / f"{kind}.json"
+    cfg.write_text(json.dumps({
+        "scenario": scenario, "protocol": protocol,
+        "estimators": {"subsystems": [[1, 2]]}, "seed": 3,
+    }))
+    out = tmp_path / "run"
+    assert run_cli("run", cfg, "--out", out, "--threads", threads) == 0
+    assert json.loads((out / "run_meta.json").read_text())["integrator"] == counts
+
+
 def test_pulsed_run_loads_the_schedule_once(tmp_path, monkeypatch):
     import rmlab.cli as cli
     import rmlab.config as config

@@ -366,6 +366,25 @@ def test_pulsed_block_matches_per_unitary_loop(golden, with_h, n_meas):
     assert err <= 15 / 16 * 1e-4
 
 
+@pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 300])
+def test_pulsed_run_matches_the_per_step_loop(golden, monkeypatch, per_step_loop, n_meas):
+    # fusing the schedule's constant cells changes only the Taylor roundoff
+    import rmlab.statevector as statevector
+
+    h = build_ssh(4, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
+    psi = ground_state(h)[1]
+    samples = sample_unitaries(4, 4, np.random.default_rng(18))
+    kwargs = dict(
+        fluct=FluctuationModel(3.0), h_mod=h, n_meas=n_meas,
+        readout=ReadoutErrorModel(0.01, 0.03), seed=19, tol=1e-4,
+    )
+    fused = run_pulsed(psi, samples, golden, **kwargs)
+    monkeypatch.setattr(statevector, "_run_steps", per_step_loop)
+    stepped = run_pulsed(psi, samples, golden, **kwargs)
+    assert fused.meta == stepped.meta
+    _assert_same_entries(fused, stepped.entries)
+
+
 def test_pulsed_tight_tol_doubles_block_grid(golden):
     # one step per waveform cell already meets 1e-8 here; 1e-10 does not
     rng = np.random.default_rng(16)

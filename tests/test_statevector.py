@@ -222,6 +222,117 @@ def test_evolve_blend_matches_static():
     assert np.max(np.abs(out1.amp - out2.amp)) < 1e-9
 
 
+def _stepped_waveform_problem(k=None):
+    """A drive with a constant stretch, a ramp and a jump (pulses.Waveform
+    is piecewise linear, a repeated time a jump), a static coupling, and
+    with ``k`` columns per-column gains and light-shift diagonals."""
+    from rmlab.pulses import Waveform
+
+    L = 3
+    wave = Waveform(
+        np.array([0.0, 0.3, 0.55, 0.55, 1.0]), np.array([2.0, 2.0, -1.5, 3.0, 3.0])
+    )
+    zz = build_ssh(L, 0.8, -0.4).to_sparse()
+    n_tot = occupation(L, range(1, L + 1))
+    if k is None:
+        return [(wave.value, x_total(L)), (lambda t: -wave.value(t), n_tot), (1.0, zz)]
+    rng = np.random.default_rng(31)
+    gains = 1.0 + 0.05 * rng.normal(size=k)
+    shifts = rng.normal(size=(2**L, k))
+    return [
+        (lambda t: wave.value(t) * gains, x_total(L)),
+        (lambda t: 0.5 * wave.value(t), shifts),
+        (1.0, zz),
+    ]
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+def test_fused_steps_match_the_per_step_loop(monkeypatch, per_step_loop, columns):
+    import rmlab.statevector as statevector
+
+    psi = random_state(3, np.random.default_rng(32))
+    parts = _stepped_waveform_problem(columns)
+    counts = statevector._INTEGRATOR_COUNTS
+    for n in (20, 80, 320):
+        before = counts["exponentials"]
+        fused = evolve_blend(psi, parts, 0.0, 1.0, tol=None, initial_steps=n)
+        exponentials = counts["exponentials"] - before
+        # the constant stretches fuse; the ramp and the jump's cell do not
+        assert exponentials < 2 * n
+        with monkeypatch.context() as m:
+            m.setattr(statevector, "_run_steps", per_step_loop)
+            stepped = evolve_blend(psi, parts, 0.0, 1.0, tol=None, initial_steps=n)
+        if columns is None:
+            fused, stepped = [fused], [stepped]
+        for a, b in zip(fused, stepped, strict=True):
+            assert np.max(np.abs(a.amp - b.amp)) < 1e-12
+
+
+def _exponentials_applied(monkeypatch, times, values, n):
+    """(tau, drive value) of every exponential applied over [0, 3] on n
+    steps, and how often the drive was called."""
+    import rmlab.statevector as statevector
+    from rmlab.pulses import Waveform
+
+    wave = Waveform(np.array(times), np.array(values))
+    calls = []
+
+    def drive(t):
+        calls.append(t)
+        return wave.value(t)
+
+    applied = []
+    exponential = statevector._exponential
+
+    def recorded(ham, cs, tau, v):
+        applied.append((round(tau, 12), float(cs[0])))
+        return exponential(ham, cs, tau, v)
+
+    monkeypatch.setattr(statevector, "_exponential", recorded)
+    psi = random_state(2, np.random.default_rng(33))
+    parts = [(drive, x_total(2)), (1.0, occupation(2, [1]))]
+    evolve_blend(psi, parts, 0.0, 3.0, tol=None, initial_steps=n)
+    assert len(calls) == 1 + 2 * n
+    return applied
+
+
+def test_fusion_joins_only_steps_with_equal_node_values(monkeypatch):
+    from rmlab.statevector import _A1, _A2
+
+    # two constant cells, then a cell with a kink at t = 2.5: the kink cell
+    # keeps its two exponentials of blended values
+    applied = _exponentials_applied(monkeypatch, [0.0, 2.0, 2.5, 3.0], [1.0, 1.0, 1.0, 2.0], 3)
+    assert [tau for tau, _ in applied] == [2.0, 1.0, 1.0]
+    assert applied[0][1] == 1.0 and applied[1][1] != 1.0
+    # a jump at t = 1.5 between the Gauss nodes of the middle step: that
+    # step is stepped, its neighbours stay apart
+    applied = _exponentials_applied(
+        monkeypatch, [0.0, 1.5, 1.5, 3.0], [1.0, 1.0, 2.0, 2.0], 3
+    )
+    assert applied == [(1.0, 1.0), (1.0, _A2 + 2.0 * _A1), (1.0, _A1 + 2.0 * _A2), (1.0, 2.0)]
+    # a jump on a step boundary splits two constant runs, each fused
+    applied = _exponentials_applied(
+        monkeypatch, [0.0, 2.0, 2.0, 3.0], [1.0, 1.0, 2.0, 2.0], 6
+    )
+    assert applied == [(2.0, 1.0), (1.0, 2.0)]
+
+
+def test_constant_hamiltonian_far_past_the_step_budget():
+    from rmlab.statevector import _STEP_BUDGET
+
+    psi = random_state(4, np.random.default_rng(34))
+    h = build_ssh(4, 30.0, -11.0, j_nnn=2.5, mu_edge=4.0)
+    duration = 10.0
+    # the one exponential takes hundreds of Taylor pieces
+    assert np.abs(h.to_sparse()).sum(axis=1).max() * duration > 100 * _STEP_BUDGET
+    ref = expm(-1j * duration * h.to_matrix()) @ psi.amp
+    for out in (
+        evolve_static(psi, h, duration),
+        evolve_blend(psi, [(1.0, h.to_sparse())], 0.0, duration, tol=1e-9),
+    ):
+        assert np.max(np.abs(out.amp - ref)) < 1e-12
+
+
 def _block_problem(num_sites, k):
     """Shared X drive, a per-column drive gain and per-column diagonals."""
     rng = np.random.default_rng(21)
