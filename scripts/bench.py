@@ -7,7 +7,10 @@ For every workload in rmbench/workloads.py this runs the unchanged
 ``rmbench/run.py`` twice from the repository root: once end to end
 (``--trace 0``) and once traced per layer (``--trace 1``). OUT.json
 holds each run's last output line (the result) under the workload's
-name, and the provenance of the first run: git hash, source digest
+name, next to ``integrator``: the integrator's exponentials and series
+terms from ``run_meta.json`` of one untimed ``rmlab run`` of the
+workload's config at the seed, work counts that host speed cannot blur.
+It also holds the provenance of the first run: git hash, source digest
 (the hash does not see uncommitted edits), numpy and scipy versions,
 nproc and the line counts of ``src`` and ``tests``. ``git_dirty`` is
 true when the work tree differed from that hash before the runs, so the
@@ -34,6 +37,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,11 +58,25 @@ def run_set(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict,
     return json.loads(lines[-1]), provenance
 
 
+def src_env() -> dict:
+    """The environment with the checkout's ``src`` first on PYTHONPATH."""
+    return os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+
+
+def integrator_counts(config: dict) -> dict:
+    """``run_meta.json["integrator"]`` of one ``rmlab run`` of the config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "config.json", Path(tmp) / "run"
+        cfg.write_text(json.dumps(config))
+        cmd = [sys.executable, "-m", "rmlab.cli", "run", str(cfg), "--out", str(out), "--threads", "1"]
+        subprocess.run(cmd, cwd=ROOT, env=src_env(), capture_output=True, check=True)
+        return json.loads((out / "run_meta.json").read_text())["integrator"]
+
+
 def run_tier1() -> dict:
     """Run the tier-1 tests once from the repository root: counts and wall time."""
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1_ARGS], cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *TIER1_ARGS], cwd=ROOT, env=src_env(), capture_output=True, text=True)
     wall_s = time.perf_counter() - start
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (\w+)", summary.split(" in ")[0])}
@@ -111,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         for trace, kind in ((0, "end_to_end"), (1, "per_layer")):
             print(f"{name} {kind} ...", file=sys.stderr, flush=True)
             results[kind], provenance = run_set(name, args.seed, args.seconds, trace)
+        results["integrator"] = integrator_counts(WORKLOADS[name].make_config(args.seed))
         report["workloads"][name] = results
         report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS} | {"git_dirty": dirty})
     report["provenance"]["public_surface"] = public_surface()

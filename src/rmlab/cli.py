@@ -124,7 +124,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     run_meta.json records the record format version, the wall time of
     each stage: prepare (those shared inputs), repetitions, and write
     (records and results.csv), and the integrator's exponentials and
-    Taylor terms summed over the run, whatever the thread count. Records
+    series terms summed over the run, whatever the thread count. Records
     under ``records/`` that this run did not write, left by an earlier run
     with more repetitions, are deleted.
     """

@@ -430,7 +430,7 @@ def _pulsed_parts(
 def _norm_budget(
     schedule: PulseSchedule, num_sites: int, h_mod_bound: float
 ) -> float:
-    """Upper bound on ||H(t)|| for picking a Taylor-safe step count."""
+    """Upper bound on ||H(t)|| for sizing the start grid by the step budget."""
     dmax = max(abs(d) for d in schedule.delta_amps)
     return (
         schedule.omega.max_abs() / 2.0 * num_sites
@@ -502,7 +502,10 @@ def run_pulsed(
     fourth order, so each extra digit costs about 1.8x the steps. Wall
     time grows by less: a stretch of cells where the waveforms are
     constant is one exponential whatever its step count, so only the
-    ramps and varying cells pay for the finer grid.
+    ramps and varying cells pay for the finer grid. A long constant
+    stretch is a Chebyshev series, whose terms grow with the half-width
+    of the spectrum (set by the light shifts) times the stretch's
+    length, about one per unit of it (see ``statevector._exponential``).
     """
     if fluct is None:
         fluct = FluctuationModel(eps_percent=0.0)
@@ -524,7 +527,7 @@ def run_pulsed(
         h_sparse = h_mod.to_sparse()
         h_bound = float(sum(abs(c) for _, c in h_mod.items()))
 
-    # Taylor-safe and kink-aligned starting grid
+    # step-budget and kink-aligned starting grid
     n_cells = max(1, len(schedule.breakpoints()) - 1)
     burst = _norm_budget(schedule, num_sites, h_bound) * _EXP_WEIGHT * schedule.T
     n_burst = int(np.ceil(burst / _STEP_BUDGET))

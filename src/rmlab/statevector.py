@@ -20,19 +20,25 @@ exponentials exp(-i dt B), B a blend of H at the two Gauss nodes. Where
 consecutive steps see exactly the same coefficient values at every node
 (a constant stretch of a pulse schedule, or a static H) both blends are
 that one H, and the whole run of steps is the single exponential
-exp(-i m dt H). Each exponential is a Taylor series, split into pieces of
-``|B| * t <= 2``, where the series reaches machine precision in about 25
-terms; a series that has not converged by term 40 raises. The final
-answer is refined by step doubling until two grids agree within ``tol``;
-the refinement jump and the grid certificate in :mod:`rmlab.protocol`
-both follow from the order ``_ORDER``. ``evolve_static`` is the same
-engine on a constant H.
+exp(-i m dt H). An exponential with ``|B| * t <= 2`` is one Taylor series,
+which stops on its own once a term falls below 1e-16 (about 10-25 terms)
+and raises if it has not by term 40. A longer one (a fused stretch) is a
+Chebyshev series in (B - s) / R, with s near the centre and R the
+half-width of B's Gershgorin interval, per column (Tal-Ezer and Kosloff,
+J. Chem. Phys. 81, 3967 (1984)): about one application of B per unit of
+R * t, where Taylor pieces would need about ten per unit of |B| * t.
+The final answer is
+refined by step doubling until two grids agree within ``tol``; the
+refinement jump and the grid certificate in :mod:`rmlab.protocol` both
+follow from the order ``_ORDER``. ``evolve_static`` is the same engine on
+a constant H.
 
 ``evolve_blend`` also evolves a block of K copies of one state at once when
 its parts are column-valued (per-column coefficients or a (2^L, K) diagonal):
 the columns share the step grid. H is assembled once per exponential
-(``_BlendHamiltonian``), so a Taylor term makes one sparse product per
-coefficient kind, on real arithmetic where a block meets a real matrix.
+(``_BlendHamiltonian``), so a term of either series makes one sparse
+product per coefficient kind, on real arithmetic where a block meets a
+real matrix.
 
 This module owns the bit convention for the whole package:
 ``index_to_bits`` / ``bits_to_index`` are the only conversions between
@@ -88,9 +94,11 @@ MAX_SITES = 14
 MAX_SUBSYSTEM = 12
 
 _NORM_TOL = 1e-9
-# |B| * t for each Taylor piece of an exponential exp(-i t B), B a blend of
-# H at the Gauss nodes: keeps the series comfortably convergent (~25
-# terms); accuracy is owned by the step-doubling refinement
+# |B| * t up to which an exponential exp(-i t B), B a blend of H at the
+# Gauss nodes, is one Taylor series (converged to 1e-16 in about 25 terms
+# at the limit) and beyond which it is a Chebyshev series; the start grid
+# of evolve_blend gives each step about this much. Accuracy is owned by
+# the step-doubling refinement
 _STEP_BUDGET = 2.0
 
 # CFM4 step: Gauss nodes at t + (1/2 -+ _GAUSS_OFF) dt, shared with the
@@ -140,7 +148,8 @@ class StateVector:
         if self.amp.shape != (2**self.num_sites,):
             raise ValueError("amplitude length must be 2**num_sites")
         norm = np.linalg.norm(self.amp)
-        if abs(norm - 1.0) > _NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
     def probabilities(self) -> np.ndarray:
@@ -300,11 +309,14 @@ Operator = "sparse.spmatrix | np.ndarray"
 
 # Taylor terms after which an unconverged series is an error
 _TAYLOR_TERMS = 40
+# a Chebyshev series stops where every later coefficient is below this
+# (the Taylor series' stop rule, relative to a unit input)
+_SERIES_TINY = 1e-16
 
 # integrator work done in this process since import: exponentials (one
-# blend of H each) and Taylor terms (one application of H each); a caller
-# takes differences
-_INTEGRATOR_COUNTS = {"exponentials": 0, "taylor_terms": 0}
+# blend of H each) and series terms (one application of H each, Taylor or
+# Chebyshev); a caller takes differences
+_INTEGRATOR_COUNTS = {"exponentials": 0, "series_terms": 0}
 
 
 def _as_coefficient(c: float | Coefficient) -> Coefficient:
@@ -365,7 +377,7 @@ class _BlendHamiltonian:
     per part; an off-diagonal whose coefficient is column-valued gets its
     own CSR. ``matvec`` then folds every diagonal into one vector (or block)
     and blends the shared data into one matrix, once per exponential, so a
-    Taylor term costs one elementwise multiply, one sparse product for the
+    series term costs one elementwise multiply, one sparse product for the
     shared matrix and one per column-valued part.
 
     Column-valued parts make H act on a (2^L, K) block: a coefficient that
@@ -394,7 +406,10 @@ class _BlendHamiltonian:
             raise ValueError(f"column-valued parts disagree on the column count: {sorted(widths)}")
         self.columns = widths.pop() if widths else None
         block = self.columns is not None
+        # per part: the infinity norm, which sizes steps and picks the
+        # series, and the largest row sum of its off-diagonal |entries|
         self.bounds = []
+        self.off_bounds = []
         # (part index, diagonal): one (2^L,) vector, (2^L, 1) on a block, or a dense block
         self.diags = []
         # off-diagonal entries, (part index, (keys, values)), by coefficient kind
@@ -404,11 +419,13 @@ class _BlendHamiltonian:
             if isinstance(m, np.ndarray):
                 self.diags.append((k, m))
                 self.bounds.append(np.max(np.abs(m), axis=0))
+                self.off_bounds.append(0.0)
                 continue
             m = m.tocsr()
-            # infinity norm, used only for step-size selection
             self.bounds.append(float(abs(m).sum(axis=1).max()))
             d, keys, values = _split(m)
+            row_sums = np.bincount(keys // dim, weights=np.abs(values), minlength=dim)
+            self.off_bounds.append(float(row_sums.max()))
             if d.any():
                 self.diags.append((k, d[:, None] if block else d))
             if keys.size:
@@ -425,14 +442,19 @@ class _BlendHamiltonian:
         """Coefficient values at t, in part order."""
         return [c(t) for c in self.coeffs]
 
-    def matvec(self, cs: Sequence):
-        """v -> sum_k cs[k] A_k v, for coefficient values ``cs``.
+    def diagonal(self, cs: Sequence):
+        """The diagonal of sum_k cs[k] A_k: (2^L,) for a vector, (2^L, 1) or
+        (2^L, K) on a block, 0 when no part has a diagonal."""
+        return sum(cs[k] * d for k, d in self.diags)
+
+    def matvec(self, cs: Sequence, shift=0.0):
+        """v -> (sum_k cs[k] A_k - shift) v, for coefficient values ``cs``
+        and a scalar or per-column ``shift``.
 
         The diagonals and the shared matrix are blended here, once; the
-        returned function applies them to each Taylor term.
+        returned function applies them to each series term.
         """
-        # 0 when no part has a diagonal
-        diag = sum(cs[k] * d for k, d in self.diags)
+        diag = self.diagonal(cs) - shift
         products = [(m, cs[k]) for k, m in self.own]
         if self.shared is not None:
             index, template, data = self.shared
@@ -456,6 +478,16 @@ class _BlendHamiltonian:
         """Bound on |sum_k cs[k] A_k|; for a block, the largest over its columns."""
         bound = sum(abs(c) * b for c, b in zip(cs, self.bounds))
         return bound if self.columns is None else float(np.max(bound))
+
+    def interval(self, cs: Sequence):
+        """Gershgorin interval (lo, hi) holding every eigenvalue of
+        sum_k cs[k] A_k: the least and greatest blended diagonal entry,
+        widened by sum_k |cs[k]| times part k's largest off-diagonal row
+        sum. Floats for a single vector, one value per column on a block."""
+        diag = np.real(self.diagonal(cs))
+        lo, hi = (np.min(diag, axis=0), np.max(diag, axis=0)) if np.ndim(diag) else (diag, diag)
+        radius = sum(abs(c) * b for c, b in zip(cs, self.off_bounds))
+        return lo - radius, hi + radius
 
 
 def _sq_norms(v: np.ndarray):
@@ -485,7 +517,7 @@ def _taylor_apply(mv, v: np.ndarray, dt: float) -> np.ndarray:
         out += term
         # the one-vector test stays scalar: it runs once per term
         if (_sq_norms(term) <= tiny2).all() if block else _sq_norms(term) <= tiny2:
-            _INTEGRATOR_COUNTS["taylor_terms"] += k
+            _INTEGRATOR_COUNTS["series_terms"] += k
             return out
     raise NumericalContractError(
         f"Taylor series not converged in {_TAYLOR_TERMS} terms at dt = {dt:.3g}; "
@@ -501,14 +533,101 @@ def _equal(a: Sequence, b: Sequence) -> bool:
     )
 
 
+def _bessel_cutoff(x: float, tiny: float) -> int:
+    """Least n >= x, n >= 2, with |J_k(x)| < tiny for every k >= n.
+
+    Kapteyn's inequality |J_k(k z)| <= (z e^s / (1 + s))^k, s = sqrt(1 - z^2),
+    0 < z <= 1, bounds J_k(x) for k >= x; its logarithm falls strictly as k
+    grows, so the first k below ``tiny`` is the cut. x must be finite and
+    positive.
+    """
+    n = max(2, math.ceil(x))
+    log_tiny = math.log(tiny)
+    while True:
+        z = x / n
+        s = math.sqrt(1.0 - z * z)
+        if n * (math.log(z) + s - math.log1p(s)) < log_tiny:
+            return n
+        n += 1
+
+
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(x), k = 0 .. n - 1: exp(-i x y) = sum_k
+    c_k T_k(y) on [-1, 1] (Jacobi-Anger), cut at ``_bessel_cutoff(x,
+    _SERIES_TINY)``. x must be finite and positive.
+
+    J_k comes from Miller's backward recurrence J_(k-1) = (2k / x) J_k -
+    J_(k+1), normalised by J_0 + 2 sum_k J_2k = 1. It starts where every
+    J_k is below 1e-40, so its arbitrary start values fade far below double
+    precision by k = n; the values are good to a few 1e-16 up to x = 1e3,
+    where an FFT of exp(-i x cos theta) loses 1e-14 to the rounding of its
+    phases.
+    """
+    n = _bessel_cutoff(x, _SERIES_TINY)
+    start = _bessel_cutoff(x, 1e-40)
+    j = [0.0] * (start + 2)
+    j[start] = 1.0
+    for k in range(start, 0, -1):
+        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
+        # a small x grows the recurrence by about 2k / x per step
+        if abs(j[k - 1]) > 1e250:
+            j = [val * 1e-250 for val in j]
+    norm = j[0] + 2.0 * math.fsum(j[2::2])
+    return np.array([(2.0 if k else 1.0) * (1, -1j, -1, 1j)[k % 4] * j[k] / norm for k in range(n)])
+
+
+def _chebyshev_apply(ham: _BlendHamiltonian, cs: Sequence, tau: float, v: np.ndarray) -> np.ndarray:
+    """exp(-i tau B) v by Chebyshev series, for the blend B = sum_k cs[k] A_k.
+
+    Each column is shifted by s, the multiple of 2 pi / tau nearest the
+    centre of its Gershgorin interval (``ham.interval``), so that its
+    phase e^(-i tau s) is 1 and no sine or cosine is taken; R is the
+    largest half-width over the columns of the interval about s, at most
+    pi / tau wider than the interval itself. Then exp(-i tau B) =
+    sum_k c_k T_k(X), X = (B - s) / R, with the coefficients of
+    ``_chebyshev_coefficients(R tau)``. The shift and the scale are folded
+    into the blend, which is assembled once as 2X, so each term
+    T_(k+1) v = 2X T_k v - T_(k-1) v costs one application, as a Taylor
+    term does. The number of terms is fixed in advance, about
+    R tau + 12 (R tau)^(1/3), so no term is tested. A non-finite interval
+    (a NaN or infinite coefficient) raises NumericalContractError.
+    """
+    lo, hi = ham.interval(cs)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise NumericalContractError(f"non-finite spectral interval of H at tau = {tau:.3g}")
+    centre = (lo + hi) / 2.0
+    turn = 2.0 * math.pi / tau
+    shift = turn * np.round(centre / turn)
+    half = float(np.max((hi - lo) / 2.0 + np.abs(centre - shift)))
+    if half == 0.0:
+        return v.copy()
+    coeffs = _chebyshev_coefficients(half * tau)
+    scale = 2.0 / half
+    mv = ham.matvec([scale * c for c in cs], shift=scale * shift)
+    prev, cur = v, mv(v)
+    cur *= 0.5
+    out = coeffs[1] * cur
+    out += coeffs[0] * v
+    for c in coeffs[2:]:
+        nxt = mv(cur)
+        nxt -= prev
+        prev, cur = cur, nxt
+        out += c * cur
+    _INTEGRATOR_COUNTS["series_terms"] += len(coeffs) - 1
+    return out
+
+
 def _exponential(ham: _BlendHamiltonian, cs: Sequence, tau: float, v: np.ndarray) -> np.ndarray:
-    """exp(-i tau B) v for the blend B = sum_k cs[k] A_k, in as many Taylor
-    pieces as keep |B| tau within the step budget for each."""
-    mv = ham.matvec(cs)
-    pieces = max(1, int(np.ceil(ham.norm_bound(cs) * tau / _STEP_BUDGET)))
-    sub = tau / pieces
-    for _ in range(pieces):
-        v = _taylor_apply(mv, v, sub)
+    """exp(-i tau B) v for the blend B = sum_k cs[k] A_k: one Taylor series
+    when |B| tau is within the step budget, where its adaptive stop needs
+    the fewest terms, and a Chebyshev series beyond it, where Taylor
+    pieces would cost about ten terms per unit of |B| tau. A NaN or
+    infinite |B| fails the budget test, and the Chebyshev path raises on
+    it."""
+    if ham.norm_bound(cs) * tau <= _STEP_BUDGET:
+        v = _taylor_apply(ham.matvec(cs), v, tau)
+    else:
+        v = _chebyshev_apply(ham, cs, tau, v)
     _INTEGRATOR_COUNTS["exponentials"] += 1
     return v
 
@@ -524,7 +643,7 @@ def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n:
     H1 = H2 = H, and since a1 + a2 = 1/2 it is exp(-i dt H). The steps
     that follow it with those same values at both nodes join it, and the
     run of m steps is applied as the one exponential exp(-i m dt H). That
-    is the propagator of the same n-step grid, with only the Taylor
+    is the propagator of the same n-step grid, with only the series
     roundoff changed; every node is still evaluated exactly once.
     """
     dt = (t1 - t0) / n
@@ -568,8 +687,12 @@ def evolve_blend(
     applies two exponentials of their blends, which is fourth order in the
     step for smooth coefficients; a run of steps whose node values are all
     exactly equal is one exponential (see ``_run_steps``), so a constant
-    stretch costs Taylor terms in proportion to |H| times its length, not
-    to its step count. Step doubling refines the grid until the final
+    stretch costs series terms in proportion to its length, not to its
+    step count: an exponential within the step budget is one Taylor
+    series, a longer one a Chebyshev series of about one term per unit of
+    half the spectral width times its length (see ``_exponential``). A
+    NaN or infinite coefficient value raises NumericalContractError.
+    Step doubling refines the grid until the final
     amplitudes move by less than ``tol``, jumping by
     ``(err/tol)^(1/_ORDER)`` toward the grid that meets it; pass
     ``tol=None`` to accept the first grid (used by the measurement pipeline,
@@ -579,7 +702,7 @@ def evolve_blend(
     dense (2^L, K) diagonal block) evolve K copies of psi as one block,
     column j under the j-th values, and return the K states as a list. The
     columns share one step grid: it is sized by the largest column bound,
-    and ``tol`` applies to the column that moves most. Each Taylor term
+    and ``tol`` applies to the column that moves most. Each series term
     costs one multiply for all diagonals, one sparse product for the
     off-diagonal parts with a scalar coefficient and one per column-valued
     off-diagonal part (see ``_BlendHamiltonian``).
@@ -598,6 +721,8 @@ def evolve_blend(
     if initial_steps is None:
         grid = np.linspace(t0, t1, 33)
         peak = max(ham.norm_bound(ham.values(float(t))) for t in grid)
+        if not math.isfinite(peak):
+            raise NumericalContractError(f"non-finite bound {peak} on |H| over the start grid")
         n = max(1, int(np.ceil(peak * _EXP_WEIGHT * span / _STEP_BUDGET)))
     else:
         n = max(1, int(initial_steps))
@@ -621,7 +746,8 @@ def evolve_blend(
             )
     norm = _norms(v)
     drift = float(np.max(np.abs(norm - 1.0)))
-    if drift > _NORM_TOL:
+    # written so that a NaN drift fails too
+    if not drift <= _NORM_TOL:
         raise NumericalContractError(f"norm drift {drift:.3e} during evolution")
     v = v / norm
     if ham.columns is None:
@@ -632,7 +758,7 @@ def evolve_blend(
 def evolve_static(psi: StateVector, h: PauliStringSum, duration: float) -> StateVector:
     """Evolve under a constant Hamiltonian: one step of ``evolve_blend``,
     which is the single exponential exp(-i duration H), exact up to the
-    Taylor roundoff."""
+    roundoff of its series."""
     if duration < 0:
         raise ValueError("duration must be non-negative")
     if duration == 0.0:

@@ -155,17 +155,18 @@ def test_run_meta_reports_record_version_and_stage_times(tmp_path):
 
 _TINY_RUNS = {
     # per repetition, a 300-step block and the 600-step grid check: the
-    # golden schedule's constant cells fuse into 153 and 303 exponentials
+    # golden schedule's constant cells fuse into 153 and 303 exponentials,
+    # the longest of them past the step budget and so Chebyshev series
     "pulsed": (
         {"kind": "af", "num_sites": 4},
         {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 2, "eps_percent": 3.0, "tol": 1e-4},
-        {"exponentials": 2 * (153 + 303), "taylor_terms": 8979},
+        {"exponentials": 2 * (153 + 303), "series_terms": 7750},
     ),
     # the sweep's refinement, once per run; ideal repetitions integrate nothing
     "adiabatic": (
         {"kind": "adiabatic", "num_sites": 6, "t_prep": 0.05},
         {"mode": "ideal", "n_unitaries": 3, "n_meas": 20, "n_ave": 2},
-        {"exponentials": 460, "taylor_terms": 2584},
+        {"exponentials": 460, "series_terms": 2584},
     ),
 }
 

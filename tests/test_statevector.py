@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, expm
 from scipy import sparse
@@ -100,6 +102,9 @@ def test_drive_operators_against_pauli_sums():
 def test_norm_validation():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0, 0.0, 0.0]), 2)
+    # a NaN norm fails the check too
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(np.full(4, np.nan), 2)
 
 
 def test_expectation_against_dense():
@@ -253,12 +258,24 @@ def test_fused_steps_match_the_per_step_loop(monkeypatch, per_step_loop, columns
     psi = random_state(3, np.random.default_rng(32))
     parts = _stepped_waveform_problem(columns)
     counts = statevector._INTEGRATOR_COUNTS
+    chebyshev = statevector._chebyshev_apply
+    long_runs = []
+
+    def recorded(ham, cs, tau, v):
+        long_runs.append(tau)
+        return chebyshev(ham, cs, tau, v)
+
+    monkeypatch.setattr(statevector, "_chebyshev_apply", recorded)
     for n in (20, 80, 320):
         before = counts["exponentials"]
+        long_runs.clear()
         fused = evolve_blend(psi, parts, 0.0, 1.0, tol=None, initial_steps=n)
         exponentials = counts["exponentials"] - before
         # the constant stretches fuse; the ramp and the jump's cell do not
         assert exponentials < 2 * n
+        # both fused constant stretches are past the step budget: Chebyshev
+        # series, checked here against Taylor pieces
+        assert np.allclose(long_runs, [0.3, 0.45])
         with monkeypatch.context() as m:
             m.setattr(statevector, "_run_steps", per_step_loop)
             stepped = evolve_blend(psi, parts, 0.0, 1.0, tol=None, initial_steps=n)
@@ -318,19 +335,149 @@ def test_fusion_joins_only_steps_with_equal_node_values(monkeypatch):
 
 
 def test_constant_hamiltonian_far_past_the_step_budget():
-    from rmlab.statevector import _STEP_BUDGET
+    import rmlab.statevector as statevector
 
     psi = random_state(4, np.random.default_rng(34))
     h = build_ssh(4, 30.0, -11.0, j_nnn=2.5, mu_edge=4.0)
     duration = 10.0
-    # the one exponential takes hundreds of Taylor pieces
-    assert np.abs(h.to_sparse()).sum(axis=1).max() * duration > 100 * _STEP_BUDGET
+    # the one exponential is a single Chebyshev series; Taylor pieces
+    # within the step budget would take hundreds of them
+    norm_t = np.abs(h.to_sparse()).sum(axis=1).max() * duration
+    assert norm_t > 100 * statevector._STEP_BUDGET
     ref = expm(-1j * duration * h.to_matrix()) @ psi.amp
-    for out in (
-        evolve_static(psi, h, duration),
-        evolve_blend(psi, [(1.0, h.to_sparse())], 0.0, duration, tol=1e-9),
-    ):
-        assert np.max(np.abs(out.amp - ref)) < 1e-12
+    counts = statevector._INTEGRATOR_COUNTS
+    before = counts["series_terms"]
+    out = evolve_static(psi, h, duration)
+    # about one H application per unit of |H| t (Taylor pieces take about
+    # ten): the Gershgorin half-width is at most |H| here
+    assert counts["series_terms"] - before < 2 * norm_t
+    assert np.max(np.abs(out.amp - ref)) < 1e-12
+    out = evolve_blend(psi, [(1.0, h.to_sparse())], 0.0, duration, tol=1e-9)
+    assert np.max(np.abs(out.amp - ref)) < 1e-12
+
+
+def test_chebyshev_coefficients_match_scipy_bessel():
+    from scipy.special import jv
+
+    from rmlab.statevector import _chebyshev_coefficients
+
+    for x in np.logspace(-3, 3, 25):
+        coeffs = _chebyshev_coefficients(x)
+        k = np.arange(coeffs.size)
+        # c_k = (2 - delta_k0) (-i)^k J_k(x): undo the factor, exactly
+        bessel = coeffs / np.where(k == 0, 1.0, 2.0) * np.array([1.0, 1j, -1.0, -1j])[k % 4]
+        assert not bessel.imag.any()
+        # jv's own error grows about linearly in x: against 40-digit
+        # mpmath it is 1.8e-14 at x = 1e3, where these values are within
+        # 3.4e-16
+        assert np.max(np.abs(bessel.real - jv(k, x))) <= 1e-14 * max(1.0, x / 500.0)
+        # no shorter than jv's own cut: every later |J_k(x)| is below 1e-16
+        tail = np.abs(jv(np.arange(coeffs.size, coeffs.size + 200), x))
+        assert np.all(tail < 1e-16)
+        # |exp(-i x cos theta)|^2 = 1: J_0^2 + 2 sum_k J_k^2 = 1
+        assert abs(np.sum(np.abs(coeffs) ** 2 / np.where(k == 0, 1.0, 2.0)) - 1.0) < 1e-14
+
+
+def test_chebyshev_block_with_light_shifts_against_expm():
+    import rmlab.statevector as statevector
+
+    # per-column site light shifts of about 15 per site dominate a weak
+    # drive and coupling, as the pulse's label-3 shifts do
+    L, k = 4, 3
+    rng = np.random.default_rng(35)
+    sites = index_to_bits(np.arange(2**L), L)
+    labels = rng.integers(0, 2, size=(k, L))
+    shifts = sites @ (15.0 * labels.T * (1.0 + 0.03 * rng.normal(size=(L, k))))
+    zz = build_ssh(L, 0.8, -0.4).to_sparse()
+    gains = 1.0 + 0.03 * rng.normal(size=k)
+    parts = [(lambda t: 1.7 * gains, x_total(L)), (-1.0, shifts), (1.0, zz)]
+    psi = random_state(L, np.random.default_rng(36))
+    ham = statevector._BlendHamiltonian(parts, 0.0)
+    # one exponential at |B| tau = 100
+    tau = 100.0 / ham.norm_bound(ham.values(0.0))
+    out = evolve_blend(psi, parts, 0.0, tau, tol=None, initial_steps=1)
+    for j, state in enumerate(out):
+        h = 1.7 * gains[j] * x_total(L).toarray() - np.diag(shifts[:, j]) + zz.toarray()
+        ref = expm(-1j * tau * h) @ psi.amp
+        assert np.max(np.abs(state.amp - ref)) < 1e-12
+
+
+def test_chebyshev_of_a_multiple_of_identity_is_a_phase():
+    import rmlab.statevector as statevector
+
+    psi = random_state(3, np.random.default_rng(37))
+    # half-width 0; the shift to a multiple of 2 pi leaves a phase of at
+    # most pi for the series to make
+    out = evolve_blend(psi, [(50.0, sparse.identity(8, format="csr"))], 0.0, 1.0, tol=None, initial_steps=1)
+    assert np.max(np.abs(out.amp - np.exp(-50j) * psi.amp)) < 1e-14
+    # one multiple per column: a per-column phase
+    levels = np.array([30.0, -45.0, 60.0, 4.0 * np.pi])
+    out = evolve_blend(psi, [(1.0, np.ones((8, 1)) * levels)], 0.0, 1.0, tol=None, initial_steps=1)
+    for state, level in zip(out, levels, strict=True):
+        assert np.max(np.abs(state.amp - np.exp(-1j * level) * psi.amp)) < 1e-14
+    # every level a multiple of 2 pi: the phase is 1 and no term is needed
+    before = statevector._INTEGRATOR_COUNTS["series_terms"]
+    out = evolve_blend(psi, [(1.0, np.ones((8, 1)) * levels[3:])], 0.0, 1.0, tol=None, initial_steps=1)
+    assert statevector._INTEGRATOR_COUNTS["series_terms"] == before
+    assert np.max(np.abs(out[0].amp - psi.amp)) < 1e-15
+
+
+_words = st.text(alphabet="IXYZ", min_size=3, max_size=3)
+_values = st.floats(-40.0, 40.0)
+
+
+@given(
+    st.lists(st.tuples(_values, _words), min_size=1, max_size=4),
+    st.sampled_from([None, 1, 3]),
+    st.tuples(_words, st.lists(_values, min_size=3, max_size=3)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_gershgorin_interval_holds_the_spectrum(scalar_parts, columns, column_part, seed):
+    from rmlab.statevector import _BlendHamiltonian
+
+    # Pauli strings, on which the bound is tight (one entry of modulus 1
+    # per row); on a block also a column-valued one and a dense diagonal
+    def pauli(word):
+        return sparse.csr_matrix(PauliString(letters=word).to_matrix())
+
+    parts = [(c, pauli(word)) for c, word in scalar_parts]
+    if columns is not None:
+        word, gains = column_part
+        gains = np.array(gains[:columns])
+        diagonals = np.random.default_rng(seed).normal(scale=20.0, size=(8, columns))
+        parts += [(lambda t: gains, pauli(word)), (1.0, diagonals)]
+    ham = _BlendHamiltonian(parts, 0.0)
+    cs = ham.values(0.0)
+    width = columns or 1
+    lo, hi = (np.broadcast_to(end, width) for end in ham.interval(cs))
+    for j in range(width):
+        h = sum(
+            np.diag(m[:, j]) * c if isinstance(m, np.ndarray) else m.toarray() * np.broadcast_to(c, width)[j]
+            for c, (_, m) in zip(cs, parts)
+        )
+        eig = np.linalg.eigvalsh(h)
+        slack = 1e-12 * (1.0 + np.abs(eig).max())
+        assert lo[j] - slack <= eig[0] and eig[-1] <= hi[j] + slack
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficients_raise(bad):
+    psi = random_state(2, np.random.default_rng(38))
+    cases = [
+        [(lambda t: bad, x_total(2))],
+        [(1.0, x_total(2)), (lambda t: bad * np.ones(3), occupation(2, [1]))],
+    ]
+    for parts in cases:
+        # the start grid's sizing and a given grid's exponentials
+        for steps in (None, 4):
+            with pytest.raises(NumericalContractError, match="non-finite"):
+                evolve_blend(psi, parts, 0.0, 1.0, tol=None, initial_steps=steps)
+    # a value past the start grid's sample times reaches an exponential
+    drive = lambda t: bad if t > 0.99 else 1.0
+    with pytest.raises(NumericalContractError, match="non-finite"):
+        evolve_blend(psi, [(drive, x_total(2))], 0.0, 1.0, tol=None, initial_steps=64)
 
 
 def _block_problem(num_sites, k):
