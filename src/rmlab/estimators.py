@@ -62,15 +62,12 @@ class NormalizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """One experiment's estimate and enough context to report it.
+    """One experiment's estimate.
 
     The spread over repetitions is the runner's to take (results.csv).
     """
 
     value: float
-    n_unitaries: int = 0
-    n_meas: float = 0
-    descriptor: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +134,7 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
         if n < 2:
             raise ValueError("bias correction requires at least 2 shots")
         value = x * n / (n - 1) - (2**ell) / (n - 1)
-    return EstimatorResult(
-        value=value,
-        n_unitaries=record.n_unitaries,
-        n_meas=record.n_meas,
-        descriptor=f"purity[{','.join(str(s) for s in sub)}]",
-    )
+    return EstimatorResult(value=value)
 
 
 def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> EstimatorResult:
@@ -171,12 +163,7 @@ def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
         diagonal = float(mult.sum()) * (2.0**ell)
         per_unitary.append((gross - diagonal) / (n * (n - 1)))
     value = math.fsum(per_unitary) / len(per_unitary)
-    return EstimatorResult(
-        value=value,
-        n_unitaries=record.n_unitaries,
-        n_meas=record.n_meas,
-        descriptor=f"purity_pairwise[{','.join(str(s) for s in sub)}]",
-    )
+    return EstimatorResult(value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +242,7 @@ def hamiltonian_variance(
     e_h2 = observable_expectation(record, h_squared)
     if e_h2 <= 0.0:
         raise NormalizationError(f"<H^2> estimate {e_h2:.3e} is not positive")
-    return EstimatorResult(
-        value=(e_h2 - e_h**2) / e_h2,
-        n_unitaries=record.n_unitaries,
-        n_meas=record.n_meas,
-        descriptor="normalized_variance",
-    )
+    return EstimatorResult(value=(e_h2 - e_h**2) / e_h2)
 
 
 # ---------------------------------------------------------------------------

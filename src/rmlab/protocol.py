@@ -20,16 +20,20 @@ entries keep their bitstring -> count object. load_record also reads
 version 1, whose exact entries hold the probabilities as a JSON list of
 text floats ("probs").
 
-Pulse-level runs evolve all N_U samples of a run as the columns of one
-(2^L, N_U + 1) amplitude block. The drive is global, so a sample differs
+Pulse-level runs evolve the columns of all samples as one amplitude block
+(several past 2^20 amplitudes). The drive is global, so a column differs
 from the nominal schedule only by its per-site light shift and a few
-gains. The extra column, the nominal schedule, validates the time grid
-against a one-column run at twice the steps.
+gains. Scope "per_unitary" gives a sample one column, under its drawn
+gains, with weight 1; "per_shot" gives it the 11 sigma points of
+``pulses._sigma_gains`` with weights ``pulses._SIGMA_WEIGHTS``, whose
+mixture is the gain-averaged distribution that per-shot draws sample. An
+extra nominal column validates the time grid against a one-column run at
+twice the steps.
 
 Reproducibility contract: every stochastic step under sample k draws from
-a stream keyed by (seed, k), in a fixed order (pulse gains, then shot
-indices, then readout flips), so results do not depend on execution
-order or worker count.
+a stream keyed by (seed, k), in a fixed order: pulse gains (per_unitary
+only), then shot indices, then readout flips. Results do not depend on
+execution order or worker count.
 """
 
 from __future__ import annotations
@@ -45,7 +49,15 @@ import numpy as np
 from scipy import sparse
 
 from .pauli import PauliStringSum
-from .pulses import FluctuationModel, PulseSchedule, Waveform, perturb
+from .pulses import (
+    _SIGMA_WEIGHTS,
+    FluctuationModel,
+    PulseSchedule,
+    Waveform,
+    _apply_gains,
+    _sigma_gains,
+    perturb,
+)
 from .statevector import (
     _EXP_WEIGHT,
     _ORDER,
@@ -276,33 +288,33 @@ def _counts_from_indices(idx: np.ndarray, num_sites: int) -> dict[str, int]:
 
 
 def _sample_entry(
-    psi: StateVector,
-    labels: tuple[int, ...],
+    probs: np.ndarray,
+    sample: UnitarySample,
     n_meas: int,
     readout: ReadoutErrorModel | None,
     rng: np.random.Generator,
-    seed_key: int,
 ) -> UnitaryMeasurement:
-    """Shot sampling and readout flips, in the frozen draw order."""
-    idx = sample_basis_indices(psi, n_meas, rng)
+    """Shot sampling from ``probs`` and readout flips, in the frozen draw order."""
+    num_sites = len(sample.labels)
+    idx = sample_basis_indices(probs, n_meas, rng)
     if readout is not None:
-        bits = apply_readout_errors(index_to_bits(idx, psi.num_sites), readout, rng)
+        bits = apply_readout_errors(index_to_bits(idx, num_sites), readout, rng)
         idx = bits_to_index(bits)
     return UnitaryMeasurement(
-        labels=labels,
-        counts=_counts_from_indices(idx, psi.num_sites),
-        seed=seed_key,
+        labels=sample.labels,
+        counts=_counts_from_indices(idx, num_sites),
+        seed=sample.realization,
     )
 
 
 def _exact_entry(
-    psi: StateVector,
+    probs: np.ndarray,
     labels: tuple[int, ...],
     readout: ReadoutErrorModel | None,
 ) -> UnitaryMeasurement:
-    probs = psi.probabilities()
+    """The distribution ``probs``, pushed through the readout channel."""
     if readout is not None:
-        probs = apply_readout_to_probs(probs, readout, psi.num_sites)
+        probs = apply_readout_to_probs(probs, readout, len(labels))
     return UnitaryMeasurement(labels=labels, probs=probs)
 
 
@@ -344,17 +356,12 @@ def run_ideal(
     exact = _check_n_meas(n_meas)
     entries = []
     for sample in samples:
-        rotated = apply_local_unitaries(psi, labels=sample.labels)
+        probs = apply_local_unitaries(psi, labels=sample.labels).probabilities()
         if exact:
-            entries.append(_exact_entry(rotated, sample.labels, readout))
+            entries.append(_exact_entry(probs, sample.labels, readout))
         else:
             rng = _stream(seed, sample.realization)
-            entries.append(
-                _sample_entry(
-                    rotated, sample.labels, int(n_meas), readout, rng,
-                    sample.realization,
-                )
-            )
+            entries.append(_sample_entry(probs, sample, int(n_meas), readout, rng))
     meta = {
         "seed": int(seed),
         "readout": _readout_meta(readout),
@@ -380,7 +387,7 @@ def _readout_meta(readout: ReadoutErrorModel | None):
 
 
 def _gain(scaled: Waveform, nominal: Waveform) -> float:
-    """Factor by which perturb scaled a waveform (1 for a zero waveform)."""
+    """Factor by which _apply_gains scaled a waveform (1 for a zero waveform)."""
     i = int(np.argmax(np.abs(nominal.values)))
     return float(scaled.values[i] / nominal.values[i]) if nominal.values[i] else 1.0
 
@@ -402,7 +409,7 @@ def _pulsed_parts(
 
     With payload the parts are column-valued (see evolve_blend): column 0
     is (schedule, labels) and column j the j-th payload pair, whose
-    schedule is ``schedule`` with its amplitudes scaled by perturb. The
+    schedule is ``schedule`` with its amplitudes scaled by _apply_gains. The
     Omega and Delta gains then scale the X_tot and N_tot coefficients per
     column, and N_weighted becomes a (2^L, K) light-shift diagonal.
     """
@@ -443,10 +450,10 @@ def _norm_budget(
 def _validated_block(psi: StateVector, nominal, block, T: float, n0: int, tol: float):
     """Smallest validated step count, and ``block`` evolved on that grid.
 
-    Column 0 of ``block`` is the nominal schedule that ``nominal``
-    describes on its own (``block`` may be ``nominal`` itself). It is
-    compared with a one-column run of ``nominal`` at twice the steps: at
-    order p the n vs 2n distance is (1 - 2^-p) of the n-grid error, so
+    Column 0 of ``block`` (column-valued parts) is the nominal schedule
+    that ``nominal`` describes on its own. It is compared with a
+    one-column run of ``nominal`` at twice the steps: at order p the
+    n vs 2n distance is (1 - 2^-p) of the n-grid error, so
     passing at (1 - 2^-p) tol, 15/16 tol for the fourth-order step,
     certifies the coarse grid itself. Otherwise the step count doubles and
     the block is evolved again.
@@ -454,9 +461,8 @@ def _validated_block(psi: StateVector, nominal, block, T: float, n0: int, tol: f
     n = n0
     while True:
         out = evolve_blend(psi, block, 0.0, T, tol=None, initial_steps=n)
-        coarse = out[0] if isinstance(out, list) else out
         fine = evolve_blend(psi, nominal, 0.0, T, tol=None, initial_steps=2 * n)
-        err = float(np.linalg.norm(coarse.amp - fine.amp))
+        err = float(np.linalg.norm(out[0].amp - fine.amp))
         if err <= (1.0 - 2.0**-_ORDER) * tol:
             return n, out
         n *= 2
@@ -479,41 +485,35 @@ def run_pulsed(
 ) -> MeasurementRecord:
     """Integrate the pulse Hamiltonian per sample, interactions included.
 
-    Per sample k, the (seed, k) stream drives: amplitude-gain draws for
-    the fluctuation model, then shot sampling, then readout flips.
-    Records keep the nominal labels regardless of the gains actually
-    applied. Scope "per_shot" redraws gains for every shot and costs one
-    integration per shot; it is rejected in exact-probability mode,
-    where no shot loop exists.
+    Sample k's outcome distribution is the weighted sum of its columns'
+    probabilities (block layout and (seed, k) streams per scope: see the
+    module docstring). The "per_shot" nominal weight is negative, so
+    mixture entries below zero are set to zero and the mixture is
+    renormalised; meta["mixture_clipped"] is the largest clipped mass over
+    the samples. Exact mode (n_meas = EXACT_SHOTS) stores each
+    distribution pushed through the readout channel. Records keep the
+    nominal labels regardless of the gains applied.
 
-    Scope "per_unitary" evolves all samples as the columns of one block
-    (up to 2^20 amplitudes; larger runs take several blocks): every site
-    sees the same global waveforms, so a sample differs from the nominal
-    schedule only in its light-shift diagonal and its gains. Column 0 of
-    the first block is the nominal schedule under the first sample's
-    labels, and it alone validates the time grid: it must agree with a
-    one-column run at twice the steps to 15/16 tol, or the step count
-    doubles and the block is evolved again.
-    Scope "per_shot" validates the same way with the nominal column only.
-    The validated grid serves every sample: gain draws rescale amplitudes
-    by a few percent, which does not change the resolution the schedule
+    Blocks hold up to 2^20 amplitudes and are reduced to probabilities as
+    each finishes. Column 0 of the first block, the nominal schedule under
+    the first sample's labels, validates the time grid: it must agree with
+    a one-column run at twice the steps to 15/16 tol, or the step count
+    doubles and the block is evolved again. That grid serves every column,
+    since gains of a few percent do not change the resolution the schedule
     needs. The default tol keeps the amplitude error two orders below the
-    statistical resolution of any shot-sampled study; the integrator is
-    fourth order, so each extra digit costs about 1.8x the steps. Wall
-    time grows by less: a stretch of cells where the waveforms are
-    constant is one exponential whatever its step count, so only the
-    ramps and varying cells pay for the finer grid. A long constant
-    stretch is a Chebyshev series, whose terms grow with the half-width
-    of the spectrum (set by the light shifts) times the stretch's
-    length, about one per unit of it (see ``statevector._exponential``).
+    shot noise of any sampled study. At fourth order each extra digit
+    costs about 1.8x the steps, and less wall time: a constant stretch of
+    the waveforms is one exponential whatever its step count, a Chebyshev
+    series of about one term per unit of spectral half-width times length
+    (see ``statevector._exponential``).
     """
     if fluct is None:
         fluct = FluctuationModel(eps_percent=0.0)
     exact = _check_n_meas(n_meas)
-    if exact and fluct.scope == "per_shot":
-        raise ValueError("per_shot fluctuations are undefined in exact mode")
     if not samples:
         raise ValueError("at least one unitary sample required")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
 
     num_sites = psi.num_sites
     x_tot = x_total(num_sites)
@@ -536,58 +536,29 @@ def run_pulsed(
     def parts(payload=()):
         return _pulsed_parts(schedule, samples[0].labels, x_tot, n_tot, occ, h_sparse, payload)
 
-    nominal = parts()
     rngs = [_stream(seed, sample.realization) for sample in samples]
-    entries = []
-    if fluct.scope == "per_shot":
-        steps, _ = _validated_block(psi, nominal, nominal, schedule.T, n0, tol)
-        for sample, rng in zip(samples, rngs):
-            idx = np.empty(int(n_meas), dtype=np.int64)
-            for shot in range(int(n_meas)):
-                shot_parts = _pulsed_parts(
-                    perturb(schedule, fluct, rng), sample.labels, x_tot, n_tot, occ, h_sparse
-                )
-                rotated = evolve_blend(
-                    psi, shot_parts, 0.0, schedule.T, tol=None, initial_steps=steps
-                )
-                idx[shot] = sample_basis_indices(rotated, 1, rng)[0]
-            if readout is not None:
-                bits = apply_readout_errors(index_to_bits(idx, num_sites), readout, rng)
-                idx = bits_to_index(bits)
-            entries.append(
-                UnitaryMeasurement(
-                    labels=sample.labels,
-                    counts=_counts_from_indices(idx, num_sites),
-                    seed=sample.realization,
-                )
-            )
+    per_shot = fluct.scope == "per_shot"
+    if per_shot:
+        sigma = [_apply_gains(schedule, g) for g in _sigma_gains(fluct.eps_percent)]
+        payload = [(s, sample.labels) for sample in samples for s in sigma]
+        weights = np.tile(_SIGMA_WEIGHTS, len(samples))
     else:
-        payload = [
-            (perturb(schedule, fluct, rng), sample.labels)
-            for sample, rng in zip(samples, rngs)
-        ]
-        # one column of each block is the nominal schedule
-        width = max(1, (_BLOCK_AMPLITUDES >> num_sites) - 1)
-        steps, block = _validated_block(
-            psi, nominal, parts(payload[:width]), schedule.T, n0, tol
-        )
-        rotated = block[1:]
-        for start in range(width, len(payload), width):
-            block = evolve_blend(
-                psi, parts(payload[start : start + width]), 0.0, schedule.T,
-                tol=None, initial_steps=steps,
-            )
-            rotated += block[1:]
-        for sample, rng, state in zip(samples, rngs, rotated):
-            if exact:
-                entries.append(_exact_entry(state, sample.labels, readout))
-            else:
-                entries.append(
-                    _sample_entry(
-                        state, sample.labels, int(n_meas), readout, rng,
-                        sample.realization,
-                    )
-                )
+        payload = [(perturb(schedule, fluct, rng), s.labels) for s, rng in zip(samples, rngs)]
+        weights = np.ones(len(samples))
+    per_sample = len(payload) // len(samples)
+
+    # one column of each block is the nominal schedule
+    width = max(1, (_BLOCK_AMPLITUDES >> num_sites) - 1)
+    mixtures = np.zeros((len(samples), 2**num_sites))
+    for start in range(0, len(payload), width):
+        block = parts(payload[start : start + width])
+        if start == 0:
+            steps, states = _validated_block(psi, parts(), block, schedule.T, n0, tol)
+        else:
+            states = evolve_blend(psi, block, 0.0, schedule.T, tol=None, initial_steps=steps)
+        for j, state in enumerate(states[1:], start):
+            mixtures[j // per_sample] += weights[j] * state.probabilities()
+        del states  # free this block's amplitudes before the next is evolved
 
     meta = {
         "seed": int(seed),
@@ -596,6 +567,17 @@ def run_pulsed(
         "scope": fluct.scope,
         "steps": int(steps),
     }
+    if per_shot:
+        meta["mixture_clipped"] = float(np.maximum(-mixtures, 0.0).sum(axis=1).max())
+        np.maximum(mixtures, 0.0, out=mixtures)
+        mixtures /= mixtures.sum(axis=1, keepdims=True)
+
+    entries = []
+    for sample, rng, probs in zip(samples, rngs, mixtures):
+        if exact:
+            entries.append(_exact_entry(probs, sample.labels, readout))
+        else:
+            entries.append(_sample_entry(probs, sample, int(n_meas), readout, rng))
     return MeasurementRecord(
         num_sites=num_sites,
         mode="pulsed",

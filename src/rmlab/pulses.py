@@ -245,8 +245,11 @@ class PulseSchedule:
 class FluctuationModel:
     """Gaussian multiplicative amplitude noise, relative std in percent.
 
-    scope: "per_unitary" redraws once per sampled rotation pattern,
-    "per_shot" once per measurement repetition.
+    scope: "per_unitary" draws the gains once per sampled rotation
+    pattern; "per_shot" redraws them for every shot, so each unitary's
+    shots sample the gain-averaged outcome distribution, which
+    ``protocol.run_pulsed`` evaluates with the sigma points of
+    ``_sigma_gains``.
     """
 
     eps_percent: float = 0.0
@@ -272,7 +275,11 @@ def perturb(
     schedule: PulseSchedule, model: FluctuationModel, rng: np.random.Generator
 ) -> PulseSchedule:
     """One noise realization: each amplitude scaled by its own (1 + g)."""
-    g = draw_gains(model, rng, 1)[0]
+    return _apply_gains(schedule, draw_gains(model, rng, 1)[0])
+
+
+def _apply_gains(schedule: PulseSchedule, g: np.ndarray) -> PulseSchedule:
+    """``schedule`` with its five amplitudes scaled by (1 + g), GAIN_COLUMNS order."""
     d = schedule.delta_amps
     return replace(
         schedule,
@@ -694,13 +701,18 @@ def _noiseless_fidelities(schedule: PulseSchedule) -> np.ndarray:
     )
 
 
+# weights of the _sigma_gains rows: -2/3 on the nominal row, 1/6 on each
+# displaced row; they sum to one
+_SIGMA_WEIGHTS = np.array([-2.0 / 3.0] + [1.0 / 6.0] * 10)
+
+
 def _sigma_gains(eps_percent: float) -> np.ndarray:
     """Third-order Gauss-Hermite sigma points for the five gain channels.
 
     Row 0 is the nominal point; rows 2k+1, 2k+2 displace channel k by
-    +-sqrt(3) sigma. Weights: the two displaced rows carry 1/6 each and
-    the nominal row absorbs the rest, which reproduces Gaussian means of
-    per-channel quartics exactly.
+    +-sqrt(3) sigma. With the weights _SIGMA_WEIGHTS they reproduce
+    Gaussian means of per-channel quartics exactly (the unscented
+    transform; Julier and Uhlmann, Proc. IEEE 92, 401 (2004)).
     """
     sigma = eps_percent / 100.0
     pts = np.zeros((11, 5))
@@ -728,7 +740,7 @@ def _sigma_point_stats(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]
     for a, vals in zip((1, 2, 3), half):
         a0 = vals[0]
         plus, minus = vals[1::2], vals[2::2]
-        means[a - 1] = a0 + np.sum(plus + minus - 2.0 * a0) / 6.0
+        means[a - 1] = _SIGMA_WEIGHTS @ vals
         lin = (plus - minus) / (2.0 * math.sqrt(3.0))
         quad = (plus + minus - 2.0 * a0) / 3.0
         stds[a - 1] = math.sqrt(np.sum(lin**2) + 0.5 * np.sum(quad**2))

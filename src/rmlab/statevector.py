@@ -696,7 +696,8 @@ def evolve_blend(
     amplitudes move by less than ``tol``, jumping by
     ``(err/tol)^(1/_ORDER)`` toward the grid that meets it; pass
     ``tol=None`` to accept the first grid (used by the measurement pipeline,
-    whose grid is certified separately: see ``protocol._validated_block``).
+    which evolves the columns of both fluctuation scopes as blocks on a
+    grid certified separately: see ``protocol._validated_block``).
 
     Column-valued parts (a coefficient returning a length-K array, or a
     dense (2^L, K) diagonal block) evolve K copies of psi as one block,
@@ -860,12 +861,12 @@ def ground_state(obs: PauliStringSum) -> tuple[float, StateVector]:
 # ---------------------------------------------------------------------------
 
 
-def sample_basis_indices(psi: StateVector, n_meas: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n_meas basis indices from |amp|^2 (z-basis readout)."""
+def sample_basis_indices(probs: np.ndarray, n_meas: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n_meas basis indices from the outcome distribution ``probs``
+    (z-basis readout; e.g. ``psi.probabilities()``), renormalised first."""
     if n_meas <= 0:
         raise ValueError("n_meas must be positive")
-    p = psi.probabilities()
-    p = p / p.sum()
+    p = probs / probs.sum()
     return rng.choice(p.size, size=n_meas, p=p)
 
 

@@ -162,6 +162,14 @@ _TINY_RUNS = {
         {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 2, "eps_percent": 3.0, "tol": 1e-4},
         {"exponentials": 2 * (153 + 303), "series_terms": 7750},
     ),
+    # the same grid with 11 sigma-point columns per unitary: one block per
+    # repetition, not one integration per shot
+    "per_shot": (
+        {"kind": "af", "num_sites": 4},
+        {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 2, "eps_percent": 3.0,
+         "fluctuation_scope": "per_shot", "tol": 1e-4},
+        {"exponentials": 2 * (153 + 303), "series_terms": 7779},
+    ),
     # the sweep's refinement, once per run; ideal repetitions integrate nothing
     "adiabatic": (
         {"kind": "adiabatic", "num_sites": 6, "t_prep": 0.05},
@@ -183,6 +191,29 @@ def test_run_meta_counts_integrator_work_over_the_run(tmp_path, kind, threads):
     out = tmp_path / "run"
     assert run_cli("run", cfg, "--out", out, "--threads", threads) == 0
     assert json.loads((out / "run_meta.json").read_text())["integrator"] == counts
+
+
+@pytest.mark.parametrize("n_meas", ["exact", 50])
+def test_per_shot_run_writes_finite_rows(tmp_path, n_meas):
+    cfg = tmp_path / "per_shot.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"kind": "af", "num_sites": 4},
+        "protocol": {
+            "mode": "pulsed", "n_unitaries": 3, "n_meas": n_meas, "n_ave": 1,
+            "eps_percent": 3.0, "fluctuation_scope": "per_shot",
+            "readout": {"p_up_given_down": 0.01, "p_down_given_up": 0.03}, "tol": 1e-4,
+        },
+        "estimators": {"subsystems": [[1, 2]], "energy": True},
+    }))
+    out = tmp_path / "run"
+    assert run_cli("run", cfg, "--out", out) == 0
+    with open(out / "results.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["quantity"] for r in rows] == ["purity", "energy"]
+    assert all(np.isfinite(float(r["value"])) for r in rows)
+    header = json.loads((out / "records" / "rep_000.ndjson").read_text().splitlines()[0])
+    assert header["meta"]["scope"] == "per_shot"
+    assert header["meta"]["mixture_clipped"] == 0.0
 
 
 def test_pulsed_run_loads_the_schedule_once(tmp_path, monkeypatch):

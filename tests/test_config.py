@@ -1,6 +1,8 @@
 """Config parsing, cross-field validation, and serialization round-trips."""
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -69,6 +71,32 @@ def test_full_document_parses():
     assert cfg.protocol.eps_percent == 3.0
     assert cfg.targets.variance and not cfg.targets.energy
     assert cfg.seed == 7 and cfg.out == "elsewhere"
+
+
+@pytest.mark.parametrize("section, key, literal", [
+    ("scenario", "t_prep", "NaN"),
+    ("scenario", "quench_time", "Infinity"),
+    ("scenario", "j_quench_mhz", "NaN"),
+    ("protocol", "tol", "NaN"),
+    ("protocol", "tol", "1e999"),
+    ("scenario", "t_prep", "1" + "0" * 400),
+])
+def test_non_finite_numbers_are_config_errors(section, key, literal):
+    # json.loads reads NaN, Infinity and overflowing float literals as
+    # floats; an integer past the float range overflows on conversion
+    text = doc(protocol={"mode": "pulsed", "n_meas": 100}).replace(
+        f'"{section}": {{', f'"{section}": {{"{key}": {literal}, ', 1
+    )
+    with pytest.raises(ConfigError, match="non-finite number"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+def test_tol_rule_agrees_with_the_run(tol):
+    # run_pulsed raises ValueError for the same values
+    cfg = parse_config(doc(protocol={"mode": "pulsed", "n_meas": 100}))
+    cfg = replace(cfg, protocol=replace(cfg.protocol, tol=tol))
+    assert "protocol.tol: must be finite and positive" in validate(cfg)[0]
 
 
 def test_invalid_json_is_a_config_error():
@@ -147,13 +175,6 @@ def problems(text: str) -> list[str]:
 def test_eps_requires_pulsed_mode():
     errs = problems(doc(protocol={"eps_percent": 3, "n_meas": 100}))
     assert any("requires pulsed" in e for e in errs)
-
-
-def test_per_shot_requires_sampled_readout():
-    assert any(
-        "per_shot requires sampled" in e
-        for e in problems(doc(protocol={"fluctuation_scope": "per_shot"}))
-    )
 
 
 def test_sites_outside_chain_rejected():

@@ -270,18 +270,6 @@ def test_pulsed_keeps_nominal_labels(golden):
     assert [e.labels for e in rec.entries] == [s.labels for s in samples]
 
 
-def test_per_shot_scope_rejected_in_exact_mode(golden):
-    rng = np.random.default_rng(12)
-    psi = random_state(2, rng)
-    samples = sample_unitaries(2, 1, rng)
-    with pytest.raises(ValueError, match="per_shot"):
-        run_pulsed(
-            psi, samples, golden,
-            fluct=FluctuationModel(3.0, scope="per_shot"),
-            n_meas=EXACT_SHOTS,
-        )
-
-
 def test_per_shot_scope_runs_sampled(golden):
     rng = np.random.default_rng(13)
     psi = random_state(2, rng)
@@ -293,6 +281,110 @@ def test_per_shot_scope_runs_sampled(golden):
         seed=1,
     )
     assert sum(rec.entries[0].counts.values()) == 4
+
+
+def _dimer_state(L):
+    h = build_ssh(L, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
+    return h, ground_state(h)[1]
+
+
+def _block_mixture(psi, h, labels, schedule, columns, weights, steps):
+    """sum_j weights[j] |psi evolved under columns[j]|^2, one block."""
+    from rmlab.protocol import _pulsed_parts
+    from rmlab.statevector import evolve_blend, index_to_bits, occupation, x_total
+
+    L = psi.num_sites
+    occ = index_to_bits(np.arange(2**L), L).astype(float)
+    parts = _pulsed_parts(
+        schedule, labels, x_total(L), occupation(L, range(1, L + 1)), occ,
+        None if h is None else h.to_sparse(), [(s, labels) for s in columns],
+    )
+    states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
+    return sum(w * state.probabilities() for w, state in zip(weights, states[1:]))
+
+
+def _tv(p, q):
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+def test_per_shot_mixture_matches_tensor_gauss_hermite(golden):
+    # the 11 sigma points against the 3^5-point tensor rule of the same
+    # per-channel nodes, which integrates every cross term of the gains
+    import itertools
+
+    from rmlab.pulses import _apply_gains
+
+    h, psi = _dimer_state(6)
+    samples = sample_unitaries(6, 1, np.random.default_rng(21))
+    eps = 3.0
+    rec = run_pulsed(
+        psi, samples, golden, fluct=FluctuationModel(eps, scope="per_shot"), h_mod=h,
+        n_meas=EXACT_SHOTS, tol=1e-4,
+    )
+    assert rec.meta["mixture_clipped"] == 0.0
+    step = math.sqrt(3.0) * eps / 100.0
+    nodes = ((0.0, 2.0 / 3.0), (step, 1.0 / 6.0), (-step, 1.0 / 6.0))
+    grid = list(itertools.product(nodes, repeat=5))
+    columns = [_apply_gains(golden, np.array([g for g, _ in point])) for point in grid]
+    weights = [math.prod(w for _, w in point) for point in grid]
+    tensor = _block_mixture(psi, h, samples[0].labels, golden, columns, weights, rec.meta["steps"])
+    assert _tv(rec.entries[0].probs, tensor) < 5e-4
+
+
+def test_per_shot_mixture_is_the_mean_over_per_shot_gain_draws(golden):
+    # the distribution the per-shot loop sampled: one perturb per shot
+    # from the (seed, k) stream, averaged here over 2,000 draws (without
+    # interactions, which the tensor-rule test covers, to keep it fast)
+    from rmlab.protocol import _stream
+    from rmlab.pulses import perturb
+
+    _, psi = _dimer_state(4)
+    samples = sample_unitaries(4, 1, np.random.default_rng(22))
+    fluct = FluctuationModel(3.0, scope="per_shot")
+    rec = run_pulsed(psi, samples, golden, fluct=fluct, n_meas=EXACT_SHOTS, seed=5, tol=1e-4)
+    steps, labels = rec.meta["steps"], samples[0].labels
+    rng = _stream(5, samples[0].realization)
+    draws = [perturb(golden, fluct, rng) for _ in range(2000)]
+    mean = _block_mixture(psi, None, labels, golden, draws, [1.0 / len(draws)] * len(draws), steps)
+    nominal = _block_mixture(psi, None, labels, golden, [golden], [1.0], steps)
+    bound = 3e-3
+    assert _tv(rec.entries[0].probs, mean) < bound
+    # the gain noise moves the distribution well beyond the bound
+    assert _tv(rec.entries[0].probs, nominal) > 3 * bound
+
+
+def test_per_shot_shots_sample_the_records_own_mixture(golden):
+    from scipy.special import gammaincc
+
+    from rmlab.protocol import _sample_entry, _stream
+
+    h, psi = _dimer_state(4)
+    samples = sample_unitaries(4, 2, np.random.default_rng(23))
+    readout = ReadoutErrorModel(0.01, 0.03)
+    kwargs = dict(fluct=FluctuationModel(3.0, scope="per_shot"), h_mod=h, seed=9, tol=1e-4)
+    pure = run_pulsed(psi, samples, golden, n_meas=EXACT_SHOTS, **kwargs)
+    exact = run_pulsed(psi, samples, golden, n_meas=EXACT_SHOTS, readout=readout, **kwargs)
+    n = 20_000
+    sampled = run_pulsed(psi, samples, golden, n_meas=n, readout=readout, **kwargs)
+    for sample, mixture, flipped, got in zip(samples, pure.entries, exact.entries, sampled.entries):
+        # stream contract: shots, then flips, and no gain draws
+        want = _sample_entry(mixture.probs, sample, n, readout, _stream(9, sample.realization))
+        assert got.counts == want.counts
+        observed = np.zeros(16)
+        for key, c in got.counts.items():
+            observed[int(key, 2)] = c
+        expected = n * flipped.probs
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        # chi-squared survival function at 15 degrees of freedom
+        assert gammaincc(15 / 2, stat / 2) > 1e-3
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
+def test_pulsed_tol_must_be_finite_and_positive(golden, tol):
+    psi = random_state(2, np.random.default_rng(24))
+    samples = sample_unitaries(2, 1, np.random.default_rng(24))
+    with pytest.raises(ValueError, match="tol"):
+        run_pulsed(psi, samples, golden, tol=tol)
 
 
 def test_pulsed_with_interactions_runs(golden):
@@ -323,11 +415,12 @@ def _per_unitary_reference(psi, samples, schedule, fluct, h_mod, n_meas, readout
             perturb(schedule, fluct, rng), sample.labels, x_tot, n_tot, occ, h_sparse
         )
         state = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
+        probs = state.probabilities()
         if n_meas == EXACT_SHOTS:
-            entries.append(_exact_entry(state, sample.labels, readout))
+            entries.append(_exact_entry(probs, sample.labels, readout))
         else:
             entries.append(
-                _sample_entry(state, sample.labels, n_meas, readout, rng, sample.realization)
+                _sample_entry(probs, sample, n_meas, readout, rng)
             )
     # the grid contract: the nominal schedule under the first labels agrees
     # with twice the steps to 15/16 tol
@@ -419,15 +512,15 @@ def test_validated_grid_is_within_tol_of_four_times_the_steps(golden):
     psi = random_state(L, np.random.default_rng(30))
     h = build_ssh(L, 5 * 0.484 * 2 * np.pi, -5 * 0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
     occ = index_to_bits(np.arange(2**L), L).astype(float)
-    parts = _pulsed_parts(
-        golden, (1, 2, 3), x_total(L), occupation(L, range(1, L + 1)), occ, h.to_sparse()
-    )
+    args = (golden, (1, 2, 3), x_total(L), occupation(L, range(1, L + 1)), occ, h.to_sparse())
+    parts = _pulsed_parts(*args)
+    block = _pulsed_parts(*args, [(golden, (1, 2, 3))])
     for tol in (1e-6, 1e-8):
         # a start off the waveform's kinks has to double before it passes
-        n, out = _validated_block(psi, parts, parts, golden.T, 75, tol)
+        n, out = _validated_block(psi, parts, block, golden.T, 75, tol)
         assert n > 75
         fine = evolve_blend(psi, parts, 0.0, golden.T, tol=None, initial_steps=4 * n)
-        assert np.linalg.norm(out.amp - fine.amp) <= tol
+        assert all(np.linalg.norm(state.amp - fine.amp) <= tol for state in out)
 
 
 def test_pulsed_blocks_split_without_changing_records(golden, monkeypatch):
@@ -436,13 +529,18 @@ def test_pulsed_blocks_split_without_changing_records(golden, monkeypatch):
     rng = np.random.default_rng(17)
     psi = random_state(3, rng)
     samples = sample_unitaries(3, 7, rng)
-    kwargs = dict(fluct=FluctuationModel(3.0), n_meas=EXACT_SHOTS, seed=8, tol=1e-4)
-    whole = run_pulsed(psi, samples, golden, **kwargs)
-    # three columns a block: the nominal one and two samples
-    monkeypatch.setattr(protocol, "_BLOCK_AMPLITUDES", 3 * 2**3)
-    split = run_pulsed(psi, samples, golden, **kwargs)
-    assert split.meta == whole.meta
-    _assert_same_entries(split, whole.entries)
+    for scope, picked in (("per_unitary", samples), ("per_shot", samples[:2])):
+        kwargs = dict(
+            fluct=FluctuationModel(3.0, scope), n_meas=EXACT_SHOTS, seed=8, tol=1e-4
+        )
+        whole = run_pulsed(psi, picked, golden, **kwargs)
+        # six columns a block: the nominal one and five others, so that
+        # per_shot blocks split a sample's 11 columns and join two samples
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "_BLOCK_AMPLITUDES", 6 * 2**3)
+            split = run_pulsed(psi, picked, golden, **kwargs)
+        assert split.meta == whole.meta
+        _assert_same_entries(split, whole.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -791,9 +791,9 @@ def test_ground_state_phase_deterministic():
 
 def test_sampling_deterministic_and_calibrated():
     rng = np.random.default_rng(10)
-    psi = apply_local_unitaries(all_down(2), labels=[1, 3])
-    idx = sample_basis_indices(psi, 4000, np.random.default_rng(77))
-    idx2 = sample_basis_indices(psi, 4000, np.random.default_rng(77))
+    probs = apply_local_unitaries(all_down(2), labels=[1, 3]).probabilities()
+    idx = sample_basis_indices(probs, 4000, np.random.default_rng(77))
+    idx2 = sample_basis_indices(probs, 4000, np.random.default_rng(77))
     assert np.array_equal(idx, idx2)
     # site 1 after a pi/2 X rotation is unbiased, site 2 stays down
     bits1 = (idx >> 1) & 1
