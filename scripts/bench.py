@@ -9,7 +9,9 @@ For every workload in rmbench/workloads.py this runs the unchanged
 holds each run's last output line (the result) under the workload's
 name, next to ``integrator``: the integrator's exponentials and series
 terms from ``run_meta.json`` of one untimed ``rmlab run`` of the
-workload's config at the seed, work counts that host speed cannot blur.
+workload's config at the seed, work counts that host speed cannot blur,
+and, for a pulsed workload, ``grid``: that run's certified step count and
+its probe's n vs 2n distance.
 It also holds the provenance of the first run: git hash, source digest
 (the hash does not see uncommitted edits), numpy and scipy versions,
 nproc and the line counts of ``src`` and ``tests``. ``git_dirty`` is
@@ -63,14 +65,14 @@ def src_env() -> dict:
     return os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
 
 
-def integrator_counts(config: dict) -> dict:
-    """``run_meta.json["integrator"]`` of one ``rmlab run`` of the config."""
+def run_meta(config: dict) -> dict:
+    """``run_meta.json`` of one ``rmlab run`` of the config."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "config.json", Path(tmp) / "run"
         cfg.write_text(json.dumps(config))
         cmd = [sys.executable, "-m", "rmlab.cli", "run", str(cfg), "--out", str(out), "--threads", "1"]
         subprocess.run(cmd, cwd=ROOT, env=src_env(), capture_output=True, check=True)
-        return json.loads((out / "run_meta.json").read_text())["integrator"]
+        return json.loads((out / "run_meta.json").read_text())
 
 
 def run_tier1() -> dict:
@@ -129,7 +131,10 @@ def main(argv: list[str] | None = None) -> int:
         for trace, kind in ((0, "end_to_end"), (1, "per_layer")):
             print(f"{name} {kind} ...", file=sys.stderr, flush=True)
             results[kind], provenance = run_set(name, args.seed, args.seconds, trace)
-        results["integrator"] = integrator_counts(WORKLOADS[name].make_config(args.seed))
+        meta = run_meta(WORKLOADS[name].make_config(args.seed))
+        results["integrator"] = meta["integrator"]
+        if "grid" in meta:
+            results["grid"] = meta["grid"]
         report["workloads"][name] = results
         report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS} | {"git_dirty": dirty})
     report["provenance"]["public_surface"] = public_surface()

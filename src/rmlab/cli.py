@@ -8,8 +8,8 @@ Repetitions are independent: repetition r runs under the seed that
 ``_rep_seed`` derives as ``SeedSequence([master, r])``, the package's only
 repetition-seed scheme, so results do not depend on the thread count,
 only on the config and seed. What every repetition shares (the prepared
-scenario, the pulse schedule and, when the variance is requested, H^2) is
-built once per run.
+scenario, the pulse schedule and its certified step count, and, when the
+variance is requested, H^2) is built once per run.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .protocol import (
     BIT_CONVENTION,
     EXACT_SHOTS,
     MeasurementRecord,
+    _certify_grid,
     run_ideal,
     run_pulsed,
     sample_unitaries,
@@ -83,7 +84,7 @@ def _integrator_since(start: dict[str, int]) -> dict[str, int]:
 def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dict[str, int]]:
     """One repetition's estimates and record, and the integrator work it did
     (its own difference, so a worker process reports only its share)."""
-    cfg, scen, schedule, h_squared, rep = args
+    cfg, scen, schedule, steps, h_squared, rep = args
     start = dict(_INTEGRATOR_COUNTS)
     prot = cfg.protocol
     seed = _rep_seed(cfg.seed, rep)
@@ -97,12 +98,12 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dic
             scen.state,
             samples,
             schedule,
+            steps,
             fluct=fluct,
             h_mod=scen.hamiltonian,
             n_meas=prot.n_meas,
             readout=prot.readout,
             seed=seed,
-            tol=prot.tol,
         )
     values: dict[str, float] = {}
     for sites in cfg.targets.subsystems:
@@ -119,14 +120,18 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dic
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     """Run every repetition, then write records, results.csv and run_meta.json.
 
-    The scenario, the pulse schedule and H^2 (only when the variance is
-    requested) are built once per run and shared by all repetitions.
-    run_meta.json records the record format version, the wall time of
-    each stage: prepare (those shared inputs), repetitions, and write
-    (records and results.csv), and the integrator's exponentials and
-    series terms summed over the run, whatever the thread count. Records
-    under ``records/`` that this run did not write, left by an earlier run
-    with more repetitions, are deleted.
+    The scenario, the pulse schedule, its step count (certified once by
+    ``protocol._certify_grid``) and H^2 (only when the variance is
+    requested) are shared by all repetitions, which run in
+    min(threads, n_ave) worker processes, or in this one. run_meta.json
+    records the record format version, the wall time of each stage:
+    prepare (the other shared inputs), certify (pulsed runs),
+    repetitions, and write (records and results.csv), a pulsed run's
+    ``grid`` (steps and the probe's n vs 2n distance), and the
+    integrator's exponentials and series terms summed over the run,
+    whatever the thread count. Records under ``records/`` that this run
+    did not write, left by an earlier run with more repetitions, are
+    deleted.
     """
     start = time.perf_counter()
     start_counts = dict(_INTEGRATOR_COUNTS)
@@ -134,11 +139,16 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     prot = cfg.protocol
     schedule = golden_schedule() if prot.mode == "pulsed" else None
     h_squared = square_observable(scen.hamiltonian) if cfg.targets.variance else None
-    integrator = _integrator_since(start_counts)
-    work = [(cfg, scen, schedule, h_squared, rep) for rep in range(prot.n_ave)]
     prepared = time.perf_counter()
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    steps = distance = None
+    if schedule is not None:
+        steps, distance = _certify_grid(scen.state, schedule, scen.hamiltonian, prot.tol)
+    certified = time.perf_counter()
+    integrator = _integrator_since(start_counts)
+    work = [(cfg, scen, schedule, steps, h_squared, rep) for rep in range(prot.n_ave)]
+    workers = min(threads, prot.n_ave)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_one_repetition, work))
     else:
         done = [_one_repetition(w) for w in work]
@@ -182,7 +192,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     (out_dir / "results.csv").write_text(results_to_csv(rows))
     stages_s = {
         "prepare": prepared - start,
-        "repetitions": repeated - prepared,
+        "repetitions": repeated - certified,
         "write": time.perf_counter() - repeated,
     }
     extra = {
@@ -191,6 +201,9 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         "record_version": _RECORD_VERSION,
         "stages_s": stages_s,
     }
+    if schedule is not None:
+        stages_s["certify"] = certified - prepared
+        extra["grid"] = {"steps": steps, "probe_distance": distance}
     _write_meta(cfg, out_dir, extra=extra)
     print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows, {prot.n_ave} repetitions)")
     return 0

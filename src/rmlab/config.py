@@ -269,6 +269,9 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
         errs.append("protocol.fluctuation_scope: must be per_unitary or per_shot")
     if not (math.isfinite(prot.tol) and prot.tol > 0):
         errs.append("protocol.tol: must be finite and positive")
+    if cfg.seed < 0:
+        # repetition seeds come from np.random.SeedSequence, which takes no negatives
+        errs.append("seed: must be a non-negative integer")
 
     if exact is False:
         total = prot.n_unitaries * prot.n_meas
@@ -283,7 +286,9 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
 
     for i, sites in enumerate(cfg.targets.subsystems):
         bad = [s for s in sites if not 1 <= s <= scen.num_sites]
-        if bad:
+        if not sites:
+            errs.append(f"estimators.subsystems[{i}]: must contain at least one site")
+        elif bad:
             errs.append(
                 f"estimators.subsystems[{i}]: sites {bad} outside 1..{scen.num_sites}"
             )

@@ -26,9 +26,9 @@ from the nominal schedule only by its per-site light shift and a few
 gains. Scope "per_unitary" gives a sample one column, under its drawn
 gains, with weight 1; "per_shot" gives it the 11 sigma points of
 ``pulses._sigma_gains`` with weights ``pulses._SIGMA_WEIGHTS``, whose
-mixture is the gain-averaged distribution that per-shot draws sample. An
-extra nominal column validates the time grid against a one-column run at
-twice the steps.
+mixture is the gain-averaged distribution that per-shot draws sample.
+Every block of a run is evolved once, on one step count that
+``_certify_grid`` certifies per run on a seed-free probe column.
 
 Reproducibility contract: every stochastic step under sample k draws from
 a stream keyed by (seed, k), in a fixed order: pulse gains (per_unitary
@@ -60,10 +60,9 @@ from .pulses import (
 )
 from .statevector import (
     _EXP_WEIGHT,
-    _ORDER,
     _STEP_BUDGET,
-    ConvergenceError,
     StateVector,
+    _certify,
     apply_local_unitaries,
     apply_site_matrices,
     bits_to_index,
@@ -392,38 +391,49 @@ def _gain(scaled: Waveform, nominal: Waveform) -> float:
     return float(scaled.values[i] / nominal.values[i]) if nominal.values[i] else 1.0
 
 
+def _drive_operators(num_sites: int, h_mod: PauliStringSum | None):
+    """What every pulsed column shares: X_tot, N_tot, the (2^L, L) table of
+    n_m per basis index, and h_mod as a sparse matrix (None without it)."""
+    if h_mod is not None and h_mod.num_sites != num_sites:
+        raise ValueError("h_mod length differs from the state")
+    return (
+        x_total(num_sites),
+        occupation(num_sites, range(1, num_sites + 1)),
+        index_to_bits(np.arange(2**num_sites), num_sites).astype(float),
+        None if h_mod is None else h_mod.to_sparse(),
+    )
+
+
 def _pulsed_parts(
     schedule: PulseSchedule,
-    labels: tuple[int, ...],
+    columns: Sequence[tuple[PulseSchedule, tuple[int, ...]]],
     x_tot: sparse.csr_matrix,
     n_tot: sparse.csr_matrix,
     occ: np.ndarray,
     h_mod: sparse.csr_matrix | None,
-    payload: Sequence[tuple[PulseSchedule, tuple[int, ...]]] = (),
 ):
-    """H(t) = Omega/2 X_tot - Delta N_tot + f N_weighted + H_mod.
+    """H(t) = Omega/2 X_tot - Delta N_tot + f N_weighted + H_mod per column.
 
     The per-site detuning enters as -(Delta - f d_label) n_m, split into
     the two diagonal parts so the waveforms stay global. ``occ`` is the
     (2^L, L) table of n_m per basis index that N_weighted is built from.
 
-    With payload the parts are column-valued (see evolve_blend): column 0
-    is (schedule, labels) and column j the j-th payload pair, whose
-    schedule is ``schedule`` with its amplitudes scaled by _apply_gains. The
-    Omega and Delta gains then scale the X_tot and N_tot coefficients per
-    column, and N_weighted becomes a (2^L, K) light-shift diagonal.
+    A column is (``schedule`` scaled by _apply_gains, labels): its Omega and
+    Delta gains scale the X_tot and N_tot coefficients, and its light
+    shifts give N_weighted. One column gives a single vector's parts;
+    several give column-valued ones (see evolve_blend), N_weighted a
+    (2^L, K) diagonal.
     """
-    columns = [(schedule, labels), *payload]
     shifts = np.column_stack(
         [occ @ np.array([s.delta_amps[l - 1] for l in labs]) for s, labs in columns]
     )
-    if payload:
-        gain_omega = np.array([_gain(s.omega, schedule.omega) for s, _ in columns])
-        gain_delta = np.array([_gain(s.delta, schedule.delta) for s, _ in columns])
-        n_weighted = shifts
-    else:
-        gain_omega = gain_delta = 1.0
+    gain_omega = np.array([_gain(s.omega, schedule.omega) for s, _ in columns])
+    gain_delta = np.array([_gain(s.delta, schedule.delta) for s, _ in columns])
+    if len(columns) == 1:
+        gain_omega, gain_delta = float(gain_omega[0]), float(gain_delta[0])
         n_weighted = sparse.diags(shifts[:, 0])
+    else:
+        n_weighted = shifts
     parts = [
         (lambda t: schedule.omega.value(t) / 2.0 * gain_omega, x_tot),
         (lambda t: -schedule.delta.value(t) * gain_delta, n_tot),
@@ -434,56 +444,57 @@ def _pulsed_parts(
     return parts
 
 
-def _norm_budget(
-    schedule: PulseSchedule, num_sites: int, h_mod_bound: float
-) -> float:
-    """Upper bound on ||H(t)|| for sizing the start grid by the step budget."""
-    dmax = max(abs(d) for d in schedule.delta_amps)
-    return (
-        schedule.omega.max_abs() / 2.0 * num_sites
-        + schedule.delta.max_abs() * num_sites
-        + schedule.f.max_abs() * dmax * num_sites
-        + h_mod_bound
-    )
+def _certify_grid(
+    psi: StateVector, schedule: PulseSchedule, h_mod: PauliStringSum | None, tol: float
+) -> tuple[int, float]:
+    """The step count for every pulsed block of a run, and the probe's n vs
+    2n distance there.
 
-
-def _validated_block(psi: StateVector, nominal, block, T: float, n0: int, tol: float):
-    """Smallest validated step count, and ``block`` evolved on that grid.
-
-    Column 0 of ``block`` (column-valued parts) is the nominal schedule
-    that ``nominal`` describes on its own. It is compared with a
-    one-column run of ``nominal`` at twice the steps: at order p the
-    n vs 2n distance is (1 - 2^-p) of the n-grid error, so
-    passing at (1 - 2^-p) tol, 15/16 tol for the fourth-order step,
-    certifies the coarse grid itself. Otherwise the step count doubles and
-    the block is evolved again.
+    The probe is the nominal schedule under labels that alternate the
+    largest-|d| and the smallest-|d| label, the largest at site 1; it draws
+    no gains, so a run certifies once. ``statevector._certify`` refines it
+    from a start grid that is a multiple of the waveform cells at half of
+    ``tol``: at L = 6 to 10 with interactions and eps = 3 %, random
+    columns ran up to 1.4 times the probe's distance. Each extra digit of
+    tol costs about 1.8 times the steps. Raises ValueError unless tol is
+    finite and positive.
     """
-    n = n0
-    while True:
-        out = evolve_blend(psi, block, 0.0, T, tol=None, initial_steps=n)
-        fine = evolve_blend(psi, nominal, 0.0, T, tol=None, initial_steps=2 * n)
-        err = float(np.linalg.norm(out[0].amp - fine.amp))
-        if err <= (1.0 - 2.0**-_ORDER) * tol:
-            return n, out
-        n *= 2
-        if n > 2**22:
-            raise ConvergenceError(
-                f"step validation stalled at {n} steps, error {err:.3e}"
-            )
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    num_sites = psi.num_sites
+    h_bound = 0.0 if h_mod is None else float(sum(abs(c) for _, c in h_mod.items()))
+    # a bound on |H(t)| per site sizes the start grid
+    dmax = max(abs(d) for d in schedule.delta_amps)
+    per_site = schedule.omega.max_abs() / 2.0 + schedule.delta.max_abs() + schedule.f.max_abs() * dmax
+    n_burst = math.ceil((per_site * num_sites + h_bound) * _EXP_WEIGHT * schedule.T / _STEP_BUDGET)
+    n_cells = max(1, len(schedule.breakpoints()) - 1)
+    n0 = n_cells * max(1, math.ceil(n_burst / n_cells))
+
+    size = np.abs(schedule.delta_amps)
+    extremes = (int(np.argmax(size)) + 1, int(np.argmin(size)) + 1)
+    probe = tuple(extremes[m % 2] for m in range(num_sites))
+    parts = _pulsed_parts(schedule, [(schedule, probe)], *_drive_operators(num_sites, h_mod))
+
+    def run(m: int) -> np.ndarray:
+        return evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=m).amp
+
+    steps, _, distance = _certify(run, n0, tol / 2.0)
+    return steps, distance
 
 
 def run_pulsed(
     psi: StateVector,
     samples: Sequence[UnitarySample],
     schedule: PulseSchedule,
+    steps: int,
     fluct: FluctuationModel | None = None,
     h_mod: PauliStringSum | None = None,
     n_meas: int | float = EXACT_SHOTS,
     readout: ReadoutErrorModel | None = None,
     seed: int = 0,
-    tol: float = 1e-6,
 ) -> MeasurementRecord:
-    """Integrate the pulse Hamiltonian per sample, interactions included.
+    """Integrate the pulse Hamiltonian per sample, interactions included,
+    on ``steps`` CFM4 steps (``_certify_grid`` gives the run's count).
 
     Sample k's outcome distribution is the weighted sum of its columns'
     probabilities (block layout and (seed, k) streams per scope: see the
@@ -492,71 +503,38 @@ def run_pulsed(
     renormalised; meta["mixture_clipped"] is the largest clipped mass over
     the samples. Exact mode (n_meas = EXACT_SHOTS) stores each
     distribution pushed through the readout channel. Records keep the
-    nominal labels regardless of the gains applied.
-
-    Blocks hold up to 2^20 amplitudes and are reduced to probabilities as
-    each finishes. Column 0 of the first block, the nominal schedule under
-    the first sample's labels, validates the time grid: it must agree with
-    a one-column run at twice the steps to 15/16 tol, or the step count
-    doubles and the block is evolved again. That grid serves every column,
-    since gains of a few percent do not change the resolution the schedule
-    needs. The default tol keeps the amplitude error two orders below the
-    shot noise of any sampled study. At fourth order each extra digit
-    costs about 1.8x the steps, and less wall time: a constant stretch of
-    the waveforms is one exponential whatever its step count, a Chebyshev
-    series of about one term per unit of spectral half-width times length
-    (see ``statevector._exponential``).
+    nominal labels regardless of the gains applied, and meta["steps"] is
+    the step count. Blocks hold up to 2^20 amplitudes, are evolved once
+    each and are reduced to probabilities as each finishes.
     """
     if fluct is None:
         fluct = FluctuationModel(eps_percent=0.0)
     exact = _check_n_meas(n_meas)
     if not samples:
         raise ValueError("at least one unitary sample required")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError("steps must be a positive integer")
 
     num_sites = psi.num_sites
-    x_tot = x_total(num_sites)
-    n_tot = occupation(num_sites, range(1, num_sites + 1))
-    occ = index_to_bits(np.arange(2**num_sites), num_sites).astype(float)
-    h_sparse = None
-    h_bound = 0.0
-    if h_mod is not None:
-        if h_mod.num_sites != num_sites:
-            raise ValueError("h_mod length differs from the state")
-        h_sparse = h_mod.to_sparse()
-        h_bound = float(sum(abs(c) for _, c in h_mod.items()))
-
-    # step-budget and kink-aligned starting grid
-    n_cells = max(1, len(schedule.breakpoints()) - 1)
-    burst = _norm_budget(schedule, num_sites, h_bound) * _EXP_WEIGHT * schedule.T
-    n_burst = int(np.ceil(burst / _STEP_BUDGET))
-    n0 = n_cells * max(1, int(np.ceil(n_burst / n_cells)))
-
-    def parts(payload=()):
-        return _pulsed_parts(schedule, samples[0].labels, x_tot, n_tot, occ, h_sparse, payload)
-
+    drive = _drive_operators(num_sites, h_mod)
     rngs = [_stream(seed, sample.realization) for sample in samples]
     per_shot = fluct.scope == "per_shot"
     if per_shot:
         sigma = [_apply_gains(schedule, g) for g in _sigma_gains(fluct.eps_percent)]
-        payload = [(s, sample.labels) for sample in samples for s in sigma]
+        columns = [(s, sample.labels) for sample in samples for s in sigma]
         weights = np.tile(_SIGMA_WEIGHTS, len(samples))
     else:
-        payload = [(perturb(schedule, fluct, rng), s.labels) for s, rng in zip(samples, rngs)]
+        columns = [(perturb(schedule, fluct, rng), s.labels) for s, rng in zip(samples, rngs)]
         weights = np.ones(len(samples))
-    per_sample = len(payload) // len(samples)
+    per_sample = len(columns) // len(samples)
 
-    # one column of each block is the nominal schedule
-    width = max(1, (_BLOCK_AMPLITUDES >> num_sites) - 1)
+    width = max(1, _BLOCK_AMPLITUDES >> num_sites)
     mixtures = np.zeros((len(samples), 2**num_sites))
-    for start in range(0, len(payload), width):
-        block = parts(payload[start : start + width])
-        if start == 0:
-            steps, states = _validated_block(psi, parts(), block, schedule.T, n0, tol)
-        else:
-            states = evolve_blend(psi, block, 0.0, schedule.T, tol=None, initial_steps=steps)
-        for j, state in enumerate(states[1:], start):
+    for start in range(0, len(columns), width):
+        chunk = columns[start : start + width]
+        parts = _pulsed_parts(schedule, chunk, *drive)
+        states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
+        for j, state in enumerate(states if len(chunk) > 1 else [states], start):
             mixtures[j // per_sample] += weights[j] * state.probabilities()
         del states  # free this block's amplitudes before the next is evolved
 

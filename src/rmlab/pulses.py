@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .pauli import PAULI_MATRICES, ROTATION_MATRICES, TWO_PI
-from .statevector import _GAUSS_OFF, ConvergenceError, NumericalContractError
+from .statevector import _GAUSS_OFF, NumericalContractError, _certify
 
 __all__ = [
     "AMP_CAP",
@@ -567,22 +567,15 @@ def propagator_batch(
 def single_qubit_propagator(
     schedule: PulseSchedule, label: int, tol: float = 1e-12
 ) -> np.ndarray:
-    """Noiseless 2x2 propagator, refined until two grids agree within tol."""
+    """Noiseless 2x2 propagator, the run at ramp substep budget
+    _STEP_BUDGET / (2m) for the first m that ``statevector._certify``
+    certifies within tol."""
     zero = np.zeros((1, 5))
-    budget = _STEP_BUDGET
-    u = propagator_batch(schedule, label, zero, budget)[0]
-    for _ in range(10):
-        u2 = propagator_batch(schedule, label, zero, budget / 2.0)[0]
-        err = float(np.linalg.norm(u2 - u))
-        if err <= tol:
-            u = u2
-            break
-        # fourth-order in the step budget: jump toward the target directly
-        shrink = min(64.0, max(2.0, 1.5 * (err / tol) ** 0.25))
-        budget = max(budget / 2.0 / shrink, 1e-6)
-        u = propagator_batch(schedule, label, zero, budget)[0]
-    else:
-        raise ConvergenceError(f"propagator refinement stalled, last change {err:.3e}")
+
+    def run(m: int) -> np.ndarray:
+        return propagator_batch(schedule, label, zero, _STEP_BUDGET / m)[0]
+
+    u = _certify(run, 1, tol)[1]
     dev = float(np.linalg.norm(u @ u.conj().T - np.eye(2)))
     if dev > 1e-10:
         raise NumericalContractError(f"propagator unitarity deviation {dev:.3e}")

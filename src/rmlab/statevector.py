@@ -27,11 +27,11 @@ Chebyshev series in (B - s) / R, with s near the centre and R the
 half-width of B's Gershgorin interval, per column (Tal-Ezer and Kosloff,
 J. Chem. Phys. 81, 3967 (1984)): about one application of B per unit of
 R * t, where Taylor pieces would need about ten per unit of |B| * t.
-The final answer is
-refined by step doubling until two grids agree within ``tol``; the
-refinement jump and the grid certificate in :mod:`rmlab.protocol` both
-follow from the order ``_ORDER``. ``evolve_static`` is the same engine on
-a constant H.
+``_certify``, the package's one error controller, refines a step count
+until runs on n and 2n steps agree, by rules that follow from the order
+``_ORDER``; ``evolve_blend``, the pulsed grid in :mod:`rmlab.protocol` and
+the single-site propagator in :mod:`rmlab.pulses` use it.
+``evolve_static`` is the same engine on a constant H.
 
 ``evolve_blend`` also evolves a block of K copies of one state at once when
 its parts are column-valued (per-column coefficients or a (2^L, K) diagonal):
@@ -98,7 +98,7 @@ _NORM_TOL = 1e-9
 # Gauss nodes, is one Taylor series (converged to 1e-16 in about 25 terms
 # at the limit) and beyond which it is a Chebyshev series; the start grid
 # of evolve_blend gives each step about this much. Accuracy is owned by
-# the step-doubling refinement
+# the error controller, _certify
 _STEP_BUDGET = 2.0
 
 # CFM4 step: Gauss nodes at t + (1/2 -+ _GAUSS_OFF) dt, shared with the
@@ -109,11 +109,12 @@ _A1 = 0.25 - _GAUSS_OFF
 _A2 = 0.25 + _GAUSS_OFF
 # |a1| + |a2| = 1/sqrt(3) bounds one exponent's norm per unit of dt * max |H|
 _EXP_WEIGHT = abs(_A1) + abs(_A2)
-# convergence order of the step; the refinement jump and the grid
-# certificates are derived from it
+# convergence order of the step; the error controller's acceptance rule
+# and jump are derived from it
 _ORDER = 4
-# step-doubling rounds before refinement gives up
-_MAX_REFINE = 16
+# largest multiple of its start grid that the error controller tries
+# (about 2^22 pulsed steps, or a propagator budget of about 1e-6)
+_MAX_GRID = 2**14
 
 
 class NumericalContractError(RuntimeError):
@@ -121,7 +122,7 @@ class NumericalContractError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Step-doubling refinement did not reach the requested tolerance."""
+    """The error controller could not certify a grid within the tolerance."""
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -673,6 +674,30 @@ def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n:
     return v
 
 
+def _certify(run: Callable[[int], np.ndarray], n: int, tol: float) -> tuple[int, np.ndarray, float]:
+    """The error controller: the first certified step count from n, the run
+    on twice its steps, and their distance (the largest over columns of
+    ``run(m)``, a vector, block or matrix computed on m steps at order
+    ``_ORDER``). That distance is (1 - 2^-_ORDER) of the n-step error, so
+    one within (1 - 2^-_ORDER) tol certifies n. Otherwise n jumps by the
+    whole factor ceil(1.3 (err / tol)^(1/_ORDER)) in 2..16, so every grid
+    is a multiple of the start; a jump of 2 reuses the 2n run. A jump past
+    _MAX_GRID times the start, at most 15 rounds in, is ConvergenceError.
+    """
+    start = n
+    coarse = run(n)
+    while True:
+        fine = run(2 * n)
+        err = float(np.max(_norms(fine - coarse)))
+        if err <= (1.0 - 2.0**-_ORDER) * tol:
+            return n, fine, err
+        jump = math.ceil(min(16.0, max(2.0, 1.3 * (err / tol) ** (1.0 / _ORDER))))
+        if n * jump > _MAX_GRID * start:
+            raise ConvergenceError(f"refinement stalled at {n} steps, change {err:.3e}, tol {tol:.3e}")
+        coarse = fine if jump == 2 else run(n * jump)
+        n *= jump
+
+
 def evolve_blend(
     psi: StateVector,
     parts: Sequence[tuple[float | Coefficient, Operator]],
@@ -692,12 +717,9 @@ def evolve_blend(
     series, a longer one a Chebyshev series of about one term per unit of
     half the spectral width times its length (see ``_exponential``). A
     NaN or infinite coefficient value raises NumericalContractError.
-    Step doubling refines the grid until the final
-    amplitudes move by less than ``tol``, jumping by
-    ``(err/tol)^(1/_ORDER)`` toward the grid that meets it; pass
-    ``tol=None`` to accept the first grid (used by the measurement pipeline,
-    which evolves the columns of both fluctuation scopes as blocks on a
-    grid certified separately: see ``protocol._validated_block``).
+    ``_certify`` refines the grid until runs on n and 2n steps agree within
+    15/16 ``tol`` and returns the 2n run. ``tol=None`` accepts the first
+    grid: pulsed blocks use the one ``protocol._certify_grid`` certifies.
 
     Column-valued parts (a coefficient returning a length-K array, or a
     dense (2^L, K) diagonal block) evolve K copies of psi as one block,
@@ -727,24 +749,11 @@ def evolve_blend(
         n = max(1, int(np.ceil(peak * _EXP_WEIGHT * span / _STEP_BUDGET)))
     else:
         n = max(1, int(initial_steps))
-    v = _run_steps(ham, amp, t0, t1, n)
-    if tol is not None:
-        for _ in range(_MAX_REFINE):
-            v2 = _run_steps(ham, amp, t0, t1, 2 * n)
-            err = float(np.max(_norms(v2 - v)))
-            if err <= tol:
-                n, v = 2 * n, v2
-                break
-            # error ~ n^-_ORDER: jump toward the target grid instead of
-            # doubling blindly; the smallest jump reuses the doubled grid
-            jump = min(16.0, max(2.0, 1.3 * (err / tol) ** (1.0 / _ORDER)))
-            n_next = int(np.ceil(n * jump))
-            v = v2 if n_next == 2 * n else _run_steps(ham, amp, t0, t1, n_next)
-            n = n_next
-        else:
-            raise ConvergenceError(
-                f"refinement stalled at {n} steps, last change {err:.3e} > tol {tol:.3e}"
-            )
+
+    def run(m: int) -> np.ndarray:
+        return _run_steps(ham, amp, t0, t1, m)
+
+    v = run(n) if tol is None else _certify(run, n, tol)[1]
     norm = _norms(v)
     drift = float(np.max(np.abs(norm - 1.0)))
     # written so that a NaN drift fails too

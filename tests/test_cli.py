@@ -154,13 +154,14 @@ def test_run_meta_reports_record_version_and_stage_times(tmp_path):
 
 
 _TINY_RUNS = {
-    # per repetition, a 300-step block and the 600-step grid check: the
-    # golden schedule's constant cells fuse into 153 and 303 exponentials,
-    # the longest of them past the step budget and so Chebyshev series
+    # the probe certifies 300 steps once per run against 600, then each
+    # repetition evolves its block once on 300: the golden schedule's
+    # constant cells fuse into 153 and 303 exponentials, the longest of
+    # them past the step budget and so Chebyshev series
     "pulsed": (
         {"kind": "af", "num_sites": 4},
         {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 2, "eps_percent": 3.0, "tol": 1e-4},
-        {"exponentials": 2 * (153 + 303), "series_terms": 7750},
+        {"exponentials": (153 + 303) + 2 * 153, "series_terms": 7506},
     ),
     # the same grid with 11 sigma-point columns per unitary: one block per
     # repetition, not one integration per shot
@@ -168,7 +169,7 @@ _TINY_RUNS = {
         {"kind": "af", "num_sites": 4},
         {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 2, "eps_percent": 3.0,
          "fluctuation_scope": "per_shot", "tol": 1e-4},
-        {"exponentials": 2 * (153 + 303), "series_terms": 7779},
+        {"exponentials": (153 + 303) + 2 * 153, "series_terms": 7535},
     ),
     # the sweep's refinement, once per run; ideal repetitions integrate nothing
     "adiabatic": (
@@ -244,6 +245,85 @@ def test_pulsed_run_loads_the_schedule_once(tmp_path, monkeypatch):
     assert run_cli("run", cfg, "--out", tmp_path / "out") == 0
     # one load for the runner, one for validate's interaction-phase warning
     assert calls == {"load": 1, "parse": 2, "validate": 1}
+
+
+def test_pulsed_run_certifies_its_grid_once(tmp_path, monkeypatch):
+    import rmlab.protocol as protocol
+
+    steps = []
+    evolve = protocol.evolve_blend
+
+    def counted(*args, **kwargs):
+        steps.append(kwargs["initial_steps"])
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "evolve_blend", counted)
+    cfg = tmp_path / "pulsed.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"kind": "af", "num_sites": 4},
+        "protocol": {"mode": "pulsed", "n_unitaries": 3, "n_meas": 10, "n_ave": 3,
+                     "eps_percent": 3.0, "tol": 1e-4},
+        "estimators": {"subsystems": [[1, 2]]},
+    }))
+    grids = []
+    for seed in (1, 2):
+        out = tmp_path / f"out{seed}"
+        assert run_cli("run", cfg, "--out", out, "--seed", seed) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert sorted(meta["stages_s"]) == ["certify", "prepare", "repetitions", "write"]
+        grids.append(meta["grid"])
+        for rec in sorted((out / "records").iterdir()):
+            assert load_record(rec).meta["steps"] == meta["grid"]["steps"]
+    # the probe at 300 and 600 steps, then one block per repetition
+    assert steps == 2 * [300, 600, 300, 300, 300]
+    # the probe draws nothing from the seed
+    assert grids[0] == grids[1] and grids[0]["steps"] == 300
+    assert 0.0 < grids[0]["probe_distance"] <= 15 / 16 * 1e-4 / 2
+
+
+@pytest.mark.parametrize("threads, n_ave, pools", [(8, 2, [2]), (2, 3, [2]), (8, 1, []), (1, 3, [])])
+def test_workers_never_outnumber_repetitions(tmp_path, monkeypatch, threads, n_ave, pools):
+    # a stand-in pool that maps in this process, so no worker is started
+    import rmlab.cli as cli
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = _smoke_variant(tmp_path, n_ave=n_ave)
+    assert run_cli("run", cfg, "--out", tmp_path / "run", "--threads", threads) == 0
+    assert started == pools
+
+
+@pytest.mark.parametrize("change, flags, message", [
+    ({"seed": -5}, (), "seed: must be a non-negative integer"),
+    ({}, ("--seed", -1), "seed: must be a non-negative integer"),
+    ({"estimators": {"subsystems": [[]]}}, (), "estimators.subsystems[0]: must contain at least one site"),
+])
+def test_validate_rejects_what_the_run_cannot_do(tmp_path, capsys, change, flags, message):
+    doc = config_to_dict(load_config(SMOKE)) | change
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    commands = [("run", cfg, "--out", tmp_path / "run", *flags)]
+    if not flags:  # validate takes no --seed
+        commands.append(("validate", cfg))
+    for argv in commands:
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_oracle_reports_exact_values(tmp_path):

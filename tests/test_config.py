@@ -20,8 +20,16 @@ from rmlab.config import (
     validate,
 )
 from rmlab.pauli import TWO_PI
-from rmlab.protocol import EXACT_SHOTS, MeasurementRecord, ReadoutErrorModel, _check_n_meas
+from rmlab.protocol import (
+    EXACT_SHOTS,
+    MeasurementRecord,
+    ReadoutErrorModel,
+    _certify_grid,
+    _check_n_meas,
+)
+from rmlab.pulses import golden_schedule
 from rmlab.scenarios import ScenarioConfig
+from rmlab.statevector import all_down
 
 MINIMAL = {
     "scenario": {"kind": "af", "num_sites": 4},
@@ -93,10 +101,12 @@ def test_non_finite_numbers_are_config_errors(section, key, literal):
 
 @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
 def test_tol_rule_agrees_with_the_run(tol):
-    # run_pulsed raises ValueError for the same values
+    # the run's grid certificate raises ValueError for the same values
     cfg = parse_config(doc(protocol={"mode": "pulsed", "n_meas": 100}))
     cfg = replace(cfg, protocol=replace(cfg.protocol, tol=tol))
     assert "protocol.tol: must be finite and positive" in validate(cfg)[0]
+    with pytest.raises(ValueError, match="tol"):
+        _certify_grid(all_down(cfg.scenario.num_sites), golden_schedule(), None, tol)
 
 
 def test_invalid_json_is_a_config_error():

@@ -15,6 +15,8 @@ from rmlab.protocol import (
     ReadoutErrorModel,
     UnitaryMeasurement,
     UnitarySample,
+    _certify_grid,
+    _pulsed_parts,
     apply_readout_errors,
     apply_readout_to_probs,
     load_record,
@@ -24,7 +26,14 @@ from rmlab.protocol import (
     save_record,
 )
 from rmlab.pulses import FluctuationModel, golden_schedule
-from rmlab.statevector import ground_state, random_state
+from rmlab.statevector import (
+    evolve_blend,
+    ground_state,
+    index_to_bits,
+    occupation,
+    random_state,
+    x_total,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +243,49 @@ def golden():
     return golden_schedule()
 
 
+def _run(psi, samples, schedule, tol=1e-6, **kwargs):
+    """run_pulsed on the step count that the probe certifies at tol, as a
+    CLI run does."""
+    steps, _ = _certify_grid(psi, schedule, kwargs.get("h_mod"), tol)
+    return run_pulsed(psi, samples, schedule, steps, **kwargs)
+
+
+def _probe(L):
+    """The golden schedule's probe pattern: label 3 (largest |d|) at odd
+    sites, label 1 (d = 0, the smallest) at even ones."""
+    return tuple((3, 1)[m % 2] for m in range(L))
+
+
+def _drive(L, h):
+    """x_tot, n_tot, the occupation table and h as sparse, for _pulsed_parts."""
+    occ = index_to_bits(np.arange(2**L), L).astype(float)
+    return x_total(L), occupation(L, range(1, L + 1)), occ, None if h is None else h.to_sparse()
+
+
+def _evolve_columns(psi, h, schedule, columns, steps):
+    """The amplitudes of each (schedule, labels) column on ``steps`` steps,
+    one row per column."""
+    parts = _pulsed_parts(schedule, columns, *_drive(psi.num_sites, h))
+    states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
+    return np.array([state.amp for state in (states if len(columns) > 1 else [states])])
+
+
+def _probe_distance(psi, h, schedule, steps):
+    """The probe column's distance between runs on steps and 2 steps."""
+    coarse, fine = (
+        _evolve_columns(psi, h, schedule, [(schedule, _probe(psi.num_sites))], n)
+        for n in (steps, 2 * steps)
+    )
+    return float(np.linalg.norm(coarse - fine))
+
+
 def test_pulsed_noise_free_approximates_ideal(golden):
     # calibrated rotations are within ~0.005 axis infidelity of ideal, so
     # each outcome distribution sits close to the ideal one
     rng = np.random.default_rng(9)
     psi = random_state(2, rng)
     samples = sample_unitaries(2, 4, rng)
-    pulsed = run_pulsed(psi, samples, golden, n_meas=EXACT_SHOTS)
+    pulsed = _run(psi, samples, golden, n_meas=EXACT_SHOTS)
     ideal = run_ideal(psi, samples, EXACT_SHOTS)
     for a, b in zip(pulsed.entries, ideal.entries):
         assert 0.5 * np.abs(a.probs - b.probs).sum() < 0.2
@@ -256,8 +301,8 @@ def test_pulsed_determinism_with_noise(golden):
         readout=ReadoutErrorModel(0.01, 0.03),
         seed=5,
     )
-    a = run_pulsed(psi, samples, golden, **kwargs)
-    b = run_pulsed(psi, samples, golden, **kwargs)
+    a = _run(psi, samples, golden, **kwargs)
+    b = _run(psi, samples, golden, **kwargs)
     assert all(x.counts == y.counts for x, y in zip(a.entries, b.entries))
     assert a.meta["steps"] == b.meta["steps"]
 
@@ -266,7 +311,7 @@ def test_pulsed_keeps_nominal_labels(golden):
     rng = np.random.default_rng(11)
     psi = random_state(2, rng)
     samples = sample_unitaries(2, 3, rng)
-    rec = run_pulsed(psi, samples, golden, fluct=FluctuationModel(5.0), n_meas=10)
+    rec = _run(psi, samples, golden, fluct=FluctuationModel(5.0), n_meas=10)
     assert [e.labels for e in rec.entries] == [s.labels for s in samples]
 
 
@@ -274,7 +319,7 @@ def test_per_shot_scope_runs_sampled(golden):
     rng = np.random.default_rng(13)
     psi = random_state(2, rng)
     samples = sample_unitaries(2, 1, rng)
-    rec = run_pulsed(
+    rec = _run(
         psi, samples, golden,
         fluct=FluctuationModel(3.0, scope="per_shot"),
         n_meas=4,
@@ -290,17 +335,8 @@ def _dimer_state(L):
 
 def _block_mixture(psi, h, labels, schedule, columns, weights, steps):
     """sum_j weights[j] |psi evolved under columns[j]|^2, one block."""
-    from rmlab.protocol import _pulsed_parts
-    from rmlab.statevector import evolve_blend, index_to_bits, occupation, x_total
-
-    L = psi.num_sites
-    occ = index_to_bits(np.arange(2**L), L).astype(float)
-    parts = _pulsed_parts(
-        schedule, labels, x_total(L), occupation(L, range(1, L + 1)), occ,
-        None if h is None else h.to_sparse(), [(s, labels) for s in columns],
-    )
-    states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
-    return sum(w * state.probabilities() for w, state in zip(weights, states[1:]))
+    amps = _evolve_columns(psi, h, schedule, [(s, labels) for s in columns], steps)
+    return np.asarray(weights) @ np.abs(amps) ** 2
 
 
 def _tv(p, q):
@@ -317,7 +353,7 @@ def test_per_shot_mixture_matches_tensor_gauss_hermite(golden):
     h, psi = _dimer_state(6)
     samples = sample_unitaries(6, 1, np.random.default_rng(21))
     eps = 3.0
-    rec = run_pulsed(
+    rec = _run(
         psi, samples, golden, fluct=FluctuationModel(eps, scope="per_shot"), h_mod=h,
         n_meas=EXACT_SHOTS, tol=1e-4,
     )
@@ -341,7 +377,7 @@ def test_per_shot_mixture_is_the_mean_over_per_shot_gain_draws(golden):
     _, psi = _dimer_state(4)
     samples = sample_unitaries(4, 1, np.random.default_rng(22))
     fluct = FluctuationModel(3.0, scope="per_shot")
-    rec = run_pulsed(psi, samples, golden, fluct=fluct, n_meas=EXACT_SHOTS, seed=5, tol=1e-4)
+    rec = _run(psi, samples, golden, fluct=fluct, n_meas=EXACT_SHOTS, seed=5, tol=1e-4)
     steps, labels = rec.meta["steps"], samples[0].labels
     rng = _stream(5, samples[0].realization)
     draws = [perturb(golden, fluct, rng) for _ in range(2000)]
@@ -362,10 +398,10 @@ def test_per_shot_shots_sample_the_records_own_mixture(golden):
     samples = sample_unitaries(4, 2, np.random.default_rng(23))
     readout = ReadoutErrorModel(0.01, 0.03)
     kwargs = dict(fluct=FluctuationModel(3.0, scope="per_shot"), h_mod=h, seed=9, tol=1e-4)
-    pure = run_pulsed(psi, samples, golden, n_meas=EXACT_SHOTS, **kwargs)
-    exact = run_pulsed(psi, samples, golden, n_meas=EXACT_SHOTS, readout=readout, **kwargs)
+    pure = _run(psi, samples, golden, n_meas=EXACT_SHOTS, **kwargs)
+    exact = _run(psi, samples, golden, n_meas=EXACT_SHOTS, readout=readout, **kwargs)
     n = 20_000
-    sampled = run_pulsed(psi, samples, golden, n_meas=n, readout=readout, **kwargs)
+    sampled = _run(psi, samples, golden, n_meas=n, readout=readout, **kwargs)
     for sample, mixture, flipped, got in zip(samples, pure.entries, exact.entries, sampled.entries):
         # stream contract: shots, then flips, and no gain draws
         want = _sample_entry(mixture.probs, sample, n, readout, _stream(9, sample.realization))
@@ -382,16 +418,23 @@ def test_per_shot_shots_sample_the_records_own_mixture(golden):
 @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
 def test_pulsed_tol_must_be_finite_and_positive(golden, tol):
     psi = random_state(2, np.random.default_rng(24))
-    samples = sample_unitaries(2, 1, np.random.default_rng(24))
     with pytest.raises(ValueError, match="tol"):
-        run_pulsed(psi, samples, golden, tol=tol)
+        _certify_grid(psi, golden, None, tol)
+
+
+@pytest.mark.parametrize("steps", [0, -300, 300.0])
+def test_pulsed_steps_must_be_a_positive_integer(golden, steps):
+    psi = random_state(2, np.random.default_rng(24))
+    samples = sample_unitaries(2, 1, np.random.default_rng(24))
+    with pytest.raises(ValueError, match="steps"):
+        run_pulsed(psi, samples, golden, steps)
 
 
 def test_pulsed_with_interactions_runs(golden):
     h = build_ssh(4, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
     _, gs = ground_state(h)
     samples = sample_unitaries(4, 2, np.random.default_rng(14))
-    rec = run_pulsed(gs, samples, golden, h_mod=h, n_meas=EXACT_SHOTS)
+    rec = _run(gs, samples, golden, h_mod=h, n_meas=EXACT_SHOTS)
     assert rec.mode == "pulsed"
     for e in rec.entries:
         assert abs(e.probs.sum() - 1.0) < 1e-12
@@ -399,37 +442,24 @@ def test_pulsed_with_interactions_runs(golden):
 
 def _per_unitary_reference(psi, samples, schedule, fluct, h_mod, n_meas, readout, seed, steps):
     """The loop run_pulsed's block replaces: one evolve_blend per sample,
-    gains then shots then flips drawn from the (seed, k) stream."""
-    from rmlab.protocol import _exact_entry, _pulsed_parts, _sample_entry, _stream
+    on the perturbed waveforms themselves, gains then shots then flips
+    drawn from the (seed, k) stream."""
+    from rmlab.protocol import _exact_entry, _sample_entry, _stream
     from rmlab.pulses import perturb
-    from rmlab.statevector import evolve_blend, index_to_bits, occupation, x_total
 
-    L = psi.num_sites
-    x_tot, n_tot = x_total(L), occupation(L, range(1, L + 1))
-    occ = index_to_bits(np.arange(2**L), L).astype(float)
-    h_sparse = None if h_mod is None else h_mod.to_sparse()
     entries = []
     for sample in samples:
         rng = _stream(seed, sample.realization)
-        parts = _pulsed_parts(
-            perturb(schedule, fluct, rng), sample.labels, x_tot, n_tot, occ, h_sparse
-        )
-        state = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
-        probs = state.probabilities()
+        perturbed = perturb(schedule, fluct, rng)
+        amp = _evolve_columns(psi, h_mod, perturbed, [(perturbed, sample.labels)], steps)[0]
+        probs = np.abs(amp) ** 2
         if n_meas == EXACT_SHOTS:
             entries.append(_exact_entry(probs, sample.labels, readout))
         else:
             entries.append(
                 _sample_entry(probs, sample, n_meas, readout, rng)
             )
-    # the grid contract: the nominal schedule under the first labels agrees
-    # with twice the steps to 15/16 tol
-    nominal = _pulsed_parts(schedule, samples[0].labels, x_tot, n_tot, occ, h_sparse)
-    coarse, fine = (
-        evolve_blend(psi, nominal, 0.0, schedule.T, tol=None, initial_steps=n)
-        for n in (steps, 2 * steps)
-    )
-    return entries, float(np.linalg.norm(coarse.amp - fine.amp))
+    return entries
 
 
 def _assert_same_entries(record, reference):
@@ -452,11 +482,13 @@ def test_pulsed_block_matches_per_unitary_loop(golden, with_h, n_meas):
         psi, samples, golden, FluctuationModel(3.0), h if with_h else None,
         n_meas, ReadoutErrorModel(0.01, 0.03), 17,
     )
-    rec = run_pulsed(*args[:3], fluct=args[3], h_mod=args[4], n_meas=n_meas,
-                     readout=args[6], seed=args[7], tol=1e-4)
-    reference, err = _per_unitary_reference(*args, rec.meta["steps"])
-    _assert_same_entries(rec, reference)
-    assert err <= 15 / 16 * 1e-4
+    rec = _run(*args[:3], fluct=args[3], h_mod=args[4], n_meas=n_meas,
+               readout=args[6], seed=args[7], tol=1e-4)
+    steps = rec.meta["steps"]
+    _assert_same_entries(rec, _per_unitary_reference(*args, steps))
+    # the grid contract: the probe agrees with twice the steps to 15/16 of
+    # half the tol
+    assert _probe_distance(psi, args[4], golden, steps) <= 15 / 16 * 1e-4 / 2
 
 
 @pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 300])
@@ -471,9 +503,9 @@ def test_pulsed_run_matches_the_per_step_loop(golden, monkeypatch, per_step_loop
         fluct=FluctuationModel(3.0), h_mod=h, n_meas=n_meas,
         readout=ReadoutErrorModel(0.01, 0.03), seed=19, tol=1e-4,
     )
-    fused = run_pulsed(psi, samples, golden, **kwargs)
+    fused = _run(psi, samples, golden, **kwargs)
     monkeypatch.setattr(statevector, "_run_steps", per_step_loop)
-    stepped = run_pulsed(psi, samples, golden, **kwargs)
+    stepped = _run(psi, samples, golden, **kwargs)
     assert fused.meta == stepped.meta
     _assert_same_entries(fused, stepped.entries)
 
@@ -484,43 +516,100 @@ def test_pulsed_tight_tol_doubles_block_grid(golden):
     psi = random_state(3, rng)
     samples = sample_unitaries(3, 3, rng)
     kwargs = dict(fluct=FluctuationModel(3.0), n_meas=EXACT_SHOTS, seed=4)
-    loose = run_pulsed(psi, samples, golden, tol=1e-4, **kwargs)
-    tight = run_pulsed(psi, samples, golden, tol=1e-10, **kwargs)
+    loose = _run(psi, samples, golden, tol=1e-4, **kwargs)
+    tight = _run(psi, samples, golden, tol=1e-10, **kwargs)
+    # the refined grid is a whole multiple of the start grid
     ratio = tight.meta["steps"] // loose.meta["steps"]
     assert ratio >= 2 and tight.meta["steps"] == ratio * loose.meta["steps"]
-    reference, err = _per_unitary_reference(
+    reference = _per_unitary_reference(
         psi, samples, golden, kwargs["fluct"], None, EXACT_SHOTS, None, 4,
         tight.meta["steps"],
     )
     _assert_same_entries(tight, reference)
-    assert err <= 15 / 16 * 1e-10
-    # the grid before the last doubling did not pass
-    _, err_half = _per_unitary_reference(
-        psi, samples[:1], golden, kwargs["fluct"], None, EXACT_SHOTS, None, 4,
-        tight.meta["steps"] // 2,
-    )
-    assert err_half > 15 / 16 * 1e-10
+    assert _probe_distance(psi, None, golden, tight.meta["steps"]) <= 15 / 16 * 1e-10 / 2
+    # the start grid did not pass
+    assert _probe_distance(psi, None, golden, loose.meta["steps"]) > 15 / 16 * 1e-10 / 2
 
 
 def test_validated_grid_is_within_tol_of_four_times_the_steps(golden):
     # at fourth order the n vs 2n distance is 15/16 of the n-grid error, so
-    # a grid accepted at 15/16 tol is itself within tol of the exact state
-    from rmlab.protocol import _pulsed_parts, _validated_block
-    from rmlab.statevector import evolve_blend, index_to_bits, occupation, x_total
+    # a probe grid accepted at 15/16 tol is itself within tol of the exact state
+    from rmlab.statevector import _certify
 
     L = 3
     psi = random_state(L, np.random.default_rng(30))
     h = build_ssh(L, 5 * 0.484 * 2 * np.pi, -5 * 0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
-    occ = index_to_bits(np.arange(2**L), L).astype(float)
-    args = (golden, (1, 2, 3), x_total(L), occupation(L, range(1, L + 1)), occ, h.to_sparse())
-    parts = _pulsed_parts(*args)
-    block = _pulsed_parts(*args, [(golden, (1, 2, 3))])
+
+    def run(m):
+        return _evolve_columns(psi, h, golden, [(golden, _probe(L))], m)[0]
+
     for tol in (1e-6, 1e-8):
-        # a start off the waveform's kinks has to double before it passes
-        n, out = _validated_block(psi, parts, block, golden.T, 75, tol)
-        assert n > 75
-        fine = evolve_blend(psi, parts, 0.0, golden.T, tol=None, initial_steps=4 * n)
-        assert all(np.linalg.norm(state.amp - fine.amp) <= tol for state in out)
+        # a start off the waveform's kinks (150 steps on 300 cells) has to
+        # refine before it passes
+        n, _, _ = _certify(run, 150, tol)
+        assert n > 150 and n % 150 == 0
+        assert np.linalg.norm(run(n) - run(4 * n)) <= tol
+
+
+def test_probe_alternates_the_largest_and_smallest_light_shift(golden, monkeypatch):
+    import rmlab.protocol as protocol
+
+    seen = []
+    parts = protocol._pulsed_parts
+
+    def spy(schedule, columns, *drive):
+        seen.append(columns)
+        return parts(schedule, columns, *drive)
+
+    monkeypatch.setattr(protocol, "_pulsed_parts", spy)
+    _certify_grid(random_state(5, np.random.default_rng(35)), golden, None, 1e-4)
+    assert np.argmax(np.abs(golden.delta_amps)) == 2 and np.argmin(np.abs(golden.delta_amps)) == 0
+    assert seen == [[(golden, (3, 1, 3, 1, 3))]]
+
+
+@pytest.fixture(scope="module")
+def random_columns_l6(golden):
+    """An L = 6 per_unitary run with interactions at eps = 3 %: the state,
+    h, and its 50 columns' amplitudes on 300, 600 and 1200 steps."""
+    from rmlab.protocol import _stream
+    from rmlab.pulses import perturb
+
+    h, psi = _dimer_state(6)
+    fluct = FluctuationModel(3.0)
+    samples = sample_unitaries(6, 50, np.random.default_rng(40))
+    columns = [(perturb(golden, fluct, _stream(41, s.realization)), s.labels) for s in samples]
+    return psi, h, {n: _evolve_columns(psi, h, golden, columns, n) for n in (300, 600, 1200)}
+
+
+def _covers(distance, distances):
+    """A probe distance is at least the median and half the maximum."""
+    return distance >= np.median(distances) and distance >= 0.5 * np.max(distances)
+
+
+def test_probe_is_as_hard_as_random_columns(golden, random_columns_l6):
+    psi, h, amps = random_columns_l6
+    columns = np.linalg.norm(amps[300] - amps[600], axis=1)
+    steps, probe = _certify_grid(psi, golden, h, 1.0)
+    assert steps == 300 and probe == pytest.approx(_probe_distance(psi, h, golden, 300))
+    assert _covers(probe, columns)
+    # a uniform label pattern is far easier than a random column
+    for label in (1, 2, 3):
+        pattern = [(golden, (label,) * 6)]
+        uniform = np.linalg.norm(np.subtract(*(_evolve_columns(psi, h, golden, pattern, n) for n in (300, 600))))
+        assert not _covers(uniform, columns)
+
+
+def test_every_column_of_a_random_run_is_within_tol(golden, random_columns_l6):
+    # a tol at which the probe passes narrowly, 2 % inside its certificate;
+    # certifying on one random column at the full tol left other columns
+    # beyond it
+    psi, h, amps = random_columns_l6
+    _, probe = _certify_grid(psi, golden, h, 1.0)
+    tol = 1.02 * 2 * probe / (15 / 16)
+    assert _certify_grid(psi, golden, h, tol) == (300, probe)
+    # the probe is certified at half the run's tol: 4 % less and it refines
+    assert _certify_grid(psi, golden, h, tol / 1.04)[0] > 300
+    assert np.max(np.linalg.norm(amps[300] - amps[1200], axis=1)) <= tol
 
 
 def test_pulsed_blocks_split_without_changing_records(golden, monkeypatch):
@@ -533,12 +622,13 @@ def test_pulsed_blocks_split_without_changing_records(golden, monkeypatch):
         kwargs = dict(
             fluct=FluctuationModel(3.0, scope), n_meas=EXACT_SHOTS, seed=8, tol=1e-4
         )
-        whole = run_pulsed(psi, picked, golden, **kwargs)
-        # six columns a block: the nominal one and five others, so that
-        # per_shot blocks split a sample's 11 columns and join two samples
+        whole = _run(psi, picked, golden, **kwargs)
+        # six columns a block: per_shot blocks split a sample's 11 columns
+        # and join two samples, and the seventh per_unitary column is a
+        # block of one, a single vector
         with monkeypatch.context() as m:
             m.setattr(protocol, "_BLOCK_AMPLITUDES", 6 * 2**3)
-            split = run_pulsed(psi, picked, golden, **kwargs)
+            split = _run(psi, picked, golden, **kwargs)
         assert split.meta == whole.meta
         _assert_same_entries(split, whole.entries)
 

@@ -195,6 +195,8 @@ def test_evolve_blend_is_fourth_order():
 
 
 def test_refinement_jumps_by_the_fourth_root(monkeypatch):
+    import math
+
     import rmlab.statevector as statevector
 
     runs = []
@@ -210,12 +212,96 @@ def test_refinement_jumps_by_the_fourth_root(monkeypatch):
     out = evolve_blend(psi, parts, 0.0, 1.0, tol=tol, initial_steps=8)
     # 8 vs 16 steps misses tol; at fourth order the grid it jumps to passes
     # its own doubling check, so refinement ends there
-    (n0, v0), (n1, v1), (n2, _), (n3, _) = runs
+    (n0, v0), (n1, v1), (n2, v2), (n3, v3) = runs
     assert (n0, n1) == (8, 16)
     jump = 1.3 * (np.linalg.norm(v1 - v0) / tol) ** 0.25
     assert 2.0 < jump < 16.0
-    assert n2 == int(np.ceil(n0 * jump)) and n3 == 2 * n2
+    # a whole jump keeps every grid a multiple of the start grid
+    assert n2 == n0 * math.ceil(jump) and n3 == 2 * n2
+    assert np.linalg.norm(v3 - v2) <= 15 / 16 * tol
+    assert np.array_equal(out.amp, v3 / np.linalg.norm(v3))
     assert np.linalg.norm(out.amp - ref) < tol
+
+
+def _synthetic_runs(shape, scale):
+    """run(m) = exact + C m^-4 for one fixed exact and C of ``shape``, with
+    every requested m recorded."""
+    rng = np.random.default_rng(33)
+    exact = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    c = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    asked = []
+
+    def run(m):
+        asked.append(m)
+        return exact + c * float(m) ** -4
+
+    return run, exact, asked
+
+
+def _distance(a, b):
+    """The largest column distance; a vector is one column."""
+    return float(np.max(np.linalg.norm(a - b, axis=0)))
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 5), (2, 2)])
+@pytest.mark.parametrize("start, tol", [(3, 1e-6), (7, 1e-9), (300, 1e-12), (5, 1.0)])
+def test_error_controller_certifies_the_first_grid_within_tol(shape, start, tol):
+    from rmlab.statevector import _certify
+
+    run, exact, asked = _synthetic_runs(shape, 1e3)
+    n, fine, err = _certify(run, start, tol)
+    assert np.array_equal(fine, run(2 * n)) and err == pytest.approx(_distance(run(n), fine))
+    assert err <= 15 / 16 * tol
+    # n vs 2n is 15/16 of the n-step error, so n itself is within tol
+    assert _distance(run(n), exact) <= tol
+    assert all(m % start == 0 for m in asked)
+    # every grid tried before n missed the certificate
+    tried = sorted({m for m in asked if m < n})
+    assert all(_distance(run(m), run(2 * m)) > 15 / 16 * tol for m in tried if 2 * m in asked)
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 5), (2, 2)])
+def test_error_controller_refines_a_distance_above_fifteen_sixteenths_of_tol(shape):
+    from rmlab.statevector import _certify
+
+    run, exact, _ = _synthetic_runs(shape, 1e3)
+    # a 10 vs 20 distance of 0.97 tol leaves the 10-step error above tol
+    tol = _distance(run(10), run(20)) / 0.97
+    assert _distance(run(10), exact) > tol
+    n, _, _ = _certify(run, 10, tol)
+    assert n > 10 and _distance(run(n), exact) <= tol
+
+
+def test_error_controller_stalls_into_convergence_error():
+    from rmlab.statevector import _MAX_GRID, _certify
+
+    # no grid ever meets a tolerance below the runs' own noise; jumps of
+    # 16 reach the grid cap
+    rng = np.random.default_rng(34)
+    calls = []
+
+    def noisy(m):
+        calls.append(m)
+        return rng.normal(size=4)
+
+    with pytest.raises(ConvergenceError, match="stalled"):
+        _certify(noisy, 2, 1e-3)
+    assert max(calls) <= 2 * _MAX_GRID * 2
+    run, _, asked = _synthetic_runs((4,), 1.0)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        _certify(run, 3, 1e-40)
+    assert max(asked) <= 2 * _MAX_GRID * 3
+    # a distance stuck at twice tol jumps by 2 each round, so no candidate
+    # grid passes _MAX_GRID times the start grid
+    doubled = []
+
+    def stuck(m):
+        doubled.append(m)
+        return np.array([m.bit_length() % 2, 0.0])
+
+    with pytest.raises(ConvergenceError, match="stalled"):
+        _certify(stuck, 1, 0.5)
+    assert doubled == [2**k for k in range(16)] and doubled[-1] == 2 * _MAX_GRID
 
 
 def test_evolve_blend_matches_static():
