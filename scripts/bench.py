@@ -20,8 +20,14 @@ source digest, not the hash, names the code that ran.
 
 After the workloads it runs the tier-1 tests (``TIER1_ARGS``) once
 and stores, under ``tier1``, the command, its exit code, the outcome
-counts from pytest's summary line (passed, failed, ...) and its wall
-time in seconds.
+counts from pytest's summary line (passed, failed, ...), its wall
+time in seconds and, as ``slowest``, the five longest test phases that
+pytest's ``--durations=5`` lists.
+
+Under ``layers`` it stores per-call times of layers that no workload
+reaches: ``propagator_batch_ms`` holds, per rotation label of the golden
+schedule, the best of five ``pulses.propagator_batch`` calls at 1, 11
+(the sigma points) and 200 (random) gain rows, in milliseconds.
 
 Next to ``source_lines`` the provenance holds ``public_surface``: per
 rmlab module, the names in its ``__all__`` and the parameters with
@@ -35,6 +41,7 @@ import argparse
 import importlib
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -45,7 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROVENANCE_KEYS = ("git_hash", "src_sha256", "numpy", "scipy", "nproc", "source_lines")
-TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=5"]
 
 
 def run_set(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -82,8 +89,38 @@ def run_tier1() -> dict:
     wall_s = time.perf_counter() - start
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (\w+)", summary.split(" in ")[0])}
+    slowest = [
+        {"test": test, "phase": phase, "s": float(s)}
+        for s, phase, test in re.findall(r"^([\d.]+)s (call|setup|teardown)\s+(.+)$", proc.stdout, re.M)
+    ]
     return {"command": "PYTHONPATH=src python " + " ".join(TIER1_ARGS),
-            "returncode": proc.returncode, "counts": counts, "wall_s": wall_s}
+            "returncode": proc.returncode, "counts": counts, "wall_s": wall_s, "slowest": slowest}
+
+
+def propagator_layer(repeats: int = 5) -> dict:
+    """Best-of-``repeats`` milliseconds per ``propagator_batch`` call on the
+    golden schedule, per label and gain-row count."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+
+    from rmlab.pulses import FluctuationModel, _sigma_gains, draw_gains, golden_schedule, propagator_batch
+
+    schedule = golden_schedule()
+    gains = {
+        1: np.zeros((1, 5)),
+        11: _sigma_gains(3.0),
+        200: draw_gains(FluctuationModel(3.0), np.random.default_rng(0), 200),
+    }
+    out: dict = {}
+    for label in (1, 2, 3):
+        for rows, g in gains.items():
+            best = math.inf
+            for _ in range(repeats):
+                start = time.perf_counter()
+                propagator_batch(schedule, label, g)
+                best = min(best, time.perf_counter() - start)
+            out.setdefault(f"label_{label}", {})[str(rows)] = 1e3 * best
+    return out
 
 
 def public_surface() -> dict:
@@ -138,6 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         report["workloads"][name] = results
         report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS} | {"git_dirty": dirty})
     report["provenance"]["public_surface"] = public_surface()
+    report["layers"] = {"propagator_batch_ms": propagator_layer()}
     print("tier-1 tests ...", file=sys.stderr, flush=True)
     report["tier1"] = run_tier1()
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

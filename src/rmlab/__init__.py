@@ -27,7 +27,6 @@ from .statevector import (
     DegenerateGroundStateError,
     product_state,
     all_down,
-    random_state,
     expectation,
     apply_local_unitaries,
     evolve_blend,
@@ -36,7 +35,6 @@ from .statevector import (
     sample_basis_indices,
     reduced_density,
     exact_purity,
-    state_fidelity,
 )
 from .pulses import (
     AMP_CAP,
@@ -48,7 +46,6 @@ from .pulses import (
     PulseSchedule,
     FluctuationModel,
     RealisticParams,
-    ideal_schedule,
     realistic_schedule,
     perturb,
     single_qubit_propagator,
@@ -69,7 +66,6 @@ from .protocol import (
     UnitaryMeasurement,
     MeasurementRecord,
     sample_unitaries,
-    all_label_settings,
     apply_readout_errors,
     apply_readout_to_probs,
     run_ideal,
@@ -81,7 +77,6 @@ from .estimators import (
     EstimatorResult,
     NormalizationError,
     purity_estimate,
-    purity_pairwise,
     observable_expectation,
     hamiltonian_variance,
     RESULT_COLUMNS,

@@ -8,8 +8,8 @@ Repetitions are independent: repetition r runs under the seed that
 ``_rep_seed`` derives as ``SeedSequence([master, r])``, the package's only
 repetition-seed scheme, so results do not depend on the thread count,
 only on the config and seed. What every repetition shares (the prepared
-scenario, the pulse schedule and its certified step count, and, when the
-variance is requested, H^2) is built once per run.
+scenario, the pulse schedule, its drive operators and certified step
+count, and, when the variance is requested, H^2) is built once per run.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .protocol import (
     EXACT_SHOTS,
     MeasurementRecord,
     _certify_grid,
+    _drive_operators,
     run_ideal,
     run_pulsed,
     sample_unitaries,
@@ -84,7 +85,7 @@ def _integrator_since(start: dict[str, int]) -> dict[str, int]:
 def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dict[str, int]]:
     """One repetition's estimates and record, and the integrator work it did
     (its own difference, so a worker process reports only its share)."""
-    cfg, scen, schedule, steps, h_squared, rep = args
+    cfg, scen, schedule, steps, drive, h_squared, rep = args
     start = dict(_INTEGRATOR_COUNTS)
     prot = cfg.protocol
     seed = _rep_seed(cfg.seed, rep)
@@ -99,8 +100,8 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dic
             samples,
             schedule,
             steps,
+            drive,
             fluct=fluct,
-            h_mod=scen.hamiltonian,
             n_meas=prot.n_meas,
             readout=prot.readout,
             seed=seed,
@@ -120,9 +121,9 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dic
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     """Run every repetition, then write records, results.csv and run_meta.json.
 
-    The scenario, the pulse schedule, its step count (certified once by
-    ``protocol._certify_grid``) and H^2 (only when the variance is
-    requested) are shared by all repetitions, which run in
+    The scenario, the pulse schedule, its drive operators, its step count
+    (certified once by ``protocol._certify_grid``) and H^2 (only when the
+    variance is requested) are shared by all repetitions, which run in
     min(threads, n_ave) worker processes, or in this one. run_meta.json
     records the record format version, the wall time of each stage:
     prepare (the other shared inputs), certify (pulsed runs),
@@ -137,15 +138,18 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     start_counts = dict(_INTEGRATOR_COUNTS)
     scen = prepare_scenario(cfg.scenario)
     prot = cfg.protocol
-    schedule = golden_schedule() if prot.mode == "pulsed" else None
+    schedule = drive = None
+    if prot.mode == "pulsed":
+        schedule = golden_schedule()
+        drive = _drive_operators(scen.state.num_sites, scen.hamiltonian)
     h_squared = square_observable(scen.hamiltonian) if cfg.targets.variance else None
     prepared = time.perf_counter()
     steps = distance = None
     if schedule is not None:
-        steps, distance = _certify_grid(scen.state, schedule, scen.hamiltonian, prot.tol)
+        steps, distance = _certify_grid(scen.state, schedule, drive, prot.tol)
     certified = time.perf_counter()
     integrator = _integrator_since(start_counts)
-    work = [(cfg, scen, schedule, steps, h_squared, rep) for rep in range(prot.n_ave)]
+    work = [(cfg, scen, schedule, steps, drive, h_squared, rep) for rep in range(prot.n_ave)]
     workers = min(threads, prot.n_ave)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

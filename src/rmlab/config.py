@@ -18,7 +18,7 @@ from .pauli import TWO_PI
 from .protocol import EXACT_SHOTS, ReadoutErrorModel, _check_n_meas
 from .pulses import golden_schedule
 from .scenarios import J_E, J_NNN, J_O, J_QUENCH, MU_EDGE, ScenarioConfig
-from .statevector import MAX_SUBSYSTEM
+from .statevector import _check_sites
 
 __all__ = [
     "SHOT_BUDGET",
@@ -285,19 +285,13 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
             errs.append("protocol.n_meas: purity estimation needs at least 2 shots per unitary")
 
     for i, sites in enumerate(cfg.targets.subsystems):
-        bad = [s for s in sites if not 1 <= s <= scen.num_sites]
-        if not sites:
-            errs.append(f"estimators.subsystems[{i}]: must contain at least one site")
-        elif bad:
-            errs.append(
-                f"estimators.subsystems[{i}]: sites {bad} outside 1..{scen.num_sites}"
-            )
-        elif len(set(sites)) != len(sites) or list(sites) != sorted(sites):
-            errs.append(f"estimators.subsystems[{i}]: sites must be sorted and distinct")
-        elif len(sites) > MAX_SUBSYSTEM:
-            errs.append(
-                f"estimators.subsystems[{i}]: larger than {MAX_SUBSYSTEM} sites"
-            )
+        try:
+            # the estimators' own check; "sites=1,2" labels results.csv rows,
+            # so a subsystem also has one spelling
+            if list(_check_sites(sites, scen.num_sites)) != sorted(sites):
+                raise ValueError("sites must be sorted")
+        except ValueError as e:
+            errs.append(f"estimators.subsystems[{i}]: {e}")
     if not cfg.targets.subsystems and not cfg.targets.variance and not cfg.targets.energy:
         errs.append("estimators: nothing to estimate (no subsystems, variance, or energy)")
 

@@ -12,8 +12,8 @@ unitaries gives x; for empirical distributions from N shots the
 unbiased value is x N/(N-1) - 2^ℓ/(N-1). That closed form equals the
 U-statistic over distinct shot pairs exactly: the diagonal of the
 double sum contributes k(s, s) = 2^ℓ per shot, and removing it is
-algebra, not approximation; purity_pairwise walks the pairs directly
-so tests can confirm the identity.
+algebra, not approximation; the tests confirm the identity with a
+U-statistic that walks the pairs directly.
 
 Pauli expectations. Rotating the state by U and reading z is the same
 as measuring U P U†, so each recorded pattern estimates Tr[P ρ] whenever
@@ -42,13 +42,12 @@ import numpy as np
 
 from .pauli import LABELS, PauliString, PauliStringSum, square_observable
 from .protocol import EXACT_SHOTS, MeasurementRecord, UnitaryMeasurement
-from .statevector import MAX_SUBSYSTEM, apply_site_matrices, bits_to_index, index_to_bits
+from .statevector import _check_sites, apply_site_matrices, bits_to_index, index_to_bits
 
 __all__ = [
     "EstimatorResult",
     "NormalizationError",
     "purity_estimate",
-    "purity_pairwise",
     "observable_expectation",
     "hamiltonian_variance",
     "RESULT_COLUMNS",
@@ -75,19 +74,6 @@ class EstimatorResult:
 # ---------------------------------------------------------------------------
 
 _KERNEL = np.array([[2.0, -1.0], [-1.0, 2.0]])
-
-
-def _check_subsystem(sites: Sequence[int], num_sites: int) -> tuple[int, ...]:
-    sub = tuple(sorted(int(s) for s in sites))
-    if not sub:
-        raise ValueError("subsystem must contain at least one site")
-    if len(set(sub)) != len(sub):
-        raise ValueError("subsystem sites must be distinct")
-    if sub[0] < 1 or sub[-1] > num_sites:
-        raise ValueError(f"sites must lie in 1..{num_sites}")
-    if len(sub) > MAX_SUBSYSTEM:
-        raise ValueError(f"subsystem larger than {MAX_SUBSYSTEM} sites")
-    return sub
 
 
 def _sampled_outcomes(entry: UnitaryMeasurement) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +105,7 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
     """
     if record.n_unitaries == 0:
         raise ValueError("record has no entries")
-    sub = _check_subsystem(sites, record.num_sites)
+    sub = tuple(sorted(_check_sites(sites, record.num_sites)))
     ell = len(sub)
     kernel = [_KERNEL] * ell
     x_values = []
@@ -134,35 +120,6 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
         if n < 2:
             raise ValueError("bias correction requires at least 2 shots")
         value = x * n / (n - 1) - (2**ell) / (n - 1)
-    return EstimatorResult(value=value)
-
-
-def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> EstimatorResult:
-    """Same purity through the U-statistic over distinct shot pairs.
-
-    O(r^2 l) in the number r of distinct outcomes per unitary. No pipeline
-    stage calls it: it is the tests' independent route that pins the
-    closed-form correction of purity_estimate.
-    """
-    if record.n_meas == EXACT_SHOTS:
-        raise ValueError("pairwise estimator needs sampled shots")
-    if record.n_meas < 2:
-        raise ValueError("need at least 2 shots to form pairs")
-    sub = _check_subsystem(sites, record.num_sites)
-    ell = len(sub)
-    n = record.n_meas
-    cols = [m - 1 for m in sub]
-    per_unitary = []
-    for e in record.entries:
-        idx, mult = _sampled_outcomes(e)
-        bits = index_to_bits(idx, record.num_sites)[:, cols]
-        # kernel value per outcome pair from the Hamming distance
-        dist = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
-        kern = (2.0**ell) * (-2.0) ** (-dist.astype(float))
-        gross = float(mult @ kern @ mult)
-        diagonal = float(mult.sum()) * (2.0**ell)
-        per_unitary.append((gross - diagonal) / (n * (n - 1)))
-    value = math.fsum(per_unitary) / len(per_unitary)
     return EstimatorResult(value=value)
 
 

@@ -28,7 +28,9 @@ gains, with weight 1; "per_shot" gives it the 11 sigma points of
 ``pulses._sigma_gains`` with weights ``pulses._SIGMA_WEIGHTS``, whose
 mixture is the gain-averaged distribution that per-shot draws sample.
 Every block of a run is evolved once, on one step count that
-``_certify_grid`` certifies per run on a seed-free probe column.
+``_certify_grid`` certifies per run on a seed-free probe column, with the
+operators that ``_drive_operators`` builds once per run (X_tot, N_tot,
+the occupation table and the sparse H_mod).
 
 Reproducibility contract: every stochastic step under sample k draws from
 a stream keyed by (seed, k), in a fixed order: pulse gains (per_unitary
@@ -43,7 +45,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -82,7 +84,6 @@ __all__ = [
     "UnitaryMeasurement",
     "MeasurementRecord",
     "sample_unitaries",
-    "all_label_settings",
     "apply_readout_errors",
     "apply_readout_to_probs",
     "run_ideal",
@@ -242,24 +243,6 @@ def sample_unitaries(
     ]
 
 
-def all_label_settings(num_sites: int) -> list[UnitarySample]:
-    """Every one of the 3^L label patterns once, in lexicographic order.
-
-    Exact enumeration replaces sampling in the smallest systems, turning
-    statistical estimator checks into identities. No pipeline stage calls
-    it: it is the tests' exact 3-design over labels.
-    """
-    out = []
-    for k in range(3**num_sites):
-        digits = []
-        rem = k
-        for _ in range(num_sites):
-            digits.append(rem % 3 + 1)
-            rem //= 3
-        out.append(UnitarySample(labels=tuple(reversed(digits)), realization=k))
-    return out
-
-
 def apply_readout_errors(
     bits: np.ndarray, model: ReadoutErrorModel, rng: np.random.Generator
 ) -> np.ndarray:
@@ -391,32 +374,41 @@ def _gain(scaled: Waveform, nominal: Waveform) -> float:
     return float(scaled.values[i] / nominal.values[i]) if nominal.values[i] else 1.0
 
 
-def _drive_operators(num_sites: int, h_mod: PauliStringSum | None):
-    """What every pulsed column shares: X_tot, N_tot, the (2^L, L) table of
-    n_m per basis index, and h_mod as a sparse matrix (None without it)."""
+class _Drive(NamedTuple):
+    """What every pulsed column of a run shares (see ``_drive_operators``)."""
+
+    x_tot: sparse.csr_matrix
+    n_tot: sparse.csr_matrix
+    occ: np.ndarray
+    h_mod: sparse.csr_matrix | None
+    h_bound: float
+
+
+def _drive_operators(num_sites: int, h_mod: PauliStringSum | None) -> _Drive:
+    """X_tot, N_tot, the (2^L, L) table of n_m per basis index, h_mod as a
+    sparse matrix (None without it) and sum |c| over h_mod's strings, a
+    bound on its norm (0 without it). A run builds them once."""
     if h_mod is not None and h_mod.num_sites != num_sites:
         raise ValueError("h_mod length differs from the state")
-    return (
+    return _Drive(
         x_total(num_sites),
         occupation(num_sites, range(1, num_sites + 1)),
         index_to_bits(np.arange(2**num_sites), num_sites).astype(float),
         None if h_mod is None else h_mod.to_sparse(),
+        0.0 if h_mod is None else float(sum(abs(c) for _, c in h_mod.items())),
     )
 
 
 def _pulsed_parts(
     schedule: PulseSchedule,
     columns: Sequence[tuple[PulseSchedule, tuple[int, ...]]],
-    x_tot: sparse.csr_matrix,
-    n_tot: sparse.csr_matrix,
-    occ: np.ndarray,
-    h_mod: sparse.csr_matrix | None,
+    drive: _Drive,
 ):
     """H(t) = Omega/2 X_tot - Delta N_tot + f N_weighted + H_mod per column.
 
     The per-site detuning enters as -(Delta - f d_label) n_m, split into
-    the two diagonal parts so the waveforms stay global. ``occ`` is the
-    (2^L, L) table of n_m per basis index that N_weighted is built from.
+    the two diagonal parts so the waveforms stay global. N_weighted is
+    built from ``drive.occ``, the (2^L, L) table of n_m per basis index.
 
     A column is (``schedule`` scaled by _apply_gains, labels): its Omega and
     Delta gains scale the X_tot and N_tot coefficients, and its light
@@ -425,7 +417,7 @@ def _pulsed_parts(
     (2^L, K) diagonal.
     """
     shifts = np.column_stack(
-        [occ @ np.array([s.delta_amps[l - 1] for l in labs]) for s, labs in columns]
+        [drive.occ @ np.array([s.delta_amps[l - 1] for l in labs]) for s, labs in columns]
     )
     gain_omega = np.array([_gain(s.omega, schedule.omega) for s, _ in columns])
     gain_delta = np.array([_gain(s.delta, schedule.delta) for s, _ in columns])
@@ -435,20 +427,20 @@ def _pulsed_parts(
     else:
         n_weighted = shifts
     parts = [
-        (lambda t: schedule.omega.value(t) / 2.0 * gain_omega, x_tot),
-        (lambda t: -schedule.delta.value(t) * gain_delta, n_tot),
+        (lambda t: schedule.omega.value(t) / 2.0 * gain_omega, drive.x_tot),
+        (lambda t: -schedule.delta.value(t) * gain_delta, drive.n_tot),
         (lambda t: schedule.f.value(t), n_weighted),
     ]
-    if h_mod is not None:
-        parts.append((1.0, h_mod))
+    if drive.h_mod is not None:
+        parts.append((1.0, drive.h_mod))
     return parts
 
 
 def _certify_grid(
-    psi: StateVector, schedule: PulseSchedule, h_mod: PauliStringSum | None, tol: float
+    psi: StateVector, schedule: PulseSchedule, drive: _Drive, tol: float
 ) -> tuple[int, float]:
     """The step count for every pulsed block of a run, and the probe's n vs
-    2n distance there.
+    2n distance there, under the run's ``_drive_operators``.
 
     The probe is the nominal schedule under labels that alternate the
     largest-|d| and the smallest-|d| label, the largest at site 1; it draws
@@ -462,18 +454,17 @@ def _certify_grid(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     num_sites = psi.num_sites
-    h_bound = 0.0 if h_mod is None else float(sum(abs(c) for _, c in h_mod.items()))
     # a bound on |H(t)| per site sizes the start grid
     dmax = max(abs(d) for d in schedule.delta_amps)
     per_site = schedule.omega.max_abs() / 2.0 + schedule.delta.max_abs() + schedule.f.max_abs() * dmax
-    n_burst = math.ceil((per_site * num_sites + h_bound) * _EXP_WEIGHT * schedule.T / _STEP_BUDGET)
+    n_burst = math.ceil((per_site * num_sites + drive.h_bound) * _EXP_WEIGHT * schedule.T / _STEP_BUDGET)
     n_cells = max(1, len(schedule.breakpoints()) - 1)
     n0 = n_cells * max(1, math.ceil(n_burst / n_cells))
 
     size = np.abs(schedule.delta_amps)
     extremes = (int(np.argmax(size)) + 1, int(np.argmin(size)) + 1)
     probe = tuple(extremes[m % 2] for m in range(num_sites))
-    parts = _pulsed_parts(schedule, [(schedule, probe)], *_drive_operators(num_sites, h_mod))
+    parts = _pulsed_parts(schedule, [(schedule, probe)], drive)
 
     def run(m: int) -> np.ndarray:
         return evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=m).amp
@@ -487,14 +478,15 @@ def run_pulsed(
     samples: Sequence[UnitarySample],
     schedule: PulseSchedule,
     steps: int,
+    drive: _Drive,
     fluct: FluctuationModel | None = None,
-    h_mod: PauliStringSum | None = None,
     n_meas: int | float = EXACT_SHOTS,
     readout: ReadoutErrorModel | None = None,
     seed: int = 0,
 ) -> MeasurementRecord:
     """Integrate the pulse Hamiltonian per sample, interactions included,
-    on ``steps`` CFM4 steps (``_certify_grid`` gives the run's count).
+    on ``steps`` CFM4 steps (``_certify_grid`` gives the run's count), with
+    the run's ``_drive_operators``.
 
     Sample k's outcome distribution is the weighted sum of its columns'
     probabilities (block layout and (seed, k) streams per scope: see the
@@ -516,7 +508,6 @@ def run_pulsed(
         raise ValueError("steps must be a positive integer")
 
     num_sites = psi.num_sites
-    drive = _drive_operators(num_sites, h_mod)
     rngs = [_stream(seed, sample.realization) for sample in samples]
     per_shot = fluct.scope == "per_shot"
     if per_shot:
@@ -532,7 +523,7 @@ def run_pulsed(
     mixtures = np.zeros((len(samples), 2**num_sites))
     for start in range(0, len(columns), width):
         chunk = columns[start : start + width]
-        parts = _pulsed_parts(schedule, chunk, *drive)
+        parts = _pulsed_parts(schedule, chunk, drive)
         states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
         for j, state in enumerate(states if len(chunk) > 1 else [states], start):
             mixtures[j // per_sample] += weights[j] * state.probabilities()

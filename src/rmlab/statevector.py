@@ -72,7 +72,6 @@ __all__ = [
     "MAX_SUBSYSTEM",
     "product_state",
     "all_down",
-    "random_state",
     "bits_to_index",
     "index_to_bits",
     "index_to_bitstring",
@@ -87,7 +86,6 @@ __all__ = [
     "sample_basis_indices",
     "reduced_density",
     "exact_purity",
-    "state_fidelity",
 ]
 
 MAX_SITES = 14
@@ -215,16 +213,6 @@ def product_state(bits: Sequence[int]) -> StateVector:
 
 def all_down(num_sites: int) -> StateVector:
     return product_state([0] * num_sites)
-
-
-def random_state(num_sites: int, rng: np.random.Generator) -> StateVector:
-    """Haar-random pure state (Gaussian amplitudes, normalized).
-
-    No pipeline stage calls it: it is the tests' independent source of
-    generic input states.
-    """
-    amp = rng.normal(size=2**num_sites) + 1j * rng.normal(size=2**num_sites)
-    return StateVector(amp / np.linalg.norm(amp), num_sites)
 
 
 # ---------------------------------------------------------------------------
@@ -916,9 +904,3 @@ def reduced_density(psi: StateVector, sites: Sequence[int]) -> ReducedDensityMat
 def exact_purity(psi: StateVector, sites: Sequence[int]) -> float:
     """Tr[rho_A^2] through the reduced density matrix (the oracle route)."""
     return reduced_density(psi, sites).purity()
-
-
-def state_fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2. No pipeline stage calls it: it is the tests' independent
-    check of prepared and ground states against a reference."""
-    return float(np.abs(np.vdot(a.amp, b.amp)) ** 2)

@@ -1,0 +1,114 @@
+"""Test oracles: independent references that no pipeline stage calls.
+
+Each is a second route to a number the package computes another way: a
+Haar-random input state, the state overlap, the square-pulse analytical
+schedule, the exact 3-design over labels and the pairwise purity
+U-statistic. Tests import them from here.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from rmlab.estimators import EstimatorResult, _sampled_outcomes
+from rmlab.pauli import TWO_PI
+from rmlab.protocol import EXACT_SHOTS, MeasurementRecord, UnitarySample
+from rmlab.pulses import PulseSchedule, Waveform
+from rmlab.statevector import StateVector, _check_sites, index_to_bits
+
+
+def random_state(num_sites: int, rng: np.random.Generator) -> StateVector:
+    """Haar-random pure state (Gaussian amplitudes, normalized): the tests'
+    independent source of generic input states."""
+    amp = rng.normal(size=2**num_sites) + 1j * rng.normal(size=2**num_sites)
+    return StateVector(amp / np.linalg.norm(amp), num_sites)
+
+
+def state_fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2: the tests' independent check of prepared and ground
+    states against a reference."""
+    return float(np.abs(np.vdot(a.amp, b.amp)) ** 2)
+
+
+def ideal_schedule(T: float, ratio: float) -> PulseSchedule:
+    """Square-pulse analytical reference (slew limit deliberately waived).
+
+    Omega = pi/T over the whole window (two successive pi/2 X-areas) and
+    f = 1 throughout. Delta is zero in the first half, then drops to a
+    negative plateau whose phase area is pi/2 mod 2pi with magnitude near
+    ratio*Omega, so off-resonant suppression improves as 1/ratio^2 while
+    the bookkeeping phase stays exact. delta_amps = (0, Delta_plateau,
+    ratio*Omega): label 1 is resonant in the first half and parked in the
+    second, label 2 accrues its +pi/2 z-phase first and is resonant second
+    (Delta - f d2 = 0), label 3 is parked throughout. It is the tests'
+    analytical reference for the propagators and the pulse-level evolution.
+    """
+    if T <= 0:
+        raise ValueError("T must be positive")
+    if ratio < 10:
+        raise ValueError("ratio must be at least 10")
+    omega = math.pi / T
+    k = max(0, round((ratio - 1.0) / 4.0))
+    plateau = -(math.pi / 2 + TWO_PI * k) * 2.0 / T
+    half = T / 2
+    delta = Waveform(
+        np.array([0.0, half, half, T]), np.array([0.0, 0.0, plateau, plateau])
+    )
+    return PulseSchedule(
+        T=T,
+        omega=Waveform.constant(omega, T),
+        delta=delta,
+        f=Waveform.constant(1.0, T),
+        delta_amps=(0.0, plateau, ratio * omega),
+        family="ideal",
+    )
+
+
+def all_label_settings(num_sites: int) -> list[UnitarySample]:
+    """Every one of the 3^L label patterns once, in lexicographic order.
+
+    Exact enumeration replaces sampling in the smallest systems, turning
+    statistical estimator checks into identities: the tests' exact
+    3-design over labels.
+    """
+    out = []
+    for k in range(3**num_sites):
+        digits = []
+        rem = k
+        for _ in range(num_sites):
+            digits.append(rem % 3 + 1)
+            rem //= 3
+        out.append(UnitarySample(labels=tuple(reversed(digits)), realization=k))
+    return out
+
+
+def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> EstimatorResult:
+    """Same purity through the U-statistic over distinct shot pairs.
+
+    O(r^2 l) in the number r of distinct outcomes per unitary: the tests'
+    independent route that pins the closed-form correction of
+    purity_estimate.
+    """
+    if record.n_meas == EXACT_SHOTS:
+        raise ValueError("pairwise estimator needs sampled shots")
+    if record.n_meas < 2:
+        raise ValueError("need at least 2 shots to form pairs")
+    sub = tuple(sorted(_check_sites(sites, record.num_sites)))
+    ell = len(sub)
+    n = record.n_meas
+    cols = [m - 1 for m in sub]
+    per_unitary = []
+    for e in record.entries:
+        idx, mult = _sampled_outcomes(e)
+        bits = index_to_bits(idx, record.num_sites)[:, cols]
+        # kernel value per outcome pair from the Hamming distance
+        dist = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
+        kern = (2.0**ell) * (-2.0) ** (-dist.astype(float))
+        gross = float(mult @ kern @ mult)
+        diagonal = float(mult.sum()) * (2.0**ell)
+        per_unitary.append((gross - diagonal) / (n * (n - 1)))
+    value = math.fsum(per_unitary) / len(per_unitary)
+    return EstimatorResult(value=value)

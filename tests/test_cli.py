@@ -281,6 +281,28 @@ def test_pulsed_run_certifies_its_grid_once(tmp_path, monkeypatch):
     assert 0.0 < grids[0]["probe_distance"] <= 15 / 16 * 1e-4 / 2
 
 
+def test_pulsed_run_builds_its_drive_operators_once(tmp_path, monkeypatch):
+    import rmlab.protocol as protocol
+
+    builds = []
+    x_total = protocol.x_total
+
+    def counted(num_sites):
+        builds.append(num_sites)
+        return x_total(num_sites)
+
+    monkeypatch.setattr(protocol, "x_total", counted)
+    cfg = tmp_path / "pulsed.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"kind": "af", "num_sites": 4},
+        "protocol": {"mode": "pulsed", "n_unitaries": 2, "n_meas": 10, "n_ave": 3, "tol": 1e-3},
+        "estimators": {"subsystems": [[1, 2]]},
+    }))
+    assert run_cli("run", cfg, "--out", tmp_path / "out") == 0
+    # shared by the probe and the three repetitions
+    assert builds == [4]
+
+
 @pytest.mark.parametrize("threads, n_ave, pools", [(8, 2, [2]), (2, 3, [2]), (8, 1, []), (1, 3, [])])
 def test_workers_never_outnumber_repetitions(tmp_path, monkeypatch, threads, n_ave, pools):
     # a stand-in pool that maps in this process, so no worker is started
@@ -310,7 +332,7 @@ def test_workers_never_outnumber_repetitions(tmp_path, monkeypatch, threads, n_a
 @pytest.mark.parametrize("change, flags, message", [
     ({"seed": -5}, (), "seed: must be a non-negative integer"),
     ({}, ("--seed", -1), "seed: must be a non-negative integer"),
-    ({"estimators": {"subsystems": [[]]}}, (), "estimators.subsystems[0]: must contain at least one site"),
+    ({"estimators": {"subsystems": [[]]}}, (), "estimators.subsystems[0]: empty subsystem"),
 ])
 def test_validate_rejects_what_the_run_cannot_do(tmp_path, capsys, change, flags, message):
     doc = config_to_dict(load_config(SMOKE)) | change
@@ -381,6 +403,16 @@ def test_calibrate_golden_report(tmp_path, capsys):
     assert min(report["noiseless_fidelities"]) >= 0.995
     assert "mc" not in report  # --mc-draws 0 keeps the report noiseless-only
     assert (out / "schedule.json").exists()
+
+
+def test_calibrate_golden_fidelities_are_frozen(tmp_path):
+    # the per-segment propagator loop gave these; the vectorised one
+    # reorders the 2x2 products, which moves them at roundoff only
+    out = tmp_path / "cal"
+    assert run_cli("calibrate", "--schedule", "golden", "--mc-draws", 0, "--out", out) == 0
+    report = json.loads((out / "calibration_report.json").read_text())
+    frozen = (0.9963399028429184, 0.9954403748790581, 0.9954407739517812)
+    assert np.max(np.abs(np.subtract(report["noiseless_fidelities"], frozen))) < 1e-12
 
 
 def test_calibrate_mc_report_quotes_half_means(tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from rmlab.config import (
@@ -19,6 +20,7 @@ from rmlab.config import (
     shipped_config_names,
     validate,
 )
+from rmlab.estimators import purity_estimate
 from rmlab.pauli import TWO_PI
 from rmlab.protocol import (
     EXACT_SHOTS,
@@ -26,10 +28,13 @@ from rmlab.protocol import (
     ReadoutErrorModel,
     _certify_grid,
     _check_n_meas,
+    _drive_operators,
+    run_ideal,
+    sample_unitaries,
 )
 from rmlab.pulses import golden_schedule
 from rmlab.scenarios import ScenarioConfig
-from rmlab.statevector import all_down
+from rmlab.statevector import all_down, reduced_density
 
 MINIMAL = {
     "scenario": {"kind": "af", "num_sites": 4},
@@ -106,7 +111,8 @@ def test_tol_rule_agrees_with_the_run(tol):
     cfg = replace(cfg, protocol=replace(cfg.protocol, tol=tol))
     assert "protocol.tol: must be finite and positive" in validate(cfg)[0]
     with pytest.raises(ValueError, match="tol"):
-        _certify_grid(all_down(cfg.scenario.num_sites), golden_schedule(), None, tol)
+        num_sites = cfg.scenario.num_sites
+        _certify_grid(all_down(num_sites), golden_schedule(), _drive_operators(num_sites, None), tol)
 
 
 def test_invalid_json_is_a_config_error():
@@ -188,13 +194,29 @@ def test_eps_requires_pulsed_mode():
 
 
 def test_sites_outside_chain_rejected():
-    assert any("outside 1..4" in e for e in problems(doc(estimators={"subsystems": [[1, 5]]})))
+    assert "estimators.subsystems[0]: sites must lie in 1..4" in problems(
+        doc(estimators={"subsystems": [[1, 5]]})
+    )
 
 
 def test_sites_must_be_sorted_and_distinct():
-    for sites in ([2, 1], [1, 1]):
-        errs = problems(doc(estimators={"subsystems": [sites]}))
-        assert any("sorted and distinct" in e for e in errs)
+    for sites, message in (([2, 1], "sites must be sorted"), ([1, 1], "repeated sites in subsystem")):
+        assert f"estimators.subsystems[0]: {message}" in problems(doc(estimators={"subsystems": [sites]}))
+
+
+@pytest.mark.parametrize("sites", [[], [0], [15], [1, 1], list(range(1, 14))], ids=str)
+def test_one_subsystem_rule_for_validate_and_both_estimators(sites):
+    # validate words its error as the estimators' shared site check does
+    psi = all_down(14)
+    record = run_ideal(psi, sample_unitaries(14, 1, np.random.default_rng(0)), 2)
+    messages = []
+    for estimate, target in ((reduced_density, psi), (purity_estimate, record)):
+        with pytest.raises(ValueError) as err:
+            estimate(target, sites)
+        messages.append(str(err.value))
+    cfg = doc(scenario={"kind": "ssh_gs", "num_sites": 14}, estimators={"subsystems": [sites]})
+    assert messages[0] == messages[1]
+    assert f"estimators.subsystems[0]: {messages[0]}" in problems(cfg)
 
 
 def test_nothing_to_estimate_rejected():

@@ -11,7 +11,6 @@ from rmlab.estimators import (
     hamiltonian_variance,
     observable_expectation,
     purity_estimate,
-    purity_pairwise,
     results_to_csv,
 )
 from rmlab.pauli import PauliString, PauliStringSum, build_ssh, square_observable
@@ -20,7 +19,6 @@ from rmlab.protocol import (
     MeasurementRecord,
     ReadoutErrorModel,
     UnitaryMeasurement,
-    all_label_settings,
     run_ideal,
     sample_unitaries,
 )
@@ -31,8 +29,9 @@ from rmlab.statevector import (
     expectation,
     index_to_bits,
     product_state,
-    random_state,
 )
+
+from oracles import all_label_settings, purity_pairwise, random_state
 
 TWO_PI = 2.0 * np.pi
 

@@ -16,6 +16,7 @@ from rmlab.protocol import (
     UnitaryMeasurement,
     UnitarySample,
     _certify_grid,
+    _drive_operators,
     _pulsed_parts,
     apply_readout_errors,
     apply_readout_to_probs,
@@ -26,14 +27,9 @@ from rmlab.protocol import (
     save_record,
 )
 from rmlab.pulses import FluctuationModel, golden_schedule
-from rmlab.statevector import (
-    evolve_blend,
-    ground_state,
-    index_to_bits,
-    occupation,
-    random_state,
-    x_total,
-)
+from rmlab.statevector import evolve_blend, ground_state
+
+from oracles import random_state
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +239,12 @@ def golden():
     return golden_schedule()
 
 
-def _run(psi, samples, schedule, tol=1e-6, **kwargs):
-    """run_pulsed on the step count that the probe certifies at tol, as a
-    CLI run does."""
-    steps, _ = _certify_grid(psi, schedule, kwargs.get("h_mod"), tol)
-    return run_pulsed(psi, samples, schedule, steps, **kwargs)
+def _run(psi, samples, schedule, tol=1e-6, h_mod=None, **kwargs):
+    """run_pulsed on the step count that the probe certifies at tol, with
+    drive operators built once, as a CLI run does."""
+    drive = _drive_operators(psi.num_sites, h_mod)
+    steps, _ = _certify_grid(psi, schedule, drive, tol)
+    return run_pulsed(psi, samples, schedule, steps, drive, **kwargs)
 
 
 def _probe(L):
@@ -256,16 +253,10 @@ def _probe(L):
     return tuple((3, 1)[m % 2] for m in range(L))
 
 
-def _drive(L, h):
-    """x_tot, n_tot, the occupation table and h as sparse, for _pulsed_parts."""
-    occ = index_to_bits(np.arange(2**L), L).astype(float)
-    return x_total(L), occupation(L, range(1, L + 1)), occ, None if h is None else h.to_sparse()
-
-
 def _evolve_columns(psi, h, schedule, columns, steps):
     """The amplitudes of each (schedule, labels) column on ``steps`` steps,
     one row per column."""
-    parts = _pulsed_parts(schedule, columns, *_drive(psi.num_sites, h))
+    parts = _pulsed_parts(schedule, columns, _drive_operators(psi.num_sites, h))
     states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
     return np.array([state.amp for state in (states if len(columns) > 1 else [states])])
 
@@ -419,7 +410,7 @@ def test_per_shot_shots_sample_the_records_own_mixture(golden):
 def test_pulsed_tol_must_be_finite_and_positive(golden, tol):
     psi = random_state(2, np.random.default_rng(24))
     with pytest.raises(ValueError, match="tol"):
-        _certify_grid(psi, golden, None, tol)
+        _certify_grid(psi, golden, _drive_operators(2, None), tol)
 
 
 @pytest.mark.parametrize("steps", [0, -300, 300.0])
@@ -427,7 +418,7 @@ def test_pulsed_steps_must_be_a_positive_integer(golden, steps):
     psi = random_state(2, np.random.default_rng(24))
     samples = sample_unitaries(2, 1, np.random.default_rng(24))
     with pytest.raises(ValueError, match="steps"):
-        run_pulsed(psi, samples, golden, steps)
+        run_pulsed(psi, samples, golden, steps, _drive_operators(2, None))
 
 
 def test_pulsed_with_interactions_runs(golden):
@@ -557,12 +548,12 @@ def test_probe_alternates_the_largest_and_smallest_light_shift(golden, monkeypat
     seen = []
     parts = protocol._pulsed_parts
 
-    def spy(schedule, columns, *drive):
+    def spy(schedule, columns, drive):
         seen.append(columns)
-        return parts(schedule, columns, *drive)
+        return parts(schedule, columns, drive)
 
     monkeypatch.setattr(protocol, "_pulsed_parts", spy)
-    _certify_grid(random_state(5, np.random.default_rng(35)), golden, None, 1e-4)
+    _certify_grid(random_state(5, np.random.default_rng(35)), golden, _drive_operators(5, None), 1e-4)
     assert np.argmax(np.abs(golden.delta_amps)) == 2 and np.argmin(np.abs(golden.delta_amps)) == 0
     assert seen == [[(golden, (3, 1, 3, 1, 3))]]
 
@@ -589,7 +580,7 @@ def _covers(distance, distances):
 def test_probe_is_as_hard_as_random_columns(golden, random_columns_l6):
     psi, h, amps = random_columns_l6
     columns = np.linalg.norm(amps[300] - amps[600], axis=1)
-    steps, probe = _certify_grid(psi, golden, h, 1.0)
+    steps, probe = _certify_grid(psi, golden, _drive_operators(6, h), 1.0)
     assert steps == 300 and probe == pytest.approx(_probe_distance(psi, h, golden, 300))
     assert _covers(probe, columns)
     # a uniform label pattern is far easier than a random column
@@ -604,11 +595,12 @@ def test_every_column_of_a_random_run_is_within_tol(golden, random_columns_l6):
     # certifying on one random column at the full tol left other columns
     # beyond it
     psi, h, amps = random_columns_l6
-    _, probe = _certify_grid(psi, golden, h, 1.0)
+    drive = _drive_operators(6, h)
+    _, probe = _certify_grid(psi, golden, drive, 1.0)
     tol = 1.02 * 2 * probe / (15 / 16)
-    assert _certify_grid(psi, golden, h, tol) == (300, probe)
+    assert _certify_grid(psi, golden, drive, tol) == (300, probe)
     # the probe is certified at half the run's tol: 4 % less and it refines
-    assert _certify_grid(psi, golden, h, tol / 1.04)[0] > 300
+    assert _certify_grid(psi, golden, drive, tol / 1.04)[0] > 300
     assert np.max(np.linalg.norm(amps[300] - amps[1200], axis=1)) <= tol
 
 

@@ -16,9 +16,11 @@ from rmlab.pulses import (
     axis_fidelity,
     _apply_gains,
     _half_merits,
+    _magnus_step,
+    _sigma_gains,
     calibrate,
     draw_gains,
-    ideal_schedule,
+    golden_schedule,
     mc_rotation_stats,
     measured_axis,
     perturb,
@@ -28,7 +30,9 @@ from rmlab.pulses import (
     schedule_to_json,
     single_qubit_propagator,
 )
-from rmlab.statevector import evolve_blend, random_state
+from rmlab.statevector import _GAUSS_OFF, evolve_blend
+
+from oracles import ideal_schedule, random_state
 
 
 def ideal_rset():
@@ -164,6 +168,111 @@ def test_batch_matches_scalar_under_gains():
             pert = _apply_gains(s, gains[i])
             ref = single_qubit_propagator(pert, a, tol=1e-11)
             assert np.linalg.norm(batched[i] - ref) < 1e-5
+
+
+def _per_segment_propagators(schedule, label, gains, budget=0.02):
+    """``propagator_batch`` before it became one vectorised path: a loop over
+    segments read with one ``np.interp`` per point, one Magnus call per
+    segment for a single gain row and one per substep for several."""
+
+    def reduce_matmul(us):
+        while us.shape[0] > 1:
+            if us.shape[0] % 2:
+                tail, us = us[-1:], us[:-1]
+            else:
+                tail = None
+            us = np.einsum("nij,njk->nik", us[1::2], us[0::2])
+            if tail is not None:
+                us = np.concatenate([us, tail])
+        return us[0]
+
+    d_amp = schedule.delta_amps[label - 1]
+    bps = schedule.breakpoints()
+    gw, gd, gl = (1.0 + gains[:, k] for k in (0, 1, 1 + label))
+    u = np.broadcast_to(np.eye(2, dtype=complex), (gains.shape[0], 2, 2)).copy()
+    for t0, t1 in zip(bps[:-1], bps[1:]):
+        eps = (t1 - t0) * 1e-9
+        a, b = t0 + eps, t1 - eps
+        w0, w1 = float(schedule.omega.value(a)), float(schedule.omega.value(b))
+        dd0, dd1 = float(schedule.delta.value(a)), float(schedule.delta.value(b))
+        ff0, ff1 = float(schedule.f.value(a)) * d_amp, float(schedule.f.value(b)) * d_amp
+        if w0 == w1 and dd0 == dd1 and ff0 == ff1:
+            n_steps = 1
+        else:
+            bound = max(abs(w0), abs(w1)) / 2 + max(abs(dd0) + abs(ff0), abs(dd1) + abs(ff1))
+            n_steps = max(1, int(np.ceil(bound * (t1 - t0) / budget)))
+        dt = (t1 - t0) / n_steps
+        base = np.arange(n_steps) + 0.5
+        pos_lo, pos_hi = (base - _GAUSS_OFF) / n_steps, (base + _GAUSS_OFF) / n_steps
+        w_lo, w_hi = w0 + (w1 - w0) * pos_lo, w0 + (w1 - w0) * pos_hi
+        dd_lo, dd_hi = dd0 + (dd1 - dd0) * pos_lo, dd0 + (dd1 - dd0) * pos_hi
+        ff_lo, ff_hi = ff0 + (ff1 - ff0) * pos_lo, ff0 + (ff1 - ff0) * pos_hi
+        if gains.shape[0] == 1:
+            steps = _magnus_step(
+                w_lo * gw[0], w_hi * gw[0],
+                dd_lo * gd[0] - ff_lo * gl[0], dd_hi * gd[0] - ff_hi * gl[0], dt,
+            )
+            u = (reduce_matmul(steps) @ u[0])[None]
+        else:
+            for k in range(n_steps):
+                d_lo = dd_lo[k] * gd - ff_lo[k] * gl
+                d_hi = dd_hi[k] * gd - ff_hi[k] * gl
+                u = _magnus_step(w_lo[k] * gw, w_hi[k] * gw, d_lo, d_hi, dt) @ u
+    return u
+
+
+def _gain_rows(kind):
+    if kind == "one":
+        return np.zeros((1, 5))
+    if kind == "sigma":
+        return _sigma_gains(3.0)
+    return draw_gains(FluctuationModel(eps_percent=3.0), np.random.default_rng(12), 200)
+
+
+@pytest.mark.parametrize("rows", ["one", "sigma", "random"])
+@pytest.mark.parametrize("family", ["golden", "realistic"])
+def test_propagator_batch_matches_the_per_segment_loop(family, rows):
+    # one closed-form call over every substep of every row changes only the
+    # order of the products, so results move at roundoff
+    s = golden_schedule() if family == "golden" else realistic_schedule(RealisticParams())
+    gains = _gain_rows(rows)
+    for a in (1, 2, 3):
+        batch = propagator_batch(s, a, gains)
+        assert batch.shape == (gains.shape[0], 2, 2)
+        assert np.max(np.abs(batch - _per_segment_propagators(s, a, gains))) < 1e-13
+
+
+def test_propagator_batch_chunks_rows_without_changing_bits(monkeypatch):
+    import rmlab.pulses as pulses
+
+    s = golden_schedule()
+    gains = _gain_rows("random")
+    shapes = []
+    reduce_matmul = pulses._reduce_matmul
+
+    def spy(us):
+        shapes.append(us.shape[:2])  # (substeps, rows)
+        return reduce_matmul(us)
+
+    monkeypatch.setattr(pulses, "_reduce_matmul", spy)
+    for a in (1, 2, 3):
+        with monkeypatch.context() as m:
+            m.setattr(pulses, "_BLOCK_SUBSTEPS", 2**40)
+            whole = propagator_batch(s, a, gains)
+        substeps = shapes[-1][0]
+        assert shapes == [(substeps, 200)]
+        shapes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(pulses, "_BLOCK_SUBSTEPS", 37 * substeps + 5)
+            chunked = propagator_batch(s, a, gains)
+        assert [rows for _, rows in shapes] == [37] * 5 + [15]
+        assert chunked.tobytes() == whole.tobytes()
+        shapes.clear()
+
+
+def test_propagator_batch_of_no_rows_is_empty():
+    for a in (1, 2, 3):
+        assert propagator_batch(golden_schedule(), a, np.zeros((0, 5))).shape == (0, 2, 2)
 
 
 def test_multisite_evolution_factorizes():

@@ -24,8 +24,9 @@ from rmlab.statevector import (
     exact_purity,
     expectation,
     ground_state,
-    state_fidelity,
 )
+
+from oracles import state_fidelity
 
 
 def _front(ell):

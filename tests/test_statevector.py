@@ -27,12 +27,12 @@ from rmlab.statevector import (
     index_to_bitstring,
     occupation,
     product_state,
-    random_state,
     reduced_density,
     sample_basis_indices,
-    state_fidelity,
     x_total,
 )
+
+from oracles import random_state, state_fidelity
 
 
 def test_bit_ordering():
