@@ -25,9 +25,16 @@ time in seconds and, as ``slowest``, the five longest test phases that
 pytest's ``--durations=5`` lists.
 
 Under ``layers`` it stores per-call times of layers that no workload
-reaches: ``propagator_batch_ms`` holds, per rotation label of the golden
-schedule, the best of five ``pulses.propagator_batch`` calls at 1, 11
-(the sigma points) and 200 (random) gain rows, in milliseconds.
+reaches, or reaches only inside a whole run: ``propagator_batch_ms``
+holds, per rotation label of the golden schedule, the best of five
+``pulses.propagator_batch`` calls at 1, 11 (the sigma points) and 200
+(random) gain rows, in milliseconds. ``estimator_record_ms`` holds the
+best of five calls of ``purity_estimate`` (sites 1 to L/2),
+``observable_expectation`` (H) and ``hamiltonian_variance`` (with H^2
+built once, as a run does), in milliseconds, on each of two records of
+the dimerized chain's ground state built in-process through
+``run_ideal``: a sampled one at L = 8 (N_U = 100, N_meas = 400) and an
+exact one at L = 10 (N_U = 100).
 
 Next to ``source_lines`` the provenance holds ``public_surface``: per
 rmlab module, the names in its ``__all__`` and the parameters with
@@ -123,6 +130,39 @@ def propagator_layer(repeats: int = 5) -> dict:
     return out
 
 
+def estimator_layer(repeats: int = 5) -> dict:
+    """Best-of-``repeats`` milliseconds per estimator call on a sampled L = 8
+    and an exact L = 10 record, per estimator."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+
+    from rmlab.estimators import hamiltonian_variance, observable_expectation, purity_estimate
+    from rmlab.pauli import square_observable
+    from rmlab.protocol import EXACT_SHOTS, run_ideal, sample_unitaries
+    from rmlab.scenarios import model_hamiltonian
+    from rmlab.statevector import ground_state
+
+    out: dict = {}
+    for name, L, n_meas in (("sampled_L8", 8, 400), ("exact_L10", 10, EXACT_SHOTS)):
+        h = model_hamiltonian(L)
+        h2 = square_observable(h)
+        samples = sample_unitaries(L, 100, np.random.default_rng(0))
+        record = run_ideal(ground_state(h)[1], samples, n_meas, seed=0)
+        calls = {
+            "purity": lambda: purity_estimate(record, range(1, L // 2 + 1)),
+            "energy": lambda: observable_expectation(record, h),
+            "variance": lambda: hamiltonian_variance(record, h, h2),
+        }
+        for estimator, call in calls.items():
+            best = math.inf
+            for _ in range(repeats):
+                start = time.perf_counter()
+                call()
+                best = min(best, time.perf_counter() - start)
+            out.setdefault(name, {})[estimator] = 1e3 * best
+    return out
+
+
 def public_surface() -> dict:
     """Exported names and their defaulted parameters, per module and in total."""
     sys.path.insert(0, str(ROOT / "src"))
@@ -175,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         report["workloads"][name] = results
         report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS} | {"git_dirty": dirty})
     report["provenance"]["public_surface"] = public_surface()
-    report["layers"] = {"propagator_batch_ms": propagator_layer()}
+    report["layers"] = {"propagator_batch_ms": propagator_layer(), "estimator_record_ms": estimator_layer()}
     print("tier-1 tests ...", file=sys.stderr, flush=True)
     report["tier1"] = run_tier1()
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -1,5 +1,10 @@
 """Post-processing of measurement records into physical quantities.
 
+Every estimator reads a record entry the same way: its dense outcome
+array over the 2^L basis indices, divided by the record's ``norm`` (n_meas
+for sampled counts, 1 for exact probabilities), is the empirical or
+exact outcome distribution P̃_U.
+
 Purity. With outcome distribution P̃_U on an ℓ-site subsystem, each
 unitary contributes
 
@@ -41,8 +46,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .pauli import LABELS, PauliString, PauliStringSum, square_observable
-from .protocol import EXACT_SHOTS, MeasurementRecord, UnitaryMeasurement
-from .statevector import _check_sites, apply_site_matrices, bits_to_index, index_to_bits
+from .protocol import EXACT_SHOTS, MeasurementRecord
+from .statevector import _check_sites, apply_site_matrices
 
 __all__ = [
     "EstimatorResult",
@@ -76,24 +81,14 @@ class EstimatorResult:
 _KERNEL = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
 
-def _sampled_outcomes(entry: UnitaryMeasurement) -> tuple[np.ndarray, np.ndarray]:
-    """(basis indices, multiplicities) of a counts entry, in key order."""
-    idx = np.array([int(key, 2) for key in entry.counts], dtype=np.int64)
-    mult = np.array(list(entry.counts.values()), dtype=float)
-    return idx, mult
-
-
 def _marginal_distribution(
-    entry: UnitaryMeasurement, num_sites: int, sites: tuple[int, ...]
+    outcomes: np.ndarray, norm: float, num_sites: int, sites: tuple[int, ...]
 ) -> np.ndarray:
-    """Subsystem outcome distribution, empirical or exact."""
-    if entry.probs is not None:
-        shaped = entry.probs.reshape((2,) * num_sites)
-        drop = tuple(ax for ax in range(num_sites) if (ax + 1) not in sites)
-        return shaped.sum(axis=drop).reshape(-1)
-    idx, mult = _sampled_outcomes(entry)
-    sub = bits_to_index(index_to_bits(idx, num_sites)[:, [m - 1 for m in sites]])
-    return np.bincount(sub, weights=mult, minlength=2 ** len(sites)) / mult.sum()
+    """Subsystem outcome distribution: the outcomes summed over the other
+    sites, then divided by ``norm``."""
+    shaped = outcomes.reshape((2,) * num_sites)
+    drop = tuple(ax for ax in range(num_sites) if (ax + 1) not in sites)
+    return shaped.sum(axis=drop).reshape(-1) / norm
 
 
 def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> EstimatorResult:
@@ -110,7 +105,7 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
     kernel = [_KERNEL] * ell
     x_values = []
     for e in record.entries:
-        p = _marginal_distribution(e, record.num_sites, sub)
+        p = _marginal_distribution(e.outcomes, record.norm, record.num_sites, sub)
         x_values.append(float(p @ apply_site_matrices(p, kernel)))
     x = math.fsum(x_values) / len(x_values)
     if record.n_meas == EXACT_SHOTS:
@@ -129,20 +124,14 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
 
 
 def _outcome_table(record: MeasurementRecord):
-    """(labels, every, rows): the ``(N_U, L)`` label array, ``arange(2^L)``
-    for an exact record (None otherwise), and per unitary its (outcome
-    indices, weights). Exact rows share ``every`` as their indices."""
+    """(labels, every, rows, norm): the ``(N_U, L)`` label array,
+    ``arange(2^L)``, per unitary its outcome array over ``every``, and the
+    record's norm."""
     labels = np.array([e.labels for e in record.entries], dtype=np.int8)
     if not np.isin(labels, LABELS).all():
         raise ValueError(f"invalid rotation label; expected one of {LABELS}")
-    if record.n_meas == EXACT_SHOTS:
-        every = np.arange(2**record.num_sites)
-        return labels, every, [(every, e.probs) for e in record.entries]
-    rows = []
-    for e in record.entries:
-        idx, mult = _sampled_outcomes(e)
-        rows.append((idx, mult / mult.sum()))
-    return labels, None, rows
+    every = np.arange(2**record.num_sites)
+    return labels, every, [e.outcomes for e in record.entries], record.norm
 
 
 def _string_term(p: PauliString, table) -> float:
@@ -151,15 +140,13 @@ def _string_term(p: PauliString, table) -> float:
     w = p.weight
     if w == 0:
         return sign
-    labels, every, rows = table
+    labels, every, rows, norm = table
     factor = float(3**w) * sign
-    # an exact record's z eigenvalues are the same for every unitary
-    z_every = None if every is None else p.support_z_signs(every)
+    # the z eigenvalues of every basis index, the same for every unitary
+    z = p.support_z_signs(every)
     contributions = [0.0] * len(rows)
     for k in np.flatnonzero(p.diagonalized_by(labels)):
-        idx, weights = rows[k]
-        z = z_every if idx is every else p.support_z_signs(idx)
-        contributions[k] = factor * float(z @ weights)
+        contributions[k] = factor * (float(z @ rows[k]) / norm)
     return math.fsum(contributions) / len(contributions)
 
 

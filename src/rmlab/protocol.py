@@ -8,17 +8,20 @@ MeasurementRecord. Records always store the nominal labels, never the
 noisy realized rotations: post-processing assumes ideal rotations, the
 same information an experimenter has.
 
-Exact-probability mode (n_meas = EXACT_SHOTS) stores the full outcome
-distribution instead of sampled counts, which isolates estimator bias
-from shot noise.
+Every entry holds one dense float64 array of 2^L outcome weights indexed
+by basis index: the shot count of each index in a sampled record, the
+probability in exact-probability mode (n_meas = EXACT_SHOTS), which
+isolates estimator bias from shot noise. The record's ``norm`` (n_meas,
+or 1 in exact mode) turns either into a distribution.
 
 Records persist as UTF-8 NDJSON (save_record / load_record): a header
-line, then one line per entry. Format version 2 stores an exact entry's
-2^L probabilities as one base64 string of their little-endian float64
-bytes (key "probs_f64le"), which round-trips bit for bit; sampled
-entries keep their bitstring -> count object. load_record also reads
-version 1, whose exact entries hold the probabilities as a JSON list of
-text floats ("probs").
+line, then one line per entry. A sampled entry stores its nonzero counts
+as a bitstring -> count object; these two functions are the only code
+that reads or writes bitstrings. Format version 2 stores an exact
+entry's 2^L probabilities as one base64 string of their little-endian
+float64 bytes (key "probs_f64le"), which round-trips bit for bit.
+load_record also reads version 1, whose exact entries hold the
+probabilities as a JSON list of text floats ("probs").
 
 Pulse-level runs evolve the columns of all samples as one amplitude block
 (several past 2^20 amplitudes). The drive is global, so a column differs
@@ -70,7 +73,6 @@ from .statevector import (
     bits_to_index,
     evolve_blend,
     index_to_bits,
-    index_to_bitstring,
     occupation,
     sample_basis_indices,
     x_total,
@@ -148,32 +150,29 @@ class ReadoutErrorModel:
 class UnitaryMeasurement:
     """Outcomes recorded under one rotation pattern.
 
-    Exactly one of counts (sampled shots) or probs (exact distribution)
-    is present. seed is the per-sample stream key, kept for replay.
+    outcomes[i] is the weight of basis index i (site 1 = leftmost bit), as
+    a float64 array of length 2^L: the number of shots that read i in a
+    sampled record, the probability of i in an exact one. seed is the
+    per-sample stream key, kept for replay (None in exact mode).
     """
 
     labels: tuple[int, ...]
-    counts: dict[str, int] | None = None
-    probs: np.ndarray | None = None
+    outcomes: np.ndarray
     seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(int(l) for l in self.labels))
-        if (self.counts is None) == (self.probs is None):
-            raise ValueError("exactly one of counts or probs required")
-        if self.probs is not None:
-            object.__setattr__(
-                self, "probs", np.asarray(self.probs, dtype=float)
-            )
+        object.__setattr__(self, "outcomes", np.asarray(self.outcomes, dtype=float))
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
     """A full experiment: entries share num_sites, mode and n_meas.
 
-    Invariants checked here: every counts entry sums to n_meas with
-    bitstring keys of the right length; every probs entry has 2^L
-    entries summing to one.
+    Invariant checked here: every entry's outcomes are 2^L finite weights
+    summing to ``norm``, n_meas in a sampled record (where each weight is
+    a non-negative whole number of shots) and one, within 1e-10, in an
+    exact record.
     """
 
     num_sites: int
@@ -193,25 +192,28 @@ class MeasurementRecord:
         for e in self.entries:
             if len(e.labels) != self.num_sites:
                 raise ValueError("entry label length differs from num_sites")
+            w = e.outcomes
+            if w.shape != (dim,):
+                raise ValueError("outcomes must hold 2^num_sites weights")
+            if not np.isfinite(w).all():
+                raise ValueError("outcomes must be finite")
             if exact:
-                if e.probs is None:
-                    raise ValueError("exact record requires probs entries")
-                if e.probs.shape != (dim,):
-                    raise ValueError("probs length must be 2^num_sites")
-                if abs(float(e.probs.sum()) - 1.0) > 1e-10:
-                    raise ValueError("probs must sum to one")
+                if abs(float(w.sum()) - 1.0) > 1e-10:
+                    raise ValueError("probabilities must sum to one")
             else:
-                if e.counts is None:
-                    raise ValueError("sampled record requires counts entries")
-                if sum(e.counts.values()) != self.n_meas:
+                if not ((w >= 0) & (w == np.floor(w))).all():
+                    raise ValueError("counts must be non-negative whole numbers")
+                if float(w.sum()) != self.n_meas:
                     raise ValueError("counts must sum to n_meas")
-                for key in e.counts:
-                    if len(key) != self.num_sites or set(key) - {"0", "1"}:
-                        raise ValueError(f"malformed bitstring key {key!r}")
 
     @property
     def n_unitaries(self) -> int:
         return len(self.entries)
+
+    @property
+    def norm(self) -> float:
+        """What every entry's outcomes sum to: n_meas, or 1 in exact mode."""
+        return 1.0 if self.n_meas == EXACT_SHOTS else float(self.n_meas)
 
     def subset(self, indices: Sequence[int]) -> "MeasurementRecord":
         """Record restricted to the given entry indices (for scaling scans)."""
@@ -262,42 +264,32 @@ def apply_readout_to_probs(
     return apply_site_matrices(np.asarray(probs, dtype=float), [model.matrix()] * num_sites)
 
 
-def _counts_from_indices(idx: np.ndarray, num_sites: int) -> dict[str, int]:
-    vals, mult = np.unique(idx, return_counts=True)
-    return {
-        index_to_bitstring(int(v), num_sites): int(c) for v, c in zip(vals, mult)
-    }
-
-
-def _sample_entry(
+def _entry(
     probs: np.ndarray,
     sample: UnitarySample,
-    n_meas: int,
+    n_meas: int | float,
     readout: ReadoutErrorModel | None,
     rng: np.random.Generator,
 ) -> UnitaryMeasurement:
-    """Shot sampling from ``probs`` and readout flips, in the frozen draw order."""
+    """Sample's entry from its outcome distribution ``probs``.
+
+    Exact mode keeps ``probs`` pushed through the readout channel and draws
+    nothing. Otherwise n_meas shots are drawn from ``rng``, then readout
+    flips, the frozen draw order, and the entry counts each basis index.
+    """
     num_sites = len(sample.labels)
-    idx = sample_basis_indices(probs, n_meas, rng)
+    if n_meas == EXACT_SHOTS:
+        if readout is not None:
+            probs = apply_readout_to_probs(probs, readout, num_sites)
+        return UnitaryMeasurement(labels=sample.labels, outcomes=probs)
+    idx = sample_basis_indices(probs, int(n_meas), rng)
     if readout is not None:
-        bits = apply_readout_errors(index_to_bits(idx, num_sites), readout, rng)
-        idx = bits_to_index(bits)
+        idx = bits_to_index(apply_readout_errors(index_to_bits(idx, num_sites), readout, rng))
     return UnitaryMeasurement(
         labels=sample.labels,
-        counts=_counts_from_indices(idx, num_sites),
+        outcomes=np.bincount(idx, minlength=2**num_sites),
         seed=sample.realization,
     )
-
-
-def _exact_entry(
-    probs: np.ndarray,
-    labels: tuple[int, ...],
-    readout: ReadoutErrorModel | None,
-) -> UnitaryMeasurement:
-    """The distribution ``probs``, pushed through the readout channel."""
-    if readout is not None:
-        probs = apply_readout_to_probs(probs, readout, len(labels))
-    return UnitaryMeasurement(labels=labels, probs=probs)
 
 
 def _stream(seed: int, k: int) -> np.random.Generator:
@@ -335,15 +327,11 @@ def run_ideal(
     sample (optionally pushed through the readout channel); otherwise
     n_meas shots are drawn from the (seed, k) stream of sample k.
     """
-    exact = _check_n_meas(n_meas)
+    _check_n_meas(n_meas)
     entries = []
     for sample in samples:
         probs = apply_local_unitaries(psi, labels=sample.labels).probabilities()
-        if exact:
-            entries.append(_exact_entry(probs, sample.labels, readout))
-        else:
-            rng = _stream(seed, sample.realization)
-            entries.append(_sample_entry(probs, sample, int(n_meas), readout, rng))
+        entries.append(_entry(probs, sample, n_meas, readout, _stream(seed, sample.realization)))
     meta = {
         "seed": int(seed),
         "readout": _readout_meta(readout),
@@ -501,7 +489,7 @@ def run_pulsed(
     """
     if fluct is None:
         fluct = FluctuationModel(eps_percent=0.0)
-    exact = _check_n_meas(n_meas)
+    _check_n_meas(n_meas)
     if not samples:
         raise ValueError("at least one unitary sample required")
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
@@ -541,12 +529,10 @@ def run_pulsed(
         np.maximum(mixtures, 0.0, out=mixtures)
         mixtures /= mixtures.sum(axis=1, keepdims=True)
 
-    entries = []
-    for sample, rng, probs in zip(samples, rngs, mixtures):
-        if exact:
-            entries.append(_exact_entry(probs, sample.labels, readout))
-        else:
-            entries.append(_sample_entry(probs, sample, int(n_meas), readout, rng))
+    entries = [
+        _entry(probs, sample, n_meas, readout, rng)
+        for sample, rng, probs in zip(samples, rngs, mixtures)
+    ]
     return MeasurementRecord(
         num_sites=num_sites,
         mode="pulsed",
@@ -567,7 +553,8 @@ def save_record(record: MeasurementRecord, path: str | Path) -> None:
     Each line is a JSON object with sorted keys. An exact entry stores its
     probabilities under "probs_f64le" as the base64 text of their
     little-endian float64 bytes, so load_record gets the same bits back;
-    a sampled entry stores its "counts" object.
+    a sampled entry stores its nonzero counts as a "counts" object keyed by
+    the L-character bitstring of each basis index (site 1 leftmost).
     """
     header = {
         "format": _RECORD_FORMAT,
@@ -578,29 +565,49 @@ def save_record(record: MeasurementRecord, path: str | Path) -> None:
         "bit_convention": BIT_CONVENTION,
         "meta": record.meta,
     }
+    exact = record.n_meas == EXACT_SHOTS
+    # every basis index's key, formatted once per record rather than per hit
+    keys = [] if exact else [format(i, f"0{record.num_sites}b") for i in range(2**record.num_sites)]
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for e in record.entries:
             doc: dict = {"labels": list(e.labels)}
             if e.seed is not None:
                 doc["seed"] = e.seed
-            if e.counts is not None:
-                doc["counts"] = e.counts
-            else:
-                raw = np.asarray(e.probs, dtype="<f8").tobytes()
+            if exact:
+                raw = np.asarray(e.outcomes, dtype="<f8").tobytes()
                 doc[_PROBS_KEY[_RECORD_VERSION]] = base64.b64encode(raw).decode("ascii")
+            else:
+                hit = np.flatnonzero(e.outcomes)
+                counts = e.outcomes[hit].astype(np.int64).tolist()
+                doc["counts"] = dict(zip([keys[i] for i in hit.tolist()], counts))
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _entry_probs(doc: dict, version: int) -> np.ndarray | None:
-    """An entry's exact probabilities as a float64 array the entry owns."""
+def _entry_probs(doc: dict, version: int) -> np.ndarray:
+    """An exact entry's probabilities as a float64 array the entry owns."""
     stored = doc.get(_PROBS_KEY[version])
     if stored is None:
-        return None
+        raise ValueError(f"exact entry without {_PROBS_KEY[version]!r}")
     if version == 1:
         return np.array(stored, dtype=np.float64)
     raw = base64.b64decode(stored, validate=True)
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
+def _entry_counts(doc: dict, num_sites: int) -> np.ndarray:
+    """A sampled entry's {bitstring: count} object as a dense count array."""
+    stored = doc.get("counts")
+    if not isinstance(stored, dict):
+        raise ValueError("sampled entry without a 'counts' object")
+    counts = np.zeros(2**num_sites)
+    for key, c in stored.items():
+        if len(key) != num_sites or set(key) - {"0", "1"}:
+            raise ValueError(f"malformed bitstring key {key!r}")
+        if type(c) is not int or c < 0:
+            raise ValueError(f"count {c!r} of {key!r} is not a non-negative integer")
+        counts[int(key, 2)] = c
+    return counts
 
 
 def load_record(path: str | Path) -> MeasurementRecord:
@@ -608,9 +615,12 @@ def load_record(path: str | Path) -> MeasurementRecord:
 
     Version 2 exact entries decode from "probs_f64le" (base64 of
     little-endian float64 bytes), version 1 ones from the "probs" list of
-    text floats; both give float64 arrays the record owns. Any other
-    version raises ValueError, as does an exact entry that does not hold
-    2^L probabilities.
+    text floats; both give float64 arrays the record owns. A sampled
+    entry's "counts" object becomes its dense count array. Any other
+    version raises ValueError, as do a header n_meas that is neither
+    "exact" nor a positive integer, an exact entry that does not hold 2^L
+    probabilities, a count key that is not an L-character 0/1 string and
+    a count that is not a non-negative JSON integer.
     """
     with open(path) as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
@@ -623,24 +633,22 @@ def load_record(path: str | Path) -> MeasurementRecord:
     if version not in tuple(_PROBS_KEY):
         raise ValueError(f"unsupported record version {version!r}")
     n_meas = header["n_meas"]
-    n_meas = EXACT_SHOTS if n_meas == "exact" else int(n_meas)
+    exact = n_meas == "exact"
+    num_sites = int(header["num_sites"])
     entries = []
     for line in lines[1:]:
         doc = json.loads(line)
         entries.append(
             UnitaryMeasurement(
                 labels=tuple(doc["labels"]),
-                counts={k: int(v) for k, v in doc["counts"].items()}
-                if "counts" in doc
-                else None,
-                probs=_entry_probs(doc, version),
+                outcomes=_entry_probs(doc, version) if exact else _entry_counts(doc, num_sites),
                 seed=doc.get("seed"),
             )
         )
     return MeasurementRecord(
-        num_sites=int(header["num_sites"]),
+        num_sites=num_sites,
         mode=str(header["mode"]),
-        n_meas=n_meas,
+        n_meas=EXACT_SHOTS if exact else n_meas,
         entries=tuple(entries),
         meta=dict(header.get("meta") or {}),
     )

@@ -74,7 +74,6 @@ __all__ = [
     "all_down",
     "bits_to_index",
     "index_to_bits",
-    "index_to_bitstring",
     "apply_site_matrices",
     "x_total",
     "occupation",
@@ -197,10 +196,6 @@ def bits_to_index(bits: Sequence[int] | np.ndarray) -> int | np.ndarray:
     bits = np.asarray(bits)
     idx = bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
     return int(idx) if idx.ndim == 0 else idx
-
-
-def index_to_bitstring(idx: int, num_sites: int) -> str:
-    return format(idx, f"0{num_sites}b")
 
 
 def product_state(bits: Sequence[int]) -> StateVector:

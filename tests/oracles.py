@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from rmlab.estimators import EstimatorResult, _sampled_outcomes
+from rmlab.estimators import EstimatorResult
 from rmlab.pauli import TWO_PI
 from rmlab.protocol import EXACT_SHOTS, MeasurementRecord, UnitarySample
 from rmlab.pulses import PulseSchedule, Waveform
@@ -102,7 +102,8 @@ def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
     cols = [m - 1 for m in sub]
     per_unitary = []
     for e in record.entries:
-        idx, mult = _sampled_outcomes(e)
+        idx = np.flatnonzero(e.outcomes)
+        mult = e.outcomes[idx]
         bits = index_to_bits(idx, record.num_sites)[:, cols]
         # kernel value per outcome pair from the Hamming distance
         dist = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)

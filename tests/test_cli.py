@@ -1,6 +1,7 @@
 """End-to-end runner checks on a small configuration."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -151,6 +152,58 @@ def test_run_meta_reports_record_version_and_stage_times(tmp_path):
     assert json.loads((out / "records" / "rep_000.ndjson").read_text().splitlines()[0])["version"] == 2
     assert sorted(meta["stages_s"]) == ["prepare", "repetitions", "write"]
     assert all(isinstance(t, float) and t >= 0.0 for t in meta["stages_s"].values())
+
+
+_READOUT = {"p_up_given_down": 0.01, "p_down_given_up": 0.03}
+
+# sha256 of each record file, and of results.csv where given, for three tiny
+# runs: a change to how records are built, stored or estimated must leave
+# these bytes as they are
+_PINNED_RUNS = {
+    "exact": (
+        {"kind": "ssh_gs", "num_sites": 6, "phase": "topological"},
+        {"mode": "ideal", "n_unitaries": 6, "n_meas": "exact", "n_ave": 2},
+        {"subsystems": [[1, 2]], "variance": True, "energy": True},
+        {
+            "rep_000.ndjson": "65e6a337a3f7e5a22ccdaae1ae5d6a30beae5b31d84e460cf6b94b349fd5e584",
+            "rep_001.ndjson": "1ad7b1a9f15a9726b8c39bbca0ba2663cd65b6f9a1c7d73dc227f2a8652e7c7a",
+        },
+        "29cac71e527986096242954401a3ce5e4da58ffec9857bbaedb711c4095c65e2",
+    ),
+    "pulsed": (
+        {"kind": "af", "num_sites": 4},
+        {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 1, "eps_percent": 3.0,
+         "tol": 1e-4, "readout": _READOUT},
+        {"subsystems": [[1, 2]], "energy": True},
+        {"rep_000.ndjson": "6545df2a7ba47bcf19d18551bb2bb0f680dd862543a5b1c3bcb3a2092da29e1e"},
+        None,
+    ),
+    "sampled": (
+        {"kind": "ssh_gs", "num_sites": 6, "phase": "topological"},
+        {"mode": "ideal", "n_unitaries": 6, "n_meas": 40, "n_ave": 2, "readout": _READOUT},
+        {"subsystems": [[1, 2]], "energy": True},
+        {
+            "rep_000.ndjson": "ba1169a32158a54a0ac1b2631898bddbb5205006069df51ef2c62c671f26c84f",
+            "rep_001.ndjson": "64757a91e4f6a012b84ff2727f1234119097c53a4a8623842c8b030ea5cc6f00",
+        },
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_RUNS))
+def test_outputs_match_pinned_digests(tmp_path, kind):
+    scenario, protocol, estimators, records, results = _PINNED_RUNS[kind]
+    cfg = tmp_path / f"{kind}.json"
+    cfg.write_text(json.dumps({
+        "scenario": scenario, "protocol": protocol, "estimators": estimators, "seed": 3,
+    }))
+    out = tmp_path / "run"
+    assert run_cli("run", cfg, "--out", out) == 0
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()  # noqa: E731
+    assert {p.name: digest(p) for p in sorted((out / "records").iterdir())} == records
+    if results is not None:
+        assert digest(out / "results.csv") == results
 
 
 _TINY_RUNS = {

@@ -140,8 +140,8 @@ def test_correction_arithmetic_fixed_point():
     # two shots, one site: entries engineered so the biased mean is 1.25,
     # and the closed form gives 2 * 1.25 - 2 = 0.5
     entries = (
-        UnitaryMeasurement(labels=(3,) * 2, counts={"00": 2}),
-        UnitaryMeasurement(labels=(3,) * 2, counts={"00": 1, "10": 1}),
+        UnitaryMeasurement(labels=(3,) * 2, outcomes=[2, 0, 0, 0]),
+        UnitaryMeasurement(labels=(3,) * 2, outcomes=[1, 0, 1, 0]),
     )
     rec = MeasurementRecord(num_sites=2, mode="ideal", n_meas=2, entries=entries)
     est = purity_estimate(rec, (1,))
@@ -158,9 +158,9 @@ def test_pairwise_route_is_identical():
         assert abs(a - b) < 1e-12
 
 
-def test_marginal_matches_per_key_loop():
-    # the per-key loop the vectorised marginal replaced; integer counts make
-    # the two routes exactly equal
+def test_marginal_matches_per_index_loop():
+    # a loop over basis indices and their site bits; integer counts make the
+    # two routes exactly equal
     from rmlab.estimators import _marginal_distribution
 
     rng = np.random.default_rng(21)
@@ -170,13 +170,14 @@ def test_marginal_matches_per_key_loop():
     for sites in ((1,), (2, 4, 5), (1, 2, 3, 4, 5)):
         for e in rec.entries:
             acc = np.zeros(2 ** len(sites))
-            for key, c in e.counts.items():
+            for i, c in enumerate(e.outcomes):
+                bits = index_to_bits(i, 5)
                 idx = 0
                 for m in sites:
-                    idx = (idx << 1) | (key[m - 1] == "1")
+                    idx = (idx << 1) | int(bits[m - 1])
                 acc[idx] += c
-            want = acc / sum(e.counts.values())
-            assert np.array_equal(_marginal_distribution(e, 5, sites), want)
+            want = acc / 50
+            assert np.array_equal(_marginal_distribution(e.outcomes, rec.norm, 5, sites), want)
 
 
 def test_correction_unbiased_under_multinomial_resampling():
@@ -198,7 +199,7 @@ def test_correction_unbiased_under_multinomial_resampling():
     )
     per_entry = []
     for e in exact_rec.entries:
-        counts = rng.multinomial(n_shots, e.probs, size=n_res)
+        counts = rng.multinomial(n_shots, e.outcomes, size=n_res)
         phat = counts / n_shots
         per_entry.append(np.einsum("ns,st,nt->n", phat, kern, phat))
     x = np.mean(per_entry, axis=0)
@@ -209,15 +210,7 @@ def test_correction_unbiased_under_multinomial_resampling():
         entries = tuple(
             UnitaryMeasurement(
                 labels=e.labels,
-                counts={
-                    format(i, "02b"): int(c)
-                    for i, c in enumerate(
-                        np.random.default_rng((100, r, k)).multinomial(
-                            n_shots, e.probs
-                        )
-                    )
-                    if c
-                },
+                outcomes=np.random.default_rng((100, r, k)).multinomial(n_shots, e.outcomes),
             )
             for k, e in enumerate(exact_rec.entries)
         )
@@ -225,12 +218,7 @@ def test_correction_unbiased_under_multinomial_resampling():
             num_sites=2, mode="ideal", n_meas=n_shots, entries=entries
         )
         v = purity_estimate(rec_r, sites).value
-        counts_r = np.array(
-            [
-                [rec_r.entries[k].counts.get(format(i, "02b"), 0) for i in range(4)]
-                for k in range(len(entries))
-            ]
-        )
+        counts_r = np.array([e.outcomes for e in rec_r.entries])
         phat_r = counts_r / n_shots
         x_r = np.einsum("ns,st,nt->n", phat_r, kern, phat_r).mean()
         assert abs((x_r * n_shots / 49 - 4 / 49) - v) < 1e-12
@@ -254,10 +242,11 @@ def test_identity_rotations_scale_z_correlators():
     def correlator(cols):
         total = 0.0
         for e in rec.entries:
-            for key, c in e.counts.items():
+            for i, c in enumerate(e.outcomes):
+                bits = index_to_bits(i, 2)
                 z = 1.0
                 for m in cols:
-                    z *= 1.0 if key[m - 1] == "1" else -1.0
+                    z *= 1.0 if bits[m - 1] == 1 else -1.0
                 total += z * c
         return total / (len(rec.entries) * 40)
 
@@ -284,12 +273,7 @@ def _reference_string_term(p: PauliString, record: MeasurementRecord) -> float:
         return {0: 1.0, 2: -1.0}[p.phase_pow]
     contributions = []
     for e in record.entries:
-        if e.probs is not None:
-            bits, probs = index_to_bits(np.arange(2**L), L), e.probs
-        else:
-            idx = np.array([int(key, 2) for key in e.counts], dtype=np.int64)
-            mult = np.array(list(e.counts.values()), dtype=float)
-            bits, probs = index_to_bits(idx, L), mult / mult.sum()
+        bits = index_to_bits(np.arange(2**L), L)
         word, sign = [], 1
         for c, lab in zip(p.letters, e.labels):
             k = "IXYZ".index(c)
@@ -302,7 +286,8 @@ def _reference_string_term(p: PauliString, record: MeasurementRecord) -> float:
         cols = [m for m, c in enumerate(word) if c == "Z"]
         zeros = len(cols) - bits[:, cols].sum(axis=1)
         z = np.where(zeros % 2 == 0, 1.0, -1.0)
-        contributions.append(float(3**p.weight) * {0: 1.0, 2: -1.0}[phase] * float(z @ probs))
+        mean_z = float(z @ e.outcomes) / record.norm
+        contributions.append(float(3**p.weight) * {0: 1.0, 2: -1.0}[phase] * mean_z)
     return math.fsum(contributions) / len(contributions)
 
 
@@ -335,7 +320,7 @@ def test_invalid_label_rejected():
         num_sites=2,
         mode="ideal",
         n_meas=EXACT_SHOTS,
-        entries=(UnitaryMeasurement(labels=(1, 4), probs=np.full(4, 0.25)),),
+        entries=(UnitaryMeasurement(labels=(1, 4), outcomes=np.full(4, 0.25)),),
     )
     with pytest.raises(ValueError):
         _string_expectation(rec, PauliString("ZI"))
@@ -398,7 +383,7 @@ def test_variance_normalization_error():
         num_sites=2,
         mode="ideal",
         n_meas=10,
-        entries=(UnitaryMeasurement(labels=(2, 2), counts={"01": 10}),),
+        entries=(UnitaryMeasurement(labels=(2, 2), outcomes=[0, 10, 0, 0]),),
     )
     with pytest.raises(NormalizationError):
         hamiltonian_variance(rec, h)

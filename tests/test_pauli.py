@@ -229,15 +229,20 @@ def test_staggered_xy_alternation():
 
 
 def _kron_chain(s: PauliStringSum):
-    """Reference to_sparse: a sparse kron chain per term, summed in CSR."""
+    """Reference to_sparse: a sparse kron chain per term. Each term's entries
+    are added, in insertion order, into one dense matrix that starts from +0,
+    the same sequential sums as adding the terms' CSR matrices one by one;
+    the CSR built from it drops exact zeros."""
     dim = 2**s.num_sites
-    out = sparse.csr_matrix((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=complex)
     for word, c in s._terms.items():
         term = sparse.identity(1, dtype=complex, format="csr")
         for letter in word:
-            term = sparse.kron(term, sparse.csr_matrix(PAULI_MATRICES[letter]))
-        out = out + c * term
-    return out.tocsr()
+            # CSR, not the default BSR, stores no zeros: 2^L entries a term
+            term = sparse.kron(term, sparse.csr_matrix(PAULI_MATRICES[letter]), format="csr")
+        term = term.tocoo()
+        out[term.row, term.col] += term.data * c
+    return sparse.csr_matrix(out)
 
 
 def _assert_same_csr(got, want) -> None:

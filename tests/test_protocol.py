@@ -119,10 +119,14 @@ def test_readout_commutes_with_marginalization():
 
 def _toy_record() -> MeasurementRecord:
     entries = (
-        UnitaryMeasurement(labels=(1, 2), counts={"00": 3, "11": 2}, seed=0),
-        UnitaryMeasurement(labels=(3, 3), counts={"01": 5}, seed=1),
+        UnitaryMeasurement(labels=(1, 2), outcomes=[3, 0, 0, 2], seed=0),
+        UnitaryMeasurement(labels=(3, 3), outcomes=[0, 5, 0, 0], seed=1),
     )
     return MeasurementRecord(num_sites=2, mode="ideal", n_meas=5, entries=entries)
+
+
+def _same_outcomes(a: MeasurementRecord, b: MeasurementRecord) -> bool:
+    return all(np.array_equal(x.outcomes, y.outcomes) for x, y in zip(a.entries, b.entries, strict=True))
 
 
 def test_record_validates_count_sums():
@@ -131,17 +135,7 @@ def test_record_validates_count_sums():
             num_sites=2,
             mode="ideal",
             n_meas=4,
-            entries=(UnitaryMeasurement(labels=(1, 2), counts={"00": 3}),),
-        )
-
-
-def test_record_rejects_malformed_bitstrings():
-    with pytest.raises(ValueError, match="bitstring"):
-        MeasurementRecord(
-            num_sites=2,
-            mode="ideal",
-            n_meas=1,
-            entries=(UnitaryMeasurement(labels=(1, 2), counts={"0x": 1}),),
+            entries=(UnitaryMeasurement(labels=(1, 2), outcomes=[3, 0, 0, 0]),),
         )
 
 
@@ -151,15 +145,44 @@ def test_record_rejects_unnormalized_probs():
             num_sites=1,
             mode="ideal",
             n_meas=EXACT_SHOTS,
-            entries=(UnitaryMeasurement(labels=(1,), probs=np.array([0.5, 0.6])),),
+            entries=(UnitaryMeasurement(labels=(1,), outcomes=np.array([0.5, 0.6])),),
         )
 
 
-def test_entry_requires_exactly_one_payload():
-    with pytest.raises(ValueError):
-        UnitaryMeasurement(labels=(1,))
-    with pytest.raises(ValueError):
-        UnitaryMeasurement(labels=(1,), counts={"0": 1}, probs=np.array([1.0, 0.0]))
+@pytest.mark.parametrize(
+    "n_meas, outcomes",
+    [
+        (EXACT_SHOTS, [math.nan, 0.5, 0.5, 0.0]),
+        (EXACT_SHOTS, [math.inf, 0.5, 0.5, 0.0]),
+        (EXACT_SHOTS, [math.inf, -math.inf, 1.0, 0.0]),
+        (2, [math.inf, 0.0, 0.0, 0.0]),
+    ],
+)
+def test_record_rejects_non_finite_outcomes(n_meas, outcomes):
+    with pytest.raises(ValueError, match="finite"):
+        MeasurementRecord(
+            num_sites=2,
+            mode="ideal",
+            n_meas=n_meas,
+            entries=(UnitaryMeasurement(labels=(1, 2), outcomes=outcomes),),
+        )
+
+
+@pytest.mark.parametrize("outcomes", [[3, -1, 0, 0], [1.5, 0.5, 0, 0]])
+def test_record_rejects_counts_that_are_not_whole_shots(outcomes):
+    with pytest.raises(ValueError, match="non-negative whole numbers"):
+        MeasurementRecord(
+            num_sites=2,
+            mode="ideal",
+            n_meas=2,
+            entries=(UnitaryMeasurement(labels=(1, 2), outcomes=outcomes),),
+        )
+
+
+def test_entry_holds_one_float_array():
+    e = UnitaryMeasurement(labels=[1, 3], outcomes=[2, 0, 1, 0])
+    assert e.labels == (1, 3)
+    assert e.outcomes.dtype == np.float64 and e.outcomes.tolist() == [2.0, 0.0, 1.0, 0.0]
 
 
 def test_subset_picks_entries():
@@ -181,8 +204,8 @@ def test_exact_mode_distributions_are_normalized():
     samples = sample_unitaries(3, 5, rng)
     rec = run_ideal(psi, samples, EXACT_SHOTS)
     for e in rec.entries:
-        assert abs(e.probs.sum() - 1.0) < 1e-12
-        assert e.probs.min() >= -1e-15
+        assert abs(e.outcomes.sum() - 1.0) < 1e-12
+        assert e.outcomes.min() >= -1e-15
 
 
 def test_exact_mode_marginalization_consistency():
@@ -190,11 +213,11 @@ def test_exact_mode_marginalization_consistency():
     psi = random_state(4, rng)
     rec = run_ideal(psi, sample_unitaries(4, 3, rng), EXACT_SHOTS)
     for e in rec.entries:
-        joint = e.probs.reshape(4, 4)
+        joint = e.outcomes.reshape(4, 4)
         # site-(1,2) marginal from the full distribution
         assert np.allclose(joint.sum(axis=1).sum(), 1.0, atol=1e-12)
         assert np.allclose(
-            joint.sum(axis=1), e.probs.reshape(2, 2, 2, 2).sum(axis=(2, 3)).reshape(-1)
+            joint.sum(axis=1), e.outcomes.reshape(2, 2, 2, 2).sum(axis=(2, 3)).reshape(-1)
         )
 
 
@@ -206,8 +229,8 @@ def test_run_ideal_seed_determinism():
     a = run_ideal(psi, samples, 50, readout=readout, seed=17)
     b = run_ideal(psi, samples, 50, readout=readout, seed=17)
     c = run_ideal(psi, samples, 50, readout=readout, seed=18)
-    assert all(x.counts == y.counts for x, y in zip(a.entries, b.entries))
-    assert any(x.counts != y.counts for x, y in zip(a.entries, c.entries))
+    assert _same_outcomes(a, b)
+    assert not _same_outcomes(a, c)
 
 
 def test_run_ideal_counts_shape():
@@ -216,7 +239,7 @@ def test_run_ideal_counts_shape():
     rec = run_ideal(psi, sample_unitaries(2, 3, rng), 25, seed=0)
     assert rec.n_meas == 25
     for e in rec.entries:
-        assert sum(e.counts.values()) == 25
+        assert e.outcomes.shape == (4,) and e.outcomes.sum() == 25
 
 
 def test_invalid_n_meas_rejected():
@@ -279,7 +302,7 @@ def test_pulsed_noise_free_approximates_ideal(golden):
     pulsed = _run(psi, samples, golden, n_meas=EXACT_SHOTS)
     ideal = run_ideal(psi, samples, EXACT_SHOTS)
     for a, b in zip(pulsed.entries, ideal.entries):
-        assert 0.5 * np.abs(a.probs - b.probs).sum() < 0.2
+        assert 0.5 * np.abs(a.outcomes - b.outcomes).sum() < 0.2
 
 
 def test_pulsed_determinism_with_noise(golden):
@@ -294,7 +317,7 @@ def test_pulsed_determinism_with_noise(golden):
     )
     a = _run(psi, samples, golden, **kwargs)
     b = _run(psi, samples, golden, **kwargs)
-    assert all(x.counts == y.counts for x, y in zip(a.entries, b.entries))
+    assert _same_outcomes(a, b)
     assert a.meta["steps"] == b.meta["steps"]
 
 
@@ -316,7 +339,7 @@ def test_per_shot_scope_runs_sampled(golden):
         n_meas=4,
         seed=1,
     )
-    assert sum(rec.entries[0].counts.values()) == 4
+    assert rec.entries[0].outcomes.sum() == 4
 
 
 def _dimer_state(L):
@@ -355,7 +378,7 @@ def test_per_shot_mixture_matches_tensor_gauss_hermite(golden):
     columns = [_apply_gains(golden, np.array([g for g, _ in point])) for point in grid]
     weights = [math.prod(w for _, w in point) for point in grid]
     tensor = _block_mixture(psi, h, samples[0].labels, golden, columns, weights, rec.meta["steps"])
-    assert _tv(rec.entries[0].probs, tensor) < 5e-4
+    assert _tv(rec.entries[0].outcomes, tensor) < 5e-4
 
 
 def test_per_shot_mixture_is_the_mean_over_per_shot_gain_draws(golden):
@@ -375,15 +398,15 @@ def test_per_shot_mixture_is_the_mean_over_per_shot_gain_draws(golden):
     mean = _block_mixture(psi, None, labels, golden, draws, [1.0 / len(draws)] * len(draws), steps)
     nominal = _block_mixture(psi, None, labels, golden, [golden], [1.0], steps)
     bound = 3e-3
-    assert _tv(rec.entries[0].probs, mean) < bound
+    assert _tv(rec.entries[0].outcomes, mean) < bound
     # the gain noise moves the distribution well beyond the bound
-    assert _tv(rec.entries[0].probs, nominal) > 3 * bound
+    assert _tv(rec.entries[0].outcomes, nominal) > 3 * bound
 
 
 def test_per_shot_shots_sample_the_records_own_mixture(golden):
     from scipy.special import gammaincc
 
-    from rmlab.protocol import _sample_entry, _stream
+    from rmlab.protocol import _entry, _stream
 
     h, psi = _dimer_state(4)
     samples = sample_unitaries(4, 2, np.random.default_rng(23))
@@ -395,12 +418,10 @@ def test_per_shot_shots_sample_the_records_own_mixture(golden):
     sampled = _run(psi, samples, golden, n_meas=n, readout=readout, **kwargs)
     for sample, mixture, flipped, got in zip(samples, pure.entries, exact.entries, sampled.entries):
         # stream contract: shots, then flips, and no gain draws
-        want = _sample_entry(mixture.probs, sample, n, readout, _stream(9, sample.realization))
-        assert got.counts == want.counts
-        observed = np.zeros(16)
-        for key, c in got.counts.items():
-            observed[int(key, 2)] = c
-        expected = n * flipped.probs
+        want = _entry(mixture.outcomes, sample, n, readout, _stream(9, sample.realization))
+        assert np.array_equal(got.outcomes, want.outcomes)
+        observed = got.outcomes
+        expected = n * flipped.outcomes
         stat = float(np.sum((observed - expected) ** 2 / expected))
         # chi-squared survival function at 15 degrees of freedom
         assert gammaincc(15 / 2, stat / 2) > 1e-3
@@ -428,14 +449,14 @@ def test_pulsed_with_interactions_runs(golden):
     rec = _run(gs, samples, golden, h_mod=h, n_meas=EXACT_SHOTS)
     assert rec.mode == "pulsed"
     for e in rec.entries:
-        assert abs(e.probs.sum() - 1.0) < 1e-12
+        assert abs(e.outcomes.sum() - 1.0) < 1e-12
 
 
 def _per_unitary_reference(psi, samples, schedule, fluct, h_mod, n_meas, readout, seed, steps):
     """The loop run_pulsed's block replaces: one evolve_blend per sample,
     on the perturbed waveforms themselves, gains then shots then flips
     drawn from the (seed, k) stream."""
-    from rmlab.protocol import _exact_entry, _sample_entry, _stream
+    from rmlab.protocol import _entry, _stream
     from rmlab.pulses import perturb
 
     entries = []
@@ -443,24 +464,16 @@ def _per_unitary_reference(psi, samples, schedule, fluct, h_mod, n_meas, readout
         rng = _stream(seed, sample.realization)
         perturbed = perturb(schedule, fluct, rng)
         amp = _evolve_columns(psi, h_mod, perturbed, [(perturbed, sample.labels)], steps)[0]
-        probs = np.abs(amp) ** 2
-        if n_meas == EXACT_SHOTS:
-            entries.append(_exact_entry(probs, sample.labels, readout))
-        else:
-            entries.append(
-                _sample_entry(probs, sample, n_meas, readout, rng)
-            )
+        entries.append(_entry(np.abs(amp) ** 2, sample, n_meas, readout, rng))
     return entries
 
 
 def _assert_same_entries(record, reference):
+    # whole-number counts within 1e-12 are equal counts
     for got, want in zip(record.entries, reference, strict=True):
         assert got.labels == want.labels
         assert got.seed == want.seed
-        if want.probs is None:
-            assert got.counts == want.counts
-        else:
-            assert np.max(np.abs(got.probs - want.probs)) < 1e-12
+        assert np.max(np.abs(got.outcomes - want.outcomes)) < 1e-12
 
 
 @pytest.mark.parametrize("with_h", [False, True])
@@ -638,8 +651,9 @@ def test_roundtrip_counts(tmp_path):
     assert back.num_sites == rec.num_sites
     assert back.mode == rec.mode
     assert back.n_meas == rec.n_meas
-    assert [e.counts for e in back.entries] == [e.counts for e in rec.entries]
+    assert _same_outcomes(back, rec)
     assert [e.labels for e in back.entries] == [e.labels for e in rec.entries]
+    assert [e.seed for e in back.entries] == [e.seed for e in rec.entries]
 
 
 def test_roundtrip_exact(tmp_path):
@@ -651,9 +665,9 @@ def test_roundtrip_exact(tmp_path):
     back = load_record(path)
     assert back.n_meas == EXACT_SHOTS and len(back.entries) == 100
     for a, b in zip(back.entries, rec.entries):
-        assert a.probs.dtype == np.float64
-        assert a.probs.flags.writeable and a.probs.flags.owndata
-        assert a.probs.tobytes() == b.probs.tobytes()
+        assert a.outcomes.dtype == np.float64
+        assert a.outcomes.flags.writeable and a.outcomes.flags.owndata
+        assert a.outcomes.tobytes() == b.outcomes.tobytes()
         assert (a.labels, a.seed) == (b.labels, b.seed)
 
 
@@ -674,10 +688,13 @@ def _save_record_v1(record: MeasurementRecord, path) -> None:
             doc: dict = {"labels": list(e.labels)}
             if e.seed is not None:
                 doc["seed"] = e.seed
-            if e.counts is not None:
-                doc["counts"] = e.counts
+            if record.n_meas == EXACT_SHOTS:
+                doc["probs"] = e.outcomes.tolist()
             else:
-                doc["probs"] = e.probs.tolist()
+                doc["counts"] = {
+                    format(i, f"0{record.num_sites}b"): int(e.outcomes[i])
+                    for i in np.flatnonzero(e.outcomes)
+                }
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
@@ -692,8 +709,8 @@ def test_version_1_exact_record_loads_like_version_2(tmp_path):
     assert '"probs": [' in v1.read_text() and '"probs": [' not in v2.read_text()
     old, new = load_record(v1), load_record(v2)
     for a, b in zip(old.entries, new.entries):
-        assert a.probs.dtype == np.float64 and a.probs.flags.writeable
-        assert a.probs.tobytes() == b.probs.tobytes()
+        assert a.outcomes.dtype == np.float64 and a.outcomes.flags.writeable
+        assert a.outcomes.tobytes() == b.outcomes.tobytes()
     assert purity_estimate(old, [1, 2, 3]).value == purity_estimate(new, [1, 2, 3]).value
     assert hamiltonian_variance(old, h).value == hamiltonian_variance(new, h).value
 
@@ -702,7 +719,7 @@ def test_version_1_sampled_record_loads(tmp_path):
     path = tmp_path / "v1.ndjson"
     _save_record_v1(_toy_record(), path)
     back = load_record(path)
-    assert [e.counts for e in back.entries] == [e.counts for e in _toy_record().entries]
+    assert _same_outcomes(back, _toy_record())
 
 
 def test_header_checked(tmp_path):
@@ -715,6 +732,10 @@ def test_header_checked(tmp_path):
         load_record(path)
     path.write_text(json.dumps({"format": "rmlab-record", "version": 3}) + "\n")
     with pytest.raises(ValueError, match="unsupported record version 3"):
+        load_record(path)
+    header = {"format": "rmlab-record", "version": 2, "num_sites": 2, "mode": "ideal", "n_meas": 2.5}
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(ValueError, match="n_meas"):
         load_record(path)
 
 
@@ -734,6 +755,40 @@ def test_version_2_entry_of_wrong_length_rejected(tmp_path, n_probs):
     doc["probs_f64le"] = base64.b64encode(b"\0" * 12).decode("ascii")
     path.write_text("\n".join([header, first, json.dumps(doc)]) + "\n")
     with pytest.raises(ValueError):
+        load_record(path)
+
+
+def test_sampled_entry_is_saved_as_its_nonzero_counts(tmp_path):
+    path = tmp_path / "rec.ndjson"
+    save_record(_toy_record(), path)
+    docs = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert [d["counts"] for d in docs] == [{"00": 3, "11": 2}, {"01": 5}]
+
+
+@pytest.mark.parametrize(
+    "counts, match",
+    [
+        ({"00": 3, "01": -1}, "non-negative integer"),
+        ({"00": 2.5}, "non-negative integer"),
+        ({"00": True, "01": 1}, "non-negative integer"),
+        ({"0x": 2}, "bitstring"),
+        ({"000": 2}, "bitstring"),
+        ({"1": 2}, "bitstring"),
+    ],
+    ids=["negative", "fractional", "boolean", "non_binary_key", "long_key", "short_key"],
+)
+def test_load_record_rejects_malformed_counts(tmp_path, counts, match):
+    rec = MeasurementRecord(
+        num_sites=2, mode="ideal", n_meas=2,
+        entries=(UnitaryMeasurement(labels=(3, 3), outcomes=[2, 0, 0, 0]),),
+    )
+    path = tmp_path / "rec.ndjson"
+    save_record(rec, path)
+    header, line = path.read_text().splitlines()
+    doc = json.loads(line)
+    doc["counts"] = counts
+    path.write_text("\n".join([header, json.dumps(doc)]) + "\n")
+    with pytest.raises(ValueError, match=match):
         load_record(path)
 
 

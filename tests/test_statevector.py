@@ -24,7 +24,6 @@ from rmlab.statevector import (
     expectation,
     ground_state,
     index_to_bits,
-    index_to_bitstring,
     occupation,
     product_state,
     reduced_density,
@@ -39,7 +38,7 @@ def test_bit_ordering():
     # site 1 is the most significant bit; bit 1 = up
     psi = product_state([1, 0])
     assert np.argmax(np.abs(psi.amp)) == 2
-    assert index_to_bitstring(2, 2) == "10"
+    assert format(2, "02b") == "10"
     assert bits_to_index([1, 0, 1]) == 5
 
 
@@ -51,7 +50,7 @@ def test_bits_index_round_trip(L):
         bits = index_to_bits(idx, L)
         assert bits.shape == (L,) and bits.dtype == np.int8
         assert bits_to_index(bits) == idx
-        assert "".join(map(str, bits)) == index_to_bitstring(idx, L)
+        assert "".join(map(str, bits)) == format(idx, f"0{L}b")
     # site 1 is the most significant bit
     assert index_to_bits(2 ** (L - 1), L)[0] == 1
     assert index_to_bits(1, L)[-1] == 1
