@@ -34,7 +34,9 @@ best of five calls of ``purity_estimate`` (sites 1 to L/2),
 built once, as a run does), in milliseconds, on each of two records of
 the dimerized chain's ground state built in-process through
 ``run_ideal``: a sampled one at L = 8 (N_U = 100, N_meas = 400) and an
-exact one at L = 10 (N_U = 100).
+exact one at L = 10 (N_U = 100). ``square_observable_ms`` holds the best
+of five ``pauli.square_observable`` calls on the dimerized chain's
+Hamiltonian at L = 8, 10 and 12, in milliseconds.
 
 Next to ``source_lines`` the provenance holds ``public_surface``: per
 rmlab module, the names in its ``__all__`` and the parameters with
@@ -163,6 +165,25 @@ def estimator_layer(repeats: int = 5) -> dict:
     return out
 
 
+def square_observable_layer(repeats: int = 5) -> dict:
+    """Best-of-``repeats`` milliseconds per ``square_observable`` call on the
+    dimerized chain's Hamiltonian, per chain length."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from rmlab.pauli import square_observable
+    from rmlab.scenarios import model_hamiltonian
+
+    out: dict = {}
+    for L in (8, 10, 12):
+        h = model_hamiltonian(L)
+        best = math.inf
+        for _ in range(repeats):
+            start = time.perf_counter()
+            square_observable(h)
+            best = min(best, time.perf_counter() - start)
+        out[f"L{L}"] = 1e3 * best
+    return out
+
+
 def public_surface() -> dict:
     """Exported names and their defaulted parameters, per module and in total."""
     sys.path.insert(0, str(ROOT / "src"))
@@ -215,7 +236,11 @@ def main(argv: list[str] | None = None) -> int:
         report["workloads"][name] = results
         report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS} | {"git_dirty": dirty})
     report["provenance"]["public_surface"] = public_surface()
-    report["layers"] = {"propagator_batch_ms": propagator_layer(), "estimator_record_ms": estimator_layer()}
+    report["layers"] = {
+        "propagator_batch_ms": propagator_layer(),
+        "estimator_record_ms": estimator_layer(),
+        "square_observable_ms": square_observable_layer(),
+    }
     print("tier-1 tests ...", file=sys.stderr, flush=True)
     report["tier1"] = run_tier1()
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -14,7 +14,6 @@ from .pauli import (
     TWO_PI,
     PauliString,
     PauliStringSum,
-    pauli_mul,
     square_observable,
     build_ssh,
     build_staggered_xy,

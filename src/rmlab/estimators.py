@@ -22,17 +22,29 @@ U-statistic that walks the pairs directly.
 
 Pauli expectations. Rotating the state by U and reading z is the same
 as measuring U P U†, so each recorded pattern estimates Tr[P ρ] whenever
-U P U† is diagonal. That is a label rule, tested for each string against
-the whole (N_U, L) label array at once: every X site needs label 2, every
-Y site label 1 and every Z site label 3 (`PauliString.diagonalized_by`).
-Under uniform label sampling a hit has probability 3^-w (w = support
-weight), hence the importance weight 3^w on hits and 0 otherwise: the
+U P U† is diagonal. That is a label rule: every X site needs label 2,
+every Y site label 1 and every Z site label 3 (``_shadow_terms``). Under
+uniform label sampling a hit has probability 3^-w (w = support weight),
+hence the importance weight 3^w on hits and 0 otherwise: the
 classical-shadow estimator, linear in the outcome probabilities. Records
 store nominal labels, so miscalibrated rotations shift these estimates
 exactly as they would in the lab.
 
-All reductions over unitaries use compensated summation, making results
-independent of worker count or reduction order at the 1e-13 level.
+A whole record is estimated at once. Its outcomes form a (2^L, N_U)
+table, one column per unitary, taken in chunks of at most
+``protocol._BLOCK_AMPLITUDES`` weights. One signed Walsh transform,
+[[1, 1], [-1, 1]] on every site through ``apply_site_matrices``, turns a
+chunk into every support mask's per-unitary sum of Z parities
+Σ_s Π_{m in mask} (2 s_m - 1) P̃_U(s): a string's shadow sums are the row
+at its support mask. The label rule, applied to the (N_U, L) label array
+for every string at once, gives a (strings, N_U) hit matrix that selects
+and weights them. With integer counts every Walsh sum is exact, so sampled
+records give the same bits as a per-string dot product.
+
+All reductions over unitaries use compensated summation (``math.fsum``
+over each string's, or each purity's, per-unitary contributions), making
+results independent of worker count, chunk size or reduction order at
+the 1e-13 level.
 """
 
 from __future__ import annotations
@@ -45,8 +57,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pauli import LABELS, PauliString, PauliStringSum, square_observable
-from .protocol import EXACT_SHOTS, MeasurementRecord
+from .pauli import _DIAGONALIZING_LABEL, LABELS, PauliStringSum, _letter_codes, square_observable
+from .protocol import _BLOCK_AMPLITUDES, EXACT_SHOTS, MeasurementRecord
 from .statevector import _check_sites, apply_site_matrices
 
 __all__ = [
@@ -81,14 +93,24 @@ class EstimatorResult:
 _KERNEL = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
 
+def _outcome_chunks(record: MeasurementRecord):
+    """The record's outcomes as ``(2^L, width)`` blocks, one column per
+    entry in entry order, each of at most ``_BLOCK_AMPLITUDES`` weights."""
+    width = max(1, _BLOCK_AMPLITUDES >> record.num_sites)
+    for start in range(0, record.n_unitaries, width):
+        yield np.stack([e.outcomes for e in record.entries[start : start + width]], axis=1)
+
+
 def _marginal_distribution(
     outcomes: np.ndarray, norm: float, num_sites: int, sites: tuple[int, ...]
 ) -> np.ndarray:
-    """Subsystem outcome distribution: the outcomes summed over the other
+    """Subsystem outcome distribution of a ``(2^L,)`` outcome array, or of
+    each column of a ``(2^L, K)`` block: the outcomes summed over the other
     sites, then divided by ``norm``."""
-    shaped = outcomes.reshape((2,) * num_sites)
+    columns = outcomes.shape[1:]
+    shaped = outcomes.reshape((2,) * num_sites + columns)
     drop = tuple(ax for ax in range(num_sites) if (ax + 1) not in sites)
-    return shaped.sum(axis=drop).reshape(-1) / norm
+    return shaped.sum(axis=drop).reshape((-1,) + columns) / norm
 
 
 def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> EstimatorResult:
@@ -102,11 +124,13 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
         raise ValueError("record has no entries")
     sub = tuple(sorted(_check_sites(sites, record.num_sites)))
     ell = len(sub)
-    kernel = [_KERNEL] * ell
-    x_values = []
-    for e in record.entries:
-        p = _marginal_distribution(e.outcomes, record.norm, record.num_sites, sub)
-        x_values.append(float(p @ apply_site_matrices(p, kernel)))
+    x_values: list[float] = []
+    for chunk in _outcome_chunks(record):
+        p = _marginal_distribution(chunk, record.norm, record.num_sites, sub)
+        kp = apply_site_matrices(p, [_KERNEL] * ell)
+        # one BLAS dot per contiguous row, as p @ Kp on a single entry
+        rows, krows = np.ascontiguousarray(p.T), np.ascontiguousarray(kp.T)
+        x_values += (rows[:, None, :] @ krows[:, :, None]).ravel().tolist()
     x = math.fsum(x_values) / len(x_values)
     if record.n_meas == EXACT_SHOTS:
         value = x
@@ -122,32 +146,27 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
 # Pauli and observable expectations
 # ---------------------------------------------------------------------------
 
-
-def _outcome_table(record: MeasurementRecord):
-    """(labels, every, rows, norm): the ``(N_U, L)`` label array,
-    ``arange(2^L)``, per unitary its outcome array over ``every``, and the
-    record's norm."""
-    labels = np.array([e.labels for e in record.entries], dtype=np.int8)
-    if not np.isin(labels, LABELS).all():
-        raise ValueError(f"invalid rotation label; expected one of {LABELS}")
-    every = np.arange(2**record.num_sites)
-    return labels, every, [e.outcomes for e in record.entries], record.norm
+_WALSH = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
-def _string_term(p: PauliString, table) -> float:
-    """Shadow estimate of one Pauli string over a prepared outcome table."""
-    sign = p.rotated_sign
-    w = p.weight
-    if w == 0:
-        return sign
-    labels, every, rows, norm = table
-    factor = float(3**w) * sign
-    # the z eigenvalues of every basis index, the same for every unitary
-    z = p.support_z_signs(every)
-    contributions = [0.0] * len(rows)
-    for k in np.flatnonzero(p.diagonalized_by(labels)):
-        contributions[k] = factor * (float(z @ rows[k]) / norm)
-    return math.fsum(contributions) / len(contributions)
+def _shadow_terms(words: Sequence[str], labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The shadow rule for each word against an ``(N_U, L)`` label array.
+
+    Returns the ``(words, N_U)`` hits, true where unitary u's rotations U
+    make U P U^dag diagonal, then equal to (-1)^#X times Z on the support;
+    each word's support mask (site m is bit 2^(L-m)); and its factor
+    3^w (-1)^#X, the importance weight of a hit times that sign.
+    """
+    num_sites = labels.shape[1]
+    codes = _letter_codes(words, num_sites)
+    need = _DIAGONALIZING_LABEL[codes]
+    hits = np.ones((len(codes), len(labels)), dtype=bool)
+    for site in range(num_sites):
+        hits &= (need[:, site, None] == 0) | (need[:, site, None] == labels[:, site])
+    support = codes > 0
+    masks = support @ (1 << np.arange(num_sites - 1, -1, -1))
+    factors = 3.0 ** support.sum(axis=1) * (1.0 - 2.0 * ((codes == 1).sum(axis=1) % 2))
+    return hits, masks, factors
 
 
 def observable_expectation(record: MeasurementRecord, obs: PauliStringSum) -> float:
@@ -156,16 +175,27 @@ def observable_expectation(record: MeasurementRecord, obs: PauliStringSum) -> fl
         raise ValueError("observable length differs from the record")
     if record.n_unitaries == 0:
         raise ValueError("record has no entries")
-    table = _outcome_table(record)
-    parts = []
-    for word, coeff in obs.items():
-        parts.append(coeff * _string_term(PauliString(word), table))
-    total = math.fsum(c.real for c in map(complex, parts)) + 1j * math.fsum(
-        c.imag for c in map(complex, parts)
-    )
-    if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
+    labels = np.array([e.labels for e in record.entries], dtype=np.int8)
+    if not np.isin(labels, LABELS).all():
+        raise ValueError(f"invalid rotation label; expected one of {LABELS}")
+    terms = obs.items()
+    hits, masks, factors = _shadow_terms([w for w, _ in terms], labels)
+    walsh = [_WALSH] * record.num_sites
+    # row m of a chunk's transform: each entry's sum of Z parities over mask m
+    parity = [apply_site_matrices(c, walsh)[masks] for c in _outcome_chunks(record)]
+    parity = np.concatenate(parity, axis=1)
+    # each string's nonzero per-unitary contributions, string after string
+    flat = (factors[:, None] * (parity / record.norm))[hits].tolist()
+    bounds = np.concatenate(([0], np.cumsum(hits.sum(axis=1)))).tolist()
+    # the identity (mask 0) enters as its exact value
+    parts = [
+        coeff * (float(factor) if mask == 0 else math.fsum(flat[lo:hi]) / record.n_unitaries)
+        for (_, coeff), mask, factor, lo, hi in zip(terms, masks, factors, bounds, bounds[1:])
+    ]
+    real, imag = math.fsum(c.real for c in parts), math.fsum(c.imag for c in parts)
+    if abs(imag) > 1e-9 * (1.0 + abs(real)):
         raise ValueError("observable is not Hermitian: imaginary expectation")
-    return float(total.real)
+    return real
 
 
 def hamiltonian_variance(

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "ROTATION_ORDER",
     "PauliString",
     "PauliStringSum",
-    "pauli_mul",
     "square_observable",
     "build_ssh",
     "build_staggered_xy",
@@ -72,27 +71,6 @@ ROTATION_MATRICES: dict[int, np.ndarray] = {
 
 _LETTERS = "IXYZ"
 _CODE = {c: k for k, c in enumerate(_LETTERS)}
-
-# Single-site products: _MUL_LETTER[a][b] and i-power _MUL_PHASE[a][b] for
-# sigma_a sigma_b = i^p sigma_c, with codes I=0, X=1, Y=2, Z=3.
-_MUL_LETTER = np.array(
-    [
-        [0, 1, 2, 3],
-        [1, 0, 3, 2],
-        [2, 3, 0, 1],
-        [3, 2, 1, 0],
-    ],
-    dtype=np.int8,
-)
-_MUL_PHASE = np.array(
-    [
-        [0, 0, 0, 0],
-        [0, 0, 1, 3],
-        [0, 3, 0, 1],
-        [0, 1, 3, 0],
-    ],
-    dtype=np.int8,
-)
 
 # The label whose rotation R maps each letter onto Z, by letter code
 # I, X, Y, Z (0: any label). Label 1 rotates the Bloch sphere by +pi/2
@@ -150,29 +128,6 @@ class PauliString:
     def phase(self) -> complex:
         return _PHASES[self.phase_pow]
 
-    @property
-    def weight(self) -> int:
-        return sum(1 for c in self.letters if c != "I")
-
-    def diagonalized_by(self, labels: np.ndarray) -> np.ndarray:
-        """Rows of an ``(N_U, L)`` label array whose rotations U make U P U^dag
-        diagonal; it then equals rotated_sign * (Z on every support site)."""
-        need = _DIAGONALIZING_LABEL[_ENC[np.frombuffer(self.letters.encode(), np.uint8)]]
-        on = need > 0
-        return (labels[:, on] == need[on]).all(axis=1)
-
-    @property
-    def rotated_sign(self) -> float:
-        """Sign of the diagonal string on a hit: (-1)^#X times the phase."""
-        if self.phase_pow % 2:
-            raise ValueError("observable strings must carry a real +-1 phase")
-        return -1.0 if (self.letters.count("X") + self.phase_pow // 2) % 2 else 1.0
-
-    def support_z_signs(self, idx: np.ndarray) -> np.ndarray:
-        """Product of Z eigenvalues over the support on basis indices ``idx``."""
-        x_mask, z_mask = _masks(self.letters)
-        return _z_signs(idx, x_mask | z_mask)
-
     @classmethod
     def identity(cls, num_sites: int) -> "PauliString":
         return cls("I" * num_sites)
@@ -205,24 +160,17 @@ class PauliString:
         return f"{pref}{self.letters}"
 
 
-def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
-    """Product of two Pauli strings, exact in integer phase arithmetic."""
-    if a.num_sites != b.num_sites:
-        raise ValueError("length mismatch")
-    ca = np.frombuffer(a.letters.encode(), dtype=np.uint8)
-    cb = np.frombuffer(b.letters.encode(), dtype=np.uint8)
-    ia = _ENC[ca]
-    ib = _ENC[cb]
-    letters = _DEC[_MUL_LETTER[ia, ib]].tobytes().decode()
-    phase = (a.phase_pow + b.phase_pow + int(_MUL_PHASE[ia, ib].sum())) % 4
-    return PauliString(letters, phase)
-
-
-# ASCII encode/decode tables so letter words round-trip through uint8 arrays.
+# ASCII encode table: the letter code of each byte of a letter word.
 _ENC = np.zeros(128, dtype=np.int8)
 for _c, _k in _CODE.items():
     _ENC[ord(_c)] = _k
-_DEC = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)
+# the letter of each X bit + 2 * Z bit
+_XZ_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
+
+
+def _letter_codes(words: Iterable[str], num_sites: int) -> np.ndarray:
+    """(words, L) letter codes, I=0, X=1, Y=2, Z=3, of equal-length words."""
+    return _ENC[np.frombuffer("".join(words).encode(), np.uint8)].reshape(-1, num_sites)
 
 
 class PauliStringSum:
@@ -267,38 +215,45 @@ class PauliStringSum:
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 
-    def copy(self) -> "PauliStringSum":
-        out = PauliStringSum(self.num_sites)
-        out._terms = dict(self._terms)
-        return out
-
-    def __add__(self, other: "PauliStringSum") -> "PauliStringSum":
-        if other.num_sites != self.num_sites:
-            raise ValueError("length mismatch")
-        out = self.copy()
-        for word, c in other._terms.items():
-            out.add_term(c, PauliString(word))
-        return out
-
-    def __mul__(self, scalar: complex) -> "PauliStringSum":
-        out = PauliStringSum(self.num_sites)
-        for word, c in self._terms.items():
-            out.add_term(c * scalar, PauliString(word))
-        return out
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "PauliStringSum") -> "PauliStringSum":
-        """Operator product, expanded term by term and re-canonicalized."""
+        """Operator product on site bits, re-canonicalized.
+
+        With Y = i X Z a word is i^#Y X^x Z^z, and moving Z^za past X^xb
+        costs (-1)^|za & xb|. So the product of two words has bits
+        (xa ^ xb, za ^ zb) and phase i^(#Ya + #Yb - #Y + 2 |za & xb|).
+        Each output word sums its products from +0 in the order a term by
+        term expansion meets them (a's terms outer, b's inner, both in
+        insertion order). Words keep the order of their first product, and
+        a word whose sum is below 1e-13 in magnitude is dropped.
+        """
         if other.num_sites != self.num_sites:
             raise ValueError("length mismatch")
+        (xa, za, ca), (xb, zb, cb) = self._bit_arrays(), other._bit_arrays()
+        x, z = xa[:, None] ^ xb, za[:, None] ^ zb
+
+        def count(u, v):
+            return (u & v).sum(axis=-1)
+
+        phase = count(xa, za)[:, None] + count(xb, zb) - count(x, z) + 2 * count(za[:, None], xb)
+        coeff = (ca[:, None] * cb * np.array(_PHASES)[phase % 4]).ravel()
+        letters = _XZ_LETTERS[(x | z << 1).reshape(-1, self.num_sites)]
+        words, first, where = np.unique(
+            letters.view(f"S{self.num_sites}").ravel(), return_index=True, return_inverse=True
+        )
+        sums = np.zeros(len(words), dtype=complex)
+        np.add.at(sums, where, coeff)
         out = PauliStringSum(self.num_sites)
-        for wa, ca in self._terms.items():
-            pa = PauliString(wa)
-            for wb, cb in other._terms.items():
-                prod = pauli_mul(pa, PauliString(wb))
-                out.add_term(ca * cb, prod)
+        for k in np.argsort(first):
+            if abs(sums[k]) >= 1e-13:
+                out._terms[words[k].decode()] = complex(sums[k])
         return out
+
+    def _bit_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per term in insertion order: its X bits and Z bits as (terms, L)
+        boolean arrays (a Y sets both) and its coefficient."""
+        codes = _letter_codes(self._terms, self.num_sites)
+        coeffs = np.array(list(self._terms.values()), dtype=complex)
+        return (codes == 1) | (codes == 2), codes >= 2, coeffs
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix as the sum of the strings' Kronecker chains: the

@@ -617,10 +617,12 @@ def load_record(path: str | Path) -> MeasurementRecord:
     little-endian float64 bytes), version 1 ones from the "probs" list of
     text floats; both give float64 arrays the record owns. A sampled
     entry's "counts" object becomes its dense count array. Any other
-    version raises ValueError, as do a header n_meas that is neither
-    "exact" nor a positive integer, an exact entry that does not hold 2^L
-    probabilities, a count key that is not an L-character 0/1 string and
-    a count that is not a non-negative JSON integer.
+    version raises ValueError, as do a header without num_sites, mode or
+    n_meas, a num_sites that is not a positive JSON integer, an n_meas
+    that is neither "exact" nor a positive integer, an entry without
+    labels, an exact entry that does not hold 2^L probabilities, a count
+    key that is not an L-character 0/1 string and a count that is not a
+    non-negative JSON integer.
     """
     with open(path) as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
@@ -632,12 +634,19 @@ def load_record(path: str | Path) -> MeasurementRecord:
     version = header.get("version")
     if version not in tuple(_PROBS_KEY):
         raise ValueError(f"unsupported record version {version!r}")
+    missing = [key for key in ("num_sites", "mode", "n_meas") if key not in header]
+    if missing:
+        raise ValueError(f"record header without {', '.join(missing)}")
     n_meas = header["n_meas"]
     exact = n_meas == "exact"
-    num_sites = int(header["num_sites"])
+    num_sites = header["num_sites"]
+    if type(num_sites) is not int or num_sites < 1:
+        raise ValueError(f"num_sites {num_sites!r} is not a positive integer")
     entries = []
     for line in lines[1:]:
         doc = json.loads(line)
+        if not isinstance(doc, dict) or "labels" not in doc:
+            raise ValueError("record entry without labels")
         entries.append(
             UnitaryMeasurement(
                 labels=tuple(doc["labels"]),

@@ -43,9 +43,11 @@ real matrix.
 This module owns the bit convention for the whole package:
 ``index_to_bits`` / ``bits_to_index`` are the only conversions between
 basis indices and site bits, and ``apply_site_matrices`` is the only
-site-by-site 2x2 kernel (local rotations, readout flips and the purity
-estimator's factorized kernel all go through it). The pulse drive's
-operators, ``x_total`` and ``occupation``, are built here on top of them.
+site-by-site 2x2 kernel, on one vector or on a (2^L, K) block of columns:
+local rotations, readout flips, the purity estimator's factorized kernel
+and the estimators' Walsh transform of a whole record all go through it.
+The pulse drive's operators, ``x_total`` and ``occupation``, are built
+here on top of them.
 """
 
 from __future__ import annotations
@@ -256,17 +258,19 @@ def expectation(psi: StateVector, obs: PauliStringSum) -> float:
 def apply_site_matrices(v: np.ndarray, matrices: Sequence[np.ndarray | None]) -> np.ndarray:
     """(m_1 kron ... kron m_L) v for one 2x2 matrix per site, site 1 first.
 
-    ``None`` skips a site (the identity). Each site costs one einsum over
-    a (left, 2, right) view, so the product is never formed.
+    ``v`` is a ``(2^L,)`` vector or a ``(2^L, K)`` block whose K columns
+    are transformed alike. ``None`` skips a site (the identity). Each site
+    costs one einsum over a (left, 2, right) view, the columns folded into
+    ``right``, so the product is never formed.
     """
     num_sites = len(matrices)
-    if v.shape != (2**num_sites,):
+    if v.ndim not in (1, 2) or v.shape[0] != 2**num_sites:
         raise ValueError("vector length must be 2**len(matrices)")
     for site, m in enumerate(matrices):
         if m is None:
             continue
-        cube = v.reshape(2**site, 2, 2 ** (num_sites - site - 1))
-        v = np.einsum("ab,ibj->iaj", m, cube).reshape(-1)
+        cube = v.reshape(2**site, 2, -1)
+        v = np.einsum("ab,ibj->iaj", m, cube).reshape(v.shape)
     return v
 
 

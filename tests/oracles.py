@@ -2,8 +2,8 @@
 
 Each is a second route to a number the package computes another way: a
 Haar-random input state, the state overlap, the square-pulse analytical
-schedule, the exact 3-design over labels and the pairwise purity
-U-statistic. Tests import them from here.
+schedule, the exact 3-design over labels, the pairwise purity U-statistic
+and the letter-table product of Pauli sums. Tests import them from here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from rmlab.estimators import EstimatorResult
-from rmlab.pauli import TWO_PI
+from rmlab.pauli import TWO_PI, PauliString, PauliStringSum
 from rmlab.protocol import EXACT_SHOTS, MeasurementRecord, UnitarySample
 from rmlab.pulses import PulseSchedule, Waveform
 from rmlab.statevector import StateVector, _check_sites, index_to_bits
@@ -113,3 +113,34 @@ def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
         per_unitary.append((gross - diagonal) / (n * (n - 1)))
     value = math.fsum(per_unitary) / len(per_unitary)
     return EstimatorResult(value=value)
+
+
+# Single-site products sigma_a sigma_b = i^_MUL_PHASE[a][b] sigma_c with
+# c = _MUL_LETTER[a][b], codes I=0, X=1, Y=2, Z=3.
+_MUL_LETTER = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_MUL_PHASE = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
+
+
+def pauli_product(a: PauliString, b: PauliString) -> PauliString:
+    """Product of two strings, site by site from the letter tables."""
+    if a.num_sites != b.num_sites:
+        raise ValueError("length mismatch")
+    ia = ["IXYZ".index(c) for c in a.letters]
+    ib = ["IXYZ".index(c) for c in b.letters]
+    letters = "".join("IXYZ"[_MUL_LETTER[p, q]] for p, q in zip(ia, ib))
+    phase = a.phase_pow + b.phase_pow + sum(int(_MUL_PHASE[p, q]) for p, q in zip(ia, ib))
+    return PauliString(letters, phase % 4)
+
+
+def sum_product(a: PauliStringSum, b: PauliStringSum) -> PauliStringSum:
+    """Operator product expanded term by term: every pair's string product
+    goes through ``add_term`` in insertion order (a's terms outer), which
+    merges equal words and drops a running sum below 1e-13. The tests'
+    reference for ``PauliStringSum.__matmul__``."""
+    if a.num_sites != b.num_sites:
+        raise ValueError("length mismatch")
+    out = PauliStringSum(a.num_sites)
+    for wa, ca in a._terms.items():
+        for wb, cb in b._terms.items():
+            out.add_term(ca * cb, pauli_product(PauliString(wa), PauliString(wb)))
+    return out

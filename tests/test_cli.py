@@ -157,8 +157,9 @@ def test_run_meta_reports_record_version_and_stage_times(tmp_path):
 _READOUT = {"p_up_given_down": 0.01, "p_down_given_up": 0.03}
 
 # sha256 of each record file, and of results.csv where given, for three tiny
-# runs: a change to how records are built, stored or estimated must leave
-# these bytes as they are
+# runs: a change to how records are built or stored must leave these bytes
+# as they are, and one to how they are estimated re-pins results.csv only
+# while test_exact_pinned_rows_keep_their_values holds
 _PINNED_RUNS = {
     "exact": (
         {"kind": "ssh_gs", "num_sites": 6, "phase": "topological"},
@@ -168,7 +169,7 @@ _PINNED_RUNS = {
             "rep_000.ndjson": "65e6a337a3f7e5a22ccdaae1ae5d6a30beae5b31d84e460cf6b94b349fd5e584",
             "rep_001.ndjson": "1ad7b1a9f15a9726b8c39bbca0ba2663cd65b6f9a1c7d73dc227f2a8652e7c7a",
         },
-        "29cac71e527986096242954401a3ce5e4da58ffec9857bbaedb711c4095c65e2",
+        "84bb09e7824da8de7993d80081ff1b162a8d3da4d0f3013522ba9ab1c74d329d",
     ),
     "pulsed": (
         {"kind": "af", "num_sites": 4},
@@ -191,19 +192,44 @@ _PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_PINNED_RUNS))
-def test_outputs_match_pinned_digests(tmp_path, kind):
-    scenario, protocol, estimators, records, results = _PINNED_RUNS[kind]
+def _run_pinned(tmp_path, kind):
+    scenario, protocol, estimators, _, _ = _PINNED_RUNS[kind]
     cfg = tmp_path / f"{kind}.json"
     cfg.write_text(json.dumps({
         "scenario": scenario, "protocol": protocol, "estimators": estimators, "seed": 3,
     }))
     out = tmp_path / "run"
     assert run_cli("run", cfg, "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_RUNS))
+def test_outputs_match_pinned_digests(tmp_path, kind):
+    _, _, _, records, results = _PINNED_RUNS[kind]
+    out = _run_pinned(tmp_path, kind)
     digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()  # noqa: E731
     assert {p.name: digest(p) for p in sorted((out / "records").iterdir())} == records
     if results is not None:
         assert digest(out / "results.csv") == results
+
+
+# (value, std) of each results.csv row of the exact pinned run as the
+# one-entry-at-a-time estimators wrote them; summing a whole record's exact
+# probabilities in another order may move them only at roundoff
+_EXACT_PINNED_ROWS = {
+    "purity": (0.6821086849857902, 0.07836119076742135),
+    "energy": (-15.48968477918283, 2.3691178975313885),
+    "variance": (-0.2561638059866813, 0.04696489053892726),
+}
+
+
+def test_exact_pinned_rows_keep_their_values(tmp_path):
+    with open(_run_pinned(tmp_path, "exact") / "results.csv") as fh:
+        rows = {row["quantity"]: (float(row["value"]), float(row["std"])) for row in csv.DictReader(fh)}
+    assert rows.keys() == _EXACT_PINNED_ROWS.keys()
+    for quantity, want in _EXACT_PINNED_ROWS.items():
+        for got, expected in zip(rows[quantity], want):
+            assert abs(got - expected) <= 1e-13 * abs(expected), quantity
 
 
 _TINY_RUNS = {

@@ -180,6 +180,66 @@ def test_marginal_matches_per_index_loop():
             assert np.array_equal(_marginal_distribution(e.outcomes, rec.norm, 5, sites), want)
 
 
+def _purity_per_entry(record: MeasurementRecord, sites) -> float:
+    """The purity estimate one entry at a time: the loop the batched
+    estimator replaced."""
+    from rmlab.estimators import _marginal_distribution
+
+    kernel = [np.array([[2.0, -1.0], [-1.0, 2.0]])] * len(sites)
+    x_values = []
+    for e in record.entries:
+        p = _marginal_distribution(e.outcomes, record.norm, record.num_sites, sites)
+        x_values.append(float(p @ apply_site_matrices(p, kernel)))
+    x = math.fsum(x_values) / len(x_values)
+    if record.n_meas == EXACT_SHOTS:
+        return x
+    n = record.n_meas
+    return x * n / (n - 1) - (2 ** len(sites)) / (n - 1)
+
+
+@pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 400])
+def test_batched_purity_matches_per_entry_loop(n_meas):
+    # sampled marginals are whole counts over n_meas and each X_U is the
+    # same BLAS dot, so the two routes agree bit for bit (a dot summed in
+    # another order, as einsum over the block, moves sites (2, 4, 5) here by
+    # one bit); exact marginals may sum their probabilities in another order
+    rng = np.random.default_rng(31)
+    psi = random_state(7, rng)
+    readout = ReadoutErrorModel(0.01, 0.03)
+    rec = run_ideal(psi, sample_unitaries(7, 30, rng), n_meas, readout=readout, seed=9)
+    for sites in ((1,), (2, 4, 5), (1, 2, 3, 4, 5, 6, 7), (3, 7)):
+        got, want = purity_estimate(rec, sites).value, _purity_per_entry(rec, sites)
+        if n_meas == EXACT_SHOTS:
+            assert abs(got - want) <= 1e-13 * abs(want)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 200])
+def test_record_split_into_chunks_gives_the_same_estimates(monkeypatch, n_meas):
+    # three entries a chunk, the last chunk short: every per-entry value is
+    # computed column by column and reduced with fsum, so the split cannot
+    # show
+    from rmlab import estimators
+
+    L = 6
+    rng = np.random.default_rng(33)
+    rec = run_ideal(random_state(L, rng), sample_unitaries(L, 20, rng), n_meas, seed=4)
+    h = build_ssh(L, 0.484 * TWO_PI, -0.18 * TWO_PI, 0.04 * TWO_PI, mu_edge=0.1)
+
+    def estimates():
+        return (
+            observable_expectation(rec, h),
+            hamiltonian_variance(rec, h).value,
+            purity_estimate(rec, (1, 2, 3)).value,
+        )
+
+    whole = estimates()
+    monkeypatch.setattr(estimators, "_BLOCK_AMPLITUDES", 3 * 2**L)
+    assert [c.shape[1] for c in estimators._outcome_chunks(rec)] == [3] * 6 + [2]
+    assert estimates() == whole
+
+
 def test_correction_unbiased_under_multinomial_resampling():
     # fixed exact distributions; 1e4 multinomial resamples at N = 50 per
     # unitary; the mean corrected estimate must sit within 5 standard
@@ -269,7 +329,8 @@ _REF_SIGN = {1: (1, 1, 1, -1), 2: (1, -1, 1, 1), 3: (1, 1, 1, 1)}
 def _reference_string_term(p: PauliString, record: MeasurementRecord) -> float:
     """Per-unitary conjugation of p, then the z-eigenvalue product."""
     L = record.num_sites
-    if p.weight == 0:
+    weight = sum(c != "I" for c in p.letters)
+    if weight == 0:
         return {0: 1.0, 2: -1.0}[p.phase_pow]
     contributions = []
     for e in record.entries:
@@ -287,7 +348,7 @@ def _reference_string_term(p: PauliString, record: MeasurementRecord) -> float:
         zeros = len(cols) - bits[:, cols].sum(axis=1)
         z = np.where(zeros % 2 == 0, 1.0, -1.0)
         mean_z = float(z @ e.outcomes) / record.norm
-        contributions.append(float(3**p.weight) * {0: 1.0, 2: -1.0}[phase] * mean_z)
+        contributions.append(float(3**weight) * {0: 1.0, 2: -1.0}[phase] * mean_z)
     return math.fsum(contributions) / len(contributions)
 
 
@@ -305,14 +366,23 @@ def test_label_mask_matches_conjugation_loop(L, n_meas, flips):
     readout = ReadoutErrorModel(0.01, 0.03) if flips else None
     rec = run_ideal(psi, sample_unitaries(L, 40, rng), n_meas, readout=readout, seed=5)
     h = build_ssh(L, 0.484 * TWO_PI, -0.18 * TWO_PI, 0.04 * TWO_PI, mu_edge=0.1)
+
+    def agrees(got: float, want: float) -> bool:
+        # integer counts make every Walsh sum exact, so sampled records
+        # agree bit for bit; exact probabilities are summed in another
+        # order (largest relative difference seen: 2.1e-15)
+        if n_meas == EXACT_SHOTS:
+            return abs(got - want) <= 1e-13 * abs(want)
+        return got == want
+
     for obs in (h, square_observable(h)):
-        assert observable_expectation(rec, obs) == _reference_observable(rec, obs)
+        assert agrees(observable_expectation(rec, obs), _reference_observable(rec, obs))
     words = ["I" * L, "Z" * L, "X" + "I" * (L - 1), "IY" + "Z" * (L - 2)]
     words += ["".join(rng.choice(list("IXYZ"), size=L)) for _ in range(20)]
     for word in words:
         for phase_pow in (0, 2):
             p = PauliString(word, phase_pow)
-            assert _string_expectation(rec, p) == _reference_string_term(p, rec)
+            assert agrees(_string_expectation(rec, p), _reference_string_term(p, rec))
 
 
 def test_invalid_label_rejected():
@@ -338,6 +408,15 @@ def test_identity_observable_is_exact():
     obs = PauliStringSum(2)
     obs.add_term(2.75, PauliString("II"))
     assert observable_expectation(rec, obs) == pytest.approx(2.75, abs=1e-14)
+    # exact probabilities need only sum to one within 1e-10; the identity
+    # still enters as its coefficient, not as the mean of those sums
+    loose = MeasurementRecord(
+        num_sites=2,
+        mode="ideal",
+        n_meas=EXACT_SHOTS,
+        entries=(UnitaryMeasurement(labels=(1, 2), outcomes=np.full(4, 0.25) * (1 + 5e-11)),),
+    )
+    assert observable_expectation(loose, obs) == 2.75
 
 
 def test_hamiltonian_expectation_exact_ground_state():

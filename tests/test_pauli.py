@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from rmlab.estimators import _shadow_terms
 from rmlab.pauli import (
     LABELS,
     PAULI_MATRICES,
@@ -19,11 +20,12 @@ from rmlab.pauli import (
     PauliStringSum,
     build_ssh,
     build_staggered_xy,
-    pauli_mul,
     square_observable,
 )
-from rmlab.scenarios import model_hamiltonian, quench_hamiltonian
+from rmlab.scenarios import J_E, J_NNN, J_O, MU_EDGE, model_hamiltonian, quench_hamiltonian
 from rmlab.statevector import x_total
+
+from oracles import sum_product
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -54,14 +56,18 @@ def test_rotation_matrices():
     assert np.allclose(ROTATION_MATRICES[3], I2)
 
 
+def _one_term(letters: str, phase_pow: int = 0) -> PauliStringSum:
+    out = PauliStringSum(len(letters))
+    out.add_term(1.0, PauliString(letters, phase_pow))
+    return out
+
+
 @pytest.mark.parametrize("a", "IXYZ")
 @pytest.mark.parametrize("b", "IXYZ")
 def test_pauli_mul_against_dense(a, b):
-    pa = PauliString(letters=a)
-    pb = PauliString(letters=b)
-    prod = pauli_mul(pa, pb)
-    got = prod.phase * dense(prod.letters)
-    assert np.allclose(got, dense(a) @ dense(b))
+    prod = _one_term(a) @ _one_term(b)
+    assert len(prod) == 1
+    assert np.allclose(prod.to_matrix(), dense(a) @ dense(b))
 
 
 def test_to_matrix_site_order():
@@ -82,24 +88,33 @@ def _is_diagonal(m: np.ndarray) -> bool:
     return np.allclose(m, np.diag(np.diag(m)))
 
 
+def _support_z(letters: str) -> np.ndarray:
+    """Dense Z on every site where the word is not I."""
+    return dense("".join("I" if c == "I" else "Z" for c in letters))
+
+
+def _shadow_sign(letters: str, factor: float) -> float:
+    """The sign of U P U^dag on a hit: the shadow factor over 3^w."""
+    return factor / 3 ** sum(c != "I" for c in letters)
+
+
 @pytest.mark.parametrize("label", LABELS)
 @pytest.mark.parametrize("letter", "IXYZ")
 def test_conjugation_against_dense(label, letter):
     # the label rule: a hit exactly when R P R^dag is diagonal, and then
-    # R P R^dag = rotated_sign * (Z on the support)
-    p = PauliString(letters=letter)
+    # R P R^dag = (-1)^#X (Z on the support)
+    hits, _, factors = _shadow_terms([letter], np.array([[label]]))
     want = _rotated(letter, [label])
-    hit = bool(p.diagonalized_by(np.array([[label]]))[0])
-    assert hit == _is_diagonal(want)
-    if hit:
-        assert np.allclose(want, p.rotated_sign * np.diag(p.support_z_signs(np.arange(2))))
+    assert bool(hits[0, 0]) == _is_diagonal(want)
+    if hits[0, 0]:
+        assert np.allclose(want, _shadow_sign(letter, factors[0]) * _support_z(letter))
 
 
 def test_frozen_conjugation_values():
     # oracle-derived, frozen: R2 X R2^dag = -Z, R1 Y R1^dag = Z, R3 Z R3^dag = Z,
     # while R1 Z R1^dag = -Y and R2 Z R2^dag = X are not diagonal
     rule = {
-        letter: [bool(PauliString(letter).diagonalized_by(np.array([[lab]]))[0]) for lab in LABELS]
+        letter: [bool(_shadow_terms([letter], np.array([[lab]]))[0][0, 0]) for lab in LABELS]
         for letter in "IXYZ"
     }
     assert rule == {
@@ -108,15 +123,13 @@ def test_frozen_conjugation_values():
         "Y": [True, False, False],
         "Z": [False, False, True],
     }
-    assert PauliString("X").rotated_sign == -1.0
-    assert PauliString("Y").rotated_sign == 1.0
-    assert PauliString("Z").rotated_sign == 1.0
-    assert PauliString("XX", phase_pow=2).rotated_sign == -1.0
-    assert list(PauliString("Z").support_z_signs(np.arange(2))) == [-1.0, 1.0]
-    # support {1, 2}: the Z eigenvalue product is +1 where the two bits agree
-    assert list(PauliString("XZ").support_z_signs(np.arange(4))) == [1.0, -1.0, -1.0, 1.0]
-    with pytest.raises(ValueError):
-        PauliString("Z", phase_pow=1).rotated_sign
+    _, masks, factors = _shadow_terms(["X", "Y", "Z", "I"], np.array([[1]]))
+    assert masks.tolist() == [1, 1, 1, 0]
+    assert factors.tolist() == [-3.0, 3.0, 3.0, 1.0]
+    # site 1 is the high bit of a mask
+    _, masks, factors = _shadow_terms(["XZ", "XX", "IY", "ZI"], np.array([[2, 3]]))
+    assert masks.tolist() == [3, 3, 1, 2]
+    assert factors.tolist() == [-9.0, 9.0, 3.0, 3.0]
 
 
 @given(
@@ -131,27 +144,27 @@ def test_conjugation_round_trip(letters, label_rows, phase_pow):
     # multi-site label rule on a whole label array against the dense
     # U P U^dag, U = kron of R_label, one row at a time
     labels = np.array(label_rows)[:, : len(letters)]
-    p = PauliString(letters=letters, phase_pow=phase_pow)
-    hits = p.diagonalized_by(labels)
-    assert hits.shape == (len(labels),)
-    z = p.support_z_signs(np.arange(2 ** len(letters)))
-    for row, hit in zip(labels, hits):
+    hits, _, factors = _shadow_terms([letters], labels)
+    assert hits.shape == (1, len(labels))
+    for row, hit in zip(labels, hits[0]):
         want = _rotated(letters, row, phase_pow)
         assert bool(hit) == _is_diagonal(want)
-        if hit and phase_pow % 2 == 0:
-            assert np.allclose(want, p.rotated_sign * np.diag(z))
-    if phase_pow % 2:
-        with pytest.raises(ValueError):
-            p.rotated_sign
+        if hit:
+            sign = 1j**phase_pow * _shadow_sign(letters, factors[0])
+            assert np.allclose(want, sign * _support_z(letters))
 
 
-@given(st.text(alphabet="IXYZ", min_size=1, max_size=5), st.data())
+@given(st.text(alphabet="IXYZ", min_size=1, max_size=5), st.data(), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
-def test_mul_closure_and_phase(letters, data):
+def test_mul_closure_and_phase(letters, data, phase_pow):
+    # a one-term product is one string whose coefficient is a power of i
     other = data.draw(st.text(alphabet="IXYZ", min_size=len(letters), max_size=len(letters)))
-    prod = pauli_mul(PauliString(letters=letters), PauliString(letters=other))
-    assert set(prod.letters) <= set("IXYZ")
-    assert prod.phase in (1, -1, 1j, -1j)
+    prod = _one_term(letters, phase_pow) @ _one_term(other)
+    [(word, coeff)] = prod.items()
+    assert set(word) <= set("IXYZ")
+    assert coeff in (1, -1, 1j, -1j)
+    want = 1j**phase_pow * dense(letters) @ dense(other)
+    assert np.allclose(prod.to_matrix(), want)
 
 
 def test_sum_merges_and_drops():
@@ -161,6 +174,51 @@ def test_sum_merges_and_drops():
     assert s.coefficient("XI") == 0
     s.add_term(1.25, PauliString(letters="ZZ"))
     assert s.coefficient("ZZ") == 1.25
+
+
+@pytest.mark.parametrize("phase", ["topological", "trivial"])
+def test_matmul_matches_term_by_term_product_on_model_chains(phase):
+    # the model chain's couplings at L = 2..14: the same coefficients bit
+    # for bit, in the same word order
+    j_e, j_o = (J_O, J_E) if phase == "trivial" else (J_E, J_O)
+    for L in range(2, 15):
+        h = build_ssh(L, j_e, j_o, J_NNN, mu_edge=MU_EDGE)
+        want = sum_product(h, h)
+        got = h @ h
+        assert list(got._terms) == list(want._terms)
+        assert all(got.coefficient(w) == c for w, c in want._terms.items())
+    for L in (6, 8, 10, 12, 14):
+        h = model_hamiltonian(L, phase)
+        assert square_observable(h)._terms == sum_product(h, h)._terms
+
+
+def _random_sum(rng: np.random.Generator, num_sites: int, size: int) -> PauliStringSum:
+    out = PauliStringSum(num_sites)
+    for _ in range(size):
+        word = "".join(rng.choice(list("IXYZ"), size=num_sites))
+        coeff = rng.normal() + (1j * rng.normal() if rng.random() < 0.5 else 0.0)
+        out.add_term(coeff, PauliString(word))
+    return out
+
+
+def test_matmul_matches_term_by_term_product_on_random_sums():
+    # planted cancellations: b repeats a's words with the coefficients
+    # negated, or nudged by a few 1e-14 so that running sums pass near zero.
+    # The term-by-term product drops a running sum below 1e-13 and restarts
+    # from zero; the bitmask product drops only a word's final sum, so the
+    # two may differ by less than 1e-13 in a coefficient.
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        num_sites = 1 + trial % 4
+        a = _random_sum(rng, num_sites, int(rng.integers(1, 7)))
+        b = _random_sum(rng, num_sites, int(rng.integers(0, 4)))
+        for word, c in a.items():
+            nudge = [-1.0, -1.0 + 1e-14 * rng.integers(1, 8), 1.0][trial % 3]
+            b.add_term(c * nudge, PauliString(word))
+        for x, y in ((a, b), (b, a), (a, a)):
+            got, want = x @ y, sum_product(x, y)
+            for word in set(got._terms) | set(want._terms):
+                assert abs(got.coefficient(word) - want.coefficient(word)) <= 1e-13
 
 
 def test_sum_matmul_vs_dense():

@@ -792,6 +792,33 @@ def test_load_record_rejects_malformed_counts(tmp_path, counts, match):
         load_record(path)
 
 
+@pytest.mark.parametrize(
+    "part, key, value",
+    [
+        ("header", "n_meas", None),
+        ("header", "num_sites", None),
+        ("header", "mode", None),
+        ("entry", "labels", None),
+        ("header", "num_sites", [2]),
+        ("header", "num_sites", 2.5),
+    ],
+    ids=["no_n_meas", "no_num_sites", "no_mode", "no_labels", "list_num_sites", "fractional_num_sites"],
+)
+def test_load_record_rejects_missing_or_malformed_fields(tmp_path, part, key, value):
+    # a value of None removes the field
+    path = tmp_path / "rec.ndjson"
+    save_record(_toy_record(), path)
+    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    doc = docs[0] if part == "header" else docs[1]
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
+    with pytest.raises(ValueError, match="without|num_sites"):
+        load_record(path)
+
+
 def test_save_is_deterministic(tmp_path):
     rec = _toy_record()
     p1, p2 = tmp_path / "a.ndjson", tmp_path / "b.ndjson"

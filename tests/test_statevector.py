@@ -78,8 +78,14 @@ def test_apply_site_matrices_against_kron(L):
             for m in range(L):
                 dense = np.kron(dense, np.eye(2) if m in skip else mats[m])
             assert np.allclose(apply_site_matrices(v, used), dense @ v, atol=1e-12)
+            # a (2^L, K) block: each column transformed as it would be alone
+            block = np.stack([v, v.conj(), 2.0 * v], axis=1)
+            columns = [apply_site_matrices(np.ascontiguousarray(col), used) for col in block.T]
+            assert np.array_equal(apply_site_matrices(block, used), np.stack(columns, axis=1))
     with pytest.raises(ValueError):
         apply_site_matrices(v, cplx + [None])
+    with pytest.raises(ValueError):
+        apply_site_matrices(v[:, None, None], cplx)
 
 
 def test_drive_operators_against_pauli_sums():
