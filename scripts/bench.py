@@ -34,7 +34,9 @@ best of five calls of ``purity_estimate`` (sites 1 to L/2),
 built once, as a run does), in milliseconds, on each of two records of
 the dimerized chain's ground state built in-process through
 ``run_ideal``: a sampled one at L = 8 (N_U = 100, N_meas = 400) and an
-exact one at L = 10 (N_U = 100). ``square_observable_ms`` holds the best
+exact one at L = 10 (N_U = 100). ``run_ideal_record_ms`` holds the best
+of five of the ``run_ideal`` calls that build those two records, in
+milliseconds, per record. ``square_observable_ms`` holds the best
 of five ``pauli.square_observable`` calls on the dimerized chain's
 Hamiltonian at L = 8, 10 and 12, in milliseconds.
 
@@ -106,6 +108,16 @@ def run_tier1() -> dict:
             "returncode": proc.returncode, "counts": counts, "wall_s": wall_s, "slowest": slowest}
 
 
+def best_ms(call, repeats: int = 5) -> float:
+    """Best of ``repeats`` wall times of ``call()``, in milliseconds."""
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best
+
+
 def propagator_layer(repeats: int = 5) -> dict:
     """Best-of-``repeats`` milliseconds per ``propagator_batch`` call on the
     golden schedule, per label and gain-row count."""
@@ -123,18 +135,15 @@ def propagator_layer(repeats: int = 5) -> dict:
     out: dict = {}
     for label in (1, 2, 3):
         for rows, g in gains.items():
-            best = math.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                propagator_batch(schedule, label, g)
-                best = min(best, time.perf_counter() - start)
-            out.setdefault(f"label_{label}", {})[str(rows)] = 1e3 * best
+            ms = best_ms(lambda: propagator_batch(schedule, label, g), repeats)
+            out.setdefault(f"label_{label}", {})[str(rows)] = ms
     return out
 
 
-def estimator_layer(repeats: int = 5) -> dict:
-    """Best-of-``repeats`` milliseconds per estimator call on a sampled L = 8
-    and an exact L = 10 record, per estimator."""
+def record_layers(repeats: int = 5) -> tuple[dict, dict]:
+    """Best-of-``repeats`` milliseconds per ``run_ideal`` call that builds a
+    sampled L = 8 and an exact L = 10 record, and per estimator call on
+    each record."""
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
@@ -144,25 +153,22 @@ def estimator_layer(repeats: int = 5) -> dict:
     from rmlab.scenarios import model_hamiltonian
     from rmlab.statevector import ground_state
 
-    out: dict = {}
+    runs: dict = {}
+    estimators: dict = {}
     for name, L, n_meas in (("sampled_L8", 8, 400), ("exact_L10", 10, EXACT_SHOTS)):
         h = model_hamiltonian(L)
         h2 = square_observable(h)
+        psi = ground_state(h)[1]
         samples = sample_unitaries(L, 100, np.random.default_rng(0))
-        record = run_ideal(ground_state(h)[1], samples, n_meas, seed=0)
+        runs[name] = best_ms(lambda: run_ideal(psi, samples, n_meas, seed=0), repeats)
+        record = run_ideal(psi, samples, n_meas, seed=0)
         calls = {
             "purity": lambda: purity_estimate(record, range(1, L // 2 + 1)),
             "energy": lambda: observable_expectation(record, h),
             "variance": lambda: hamiltonian_variance(record, h, h2),
         }
-        for estimator, call in calls.items():
-            best = math.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                call()
-                best = min(best, time.perf_counter() - start)
-            out.setdefault(name, {})[estimator] = 1e3 * best
-    return out
+        estimators[name] = {estimator: best_ms(call, repeats) for estimator, call in calls.items()}
+    return runs, estimators
 
 
 def square_observable_layer(repeats: int = 5) -> dict:
@@ -175,12 +181,7 @@ def square_observable_layer(repeats: int = 5) -> dict:
     out: dict = {}
     for L in (8, 10, 12):
         h = model_hamiltonian(L)
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            square_observable(h)
-            best = min(best, time.perf_counter() - start)
-        out[f"L{L}"] = 1e3 * best
+        out[f"L{L}"] = best_ms(lambda: square_observable(h), repeats)
     return out
 
 
@@ -236,9 +237,11 @@ def main(argv: list[str] | None = None) -> int:
         report["workloads"][name] = results
         report.setdefault("provenance", {k: provenance[k] for k in PROVENANCE_KEYS} | {"git_dirty": dirty})
     report["provenance"]["public_surface"] = public_surface()
+    run_ideal_ms, estimator_ms = record_layers()
     report["layers"] = {
         "propagator_batch_ms": propagator_layer(),
-        "estimator_record_ms": estimator_layer(),
+        "run_ideal_record_ms": run_ideal_ms,
+        "estimator_record_ms": estimator_ms,
         "square_observable_ms": square_observable_layer(),
     }
     print("tier-1 tests ...", file=sys.stderr, flush=True)

@@ -62,7 +62,6 @@ from .protocol import (
     BIT_CONVENTION,
     UnitarySample,
     ReadoutErrorModel,
-    UnitaryMeasurement,
     MeasurementRecord,
     sample_unitaries,
     apply_readout_errors,

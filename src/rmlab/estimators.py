@@ -1,9 +1,10 @@
 """Post-processing of measurement records into physical quantities.
 
-Every estimator reads a record entry the same way: its dense outcome
-array over the 2^L basis indices, divided by the record's ``norm`` (n_meas
-for sampled counts, 1 for exact probabilities), is the empirical or
-exact outcome distribution P̃_U.
+Every estimator reads a record the same way: row u of its (N_U, 2^L)
+outcome table, divided by the record's ``norm`` (n_meas for sampled
+counts, 1 for exact probabilities), is unitary u's empirical or exact
+outcome distribution P̃_U, and row u of its (N_U, L) label array is the
+rotation pattern U.
 
 Purity. With outcome distribution P̃_U on an ℓ-site subsystem, each
 unitary contributes
@@ -30,13 +31,13 @@ classical-shadow estimator, linear in the outcome probabilities. Records
 store nominal labels, so miscalibrated rotations shift these estimates
 exactly as they would in the lab.
 
-A whole record is estimated at once. Its outcomes form a (2^L, N_U)
-table, one column per unitary, taken in chunks of at most
+A whole record is estimated at once. Its outcome table is read as
+transposed (2^L, width) slices, one column per unitary, each of at most
 ``protocol._BLOCK_AMPLITUDES`` weights. One signed Walsh transform,
 [[1, 1], [-1, 1]] on every site through ``apply_site_matrices``, turns a
 chunk into every support mask's per-unitary sum of Z parities
 Σ_s Π_{m in mask} (2 s_m - 1) P̃_U(s): a string's shadow sums are the row
-at its support mask. The label rule, applied to the (N_U, L) label array
+at its support mask. The label rule, applied to the record's label array
 for every string at once, gives a (strings, N_U) hit matrix that selects
 and weights them. With integer counts every Walsh sum is exact, so sampled
 records give the same bits as a per-string dot product.
@@ -94,11 +95,11 @@ _KERNEL = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
 
 def _outcome_chunks(record: MeasurementRecord):
-    """The record's outcomes as ``(2^L, width)`` blocks, one column per
-    entry in entry order, each of at most ``_BLOCK_AMPLITUDES`` weights."""
+    """The record's outcome table as transposed ``(2^L, width)`` views, one
+    column per unitary, each of at most ``_BLOCK_AMPLITUDES`` weights."""
     width = max(1, _BLOCK_AMPLITUDES >> record.num_sites)
     for start in range(0, record.n_unitaries, width):
-        yield np.stack([e.outcomes for e in record.entries[start : start + width]], axis=1)
+        yield record.outcomes[start : start + width].T
 
 
 def _marginal_distribution(
@@ -126,7 +127,8 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
     ell = len(sub)
     x_values: list[float] = []
     for chunk in _outcome_chunks(record):
-        p = _marginal_distribution(chunk, record.norm, record.num_sites, sub)
+        # a C-ordered copy, so the marginal's sums keep one order
+        p = _marginal_distribution(np.ascontiguousarray(chunk), record.norm, record.num_sites, sub)
         kp = apply_site_matrices(p, [_KERNEL] * ell)
         # one BLAS dot per contiguous row, as p @ Kp on a single entry
         rows, krows = np.ascontiguousarray(p.T), np.ascontiguousarray(kp.T)
@@ -175,11 +177,10 @@ def observable_expectation(record: MeasurementRecord, obs: PauliStringSum) -> fl
         raise ValueError("observable length differs from the record")
     if record.n_unitaries == 0:
         raise ValueError("record has no entries")
-    labels = np.array([e.labels for e in record.entries], dtype=np.int8)
-    if not np.isin(labels, LABELS).all():
+    if not np.isin(record.labels, LABELS).all():
         raise ValueError(f"invalid rotation label; expected one of {LABELS}")
     terms = obs.items()
-    hits, masks, factors = _shadow_terms([w for w, _ in terms], labels)
+    hits, masks, factors = _shadow_terms([w for w, _ in terms], record.labels)
     walsh = [_WALSH] * record.num_sites
     # row m of a chunk's transform: each entry's sum of Z parities over mask m
     parity = [apply_site_matrices(c, walsh)[masks] for c in _outcome_chunks(record)]

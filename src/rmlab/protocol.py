@@ -8,16 +8,22 @@ MeasurementRecord. Records always store the nominal labels, never the
 noisy realized rotations: post-processing assumes ideal rotations, the
 same information an experimenter has.
 
-Every entry holds one dense float64 array of 2^L outcome weights indexed
-by basis index: the shot count of each index in a sampled record, the
-probability in exact-probability mode (n_meas = EXACT_SHOTS), which
-isolates estimator bias from shot noise. The record's ``norm`` (n_meas,
-or 1 in exact mode) turns either into a distribution.
+A record is one outcome table: ``labels`` (int8, N_U x L), ``outcomes``
+(float64, N_U x 2^L, row u indexed by basis index) and ``seeds``, the
+(N_U,) stream keys (None in exact mode). outcomes[u, i] is the shot count
+of index i under unitary u in a sampled record, its probability in
+exact-probability mode (n_meas = EXACT_SHOTS), which isolates estimator
+bias from shot noise; the record's ``norm`` (n_meas, or 1) turns a row
+into a distribution.
+
+Both runs fill an (N_U, 2^L) table of outcome distributions in blocks of
+at most ``_BLOCK_AMPLITUDES`` amplitudes, each freed once reduced, and
+end in one measurement stage, ``_measure``.
 
 Records persist as UTF-8 NDJSON (save_record / load_record): a header
-line, then one line per entry. A sampled entry stores its nonzero counts
-as a bitstring -> count object; these two functions are the only code
-that reads or writes bitstrings. Format version 2 stores an exact
+line, then one line per unitary (an entry). A sampled entry stores its
+nonzero counts as a bitstring -> count object; these two functions are
+the only code that reads or writes bitstrings. Format version 2 stores an exact
 entry's 2^L probabilities as one base64 string of their little-endian
 float64 bytes (key "probs_f64le"), which round-trips bit for bit.
 load_record also reads version 1, whose exact entries hold the
@@ -46,14 +52,14 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .pauli import PauliStringSum
+from .pauli import LABELS, PauliStringSum
 from .pulses import (
     _SIGMA_WEIGHTS,
     FluctuationModel,
@@ -83,7 +89,6 @@ __all__ = [
     "BIT_CONVENTION",
     "UnitarySample",
     "ReadoutErrorModel",
-    "UnitaryMeasurement",
     "MeasurementRecord",
     "sample_unitaries",
     "apply_readout_errors",
@@ -104,7 +109,8 @@ _RECORD_VERSION = 2
 # exact-entry key of each version load_record reads (save_record writes v2)
 _PROBS_KEY = {1: "probs", 2: "probs_f64le"}
 
-# amplitudes per block that run_pulsed evolves at once (16 MB of complex)
+# amplitudes per block that run_ideal rotates or run_pulsed evolves at
+# once (16 MB of complex)
 _BLOCK_AMPLITUDES = 2**20
 
 
@@ -147,38 +153,21 @@ class ReadoutErrorModel:
 
 
 @dataclass(frozen=True)
-class UnitaryMeasurement:
-    """Outcomes recorded under one rotation pattern.
-
-    outcomes[i] is the weight of basis index i (site 1 = leftmost bit), as
-    a float64 array of length 2^L: the number of shots that read i in a
-    sampled record, the probability of i in an exact one. seed is the
-    per-sample stream key, kept for replay (None in exact mode).
-    """
-
-    labels: tuple[int, ...]
-    outcomes: np.ndarray
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(int(l) for l in self.labels))
-        object.__setattr__(self, "outcomes", np.asarray(self.outcomes, dtype=float))
-
-
-@dataclass(frozen=True)
 class MeasurementRecord:
-    """A full experiment: entries share num_sites, mode and n_meas.
+    """A full experiment as one outcome table (see the module docstring).
 
-    Invariant checked here: every entry's outcomes are 2^L finite weights
-    summing to ``norm``, n_meas in a sampled record (where each weight is
-    a non-negative whole number of shots) and one, within 1e-10, in an
-    exact record.
+    Invariant checked here: labels is (N_U, L), seeds (N_U,) or None, and
+    every row of outcomes holds 2^L finite weights summing to ``norm``,
+    n_meas in a sampled record (where each weight is a non-negative whole
+    number of shots) and one, within 1e-10, in an exact record.
     """
 
     num_sites: int
     mode: str
     n_meas: int | float
-    entries: tuple[UnitaryMeasurement, ...]
+    labels: np.ndarray
+    outcomes: np.ndarray
+    seeds: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -187,42 +176,46 @@ class MeasurementRecord:
         exact = _check_n_meas(self.n_meas)
         if not exact:
             object.__setattr__(self, "n_meas", int(self.n_meas))
-        object.__setattr__(self, "entries", tuple(self.entries))
-        dim = 2**self.num_sites
-        for e in self.entries:
-            if len(e.labels) != self.num_sites:
-                raise ValueError("entry label length differs from num_sites")
-            w = e.outcomes
-            if w.shape != (dim,):
-                raise ValueError("outcomes must hold 2^num_sites weights")
-            if not np.isfinite(w).all():
-                raise ValueError("outcomes must be finite")
-            if exact:
-                if abs(float(w.sum()) - 1.0) > 1e-10:
-                    raise ValueError("probabilities must sum to one")
-            else:
-                if not ((w >= 0) & (w == np.floor(w))).all():
-                    raise ValueError("counts must be non-negative whole numbers")
-                if float(w.sum()) != self.n_meas:
-                    raise ValueError("counts must sum to n_meas")
+        raw = np.asarray(self.labels)
+        labels = raw.astype(np.int8)
+        if not np.array_equal(labels, raw):
+            raise ValueError("labels must be integers in the int8 range")
+        if labels.ndim != 2 or labels.shape[1] != self.num_sites:
+            raise ValueError("entry label length differs from num_sites")
+        w = np.ascontiguousarray(self.outcomes, dtype=np.float64)
+        if w.shape != (len(labels), 2**self.num_sites):
+            raise ValueError("outcomes must hold 2^num_sites weights per label row")
+        if not np.isfinite(w).all():
+            raise ValueError("outcomes must be finite")
+        if exact and (np.abs(w.sum(axis=1) - 1.0) > 1e-10).any():
+            raise ValueError("probabilities must sum to one")
+        if not exact and not ((w >= 0) & (w == np.floor(w))).all():
+            raise ValueError("counts must be non-negative whole numbers")
+        if not exact and (w.sum(axis=1) != self.n_meas).any():
+            raise ValueError("counts must sum to n_meas")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "outcomes", w)
+        if self.seeds is not None:
+            seeds = np.asarray(self.seeds, dtype=np.int64)
+            if seeds.shape != (len(labels),):
+                raise ValueError("seeds must hold one seed per label row")
+            object.__setattr__(self, "seeds", seeds)
 
     @property
     def n_unitaries(self) -> int:
-        return len(self.entries)
+        return len(self.labels)
 
     @property
     def norm(self) -> float:
-        """What every entry's outcomes sum to: n_meas, or 1 in exact mode."""
+        """What every row of outcomes sums to: n_meas, or 1 in exact mode."""
         return 1.0 if self.n_meas == EXACT_SHOTS else float(self.n_meas)
 
     def subset(self, indices: Sequence[int]) -> "MeasurementRecord":
-        """Record restricted to the given entry indices (for scaling scans)."""
-        picked = tuple(self.entries[i] for i in indices)
-        return MeasurementRecord(
-            num_sites=self.num_sites,
-            mode=self.mode,
-            n_meas=self.n_meas,
-            entries=picked,
+        """Record restricted to the given unitaries (for scaling scans)."""
+        picked = np.asarray(indices, dtype=np.intp)
+        seeds = None if self.seeds is None else self.seeds[picked]
+        return replace(
+            self, labels=self.labels[picked], outcomes=self.outcomes[picked], seeds=seeds,
             meta=dict(self.meta),
         )
 
@@ -259,37 +252,43 @@ def apply_readout_errors(
 def apply_readout_to_probs(
     probs: np.ndarray, model: ReadoutErrorModel, num_sites: int
 ) -> np.ndarray:
-    """Exact-mode counterpart: push the distribution through the flip
-    channel on every site."""
+    """Exact-mode counterpart: push the distribution, a (2^L,) vector or a
+    (2^L, K) block of them, through the flip channel on every site."""
     return apply_site_matrices(np.asarray(probs, dtype=float), [model.matrix()] * num_sites)
 
 
-def _entry(
-    probs: np.ndarray,
-    sample: UnitarySample,
-    n_meas: int | float,
-    readout: ReadoutErrorModel | None,
-    rng: np.random.Generator,
-) -> UnitaryMeasurement:
-    """Sample's entry from its outcome distribution ``probs``.
+def _measure(
+    mode: str, samples: Sequence[UnitarySample], rngs: Iterable[np.random.Generator], probs: np.ndarray,
+    n_meas: int | float, readout: ReadoutErrorModel | None, meta: dict,
+) -> MeasurementRecord:
+    """The record of a run from its (N_U, 2^L) table of outcome
+    distributions, one row per sample, and each sample's (seed, k) stream;
+    ``meta`` gains the readout's two flip rates (None without flips).
 
-    Exact mode keeps ``probs`` pushed through the readout channel and draws
-    nothing. Otherwise n_meas shots are drawn from ``rng``, then readout
-    flips, the frozen draw order, and the entry counts each basis index.
+    Exact mode keeps the table pushed through the readout channel and draws
+    nothing. Otherwise sample k draws n_meas shots from its stream, then
+    readout flips, the frozen draw order, and its row counts each basis
+    index. Raises ValueError without samples or for a bad n_meas.
     """
-    num_sites = len(sample.labels)
-    if n_meas == EXACT_SHOTS:
+    exact = _check_n_meas(n_meas)
+    if not len(samples):
+        raise ValueError("at least one unitary sample required")
+    num_sites = len(samples[0].labels)
+    labels = [s.labels for s in samples]
+    flips = None if readout is None else [readout.p_up_given_down, readout.p_down_given_up]
+    meta = {**meta, "readout": flips}
+    if exact:
         if readout is not None:
-            probs = apply_readout_to_probs(probs, readout, num_sites)
-        return UnitaryMeasurement(labels=sample.labels, outcomes=probs)
-    idx = sample_basis_indices(probs, int(n_meas), rng)
-    if readout is not None:
-        idx = bits_to_index(apply_readout_errors(index_to_bits(idx, num_sites), readout, rng))
-    return UnitaryMeasurement(
-        labels=sample.labels,
-        outcomes=np.bincount(idx, minlength=2**num_sites),
-        seed=sample.realization,
-    )
+            probs = apply_readout_to_probs(probs.T, readout, num_sites).T
+        return MeasurementRecord(num_sites, mode, n_meas, labels, probs, meta=meta)
+    counts = np.empty_like(probs)
+    for row, p, rng in zip(counts, probs, rngs):
+        idx = sample_basis_indices(p, int(n_meas), rng)
+        if readout is not None:
+            idx = bits_to_index(apply_readout_errors(index_to_bits(idx, num_sites), readout, rng))
+        row[:] = np.bincount(idx, minlength=2**num_sites)
+    seeds = [s.realization for s in samples]
+    return MeasurementRecord(num_sites, mode, n_meas, labels, counts, seeds, meta)
 
 
 def _stream(seed: int, k: int) -> np.random.Generator:
@@ -327,28 +326,15 @@ def run_ideal(
     sample (optionally pushed through the readout channel); otherwise
     n_meas shots are drawn from the (seed, k) stream of sample k.
     """
-    _check_n_meas(n_meas)
-    entries = []
-    for sample in samples:
-        probs = apply_local_unitaries(psi, labels=sample.labels).probabilities()
-        entries.append(_entry(probs, sample, n_meas, readout, _stream(seed, sample.realization)))
-    meta = {
-        "seed": int(seed),
-        "readout": _readout_meta(readout),
-    }
-    return MeasurementRecord(
-        num_sites=psi.num_sites,
-        mode="ideal",
-        n_meas=n_meas,
-        entries=tuple(entries),
-        meta=meta,
-    )
-
-
-def _readout_meta(readout: ReadoutErrorModel | None):
-    if readout is None:
-        return None
-    return [readout.p_up_given_down, readout.p_down_given_up]
+    width = max(1, _BLOCK_AMPLITUDES >> psi.num_sites)
+    probs = np.empty((len(samples), 2**psi.num_sites))
+    for start in range(0, len(samples), width):
+        block = apply_local_unitaries(psi, [s.labels for s in samples[start : start + width]])
+        probs[start : start + width] = (np.abs(block) ** 2).T
+        del block  # free this block's amplitudes before the next is rotated
+    # made as the stage reads them: an exact run draws nothing
+    rngs = (_stream(seed, sample.realization) for sample in samples)
+    return _measure("ideal", samples, rngs, probs, n_meas, readout, {"seed": int(seed)})
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +470,11 @@ def run_pulsed(
     the samples. Exact mode (n_meas = EXACT_SHOTS) stores each
     distribution pushed through the readout channel. Records keep the
     nominal labels regardless of the gains applied, and meta["steps"] is
-    the step count. Blocks hold up to 2^20 amplitudes, are evolved once
-    each and are reduced to probabilities as each finishes.
+    the step count.
     """
     if fluct is None:
         fluct = FluctuationModel(eps_percent=0.0)
     _check_n_meas(n_meas)
-    if not samples:
-        raise ValueError("at least one unitary sample required")
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError("steps must be a positive integer")
 
@@ -505,7 +488,7 @@ def run_pulsed(
     else:
         columns = [(perturb(schedule, fluct, rng), s.labels) for s, rng in zip(samples, rngs)]
         weights = np.ones(len(samples))
-    per_sample = len(columns) // len(samples)
+    per_sample = len(_SIGMA_WEIGHTS) if per_shot else 1
 
     width = max(1, _BLOCK_AMPLITUDES >> num_sites)
     mixtures = np.zeros((len(samples), 2**num_sites))
@@ -514,32 +497,20 @@ def run_pulsed(
         parts = _pulsed_parts(schedule, chunk, drive)
         states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
         for j, state in enumerate(states if len(chunk) > 1 else [states], start):
-            mixtures[j // per_sample] += weights[j] * state.probabilities()
+            mixtures[j // per_sample] += weights[j] * np.abs(state.amp) ** 2
         del states  # free this block's amplitudes before the next is evolved
 
     meta = {
         "seed": int(seed),
-        "readout": _readout_meta(readout),
         "eps_percent": fluct.eps_percent,
         "scope": fluct.scope,
         "steps": int(steps),
     }
     if per_shot:
-        meta["mixture_clipped"] = float(np.maximum(-mixtures, 0.0).sum(axis=1).max())
+        meta["mixture_clipped"] = float(np.maximum(-mixtures, 0.0).sum(axis=1).max(initial=0.0))
         np.maximum(mixtures, 0.0, out=mixtures)
         mixtures /= mixtures.sum(axis=1, keepdims=True)
-
-    entries = [
-        _entry(probs, sample, n_meas, readout, rng)
-        for sample, rng, probs in zip(samples, rngs, mixtures)
-    ]
-    return MeasurementRecord(
-        num_sites=num_sites,
-        mode="pulsed",
-        n_meas=n_meas,
-        entries=tuple(entries),
-        meta=meta,
-    )
+    return _measure("pulsed", samples, rngs, mixtures, n_meas, readout, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -570,29 +541,32 @@ def save_record(record: MeasurementRecord, path: str | Path) -> None:
     keys = [] if exact else [format(i, f"0{record.num_sites}b") for i in range(2**record.num_sites)]
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for e in record.entries:
-            doc: dict = {"labels": list(e.labels)}
-            if e.seed is not None:
-                doc["seed"] = e.seed
+        for k, row in enumerate(record.outcomes):
+            doc: dict = {"labels": record.labels[k].tolist()}
+            if record.seeds is not None:
+                doc["seed"] = int(record.seeds[k])
             if exact:
-                raw = np.asarray(e.outcomes, dtype="<f8").tobytes()
+                raw = row.astype("<f8").tobytes()
                 doc[_PROBS_KEY[_RECORD_VERSION]] = base64.b64encode(raw).decode("ascii")
             else:
-                hit = np.flatnonzero(e.outcomes)
-                counts = e.outcomes[hit].astype(np.int64).tolist()
+                hit = np.flatnonzero(row)
+                counts = row[hit].astype(np.int64).tolist()
                 doc["counts"] = dict(zip([keys[i] for i in hit.tolist()], counts))
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _entry_probs(doc: dict, version: int) -> np.ndarray:
-    """An exact entry's probabilities as a float64 array the entry owns."""
+def _entry_probs(doc: dict, version: int, num_sites: int) -> np.ndarray:
+    """An exact entry's 2^L probabilities as a float64 array."""
     stored = doc.get(_PROBS_KEY[version])
     if stored is None:
         raise ValueError(f"exact entry without {_PROBS_KEY[version]!r}")
     if version == 1:
-        return np.array(stored, dtype=np.float64)
-    raw = base64.b64decode(stored, validate=True)
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        probs = np.array(stored, dtype=np.float64)
+    else:
+        probs = np.frombuffer(base64.b64decode(stored, validate=True), dtype="<f8")
+    if probs.shape != (2**num_sites,):
+        raise ValueError(f"exact entry holds {probs.size} probabilities, not 2^num_sites")
+    return probs
 
 
 def _entry_counts(doc: dict, num_sites: int) -> np.ndarray:
@@ -613,16 +587,17 @@ def _entry_counts(doc: dict, num_sites: int) -> np.ndarray:
 def load_record(path: str | Path) -> MeasurementRecord:
     """Read a record written by save_record, format version 1 or 2.
 
-    Version 2 exact entries decode from "probs_f64le" (base64 of
-    little-endian float64 bytes), version 1 ones from the "probs" list of
-    text floats; both give float64 arrays the record owns. A sampled
-    entry's "counts" object becomes its dense count array. Any other
-    version raises ValueError, as do a header without num_sites, mode or
-    n_meas, a num_sites that is not a positive JSON integer, an n_meas
-    that is neither "exact" nor a positive integer, an entry without
-    labels, an exact entry that does not hold 2^L probabilities, a count
-    key that is not an L-character 0/1 string and a count that is not a
-    non-negative JSON integer.
+    Entry k fills row k of the record's outcome table: a version 2 exact
+    entry from "probs_f64le" (base64 of little-endian float64 bytes), a
+    version 1 one from the "probs" list of text floats, a sampled entry
+    from its "counts" object. ValueError is raised for any other version,
+    a header without num_sites, mode or n_meas, a num_sites that is not a
+    positive JSON integer, an n_meas that is neither "exact" nor a positive
+    integer, an entry without labels, labels that are not num_sites JSON
+    integers in LABELS, a seed that is not a non-negative 64-bit JSON
+    integer or is on some entries only, an exact entry without 2^L
+    probabilities, a count key that is not an L-character 0/1 string and
+    a count that is not a non-negative JSON integer.
     """
     with open(path) as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
@@ -642,22 +617,29 @@ def load_record(path: str | Path) -> MeasurementRecord:
     num_sites = header["num_sites"]
     if type(num_sites) is not int or num_sites < 1:
         raise ValueError(f"num_sites {num_sites!r} is not a positive integer")
-    entries = []
-    for line in lines[1:]:
-        doc = json.loads(line)
+    docs = [json.loads(line) for line in lines[1:]]
+    labels, seeds = [], []
+    outcomes = np.empty((len(docs), 2**num_sites))
+    for row, doc in zip(outcomes, docs):
         if not isinstance(doc, dict) or "labels" not in doc:
             raise ValueError("record entry without labels")
-        entries.append(
-            UnitaryMeasurement(
-                labels=tuple(doc["labels"]),
-                outcomes=_entry_probs(doc, version) if exact else _entry_counts(doc, num_sites),
-                seed=doc.get("seed"),
-            )
-        )
+        labs, seed = doc["labels"], doc.get("seed")
+        whole = isinstance(labs, list) and [type(l) for l in labs] == [int] * num_sites
+        if not (whole and set(labs) <= set(LABELS)):
+            raise ValueError(f"entry labels {labs!r} are not num_sites JSON integers in {LABELS}")
+        if seed is not None and not (type(seed) is int and 0 <= seed < 2**63):
+            raise ValueError(f"entry seed {seed!r} is not a non-negative 64-bit integer")
+        labels.append(labs)
+        seeds.append(seed)
+        row[:] = _entry_probs(doc, version, num_sites) if exact else _entry_counts(doc, num_sites)
+    if None in seeds and set(seeds) != {None}:
+        raise ValueError("seed on some entries only")
     return MeasurementRecord(
         num_sites=num_sites,
         mode=str(header["mode"]),
         n_meas=EXACT_SHOTS if exact else n_meas,
-        entries=tuple(entries),
+        labels=np.array(labels, dtype=np.int64).reshape(len(docs), num_sites),
+        outcomes=outcomes,
+        seeds=None if None in seeds else seeds,
         meta=dict(header.get("meta") or {}),
     )

@@ -258,8 +258,8 @@ class FluctuationModel:
     scope: str = "per_unitary"
 
     def __post_init__(self) -> None:
-        if self.eps_percent < 0:
-            raise ValueError("eps_percent must be non-negative")
+        if not (math.isfinite(self.eps_percent) and self.eps_percent >= 0):
+            raise ValueError("eps_percent must be finite and non-negative")
         if self.scope not in ("per_unitary", "per_shot"):
             raise ValueError("scope must be per_unitary or per_shot")
 

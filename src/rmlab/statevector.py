@@ -43,9 +43,10 @@ real matrix.
 This module owns the bit convention for the whole package:
 ``index_to_bits`` / ``bits_to_index`` are the only conversions between
 basis indices and site bits, and ``apply_site_matrices`` is the only
-site-by-site 2x2 kernel, on one vector or on a (2^L, K) block of columns:
-local rotations, readout flips, the purity estimator's factorized kernel
-and the estimators' Walsh transform of a whole record all go through it.
+site-by-site 2x2 kernel, on one vector or on a (2^L, K) block of columns
+(one matrix per site, or a (K, 2, 2) stack, one per column): the local
+rotations of a block of label patterns, readout flips of an outcome
+table, the purity kernel and the Walsh transform of a record all use it.
 The pulse drive's operators, ``x_total`` and ``occupation``, are built
 here on top of them.
 """
@@ -62,7 +63,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
-from .pauli import ROTATION_MATRICES, PauliString, PauliStringSum
+from .pauli import LABELS, ROTATION_MATRICES, PauliString, PauliStringSum
 
 __all__ = [
     "StateVector",
@@ -128,6 +129,14 @@ class DegenerateGroundStateError(RuntimeError):
     """Ground level closer than 1e-10 to the next one; add mu_edge."""
 
 
+def _check_normalized(amp: np.ndarray) -> None:
+    """Raise ValueError unless a vector, or each column of a block, has unit norm."""
+    off = np.abs(np.linalg.norm(amp, axis=0) - 1.0)
+    # written so that a NaN norm fails too
+    if not (off <= _NORM_TOL).all():
+        raise ValueError(f"state not normalized: |norm - 1| = {np.max(off):.3e}")
+
+
 @dataclass
 class StateVector:
     """Normalized pure state of an L-site chain.
@@ -147,13 +156,7 @@ class StateVector:
         self.amp = np.asarray(self.amp, dtype=complex)
         if self.amp.shape != (2**self.num_sites,):
             raise ValueError("amplitude length must be 2**num_sites")
-        norm = np.linalg.norm(self.amp)
-        # written so that a NaN norm fails too
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amp) ** 2
+        _check_normalized(self.amp)
 
     def copy(self) -> "StateVector":
         return StateVector(self.amp.copy(), self.num_sites)
@@ -259,9 +262,11 @@ def apply_site_matrices(v: np.ndarray, matrices: Sequence[np.ndarray | None]) ->
     """(m_1 kron ... kron m_L) v for one 2x2 matrix per site, site 1 first.
 
     ``v`` is a ``(2^L,)`` vector or a ``(2^L, K)`` block whose K columns
-    are transformed alike. ``None`` skips a site (the identity). Each site
-    costs one einsum over a (left, 2, right) view, the columns folded into
-    ``right``, so the product is never formed.
+    are transformed alike. ``None`` skips a site (the identity). A (2, 2)
+    matrix costs one einsum over a (left, 2, right) view, the columns
+    folded into ``right``, so the product is never formed. A (K, 2, 2)
+    stack gives each column of a block its own matrix at that site, as
+    four broadcast products.
     """
     num_sites = len(matrices)
     if v.ndim not in (1, 2) or v.shape[0] != 2**num_sites:
@@ -269,21 +274,33 @@ def apply_site_matrices(v: np.ndarray, matrices: Sequence[np.ndarray | None]) ->
     for site, m in enumerate(matrices):
         if m is None:
             continue
-        cube = v.reshape(2**site, 2, -1)
-        v = np.einsum("ab,ibj->iaj", m, cube).reshape(v.shape)
+        if m.ndim == 2:
+            v = np.einsum("ab,ibj->iaj", m, v.reshape(2**site, 2, -1)).reshape(v.shape)
+            continue
+        cube = v.reshape(2**site, 2, -1, len(m))
+        out = np.empty(cube.shape, np.result_type(m, v))
+        for a in (0, 1):
+            np.multiply(m[:, a, 0], cube[:, 0], out=out[:, a])
+            out[:, a] += m[:, a, 1] * cube[:, 1]
+        v = out.reshape(v.shape)
     return v
 
 
-def apply_local_unitaries(psi: StateVector, labels: Sequence[int]) -> StateVector:
-    """Product of the single-site rotations named by one label per site.
-
-    Labels use the protocol convention 1 -> exp(-i pi/4 X),
-    2 -> exp(-i pi/4 Y), 3 -> identity.
-    """
-    if len(labels) != psi.num_sites:
+def apply_local_unitaries(psi: StateVector, labels: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """psi under K label patterns: a (K, L) label array gives the (2^L, K)
+    block whose column k is psi rotated site by site as row k names
+    (1 -> exp(-i pi/4 X), 2 -> exp(-i pi/4 Y), 3 -> identity), each
+    column checked to be normalized, as a StateVector is."""
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.shape[1] != psi.num_sites:
         raise ValueError("one label per site required")
-    matrices = [None if int(lab) == 3 else ROTATION_MATRICES[int(lab)] for lab in labels]
-    return StateVector(apply_site_matrices(psi.amp, matrices), psi.num_sites)
+    if not np.isin(labels, LABELS).all():
+        raise ValueError(f"labels must be in {LABELS}")
+    table = np.array([ROTATION_MATRICES[lab] for lab in LABELS])
+    columns = np.broadcast_to(psi.amp[:, None], (psi.amp.size, len(labels)))
+    block = apply_site_matrices(columns, [table[labels[:, m] - 1] for m in range(psi.num_sites)])
+    _check_normalized(block)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +876,7 @@ def ground_state(obs: PauliStringSum) -> tuple[float, StateVector]:
 
 def sample_basis_indices(probs: np.ndarray, n_meas: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n_meas basis indices from the outcome distribution ``probs``
-    (z-basis readout; e.g. ``psi.probabilities()``), renormalised first."""
+    (z-basis readout; e.g. ``np.abs(psi.amp) ** 2``), renormalised first."""
     if n_meas <= 0:
         raise ValueError("n_meas must be positive")
     p = probs / probs.sum()

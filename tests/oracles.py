@@ -101,9 +101,9 @@ def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
     n = record.n_meas
     cols = [m - 1 for m in sub]
     per_unitary = []
-    for e in record.entries:
-        idx = np.flatnonzero(e.outcomes)
-        mult = e.outcomes[idx]
+    for row in record.outcomes:
+        idx = np.flatnonzero(row)
+        mult = row[idx]
         bits = index_to_bits(idx, record.num_sites)[:, cols]
         # kernel value per outcome pair from the Hamming distance
         dist = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)

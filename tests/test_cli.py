@@ -31,7 +31,7 @@ def test_run_produces_csv_records_and_meta(tmp_path):
     records = sorted((out / "records").iterdir())
     assert [p.name for p in records] == ["rep_000.ndjson", "rep_001.ndjson"]
     rec = load_record(records[0])
-    assert rec.num_sites == 4 and len(rec.entries) == 10
+    assert rec.num_sites == 4 and rec.n_unitaries == 10
 
     meta = json.loads((out / "run_meta.json").read_text())
     cfg = load_config(SMOKE)

@@ -229,7 +229,7 @@ def test_n_meas_rule_is_the_protocols():
         _check_n_meas(0)
     assert problems(doc(protocol={"n_meas": 0})) == [f"protocol.n_meas: {rule.value}"]
     with pytest.raises(ValueError) as record:
-        MeasurementRecord(num_sites=2, mode="ideal", n_meas=0, entries=())
+        MeasurementRecord(num_sites=2, mode="ideal", n_meas=0, labels=np.zeros((0, 2)), outcomes=np.zeros((0, 4)))
     assert str(record.value) == str(rule.value)
 
 

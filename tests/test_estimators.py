@@ -18,7 +18,6 @@ from rmlab.protocol import (
     EXACT_SHOTS,
     MeasurementRecord,
     ReadoutErrorModel,
-    UnitaryMeasurement,
     run_ideal,
     sample_unitaries,
 )
@@ -139,11 +138,9 @@ def test_kernel_factorization_matches_double_sum():
 def test_correction_arithmetic_fixed_point():
     # two shots, one site: entries engineered so the biased mean is 1.25,
     # and the closed form gives 2 * 1.25 - 2 = 0.5
-    entries = (
-        UnitaryMeasurement(labels=(3,) * 2, outcomes=[2, 0, 0, 0]),
-        UnitaryMeasurement(labels=(3,) * 2, outcomes=[1, 0, 1, 0]),
+    rec = MeasurementRecord(
+        num_sites=2, mode="ideal", n_meas=2, labels=[[3, 3]] * 2, outcomes=[[2, 0, 0, 0], [1, 0, 1, 0]]
     )
-    rec = MeasurementRecord(num_sites=2, mode="ideal", n_meas=2, entries=entries)
     est = purity_estimate(rec, (1,))
     assert abs(est.value - 0.5) < 1e-12
 
@@ -168,16 +165,16 @@ def test_marginal_matches_per_index_loop():
     readout = ReadoutErrorModel(0.01, 0.03)
     rec = run_ideal(psi, sample_unitaries(5, 6, rng), 50, readout=readout, seed=3)
     for sites in ((1,), (2, 4, 5), (1, 2, 3, 4, 5)):
-        for e in rec.entries:
+        for row in rec.outcomes:
             acc = np.zeros(2 ** len(sites))
-            for i, c in enumerate(e.outcomes):
+            for i, c in enumerate(row):
                 bits = index_to_bits(i, 5)
                 idx = 0
                 for m in sites:
                     idx = (idx << 1) | int(bits[m - 1])
                 acc[idx] += c
             want = acc / 50
-            assert np.array_equal(_marginal_distribution(e.outcomes, rec.norm, 5, sites), want)
+            assert np.array_equal(_marginal_distribution(row, rec.norm, 5, sites), want)
 
 
 def _purity_per_entry(record: MeasurementRecord, sites) -> float:
@@ -187,8 +184,8 @@ def _purity_per_entry(record: MeasurementRecord, sites) -> float:
 
     kernel = [np.array([[2.0, -1.0], [-1.0, 2.0]])] * len(sites)
     x_values = []
-    for e in record.entries:
-        p = _marginal_distribution(e.outcomes, record.norm, record.num_sites, sites)
+    for row in record.outcomes:
+        p = _marginal_distribution(row, record.norm, record.num_sites, sites)
         x_values.append(float(p @ apply_site_matrices(p, kernel)))
     x = math.fsum(x_values) / len(x_values)
     if record.n_meas == EXACT_SHOTS:
@@ -258,8 +255,8 @@ def test_correction_unbiased_under_multinomial_resampling():
         ]
     )
     per_entry = []
-    for e in exact_rec.entries:
-        counts = rng.multinomial(n_shots, e.outcomes, size=n_res)
+    for row in exact_rec.outcomes:
+        counts = rng.multinomial(n_shots, row, size=n_res)
         phat = counts / n_shots
         per_entry.append(np.einsum("ns,st,nt->n", phat, kern, phat))
     x = np.mean(per_entry, axis=0)
@@ -267,19 +264,15 @@ def test_correction_unbiased_under_multinomial_resampling():
 
     # spot-check the vectorized resampler against the real estimator
     for r in range(3):
-        entries = tuple(
-            UnitaryMeasurement(
-                labels=e.labels,
-                outcomes=np.random.default_rng((100, r, k)).multinomial(n_shots, e.outcomes),
-            )
-            for k, e in enumerate(exact_rec.entries)
-        )
+        counts_r = [
+            np.random.default_rng((100, r, k)).multinomial(n_shots, row)
+            for k, row in enumerate(exact_rec.outcomes)
+        ]
         rec_r = MeasurementRecord(
-            num_sites=2, mode="ideal", n_meas=n_shots, entries=entries
+            num_sites=2, mode="ideal", n_meas=n_shots, labels=exact_rec.labels, outcomes=counts_r
         )
         v = purity_estimate(rec_r, sites).value
-        counts_r = np.array([e.outcomes for e in rec_r.entries])
-        phat_r = counts_r / n_shots
+        phat_r = np.array(counts_r) / n_shots
         x_r = np.einsum("ns,st,nt->n", phat_r, kern, phat_r).mean()
         assert abs((x_r * n_shots / 49 - 4 / 49) - v) < 1e-12
 
@@ -301,14 +294,14 @@ def test_identity_rotations_scale_z_correlators():
 
     def correlator(cols):
         total = 0.0
-        for e in rec.entries:
-            for i, c in enumerate(e.outcomes):
+        for row in rec.outcomes:
+            for i, c in enumerate(row):
                 bits = index_to_bits(i, 2)
                 z = 1.0
                 for m in cols:
                     z *= 1.0 if bits[m - 1] == 1 else -1.0
                 total += z * c
-        return total / (len(rec.entries) * 40)
+        return total / (rec.n_unitaries * 40)
 
     assert abs(_string_expectation(rec, PauliString("ZI")) - 3 * correlator([1])) < 1e-12
     assert abs(
@@ -333,10 +326,10 @@ def _reference_string_term(p: PauliString, record: MeasurementRecord) -> float:
     if weight == 0:
         return {0: 1.0, 2: -1.0}[p.phase_pow]
     contributions = []
-    for e in record.entries:
+    for labels, row in zip(record.labels.tolist(), record.outcomes):
         bits = index_to_bits(np.arange(2**L), L)
         word, sign = [], 1
-        for c, lab in zip(p.letters, e.labels):
+        for c, lab in zip(p.letters, labels):
             k = "IXYZ".index(c)
             word.append("IXYZ"[_REF_LETTER[lab][k]])
             sign *= _REF_SIGN[lab][k]
@@ -347,7 +340,7 @@ def _reference_string_term(p: PauliString, record: MeasurementRecord) -> float:
         cols = [m for m, c in enumerate(word) if c == "Z"]
         zeros = len(cols) - bits[:, cols].sum(axis=1)
         z = np.where(zeros % 2 == 0, 1.0, -1.0)
-        mean_z = float(z @ e.outcomes) / record.norm
+        mean_z = float(z @ row) / record.norm
         contributions.append(float(3**weight) * {0: 1.0, 2: -1.0}[phase] * mean_z)
     return math.fsum(contributions) / len(contributions)
 
@@ -390,7 +383,8 @@ def test_invalid_label_rejected():
         num_sites=2,
         mode="ideal",
         n_meas=EXACT_SHOTS,
-        entries=(UnitaryMeasurement(labels=(1, 4), outcomes=np.full(4, 0.25)),),
+        labels=[[1, 4]],
+        outcomes=[np.full(4, 0.25)],
     )
     with pytest.raises(ValueError):
         _string_expectation(rec, PauliString("ZI"))
@@ -414,7 +408,8 @@ def test_identity_observable_is_exact():
         num_sites=2,
         mode="ideal",
         n_meas=EXACT_SHOTS,
-        entries=(UnitaryMeasurement(labels=(1, 2), outcomes=np.full(4, 0.25) * (1 + 5e-11)),),
+        labels=[[1, 2]],
+        outcomes=[np.full(4, 0.25) * (1 + 5e-11)],
     )
     assert observable_expectation(loose, obs) == 2.75
 
@@ -462,7 +457,8 @@ def test_variance_normalization_error():
         num_sites=2,
         mode="ideal",
         n_meas=10,
-        entries=(UnitaryMeasurement(labels=(2, 2), outcomes=[0, 10, 0, 0]),),
+        labels=[[2, 2]],
+        outcomes=[[0, 10, 0, 0]],
     )
     with pytest.raises(NormalizationError):
         hamiltonian_variance(rec, h)

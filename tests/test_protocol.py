@@ -13,7 +13,6 @@ from rmlab.protocol import (
     EXACT_SHOTS,
     MeasurementRecord,
     ReadoutErrorModel,
-    UnitaryMeasurement,
     UnitarySample,
     _certify_grid,
     _drive_operators,
@@ -118,15 +117,14 @@ def test_readout_commutes_with_marginalization():
 
 
 def _toy_record() -> MeasurementRecord:
-    entries = (
-        UnitaryMeasurement(labels=(1, 2), outcomes=[3, 0, 0, 2], seed=0),
-        UnitaryMeasurement(labels=(3, 3), outcomes=[0, 5, 0, 0], seed=1),
+    return MeasurementRecord(
+        num_sites=2, mode="ideal", n_meas=5,
+        labels=[[1, 2], [3, 3]], outcomes=[[3, 0, 0, 2], [0, 5, 0, 0]], seeds=[0, 1],
     )
-    return MeasurementRecord(num_sites=2, mode="ideal", n_meas=5, entries=entries)
 
 
 def _same_outcomes(a: MeasurementRecord, b: MeasurementRecord) -> bool:
-    return all(np.array_equal(x.outcomes, y.outcomes) for x, y in zip(a.entries, b.entries, strict=True))
+    return np.array_equal(a.outcomes, b.outcomes)
 
 
 def test_record_validates_count_sums():
@@ -135,7 +133,8 @@ def test_record_validates_count_sums():
             num_sites=2,
             mode="ideal",
             n_meas=4,
-            entries=(UnitaryMeasurement(labels=(1, 2), outcomes=[3, 0, 0, 0]),),
+            labels=[[1, 2], [1, 1]],
+            outcomes=[[4, 0, 0, 0], [3, 0, 0, 0]],
         )
 
 
@@ -145,7 +144,8 @@ def test_record_rejects_unnormalized_probs():
             num_sites=1,
             mode="ideal",
             n_meas=EXACT_SHOTS,
-            entries=(UnitaryMeasurement(labels=(1,), outcomes=np.array([0.5, 0.6])),),
+            labels=[[1], [2]],
+            outcomes=[[0.5, 0.5], [0.5, 0.6]],
         )
 
 
@@ -164,7 +164,8 @@ def test_record_rejects_non_finite_outcomes(n_meas, outcomes):
             num_sites=2,
             mode="ideal",
             n_meas=n_meas,
-            entries=(UnitaryMeasurement(labels=(1, 2), outcomes=outcomes),),
+            labels=[[1, 2]],
+            outcomes=[outcomes],
         )
 
 
@@ -175,22 +176,45 @@ def test_record_rejects_counts_that_are_not_whole_shots(outcomes):
             num_sites=2,
             mode="ideal",
             n_meas=2,
-            entries=(UnitaryMeasurement(labels=(1, 2), outcomes=outcomes),),
+            labels=[[1, 2]],
+            outcomes=[outcomes],
         )
 
 
-def test_entry_holds_one_float_array():
-    e = UnitaryMeasurement(labels=[1, 3], outcomes=[2, 0, 1, 0])
-    assert e.labels == (1, 3)
-    assert e.outcomes.dtype == np.float64 and e.outcomes.tolist() == [2.0, 0.0, 1.0, 0.0]
+@pytest.mark.parametrize(
+    "labels, outcomes, seeds, match",
+    [
+        ([1, 2], [[2, 0, 0, 0]], None, "label length"),
+        ([[1, 2, 3]], [[2, 0, 0, 0]], None, "label length"),
+        ([[1.5, 2]], [[2, 0, 0, 0]], None, "integers"),
+        ([[1, 300]], [[2, 0, 0, 0]], None, "integers"),
+        ([[1, 2]], [[2, 0, 0, 0, 0, 0, 0, 0]], None, "2\\^num_sites"),
+        ([[1, 2], [3, 3]], [[2, 0, 0, 0]], None, "2\\^num_sites"),
+        ([[1, 2]], [[2, 0, 0, 0]], [0, 1], "one seed per"),
+    ],
+    ids=["flat_labels", "long_labels", "fractional_label", "label_past_int8", "long_row", "missing_row", "extra_seed"],
+)
+def test_record_rejects_a_malformed_table(labels, outcomes, seeds, match):
+    with pytest.raises(ValueError, match=match):
+        MeasurementRecord(2, "ideal", 2, labels, outcomes, seeds)
+
+
+def test_record_holds_one_table():
+    rec = MeasurementRecord(2, "ideal", 3, [[1, 3], [2, 2]], [[2, 0, 1, 0], [0, 0, 0, 3]], [4, 5])
+    assert rec.labels.dtype == np.int8 and rec.labels.tolist() == [[1, 3], [2, 2]]
+    assert rec.outcomes.dtype == np.float64 and rec.outcomes.flags.c_contiguous
+    assert rec.outcomes.tolist() == [[2.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 3.0]]
+    assert rec.seeds.tolist() == [4, 5] and rec.n_unitaries == 2
 
 
 def test_subset_picks_entries():
     rec = _toy_record()
     sub = rec.subset([1])
     assert sub.n_unitaries == 1
-    assert sub.entries[0].labels == (3, 3)
+    assert sub.labels.tolist() == [[3, 3]] and sub.seeds.tolist() == [1]
+    assert sub.outcomes.tolist() == [[0, 5, 0, 0]]
     assert sub.n_meas == rec.n_meas
+    assert rec.subset([]).n_unitaries == 0
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +227,20 @@ def test_exact_mode_distributions_are_normalized():
     psi = random_state(3, rng)
     samples = sample_unitaries(3, 5, rng)
     rec = run_ideal(psi, samples, EXACT_SHOTS)
-    for e in rec.entries:
-        assert abs(e.outcomes.sum() - 1.0) < 1e-12
-        assert e.outcomes.min() >= -1e-15
+    assert np.abs(rec.outcomes.sum(axis=1) - 1.0).max() < 1e-12
+    assert rec.outcomes.min() >= -1e-15
 
 
 def test_exact_mode_marginalization_consistency():
     rng = np.random.default_rng(5)
     psi = random_state(4, rng)
     rec = run_ideal(psi, sample_unitaries(4, 3, rng), EXACT_SHOTS)
-    for e in rec.entries:
-        joint = e.outcomes.reshape(4, 4)
+    for row in rec.outcomes:
+        joint = row.reshape(4, 4)
         # site-(1,2) marginal from the full distribution
         assert np.allclose(joint.sum(axis=1).sum(), 1.0, atol=1e-12)
         assert np.allclose(
-            joint.sum(axis=1), e.outcomes.reshape(2, 2, 2, 2).sum(axis=(2, 3)).reshape(-1)
+            joint.sum(axis=1), row.reshape(2, 2, 2, 2).sum(axis=(2, 3)).reshape(-1)
         )
 
 
@@ -238,8 +261,7 @@ def test_run_ideal_counts_shape():
     psi = random_state(2, rng)
     rec = run_ideal(psi, sample_unitaries(2, 3, rng), 25, seed=0)
     assert rec.n_meas == 25
-    for e in rec.entries:
-        assert e.outcomes.shape == (4,) and e.outcomes.sum() == 25
+    assert rec.outcomes.shape == (3, 4) and (rec.outcomes.sum(axis=1) == 25).all()
 
 
 def test_invalid_n_meas_rejected():
@@ -250,6 +272,66 @@ def test_invalid_n_meas_rejected():
         run_ideal(psi, samples, 0)
     with pytest.raises(ValueError):
         run_ideal(psi, samples, 12.5)
+
+
+def test_empty_sample_list_rejected_by_both_runs():
+    psi = random_state(2, np.random.default_rng(8))
+    with pytest.raises(ValueError, match="at least one unitary sample"):
+        run_ideal(psi, [], 10)
+    with pytest.raises(ValueError, match="at least one unitary sample"):
+        run_ideal(psi, [], EXACT_SHOTS)
+    drive = _drive_operators(2, None)
+    for fluct in (FluctuationModel(3.0), FluctuationModel(3.0, scope="per_shot")):
+        with pytest.raises(ValueError, match="at least one unitary sample"):
+            run_pulsed(psi, [], golden_schedule(), 300, drive, fluct=fluct, n_meas=10)
+
+
+def _per_column_ideal(psi, samples, n_meas, readout, seed):
+    """The per-entry loop that the block rotation replaced: each sample's
+    state rotated on its own (a label-3 site skipped), then its own readout
+    push or its (seed, k) stream's shots and flips; as a record."""
+    from rmlab.pauli import ROTATION_MATRICES
+    from rmlab.protocol import _stream
+    from rmlab.statevector import apply_site_matrices, bits_to_index, index_to_bits, sample_basis_indices
+
+    L = psi.num_sites
+    rows = []
+    for sample in samples:
+        matrices = [None if lab == 3 else ROTATION_MATRICES[lab] for lab in sample.labels]
+        probs = np.abs(apply_site_matrices(psi.amp, matrices)) ** 2
+        if n_meas == EXACT_SHOTS:
+            rows.append(probs if readout is None else apply_readout_to_probs(probs, readout, L))
+            continue
+        rng = _stream(seed, sample.realization)
+        idx = sample_basis_indices(probs, n_meas, rng)
+        if readout is not None:
+            idx = bits_to_index(apply_readout_errors(index_to_bits(idx, L), readout, rng))
+        rows.append(np.bincount(idx, minlength=2**L))
+    return MeasurementRecord(
+        L, "ideal", n_meas, [s.labels for s in samples], rows,
+        None if n_meas == EXACT_SHOTS else [s.realization for s in samples],
+        {"seed": seed, "readout": None if readout is None else [readout.p_up_given_down, readout.p_down_given_up]},
+    )
+
+
+@pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 300])
+@pytest.mark.parametrize("readout", [None, ReadoutErrorModel(0.01, 0.03)], ids=["no_flips", "flips"])
+@pytest.mark.parametrize("width", [None, 7], ids=["one_block", "blocks_of_7"])
+def test_block_rotation_matches_the_per_column_loop(tmp_path, monkeypatch, n_meas, readout, width):
+    # the block rotation and the whole-table readout push give the records
+    # of the per-entry path byte for byte, in one block or split in three
+    import rmlab.protocol as protocol
+
+    psi = random_state(6, np.random.default_rng(49))
+    samples = sample_unitaries(6, 20, np.random.default_rng(50))
+    if width is not None:
+        monkeypatch.setattr(protocol, "_BLOCK_AMPLITUDES", width * 2**6)
+    got = run_ideal(psi, samples, n_meas, readout=readout, seed=51)
+    want = _per_column_ideal(psi, samples, n_meas, readout, 51)
+    assert got.outcomes.tobytes() == want.outcomes.tobytes()
+    save_record(got, tmp_path / "got.ndjson")
+    save_record(want, tmp_path / "want.ndjson")
+    assert (tmp_path / "got.ndjson").read_bytes() == (tmp_path / "want.ndjson").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +383,8 @@ def test_pulsed_noise_free_approximates_ideal(golden):
     samples = sample_unitaries(2, 4, rng)
     pulsed = _run(psi, samples, golden, n_meas=EXACT_SHOTS)
     ideal = run_ideal(psi, samples, EXACT_SHOTS)
-    for a, b in zip(pulsed.entries, ideal.entries):
-        assert 0.5 * np.abs(a.outcomes - b.outcomes).sum() < 0.2
+    for a, b in zip(pulsed.outcomes, ideal.outcomes):
+        assert 0.5 * np.abs(a - b).sum() < 0.2
 
 
 def test_pulsed_determinism_with_noise(golden):
@@ -326,7 +408,7 @@ def test_pulsed_keeps_nominal_labels(golden):
     psi = random_state(2, rng)
     samples = sample_unitaries(2, 3, rng)
     rec = _run(psi, samples, golden, fluct=FluctuationModel(5.0), n_meas=10)
-    assert [e.labels for e in rec.entries] == [s.labels for s in samples]
+    assert rec.labels.tolist() == [list(s.labels) for s in samples]
 
 
 def test_per_shot_scope_runs_sampled(golden):
@@ -339,7 +421,7 @@ def test_per_shot_scope_runs_sampled(golden):
         n_meas=4,
         seed=1,
     )
-    assert rec.entries[0].outcomes.sum() == 4
+    assert rec.outcomes[0].sum() == 4
 
 
 def _dimer_state(L):
@@ -378,7 +460,7 @@ def test_per_shot_mixture_matches_tensor_gauss_hermite(golden):
     columns = [_apply_gains(golden, np.array([g for g, _ in point])) for point in grid]
     weights = [math.prod(w for _, w in point) for point in grid]
     tensor = _block_mixture(psi, h, samples[0].labels, golden, columns, weights, rec.meta["steps"])
-    assert _tv(rec.entries[0].outcomes, tensor) < 5e-4
+    assert _tv(rec.outcomes[0], tensor) < 5e-4
 
 
 def test_per_shot_mixture_is_the_mean_over_per_shot_gain_draws(golden):
@@ -398,15 +480,15 @@ def test_per_shot_mixture_is_the_mean_over_per_shot_gain_draws(golden):
     mean = _block_mixture(psi, None, labels, golden, draws, [1.0 / len(draws)] * len(draws), steps)
     nominal = _block_mixture(psi, None, labels, golden, [golden], [1.0], steps)
     bound = 3e-3
-    assert _tv(rec.entries[0].outcomes, mean) < bound
+    assert _tv(rec.outcomes[0], mean) < bound
     # the gain noise moves the distribution well beyond the bound
-    assert _tv(rec.entries[0].outcomes, nominal) > 3 * bound
+    assert _tv(rec.outcomes[0], nominal) > 3 * bound
 
 
 def test_per_shot_shots_sample_the_records_own_mixture(golden):
     from scipy.special import gammaincc
 
-    from rmlab.protocol import _entry, _stream
+    from rmlab.protocol import _measure, _stream
 
     h, psi = _dimer_state(4)
     samples = sample_unitaries(4, 2, np.random.default_rng(23))
@@ -416,12 +498,12 @@ def test_per_shot_shots_sample_the_records_own_mixture(golden):
     exact = _run(psi, samples, golden, n_meas=EXACT_SHOTS, readout=readout, **kwargs)
     n = 20_000
     sampled = _run(psi, samples, golden, n_meas=n, readout=readout, **kwargs)
-    for sample, mixture, flipped, got in zip(samples, pure.entries, exact.entries, sampled.entries):
-        # stream contract: shots, then flips, and no gain draws
-        want = _entry(mixture.outcomes, sample, n, readout, _stream(9, sample.realization))
-        assert np.array_equal(got.outcomes, want.outcomes)
-        observed = got.outcomes
-        expected = n * flipped.outcomes
+    # stream contract: shots, then flips, and no gain draws
+    rngs = [_stream(9, sample.realization) for sample in samples]
+    want = _measure("pulsed", samples, rngs, pure.outcomes, n, readout, {})
+    assert np.array_equal(sampled.outcomes, want.outcomes)
+    for observed, flipped in zip(sampled.outcomes, exact.outcomes):
+        expected = n * flipped
         stat = float(np.sum((observed - expected) ** 2 / expected))
         # chi-squared survival function at 15 degrees of freedom
         assert gammaincc(15 / 2, stat / 2) > 1e-3
@@ -448,32 +530,31 @@ def test_pulsed_with_interactions_runs(golden):
     samples = sample_unitaries(4, 2, np.random.default_rng(14))
     rec = _run(gs, samples, golden, h_mod=h, n_meas=EXACT_SHOTS)
     assert rec.mode == "pulsed"
-    for e in rec.entries:
-        assert abs(e.outcomes.sum() - 1.0) < 1e-12
+    assert np.abs(rec.outcomes.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def _per_unitary_reference(psi, samples, schedule, fluct, h_mod, n_meas, readout, seed, steps):
     """The loop run_pulsed's block replaces: one evolve_blend per sample,
     on the perturbed waveforms themselves, gains then shots then flips
     drawn from the (seed, k) stream."""
-    from rmlab.protocol import _entry, _stream
+    from rmlab.protocol import _measure, _stream
     from rmlab.pulses import perturb
 
-    entries = []
+    rngs, probs = [], []
     for sample in samples:
         rng = _stream(seed, sample.realization)
         perturbed = perturb(schedule, fluct, rng)
         amp = _evolve_columns(psi, h_mod, perturbed, [(perturbed, sample.labels)], steps)[0]
-        entries.append(_entry(np.abs(amp) ** 2, sample, n_meas, readout, rng))
-    return entries
+        rngs.append(rng)
+        probs.append(np.abs(amp) ** 2)
+    return _measure("pulsed", samples, rngs, np.array(probs), n_meas, readout, {})
 
 
-def _assert_same_entries(record, reference):
+def _assert_same_table(record, reference):
     # whole-number counts within 1e-12 are equal counts
-    for got, want in zip(record.entries, reference, strict=True):
-        assert got.labels == want.labels
-        assert got.seed == want.seed
-        assert np.max(np.abs(got.outcomes - want.outcomes)) < 1e-12
+    assert np.array_equal(record.labels, reference.labels)
+    assert (record.seeds is None and reference.seeds is None) or np.array_equal(record.seeds, reference.seeds)
+    assert np.max(np.abs(record.outcomes - reference.outcomes)) < 1e-12
 
 
 @pytest.mark.parametrize("with_h", [False, True])
@@ -489,7 +570,7 @@ def test_pulsed_block_matches_per_unitary_loop(golden, with_h, n_meas):
     rec = _run(*args[:3], fluct=args[3], h_mod=args[4], n_meas=n_meas,
                readout=args[6], seed=args[7], tol=1e-4)
     steps = rec.meta["steps"]
-    _assert_same_entries(rec, _per_unitary_reference(*args, steps))
+    _assert_same_table(rec, _per_unitary_reference(*args, steps))
     # the grid contract: the probe agrees with twice the steps to 15/16 of
     # half the tol
     assert _probe_distance(psi, args[4], golden, steps) <= 15 / 16 * 1e-4 / 2
@@ -511,7 +592,7 @@ def test_pulsed_run_matches_the_per_step_loop(golden, monkeypatch, per_step_loop
     monkeypatch.setattr(statevector, "_run_steps", per_step_loop)
     stepped = _run(psi, samples, golden, **kwargs)
     assert fused.meta == stepped.meta
-    _assert_same_entries(fused, stepped.entries)
+    _assert_same_table(fused, stepped)
 
 
 def test_pulsed_tight_tol_doubles_block_grid(golden):
@@ -529,7 +610,7 @@ def test_pulsed_tight_tol_doubles_block_grid(golden):
         psi, samples, golden, kwargs["fluct"], None, EXACT_SHOTS, None, 4,
         tight.meta["steps"],
     )
-    _assert_same_entries(tight, reference)
+    _assert_same_table(tight, reference)
     assert _probe_distance(psi, None, golden, tight.meta["steps"]) <= 15 / 16 * 1e-10 / 2
     # the start grid did not pass
     assert _probe_distance(psi, None, golden, loose.meta["steps"]) > 15 / 16 * 1e-10 / 2
@@ -635,7 +716,7 @@ def test_pulsed_blocks_split_without_changing_records(golden, monkeypatch):
             m.setattr(protocol, "_BLOCK_AMPLITUDES", 6 * 2**3)
             split = _run(psi, picked, golden, **kwargs)
         assert split.meta == whole.meta
-        _assert_same_entries(split, whole.entries)
+        _assert_same_table(split, whole)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +733,8 @@ def test_roundtrip_counts(tmp_path):
     assert back.mode == rec.mode
     assert back.n_meas == rec.n_meas
     assert _same_outcomes(back, rec)
-    assert [e.labels for e in back.entries] == [e.labels for e in rec.entries]
-    assert [e.seed for e in back.entries] == [e.seed for e in rec.entries]
+    assert np.array_equal(back.labels, rec.labels) and back.labels.dtype == np.int8
+    assert np.array_equal(back.seeds, rec.seeds)
 
 
 def test_roundtrip_exact(tmp_path):
@@ -663,12 +744,12 @@ def test_roundtrip_exact(tmp_path):
     path = tmp_path / "rec.ndjson"
     save_record(rec, path)
     back = load_record(path)
-    assert back.n_meas == EXACT_SHOTS and len(back.entries) == 100
-    for a, b in zip(back.entries, rec.entries):
-        assert a.outcomes.dtype == np.float64
-        assert a.outcomes.flags.writeable and a.outcomes.flags.owndata
-        assert a.outcomes.tobytes() == b.outcomes.tobytes()
-        assert (a.labels, a.seed) == (b.labels, b.seed)
+    assert back.n_meas == EXACT_SHOTS and back.n_unitaries == 100
+    assert back.outcomes.dtype == np.float64
+    assert back.outcomes.flags.writeable and back.outcomes.flags.owndata
+    assert back.outcomes.tobytes() == rec.outcomes.tobytes()
+    assert np.array_equal(back.labels, rec.labels)
+    assert back.seeds is None and rec.seeds is None
 
 
 def _save_record_v1(record: MeasurementRecord, path) -> None:
@@ -684,16 +765,15 @@ def _save_record_v1(record: MeasurementRecord, path) -> None:
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for e in record.entries:
-            doc: dict = {"labels": list(e.labels)}
-            if e.seed is not None:
-                doc["seed"] = e.seed
+        for k, row in enumerate(record.outcomes):
+            doc: dict = {"labels": record.labels[k].tolist()}
+            if record.seeds is not None:
+                doc["seed"] = int(record.seeds[k])
             if record.n_meas == EXACT_SHOTS:
-                doc["probs"] = e.outcomes.tolist()
+                doc["probs"] = row.tolist()
             else:
                 doc["counts"] = {
-                    format(i, f"0{record.num_sites}b"): int(e.outcomes[i])
-                    for i in np.flatnonzero(e.outcomes)
+                    format(i, f"0{record.num_sites}b"): int(row[i]) for i in np.flatnonzero(row)
                 }
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
@@ -708,9 +788,8 @@ def test_version_1_exact_record_loads_like_version_2(tmp_path):
     save_record(rec, v2)
     assert '"probs": [' in v1.read_text() and '"probs": [' not in v2.read_text()
     old, new = load_record(v1), load_record(v2)
-    for a, b in zip(old.entries, new.entries):
-        assert a.outcomes.dtype == np.float64 and a.outcomes.flags.writeable
-        assert a.outcomes.tobytes() == b.outcomes.tobytes()
+    assert old.outcomes.dtype == np.float64 and old.outcomes.flags.writeable
+    assert old.outcomes.tobytes() == new.outcomes.tobytes()
     assert purity_estimate(old, [1, 2, 3]).value == purity_estimate(new, [1, 2, 3]).value
     assert hamiltonian_variance(old, h).value == hamiltonian_variance(new, h).value
 
@@ -779,8 +858,7 @@ def test_sampled_entry_is_saved_as_its_nonzero_counts(tmp_path):
 )
 def test_load_record_rejects_malformed_counts(tmp_path, counts, match):
     rec = MeasurementRecord(
-        num_sites=2, mode="ideal", n_meas=2,
-        entries=(UnitaryMeasurement(labels=(3, 3), outcomes=[2, 0, 0, 0]),),
+        num_sites=2, mode="ideal", n_meas=2, labels=[[3, 3]], outcomes=[[2, 0, 0, 0]],
     )
     path = tmp_path / "rec.ndjson"
     save_record(rec, path)
@@ -793,18 +871,36 @@ def test_load_record_rejects_malformed_counts(tmp_path, counts, match):
 
 
 @pytest.mark.parametrize(
-    "part, key, value",
+    "part, key, value, match",
     [
-        ("header", "n_meas", None),
-        ("header", "num_sites", None),
-        ("header", "mode", None),
-        ("entry", "labels", None),
-        ("header", "num_sites", [2]),
-        ("header", "num_sites", 2.5),
+        ("header", "n_meas", None, "without n_meas"),
+        ("header", "num_sites", None, "without num_sites"),
+        ("header", "mode", None, "without mode"),
+        ("entry", "labels", None, "without labels"),
+        ("header", "num_sites", [2], "num_sites"),
+        ("header", "num_sites", 2.5, "num_sites"),
+        ("entry", "labels", [1.5, 2], "labels .* JSON integers"),
+        ("entry", "labels", [True, 2], "labels .* JSON integers"),
+        ("entry", "labels", ["2", 3], "labels .* JSON integers"),
+        ("entry", "labels", [1, 2, 3], "labels .* JSON integers"),
+        ("entry", "labels", 12, "labels .* JSON integers"),
+        ("entry", "labels", [1, 4], "labels .* JSON integers"),
+        ("entry", "labels", [1, 10**30], "labels .* JSON integers"),
+        ("entry", "seed", "x", "seed 'x' is not a non-negative"),
+        ("entry", "seed", -1, "seed -1 is not a non-negative"),
+        ("entry", "seed", 1.0, "seed 1.0 is not a non-negative"),
+        ("entry", "seed", True, "seed True is not a non-negative"),
+        ("entry", "seed", 2**64, "seed 18446744073709551616 is not a non-negative"),
+        ("entry", "seed", None, "seed on some entries only"),
     ],
-    ids=["no_n_meas", "no_num_sites", "no_mode", "no_labels", "list_num_sites", "fractional_num_sites"],
+    ids=[
+        "no_n_meas", "no_num_sites", "no_mode", "no_labels", "list_num_sites", "fractional_num_sites",
+        "fractional_label", "boolean_label", "string_label", "long_labels", "scalar_labels",
+        "label_out_of_range", "huge_label", "string_seed", "negative_seed", "fractional_seed",
+        "boolean_seed", "huge_seed", "seed_on_one_entry",
+    ],
 )
-def test_load_record_rejects_missing_or_malformed_fields(tmp_path, part, key, value):
+def test_load_record_rejects_missing_or_malformed_fields(tmp_path, part, key, value, match):
     # a value of None removes the field
     path = tmp_path / "rec.ndjson"
     save_record(_toy_record(), path)
@@ -815,7 +911,7 @@ def test_load_record_rejects_missing_or_malformed_fields(tmp_path, part, key, va
     else:
         doc[key] = value
     path.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
-    with pytest.raises(ValueError, match="without|num_sites"):
+    with pytest.raises(ValueError, match=match):
         load_record(path)
 
 

@@ -1,5 +1,7 @@
 """Pulse schedules, propagators, and the rotation figure of merit."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -376,6 +378,13 @@ def test_fluctuation_model_validation():
         FluctuationModel(eps_percent=-1.0)
     with pytest.raises(ValueError):
         FluctuationModel(scope="per_run")
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_fluctuation_model_rejects_non_finite_eps(eps):
+    # validate rejects these configs; the model itself agrees
+    with pytest.raises(ValueError, match="finite"):
+        FluctuationModel(eps_percent=eps)
 
 
 # ---------------------------------------------------------------------------

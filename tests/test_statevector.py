@@ -140,13 +140,41 @@ def test_apply_local_unitaries_vs_kron():
     psi = random_state(3, rng)
     from rmlab.pauli import ROTATION_MATRICES
 
-    out = apply_local_unitaries(psi, labels=[1, 3, 2])
-    big = np.kron(
-        np.kron(ROTATION_MATRICES[1], ROTATION_MATRICES[3]), ROTATION_MATRICES[2]
-    )
-    assert np.max(np.abs(out.amp - big @ psi.amp)) < 1e-12
+    patterns = [[1, 3, 2], [3, 3, 3], [2, 1, 1]]
+    out = apply_local_unitaries(psi, patterns)
+    assert out.shape == (8, 3)
+    for k, labels in enumerate(patterns):
+        big = np.kron(
+            np.kron(ROTATION_MATRICES[labels[0]], ROTATION_MATRICES[labels[1]]), ROTATION_MATRICES[labels[2]]
+        )
+        assert np.max(np.abs(out[:, k] - big @ psi.amp)) < 1e-12
     with pytest.raises(ValueError):
-        apply_local_unitaries(psi, labels=[1, 3])
+        apply_local_unitaries(psi, [[1, 3]])
+    with pytest.raises(ValueError):
+        apply_local_unitaries(psi, [1, 3, 2])
+    with pytest.raises(ValueError):
+        apply_local_unitaries(psi, [[1, 3, 4]])
+
+
+def test_rotation_block_checks_every_column_norm():
+    psi = random_state(3, np.random.default_rng(2))
+    psi.amp *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="not normalized"):
+        apply_local_unitaries(psi, [[1, 3, 2], [3, 3, 3]])
+
+
+def test_site_matrix_stack_matches_one_matrix_per_column():
+    # a (K, 2, 2) stack at a site applies column k's own matrix, as the
+    # single-matrix path does on that column alone
+    rng = np.random.default_rng(3)
+    L, K = 4, 5
+    block = rng.normal(size=(2**L, K)) + 1j * rng.normal(size=(2**L, K))
+    stacks = [rng.normal(size=(K, 2, 2)) + 1j * rng.normal(size=(K, 2, 2)) for _ in range(L)]
+    stacks[2] = None
+    got = apply_site_matrices(block, stacks)
+    for k in range(K):
+        own = [None if m is None else m[k] for m in stacks]
+        assert np.max(np.abs(got[:, k] - apply_site_matrices(block[:, k], own))) < 1e-12
 
 
 def test_evolve_static_vs_expm():
@@ -882,7 +910,7 @@ def test_ground_state_phase_deterministic():
 
 def test_sampling_deterministic_and_calibrated():
     rng = np.random.default_rng(10)
-    probs = apply_local_unitaries(all_down(2), labels=[1, 3]).probabilities()
+    probs = np.abs(apply_local_unitaries(all_down(2), [[1, 3]])[:, 0]) ** 2
     idx = sample_basis_indices(probs, 4000, np.random.default_rng(77))
     idx2 = sample_basis_indices(probs, 4000, np.random.default_rng(77))
     assert np.array_equal(idx, idx2)
@@ -933,5 +961,5 @@ def test_subsystem_validation():
 
 def test_state_fidelity():
     a = product_state([0, 1])
-    b = apply_local_unitaries(a, labels=[3, 3])
+    b = StateVector(apply_local_unitaries(a, [[3, 3]])[:, 0], 2)
     assert abs(state_fidelity(a, b) - 1.0) < 1e-14
