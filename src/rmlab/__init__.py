@@ -60,7 +60,6 @@ from .pulses import (
 from .protocol import (
     EXACT_SHOTS,
     BIT_CONVENTION,
-    UnitarySample,
     ReadoutErrorModel,
     MeasurementRecord,
     sample_unitaries,

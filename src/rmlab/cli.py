@@ -90,14 +90,14 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dic
     prot = cfg.protocol
     seed = _rep_seed(cfg.seed, rep)
     rng = np.random.default_rng(seed)
-    samples = sample_unitaries(cfg.scenario.num_sites, prot.n_unitaries, rng)
+    labels = sample_unitaries(cfg.scenario.num_sites, prot.n_unitaries, rng)
     if prot.mode == "ideal":
-        record = run_ideal(scen.state, samples, prot.n_meas, readout=prot.readout, seed=seed)
+        record = run_ideal(scen.state, labels, prot.n_meas, readout=prot.readout, seed=seed)
     else:
         fluct = FluctuationModel(prot.eps_percent, prot.fluctuation_scope)
         record = run_pulsed(
             scen.state,
-            samples,
+            labels,
             schedule,
             steps,
             drive,

@@ -1,9 +1,11 @@
 """Randomized-measurement runs: unitary sampling, evolution, shots, records.
 
-One experiment is N_U sampled label patterns; under each pattern the state
-is rotated (ideally, or by integrating the pulse Hamiltonian with the
-interactions left on), read out in the z basis N_meas times through a
-two-parameter flip channel, and the counts are collected into a
+One experiment is N_U sampled label patterns, drawn as one (N_U, L) int8
+label table, the layout the record stores: sample k is row k, with the
+stream keyed by (seed, k) (see the contract below). Under each pattern
+the state is rotated (ideally, or by integrating the pulse Hamiltonian
+with the interactions left on), read out in the z basis N_meas times
+through a two-parameter flip channel, and the counts are collected into a
 MeasurementRecord. Records always store the nominal labels, never the
 noisy realized rotations: post-processing assumes ideal rotations, the
 same information an experimenter has.
@@ -87,7 +89,6 @@ from .statevector import (
 __all__ = [
     "EXACT_SHOTS",
     "BIT_CONVENTION",
-    "UnitarySample",
     "ReadoutErrorModel",
     "MeasurementRecord",
     "sample_unitaries",
@@ -112,21 +113,6 @@ _PROBS_KEY = {1: "probs", 2: "probs_f64le"}
 # amplitudes per block that run_ideal rotates or run_pulsed evolves at
 # once (16 MB of complex)
 _BLOCK_AMPLITUDES = 2**20
-
-
-@dataclass(frozen=True)
-class UnitarySample:
-    """One sampled rotation pattern: a label in {1, 2, 3} per site."""
-
-    labels: tuple[int, ...]
-    realization: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(int(l) for l in self.labels))
-        if any(l not in (1, 2, 3) for l in self.labels):
-            raise ValueError("labels must be in {1, 2, 3}")
-        if self.realization < 0:
-            raise ValueError("realization must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -156,10 +142,10 @@ class ReadoutErrorModel:
 class MeasurementRecord:
     """A full experiment as one outcome table (see the module docstring).
 
-    Invariant checked here: labels is (N_U, L), seeds (N_U,) or None, and
-    every row of outcomes holds 2^L finite weights summing to ``norm``,
-    n_meas in a sampled record (where each weight is a non-negative whole
-    number of shots) and one, within 1e-10, in an exact record.
+    Invariant checked here: labels is (N_U, L) in LABELS, seeds (N_U,) or
+    None, and every row of outcomes holds 2^L finite weights summing to
+    ``norm``: n_meas non-negative whole shots in a sampled record, one
+    (within 1e-10) in an exact one.
     """
 
     num_sites: int
@@ -176,10 +162,7 @@ class MeasurementRecord:
         exact = _check_n_meas(self.n_meas)
         if not exact:
             object.__setattr__(self, "n_meas", int(self.n_meas))
-        raw = np.asarray(self.labels)
-        labels = raw.astype(np.int8)
-        if not np.array_equal(labels, raw):
-            raise ValueError("labels must be integers in the int8 range")
+        labels = _check_labels(self.labels).astype(np.int8)
         if labels.ndim != 2 or labels.shape[1] != self.num_sites:
             raise ValueError("entry label length differs from num_sites")
         w = np.ascontiguousarray(self.outcomes, dtype=np.float64)
@@ -225,17 +208,12 @@ class MeasurementRecord:
 # ---------------------------------------------------------------------------
 
 
-def sample_unitaries(
-    num_sites: int, n_unitaries: int, rng: np.random.Generator
-) -> list[UnitarySample]:
-    """i.i.d. uniform labels in {1, 2, 3}, one per site, per realization."""
+def sample_unitaries(num_sites: int, n_unitaries: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n_unitaries, num_sites) int8 label table of a run: i.i.d.
+    uniform labels in {1, 2, 3}, row k the pattern of sample k."""
     if n_unitaries < 1:
         raise ValueError("n_unitaries must be at least 1")
-    mat = rng.integers(1, 4, size=(n_unitaries, num_sites))
-    return [
-        UnitarySample(labels=tuple(int(v) for v in row), realization=k)
-        for k, row in enumerate(mat)
-    ]
+    return rng.integers(1, 4, size=(n_unitaries, num_sites)).astype(np.int8)
 
 
 def apply_readout_errors(
@@ -258,23 +236,23 @@ def apply_readout_to_probs(
 
 
 def _measure(
-    mode: str, samples: Sequence[UnitarySample], rngs: Iterable[np.random.Generator], probs: np.ndarray,
+    mode: str, labels: np.ndarray, rngs: Iterable[np.random.Generator], probs: np.ndarray,
     n_meas: int | float, readout: ReadoutErrorModel | None, meta: dict,
 ) -> MeasurementRecord:
-    """The record of a run from its (N_U, 2^L) table of outcome
-    distributions, one row per sample, and each sample's (seed, k) stream;
+    """The record of a run from its (N_U, L) label table, its (N_U, 2^L)
+    table of outcome distributions and the (seed, k) stream of each row k;
     ``meta`` gains the readout's two flip rates (None without flips).
 
     Exact mode keeps the table pushed through the readout channel and draws
-    nothing. Otherwise sample k draws n_meas shots from its stream, then
-    readout flips, the frozen draw order, and its row counts each basis
-    index. Raises ValueError without samples or for a bad n_meas.
+    nothing. Otherwise row k draws n_meas shots from its stream, then
+    readout flips, the frozen draw order, counts each basis index, and
+    stores stream key k as its seed. Raises ValueError without samples or
+    for a bad n_meas.
     """
     exact = _check_n_meas(n_meas)
-    if not len(samples):
+    if not len(labels):
         raise ValueError("at least one unitary sample required")
-    num_sites = len(samples[0].labels)
-    labels = [s.labels for s in samples]
+    num_sites = labels.shape[1]
     flips = None if readout is None else [readout.p_up_given_down, readout.p_down_given_up]
     meta = {**meta, "readout": flips}
     if exact:
@@ -287,8 +265,7 @@ def _measure(
         if readout is not None:
             idx = bits_to_index(apply_readout_errors(index_to_bits(idx, num_sites), readout, rng))
         row[:] = np.bincount(idx, minlength=2**num_sites)
-    seeds = [s.realization for s in samples]
-    return MeasurementRecord(num_sites, mode, n_meas, labels, counts, seeds, meta)
+    return MeasurementRecord(num_sites, mode, n_meas, labels, counts, np.arange(len(labels)), meta)
 
 
 def _stream(seed: int, k: int) -> np.random.Generator:
@@ -303,9 +280,18 @@ def _check_n_meas(n_meas: int | float) -> bool:
     """
     if n_meas == EXACT_SHOTS:
         return True
-    if not (isinstance(n_meas, (int, np.integer)) and n_meas >= 1):
+    if isinstance(n_meas, bool) or not (isinstance(n_meas, (int, np.integer)) and n_meas >= 1):
         raise ValueError('n_meas must be a positive integer or EXACT_SHOTS ("exact" in a config)')
     return False
+
+
+def _check_labels(labels: np.ndarray) -> np.ndarray:
+    """``labels`` as an array under the package's one label rule: a value
+    outside LABELS raises ValueError. Both runs and the record call it."""
+    labels = np.asarray(labels)
+    if not np.isin(labels, LABELS).all():
+        raise ValueError(f"labels must be integers in {LABELS}")
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -315,26 +301,29 @@ def _check_n_meas(n_meas: int | float) -> bool:
 
 def run_ideal(
     psi: StateVector,
-    samples: Sequence[UnitarySample],
+    labels: np.ndarray,
     n_meas: int | float,
     readout: ReadoutErrorModel | None = None,
     seed: int = 0,
 ) -> MeasurementRecord:
-    """Rotate by the exact label unitaries, then read out.
+    """Rotate by the exact label unitaries of each row of the (N_U, L)
+    label table, then read out.
 
     n_meas = EXACT_SHOTS records the full outcome distribution per
     sample (optionally pushed through the readout channel); otherwise
-    n_meas shots are drawn from the (seed, k) stream of sample k.
+    n_meas shots are drawn from the (seed, k) stream of row k. A label
+    outside LABELS raises ValueError before any rotation.
     """
+    labels = _check_labels(labels)
     width = max(1, _BLOCK_AMPLITUDES >> psi.num_sites)
-    probs = np.empty((len(samples), 2**psi.num_sites))
-    for start in range(0, len(samples), width):
-        block = apply_local_unitaries(psi, [s.labels for s in samples[start : start + width]])
+    probs = np.empty((len(labels), 2**psi.num_sites))
+    for start in range(0, len(labels), width):
+        block = apply_local_unitaries(psi, labels[start : start + width])
         probs[start : start + width] = (np.abs(block) ** 2).T
         del block  # free this block's amplitudes before the next is rotated
     # made as the stage reads them: an exact run draws nothing
-    rngs = (_stream(seed, sample.realization) for sample in samples)
-    return _measure("ideal", samples, rngs, probs, n_meas, readout, {"seed": int(seed)})
+    rngs = (_stream(seed, k) for k in range(len(labels)))
+    return _measure("ideal", labels, rngs, probs, n_meas, readout, {"seed": int(seed)})
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +364,7 @@ def _drive_operators(num_sites: int, h_mod: PauliStringSum | None) -> _Drive:
 
 def _pulsed_parts(
     schedule: PulseSchedule,
-    columns: Sequence[tuple[PulseSchedule, tuple[int, ...]]],
+    columns: Sequence[tuple[PulseSchedule, np.ndarray]],
     drive: _Drive,
 ):
     """H(t) = Omega/2 X_tot - Delta N_tot + f N_weighted + H_mod per column.
@@ -384,14 +373,14 @@ def _pulsed_parts(
     the two diagonal parts so the waveforms stay global. N_weighted is
     built from ``drive.occ``, the (2^L, L) table of n_m per basis index.
 
-    A column is (``schedule`` scaled by _apply_gains, labels): its Omega and
-    Delta gains scale the X_tot and N_tot coefficients, and its light
-    shifts give N_weighted. One column gives a single vector's parts;
+    A column is (``schedule`` scaled by _apply_gains, a label row): its
+    Omega and Delta gains scale the X_tot and N_tot coefficients, and its
+    light shifts give N_weighted. One column gives a single vector's parts;
     several give column-valued ones (see evolve_blend), N_weighted a
     (2^L, K) diagonal.
     """
     shifts = np.column_stack(
-        [drive.occ @ np.array([s.delta_amps[l - 1] for l in labs]) for s, labs in columns]
+        [drive.occ @ np.asarray(s.delta_amps)[labs - 1] for s, labs in columns]
     )
     gain_omega = np.array([_gain(s.omega, schedule.omega) for s, _ in columns])
     gain_delta = np.array([_gain(s.delta, schedule.delta) for s, _ in columns])
@@ -437,7 +426,7 @@ def _certify_grid(
 
     size = np.abs(schedule.delta_amps)
     extremes = (int(np.argmax(size)) + 1, int(np.argmin(size)) + 1)
-    probe = tuple(extremes[m % 2] for m in range(num_sites))
+    probe = np.resize(extremes, num_sites)
     parts = _pulsed_parts(schedule, [(schedule, probe)], drive)
 
     def run(m: int) -> np.ndarray:
@@ -449,7 +438,7 @@ def _certify_grid(
 
 def run_pulsed(
     psi: StateVector,
-    samples: Sequence[UnitarySample],
+    labels: np.ndarray,
     schedule: PulseSchedule,
     steps: int,
     drive: _Drive,
@@ -458,9 +447,10 @@ def run_pulsed(
     readout: ReadoutErrorModel | None = None,
     seed: int = 0,
 ) -> MeasurementRecord:
-    """Integrate the pulse Hamiltonian per sample, interactions included,
-    on ``steps`` CFM4 steps (``_certify_grid`` gives the run's count), with
-    the run's ``_drive_operators``.
+    """Integrate the pulse Hamiltonian per row of the (N_U, L) label table,
+    interactions included, on ``steps`` CFM4 steps (``_certify_grid`` gives
+    the run's count), with the run's ``_drive_operators``. A label outside
+    LABELS raises ValueError before any evolution.
 
     Sample k's outcome distribution is the weighted sum of its columns'
     probabilities (block layout and (seed, k) streams per scope: see the
@@ -477,21 +467,22 @@ def run_pulsed(
     _check_n_meas(n_meas)
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError("steps must be a positive integer")
+    labels = _check_labels(labels)
 
     num_sites = psi.num_sites
-    rngs = [_stream(seed, sample.realization) for sample in samples]
+    rngs = [_stream(seed, k) for k in range(len(labels))]
     per_shot = fluct.scope == "per_shot"
     if per_shot:
         sigma = [_apply_gains(schedule, g) for g in _sigma_gains(fluct.eps_percent)]
-        columns = [(s, sample.labels) for sample in samples for s in sigma]
-        weights = np.tile(_SIGMA_WEIGHTS, len(samples))
+        columns = [(s, row) for row in labels for s in sigma]
+        weights = np.tile(_SIGMA_WEIGHTS, len(labels))
     else:
-        columns = [(perturb(schedule, fluct, rng), s.labels) for s, rng in zip(samples, rngs)]
-        weights = np.ones(len(samples))
+        columns = [(perturb(schedule, fluct, rng), row) for row, rng in zip(labels, rngs)]
+        weights = np.ones(len(labels))
     per_sample = len(_SIGMA_WEIGHTS) if per_shot else 1
 
     width = max(1, _BLOCK_AMPLITUDES >> num_sites)
-    mixtures = np.zeros((len(samples), 2**num_sites))
+    mixtures = np.zeros((len(labels), 2**num_sites))
     for start in range(0, len(columns), width):
         chunk = columns[start : start + width]
         parts = _pulsed_parts(schedule, chunk, drive)
@@ -510,7 +501,7 @@ def run_pulsed(
         meta["mixture_clipped"] = float(np.maximum(-mixtures, 0.0).sum(axis=1).max(initial=0.0))
         np.maximum(mixtures, 0.0, out=mixtures)
         mixtures /= mixtures.sum(axis=1, keepdims=True)
-    return _measure("pulsed", samples, rngs, mixtures, n_meas, readout, meta)
+    return _measure("pulsed", labels, rngs, mixtures, n_meas, readout, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -590,30 +581,35 @@ def load_record(path: str | Path) -> MeasurementRecord:
     Entry k fills row k of the record's outcome table: a version 2 exact
     entry from "probs_f64le" (base64 of little-endian float64 bytes), a
     version 1 one from the "probs" list of text floats, a sampled entry
-    from its "counts" object. ValueError is raised for any other version,
-    a header without num_sites, mode or n_meas, a num_sites that is not a
-    positive JSON integer, an n_meas that is neither "exact" nor a positive
-    integer, an entry without labels, labels that are not num_sites JSON
-    integers in LABELS, a seed that is not a non-negative 64-bit JSON
-    integer or is on some entries only, an exact entry without 2^L
-    probabilities, a count key that is not an L-character 0/1 string and
-    a count that is not a non-negative JSON integer.
+    from its "counts" object. ValueError is raised for a header that is not
+    a JSON object, a version that is not the JSON integer 1 or 2, a header
+    without num_sites, mode or n_meas, a num_sites that is not a positive
+    JSON integer, an n_meas that is neither "exact" nor a positive JSON
+    integer, a meta that is not a JSON object, an entry without labels,
+    labels that are not num_sites JSON integers in LABELS, a seed that is
+    not a non-negative 64-bit JSON integer or is on some entries only, an
+    exact entry without 2^L probabilities, a count key that is not an
+    L-character 0/1 string and a count that is not a non-negative JSON
+    integer.
     """
     with open(path) as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty record file")
     header = json.loads(lines[0])
-    if header.get("format") != _RECORD_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != _RECORD_FORMAT:
         raise ValueError("not a measurement record file")
     version = header.get("version")
-    if version not in tuple(_PROBS_KEY):
+    if type(version) is not int or version not in _PROBS_KEY:
         raise ValueError(f"unsupported record version {version!r}")
     missing = [key for key in ("num_sites", "mode", "n_meas") if key not in header]
     if missing:
         raise ValueError(f"record header without {', '.join(missing)}")
     n_meas = header["n_meas"]
     exact = n_meas == "exact"
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"record meta {meta!r} is not a JSON object")
     num_sites = header["num_sites"]
     if type(num_sites) is not int or num_sites < 1:
         raise ValueError(f"num_sites {num_sites!r} is not a positive integer")
@@ -641,5 +637,5 @@ def load_record(path: str | Path) -> MeasurementRecord:
         labels=np.array(labels, dtype=np.int64).reshape(len(docs), num_sites),
         outcomes=outcomes,
         seeds=None if None in seeds else seeds,
-        meta=dict(header.get("meta") or {}),
+        meta=meta,
     )

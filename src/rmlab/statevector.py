@@ -266,23 +266,27 @@ def apply_site_matrices(v: np.ndarray, matrices: Sequence[np.ndarray | None]) ->
     matrix costs one einsum over a (left, 2, right) view, the columns
     folded into ``right``, so the product is never formed. A (K, 2, 2)
     stack gives each column of a block its own matrix at that site, as
-    four broadcast products.
+    four broadcast products that update one copy of ``v`` in place.
     """
     num_sites = len(matrices)
     if v.ndim not in (1, 2) or v.shape[0] != 2**num_sites:
         raise ValueError("vector length must be 2**len(matrices)")
+    own = None  # the C-ordered copy of v that stacked sites overwrite
     for site, m in enumerate(matrices):
         if m is None:
             continue
         if m.ndim == 2:
             v = np.einsum("ab,ibj->iaj", m, v.reshape(2**site, 2, -1)).reshape(v.shape)
             continue
-        cube = v.reshape(2**site, 2, -1, len(m))
-        out = np.empty(cube.shape, np.result_type(m, v))
-        for a in (0, 1):
-            np.multiply(m[:, a, 0], cube[:, 0], out=out[:, a])
-            out[:, a] += m[:, a, 1] * cube[:, 1]
-        v = out.reshape(v.shape)
+        if v is not own or v.dtype != np.result_type(m, v):
+            v = own = np.array(v, np.result_type(m, v), order="C")
+        # m before the block in every product: complex multiply is not bitwise symmetric
+        upper, lower = np.moveaxis(v.reshape(2**site, 2, -1, len(m)), 1, 0)
+        new_lower = m[:, 1, 0] * upper
+        new_lower += m[:, 1, 1] * lower
+        np.multiply(m[:, 0, 0], upper, out=upper)
+        upper += m[:, 0, 1] * lower
+        lower[...] = new_lower
     return v
 
 

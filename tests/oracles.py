@@ -8,14 +8,15 @@ and the letter-table product of Pauli sums. Tests import them from here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from rmlab.estimators import EstimatorResult
-from rmlab.pauli import TWO_PI, PauliString, PauliStringSum
-from rmlab.protocol import EXACT_SHOTS, MeasurementRecord, UnitarySample
+from rmlab.pauli import LABELS, TWO_PI, PauliString, PauliStringSum
+from rmlab.protocol import EXACT_SHOTS, MeasurementRecord
 from rmlab.pulses import PulseSchedule, Waveform
 from rmlab.statevector import StateVector, _check_sites, index_to_bits
 
@@ -67,22 +68,14 @@ def ideal_schedule(T: float, ratio: float) -> PulseSchedule:
     )
 
 
-def all_label_settings(num_sites: int) -> list[UnitarySample]:
-    """Every one of the 3^L label patterns once, in lexicographic order.
+def all_label_settings(num_sites: int) -> np.ndarray:
+    """The (3^L, L) label table of every pattern once, in lexicographic order.
 
     Exact enumeration replaces sampling in the smallest systems, turning
     statistical estimator checks into identities: the tests' exact
     3-design over labels.
     """
-    out = []
-    for k in range(3**num_sites):
-        digits = []
-        rem = k
-        for _ in range(num_sites):
-            digits.append(rem % 3 + 1)
-            rem //= 3
-        out.append(UnitarySample(labels=tuple(reversed(digits)), realization=k))
-    return out
+    return np.array(list(itertools.product(LABELS, repeat=num_sites)), dtype=np.int8)
 
 
 def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> EstimatorResult:

@@ -156,7 +156,7 @@ def test_run_meta_reports_record_version_and_stage_times(tmp_path):
 
 _READOUT = {"p_up_given_down": 0.01, "p_down_given_up": 0.03}
 
-# sha256 of each record file, and of results.csv where given, for three tiny
+# sha256 of each record file, and of results.csv where given, for four tiny
 # runs: a change to how records are built or stored must leave these bytes
 # as they are, and one to how they are estimated re-pins results.csv only
 # while test_exact_pinned_rows_keep_their_values holds
@@ -177,6 +177,14 @@ _PINNED_RUNS = {
          "tol": 1e-4, "readout": _READOUT},
         {"subsystems": [[1, 2]], "energy": True},
         {"rep_000.ndjson": "6545df2a7ba47bcf19d18551bb2bb0f680dd862543a5b1c3bcb3a2092da29e1e"},
+        None,
+    ),
+    "per_shot": (
+        {"kind": "af", "num_sites": 4},
+        {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 1, "eps_percent": 3.0,
+         "fluctuation_scope": "per_shot", "tol": 1e-4, "readout": _READOUT},
+        {"subsystems": [[1, 2]], "energy": True},
+        {"rep_000.ndjson": "82ffbcaea12a7c17d376cea8694dab1117bebdbc70145349f0dda77710f95073"},
         None,
     ),
     "sampled": (

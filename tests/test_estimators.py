@@ -285,12 +285,9 @@ def test_identity_rotations_scale_z_correlators():
     # Z-string, so the shadow estimate is exactly 3^w times the plain
     # empirical correlator (the 3^w importance weight compensates random
     # label sampling, which forced labels bypass)
-    from rmlab.protocol import UnitarySample
-
     rng = np.random.default_rng(19)
     psi = random_state(2, rng)
-    forced = [UnitarySample(labels=(3, 3), realization=k) for k in range(10)]
-    rec = run_ideal(psi, forced, 40, seed=23)
+    rec = run_ideal(psi, np.full((10, 2), 3), 40, seed=23)
 
     def correlator(cols):
         total = 0.0
@@ -379,14 +376,17 @@ def test_label_mask_matches_conjugation_loop(L, n_meas, flips):
 
 
 def test_invalid_label_rejected():
+    # the record rejects label 4 itself, so write it in after construction
+    # to reach the estimator's own check
     rec = MeasurementRecord(
         num_sites=2,
         mode="ideal",
         n_meas=EXACT_SHOTS,
-        labels=[[1, 4]],
+        labels=[[1, 3]],
         outcomes=[np.full(4, 0.25)],
     )
-    with pytest.raises(ValueError):
+    rec.labels[0, 1] = 4
+    with pytest.raises(ValueError, match="invalid rotation label"):
         _string_expectation(rec, PauliString("ZI"))
 
 

@@ -13,7 +13,6 @@ from rmlab.protocol import (
     EXACT_SHOTS,
     MeasurementRecord,
     ReadoutErrorModel,
-    UnitarySample,
     _certify_grid,
     _drive_operators,
     _pulsed_parts,
@@ -38,8 +37,7 @@ from oracles import random_state
 
 def test_label_frequencies_uniform():
     # 4 sigma binomial window around 1/3 at 3e4 draws
-    samples = sample_unitaries(1, 30_000, np.random.default_rng(0))
-    labels = np.array([s.labels[0] for s in samples])
+    labels = sample_unitaries(1, 30_000, np.random.default_rng(0))[:, 0]
     for lab in (1, 2, 3):
         freq = np.mean(labels == lab)
         assert 0.323 <= freq <= 0.343
@@ -48,13 +46,29 @@ def test_label_frequencies_uniform():
 def test_sampling_reproducible():
     a = sample_unitaries(4, 2, np.random.default_rng(99))
     b = sample_unitaries(4, 2, np.random.default_rng(99))
-    assert [s.labels for s in a] == [s.labels for s in b]
-    assert [s.realization for s in a] == [0, 1]
+    assert a.dtype == np.int8 and a.shape == (2, 4)
+    assert np.array_equal(a, b)
 
 
-def test_bad_labels_rejected():
-    with pytest.raises(ValueError):
-        UnitarySample(labels=(0, 1), realization=0)
+def test_bad_labels_rejected(golden, monkeypatch):
+    # both runs apply the one label rule before any rotation or evolution
+    import rmlab.protocol as protocol
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run rotated or evolved a bad label")
+
+    monkeypatch.setattr(protocol, "apply_local_unitaries", forbidden)
+    monkeypatch.setattr(protocol, "evolve_blend", forbidden)
+    psi = random_state(2, np.random.default_rng(0))
+    drive = _drive_operators(2, None)
+    for bad in (0, 4):
+        labels = np.array([[1, 2], [3, bad]], dtype=np.int8)
+        for n_meas in (EXACT_SHOTS, 10):
+            with pytest.raises(ValueError, match="labels must be integers in"):
+                run_ideal(psi, labels, n_meas)
+            for fluct in (FluctuationModel(3.0), FluctuationModel(3.0, scope="per_shot")):
+                with pytest.raises(ValueError, match="labels must be integers in"):
+                    run_pulsed(psi, labels, golden, 300, drive, fluct=fluct, n_meas=n_meas)
     with pytest.raises(ValueError):
         sample_unitaries(3, 0, np.random.default_rng(0))
 
@@ -188,11 +202,15 @@ def test_record_rejects_counts_that_are_not_whole_shots(outcomes):
         ([[1, 2, 3]], [[2, 0, 0, 0]], None, "label length"),
         ([[1.5, 2]], [[2, 0, 0, 0]], None, "integers"),
         ([[1, 300]], [[2, 0, 0, 0]], None, "integers"),
+        ([[0, 4]], [[2, 0, 0, 0]], None, "integers"),
         ([[1, 2]], [[2, 0, 0, 0, 0, 0, 0, 0]], None, "2\\^num_sites"),
         ([[1, 2], [3, 3]], [[2, 0, 0, 0]], None, "2\\^num_sites"),
         ([[1, 2]], [[2, 0, 0, 0]], [0, 1], "one seed per"),
     ],
-    ids=["flat_labels", "long_labels", "fractional_label", "label_past_int8", "long_row", "missing_row", "extra_seed"],
+    ids=[
+        "flat_labels", "long_labels", "fractional_label", "label_past_int8", "label_out_of_range", "long_row",
+        "missing_row", "extra_seed",
+    ],
 )
 def test_record_rejects_a_malformed_table(labels, outcomes, seeds, match):
     with pytest.raises(ValueError, match=match):
@@ -225,8 +243,7 @@ def test_subset_picks_entries():
 def test_exact_mode_distributions_are_normalized():
     rng = np.random.default_rng(4)
     psi = random_state(3, rng)
-    samples = sample_unitaries(3, 5, rng)
-    rec = run_ideal(psi, samples, EXACT_SHOTS)
+    rec = run_ideal(psi, sample_unitaries(3, 5, rng), EXACT_SHOTS)
     assert np.abs(rec.outcomes.sum(axis=1) - 1.0).max() < 1e-12
     assert rec.outcomes.min() >= -1e-15
 
@@ -247,11 +264,11 @@ def test_exact_mode_marginalization_consistency():
 def test_run_ideal_seed_determinism():
     rng = np.random.default_rng(6)
     psi = random_state(3, rng)
-    samples = sample_unitaries(3, 4, rng)
+    labels = sample_unitaries(3, 4, rng)
     readout = ReadoutErrorModel(0.01, 0.03)
-    a = run_ideal(psi, samples, 50, readout=readout, seed=17)
-    b = run_ideal(psi, samples, 50, readout=readout, seed=17)
-    c = run_ideal(psi, samples, 50, readout=readout, seed=18)
+    a = run_ideal(psi, labels, 50, readout=readout, seed=17)
+    b = run_ideal(psi, labels, 50, readout=readout, seed=17)
+    c = run_ideal(psi, labels, 50, readout=readout, seed=18)
     assert _same_outcomes(a, b)
     assert not _same_outcomes(a, c)
 
@@ -262,16 +279,20 @@ def test_run_ideal_counts_shape():
     rec = run_ideal(psi, sample_unitaries(2, 3, rng), 25, seed=0)
     assert rec.n_meas == 25
     assert rec.outcomes.shape == (3, 4) and (rec.outcomes.sum(axis=1) == 25).all()
+    # row k's stream key is its seed
+    assert rec.seeds.tolist() == [0, 1, 2]
 
 
 def test_invalid_n_meas_rejected():
     rng = np.random.default_rng(8)
     psi = random_state(2, rng)
-    samples = sample_unitaries(2, 1, rng)
+    labels = sample_unitaries(2, 1, rng)
     with pytest.raises(ValueError):
-        run_ideal(psi, samples, 0)
+        run_ideal(psi, labels, 0)
     with pytest.raises(ValueError):
-        run_ideal(psi, samples, 12.5)
+        run_ideal(psi, labels, 12.5)
+    with pytest.raises(ValueError):
+        run_ideal(psi, labels, True)
 
 
 def test_empty_sample_list_rejected_by_both_runs():
@@ -286,30 +307,30 @@ def test_empty_sample_list_rejected_by_both_runs():
             run_pulsed(psi, [], golden_schedule(), 300, drive, fluct=fluct, n_meas=10)
 
 
-def _per_column_ideal(psi, samples, n_meas, readout, seed):
-    """The per-entry loop that the block rotation replaced: each sample's
-    state rotated on its own (a label-3 site skipped), then its own readout
-    push or its (seed, k) stream's shots and flips; as a record."""
+def _per_column_ideal(psi, labels, n_meas, readout, seed):
+    """The per-entry loop that the block rotation replaced: each label
+    row's state rotated on its own (a label-3 site skipped), then its own
+    readout push or its (seed, k) stream's shots and flips; as a record."""
     from rmlab.pauli import ROTATION_MATRICES
     from rmlab.protocol import _stream
     from rmlab.statevector import apply_site_matrices, bits_to_index, index_to_bits, sample_basis_indices
 
     L = psi.num_sites
     rows = []
-    for sample in samples:
-        matrices = [None if lab == 3 else ROTATION_MATRICES[lab] for lab in sample.labels]
+    for k, row in enumerate(labels.tolist()):
+        matrices = [None if lab == 3 else ROTATION_MATRICES[lab] for lab in row]
         probs = np.abs(apply_site_matrices(psi.amp, matrices)) ** 2
         if n_meas == EXACT_SHOTS:
             rows.append(probs if readout is None else apply_readout_to_probs(probs, readout, L))
             continue
-        rng = _stream(seed, sample.realization)
+        rng = _stream(seed, k)
         idx = sample_basis_indices(probs, n_meas, rng)
         if readout is not None:
             idx = bits_to_index(apply_readout_errors(index_to_bits(idx, L), readout, rng))
         rows.append(np.bincount(idx, minlength=2**L))
     return MeasurementRecord(
-        L, "ideal", n_meas, [s.labels for s in samples], rows,
-        None if n_meas == EXACT_SHOTS else [s.realization for s in samples],
+        L, "ideal", n_meas, labels, rows,
+        None if n_meas == EXACT_SHOTS else list(range(len(labels))),
         {"seed": seed, "readout": None if readout is None else [readout.p_up_given_down, readout.p_down_given_up]},
     )
 
@@ -323,11 +344,11 @@ def test_block_rotation_matches_the_per_column_loop(tmp_path, monkeypatch, n_mea
     import rmlab.protocol as protocol
 
     psi = random_state(6, np.random.default_rng(49))
-    samples = sample_unitaries(6, 20, np.random.default_rng(50))
+    labels = sample_unitaries(6, 20, np.random.default_rng(50))
     if width is not None:
         monkeypatch.setattr(protocol, "_BLOCK_AMPLITUDES", width * 2**6)
-    got = run_ideal(psi, samples, n_meas, readout=readout, seed=51)
-    want = _per_column_ideal(psi, samples, n_meas, readout, 51)
+    got = run_ideal(psi, labels, n_meas, readout=readout, seed=51)
+    want = _per_column_ideal(psi, labels, n_meas, readout, 51)
     assert got.outcomes.tobytes() == want.outcomes.tobytes()
     save_record(got, tmp_path / "got.ndjson")
     save_record(want, tmp_path / "want.ndjson")
@@ -344,23 +365,23 @@ def golden():
     return golden_schedule()
 
 
-def _run(psi, samples, schedule, tol=1e-6, h_mod=None, **kwargs):
+def _run(psi, labels, schedule, tol=1e-6, h_mod=None, **kwargs):
     """run_pulsed on the step count that the probe certifies at tol, with
     drive operators built once, as a CLI run does."""
     drive = _drive_operators(psi.num_sites, h_mod)
     steps, _ = _certify_grid(psi, schedule, drive, tol)
-    return run_pulsed(psi, samples, schedule, steps, drive, **kwargs)
+    return run_pulsed(psi, labels, schedule, steps, drive, **kwargs)
 
 
 def _probe(L):
     """The golden schedule's probe pattern: label 3 (largest |d|) at odd
     sites, label 1 (d = 0, the smallest) at even ones."""
-    return tuple((3, 1)[m % 2] for m in range(L))
+    return np.array([(3, 1)[m % 2] for m in range(L)])
 
 
 def _evolve_columns(psi, h, schedule, columns, steps):
-    """The amplitudes of each (schedule, labels) column on ``steps`` steps,
-    one row per column."""
+    """The amplitudes of each (schedule, label row) column on ``steps``
+    steps, one row per column."""
     parts = _pulsed_parts(schedule, columns, _drive_operators(psi.num_sites, h))
     states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
     return np.array([state.amp for state in (states if len(columns) > 1 else [states])])
@@ -380,9 +401,9 @@ def test_pulsed_noise_free_approximates_ideal(golden):
     # each outcome distribution sits close to the ideal one
     rng = np.random.default_rng(9)
     psi = random_state(2, rng)
-    samples = sample_unitaries(2, 4, rng)
-    pulsed = _run(psi, samples, golden, n_meas=EXACT_SHOTS)
-    ideal = run_ideal(psi, samples, EXACT_SHOTS)
+    labels = sample_unitaries(2, 4, rng)
+    pulsed = _run(psi, labels, golden, n_meas=EXACT_SHOTS)
+    ideal = run_ideal(psi, labels, EXACT_SHOTS)
     for a, b in zip(pulsed.outcomes, ideal.outcomes):
         assert 0.5 * np.abs(a - b).sum() < 0.2
 
@@ -390,15 +411,15 @@ def test_pulsed_noise_free_approximates_ideal(golden):
 def test_pulsed_determinism_with_noise(golden):
     rng = np.random.default_rng(10)
     psi = random_state(2, rng)
-    samples = sample_unitaries(2, 2, rng)
+    labels = sample_unitaries(2, 2, rng)
     kwargs = dict(
         fluct=FluctuationModel(3.0),
         n_meas=30,
         readout=ReadoutErrorModel(0.01, 0.03),
         seed=5,
     )
-    a = _run(psi, samples, golden, **kwargs)
-    b = _run(psi, samples, golden, **kwargs)
+    a = _run(psi, labels, golden, **kwargs)
+    b = _run(psi, labels, golden, **kwargs)
     assert _same_outcomes(a, b)
     assert a.meta["steps"] == b.meta["steps"]
 
@@ -406,17 +427,16 @@ def test_pulsed_determinism_with_noise(golden):
 def test_pulsed_keeps_nominal_labels(golden):
     rng = np.random.default_rng(11)
     psi = random_state(2, rng)
-    samples = sample_unitaries(2, 3, rng)
-    rec = _run(psi, samples, golden, fluct=FluctuationModel(5.0), n_meas=10)
-    assert rec.labels.tolist() == [list(s.labels) for s in samples]
+    labels = sample_unitaries(2, 3, rng)
+    rec = _run(psi, labels, golden, fluct=FluctuationModel(5.0), n_meas=10)
+    assert rec.labels.dtype == np.int8 and np.array_equal(rec.labels, labels)
 
 
 def test_per_shot_scope_runs_sampled(golden):
     rng = np.random.default_rng(13)
     psi = random_state(2, rng)
-    samples = sample_unitaries(2, 1, rng)
     rec = _run(
-        psi, samples, golden,
+        psi, sample_unitaries(2, 1, rng), golden,
         fluct=FluctuationModel(3.0, scope="per_shot"),
         n_meas=4,
         seed=1,
@@ -429,9 +449,10 @@ def _dimer_state(L):
     return h, ground_state(h)[1]
 
 
-def _block_mixture(psi, h, labels, schedule, columns, weights, steps):
-    """sum_j weights[j] |psi evolved under columns[j]|^2, one block."""
-    amps = _evolve_columns(psi, h, schedule, [(s, labels) for s in columns], steps)
+def _block_mixture(psi, h, row, schedule, columns, weights, steps):
+    """sum_j weights[j] |psi evolved under columns[j]|^2, one block, all
+    under the label row ``row``."""
+    amps = _evolve_columns(psi, h, schedule, [(s, row) for s in columns], steps)
     return np.asarray(weights) @ np.abs(amps) ** 2
 
 
@@ -447,10 +468,10 @@ def test_per_shot_mixture_matches_tensor_gauss_hermite(golden):
     from rmlab.pulses import _apply_gains
 
     h, psi = _dimer_state(6)
-    samples = sample_unitaries(6, 1, np.random.default_rng(21))
+    labels = sample_unitaries(6, 1, np.random.default_rng(21))
     eps = 3.0
     rec = _run(
-        psi, samples, golden, fluct=FluctuationModel(eps, scope="per_shot"), h_mod=h,
+        psi, labels, golden, fluct=FluctuationModel(eps, scope="per_shot"), h_mod=h,
         n_meas=EXACT_SHOTS, tol=1e-4,
     )
     assert rec.meta["mixture_clipped"] == 0.0
@@ -459,7 +480,7 @@ def test_per_shot_mixture_matches_tensor_gauss_hermite(golden):
     grid = list(itertools.product(nodes, repeat=5))
     columns = [_apply_gains(golden, np.array([g for g, _ in point])) for point in grid]
     weights = [math.prod(w for _, w in point) for point in grid]
-    tensor = _block_mixture(psi, h, samples[0].labels, golden, columns, weights, rec.meta["steps"])
+    tensor = _block_mixture(psi, h, labels[0], golden, columns, weights, rec.meta["steps"])
     assert _tv(rec.outcomes[0], tensor) < 5e-4
 
 
@@ -471,14 +492,14 @@ def test_per_shot_mixture_is_the_mean_over_per_shot_gain_draws(golden):
     from rmlab.pulses import perturb
 
     _, psi = _dimer_state(4)
-    samples = sample_unitaries(4, 1, np.random.default_rng(22))
+    labels = sample_unitaries(4, 1, np.random.default_rng(22))
     fluct = FluctuationModel(3.0, scope="per_shot")
-    rec = _run(psi, samples, golden, fluct=fluct, n_meas=EXACT_SHOTS, seed=5, tol=1e-4)
-    steps, labels = rec.meta["steps"], samples[0].labels
-    rng = _stream(5, samples[0].realization)
+    rec = _run(psi, labels, golden, fluct=fluct, n_meas=EXACT_SHOTS, seed=5, tol=1e-4)
+    steps = rec.meta["steps"]
+    rng = _stream(5, 0)
     draws = [perturb(golden, fluct, rng) for _ in range(2000)]
-    mean = _block_mixture(psi, None, labels, golden, draws, [1.0 / len(draws)] * len(draws), steps)
-    nominal = _block_mixture(psi, None, labels, golden, [golden], [1.0], steps)
+    mean = _block_mixture(psi, None, labels[0], golden, draws, [1.0 / len(draws)] * len(draws), steps)
+    nominal = _block_mixture(psi, None, labels[0], golden, [golden], [1.0], steps)
     bound = 3e-3
     assert _tv(rec.outcomes[0], mean) < bound
     # the gain noise moves the distribution well beyond the bound
@@ -491,16 +512,16 @@ def test_per_shot_shots_sample_the_records_own_mixture(golden):
     from rmlab.protocol import _measure, _stream
 
     h, psi = _dimer_state(4)
-    samples = sample_unitaries(4, 2, np.random.default_rng(23))
+    labels = sample_unitaries(4, 2, np.random.default_rng(23))
     readout = ReadoutErrorModel(0.01, 0.03)
     kwargs = dict(fluct=FluctuationModel(3.0, scope="per_shot"), h_mod=h, seed=9, tol=1e-4)
-    pure = _run(psi, samples, golden, n_meas=EXACT_SHOTS, **kwargs)
-    exact = _run(psi, samples, golden, n_meas=EXACT_SHOTS, readout=readout, **kwargs)
+    pure = _run(psi, labels, golden, n_meas=EXACT_SHOTS, **kwargs)
+    exact = _run(psi, labels, golden, n_meas=EXACT_SHOTS, readout=readout, **kwargs)
     n = 20_000
-    sampled = _run(psi, samples, golden, n_meas=n, readout=readout, **kwargs)
+    sampled = _run(psi, labels, golden, n_meas=n, readout=readout, **kwargs)
     # stream contract: shots, then flips, and no gain draws
-    rngs = [_stream(9, sample.realization) for sample in samples]
-    want = _measure("pulsed", samples, rngs, pure.outcomes, n, readout, {})
+    rngs = [_stream(9, k) for k in range(len(labels))]
+    want = _measure("pulsed", labels, rngs, pure.outcomes, n, readout, {})
     assert np.array_equal(sampled.outcomes, want.outcomes)
     for observed, flipped in zip(sampled.outcomes, exact.outcomes):
         expected = n * flipped
@@ -519,35 +540,34 @@ def test_pulsed_tol_must_be_finite_and_positive(golden, tol):
 @pytest.mark.parametrize("steps", [0, -300, 300.0])
 def test_pulsed_steps_must_be_a_positive_integer(golden, steps):
     psi = random_state(2, np.random.default_rng(24))
-    samples = sample_unitaries(2, 1, np.random.default_rng(24))
+    labels = sample_unitaries(2, 1, np.random.default_rng(24))
     with pytest.raises(ValueError, match="steps"):
-        run_pulsed(psi, samples, golden, steps, _drive_operators(2, None))
+        run_pulsed(psi, labels, golden, steps, _drive_operators(2, None))
 
 
 def test_pulsed_with_interactions_runs(golden):
     h = build_ssh(4, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
     _, gs = ground_state(h)
-    samples = sample_unitaries(4, 2, np.random.default_rng(14))
-    rec = _run(gs, samples, golden, h_mod=h, n_meas=EXACT_SHOTS)
+    rec = _run(gs, sample_unitaries(4, 2, np.random.default_rng(14)), golden, h_mod=h, n_meas=EXACT_SHOTS)
     assert rec.mode == "pulsed"
     assert np.abs(rec.outcomes.sum(axis=1) - 1.0).max() < 1e-12
 
 
-def _per_unitary_reference(psi, samples, schedule, fluct, h_mod, n_meas, readout, seed, steps):
-    """The loop run_pulsed's block replaces: one evolve_blend per sample,
+def _per_unitary_reference(psi, labels, schedule, fluct, h_mod, n_meas, readout, seed, steps):
+    """The loop run_pulsed's block replaces: one evolve_blend per label row,
     on the perturbed waveforms themselves, gains then shots then flips
     drawn from the (seed, k) stream."""
     from rmlab.protocol import _measure, _stream
     from rmlab.pulses import perturb
 
     rngs, probs = [], []
-    for sample in samples:
-        rng = _stream(seed, sample.realization)
+    for k, row in enumerate(labels):
+        rng = _stream(seed, k)
         perturbed = perturb(schedule, fluct, rng)
-        amp = _evolve_columns(psi, h_mod, perturbed, [(perturbed, sample.labels)], steps)[0]
+        amp = _evolve_columns(psi, h_mod, perturbed, [(perturbed, row)], steps)[0]
         rngs.append(rng)
         probs.append(np.abs(amp) ** 2)
-    return _measure("pulsed", samples, rngs, np.array(probs), n_meas, readout, {})
+    return _measure("pulsed", labels, rngs, np.array(probs), n_meas, readout, {})
 
 
 def _assert_same_table(record, reference):
@@ -562,9 +582,9 @@ def _assert_same_table(record, reference):
 def test_pulsed_block_matches_per_unitary_loop(golden, with_h, n_meas):
     h = build_ssh(4, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
     psi = ground_state(h)[1]
-    samples = sample_unitaries(4, 5, np.random.default_rng(15))
+    labels = sample_unitaries(4, 5, np.random.default_rng(15))
     args = (
-        psi, samples, golden, FluctuationModel(3.0), h if with_h else None,
+        psi, labels, golden, FluctuationModel(3.0), h if with_h else None,
         n_meas, ReadoutErrorModel(0.01, 0.03), 17,
     )
     rec = _run(*args[:3], fluct=args[3], h_mod=args[4], n_meas=n_meas,
@@ -583,14 +603,14 @@ def test_pulsed_run_matches_the_per_step_loop(golden, monkeypatch, per_step_loop
 
     h = build_ssh(4, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
     psi = ground_state(h)[1]
-    samples = sample_unitaries(4, 4, np.random.default_rng(18))
+    labels = sample_unitaries(4, 4, np.random.default_rng(18))
     kwargs = dict(
         fluct=FluctuationModel(3.0), h_mod=h, n_meas=n_meas,
         readout=ReadoutErrorModel(0.01, 0.03), seed=19, tol=1e-4,
     )
-    fused = _run(psi, samples, golden, **kwargs)
+    fused = _run(psi, labels, golden, **kwargs)
     monkeypatch.setattr(statevector, "_run_steps", per_step_loop)
-    stepped = _run(psi, samples, golden, **kwargs)
+    stepped = _run(psi, labels, golden, **kwargs)
     assert fused.meta == stepped.meta
     _assert_same_table(fused, stepped)
 
@@ -599,15 +619,15 @@ def test_pulsed_tight_tol_doubles_block_grid(golden):
     # one step per waveform cell already meets 1e-8 here; 1e-10 does not
     rng = np.random.default_rng(16)
     psi = random_state(3, rng)
-    samples = sample_unitaries(3, 3, rng)
+    labels = sample_unitaries(3, 3, rng)
     kwargs = dict(fluct=FluctuationModel(3.0), n_meas=EXACT_SHOTS, seed=4)
-    loose = _run(psi, samples, golden, tol=1e-4, **kwargs)
-    tight = _run(psi, samples, golden, tol=1e-10, **kwargs)
+    loose = _run(psi, labels, golden, tol=1e-4, **kwargs)
+    tight = _run(psi, labels, golden, tol=1e-10, **kwargs)
     # the refined grid is a whole multiple of the start grid
     ratio = tight.meta["steps"] // loose.meta["steps"]
     assert ratio >= 2 and tight.meta["steps"] == ratio * loose.meta["steps"]
     reference = _per_unitary_reference(
-        psi, samples, golden, kwargs["fluct"], None, EXACT_SHOTS, None, 4,
+        psi, labels, golden, kwargs["fluct"], None, EXACT_SHOTS, None, 4,
         tight.meta["steps"],
     )
     _assert_same_table(tight, reference)
@@ -649,7 +669,8 @@ def test_probe_alternates_the_largest_and_smallest_light_shift(golden, monkeypat
     monkeypatch.setattr(protocol, "_pulsed_parts", spy)
     _certify_grid(random_state(5, np.random.default_rng(35)), golden, _drive_operators(5, None), 1e-4)
     assert np.argmax(np.abs(golden.delta_amps)) == 2 and np.argmin(np.abs(golden.delta_amps)) == 0
-    assert seen == [[(golden, (3, 1, 3, 1, 3))]]
+    [[(schedule, probe)]] = seen
+    assert schedule is golden and probe.tolist() == [3, 1, 3, 1, 3]
 
 
 @pytest.fixture(scope="module")
@@ -661,8 +682,8 @@ def random_columns_l6(golden):
 
     h, psi = _dimer_state(6)
     fluct = FluctuationModel(3.0)
-    samples = sample_unitaries(6, 50, np.random.default_rng(40))
-    columns = [(perturb(golden, fluct, _stream(41, s.realization)), s.labels) for s in samples]
+    labels = sample_unitaries(6, 50, np.random.default_rng(40))
+    columns = [(perturb(golden, fluct, _stream(41, k)), row) for k, row in enumerate(labels)]
     return psi, h, {n: _evolve_columns(psi, h, golden, columns, n) for n in (300, 600, 1200)}
 
 
@@ -679,7 +700,7 @@ def test_probe_is_as_hard_as_random_columns(golden, random_columns_l6):
     assert _covers(probe, columns)
     # a uniform label pattern is far easier than a random column
     for label in (1, 2, 3):
-        pattern = [(golden, (label,) * 6)]
+        pattern = [(golden, np.full(6, label))]
         uniform = np.linalg.norm(np.subtract(*(_evolve_columns(psi, h, golden, pattern, n) for n in (300, 600))))
         assert not _covers(uniform, columns)
 
@@ -703,8 +724,8 @@ def test_pulsed_blocks_split_without_changing_records(golden, monkeypatch):
 
     rng = np.random.default_rng(17)
     psi = random_state(3, rng)
-    samples = sample_unitaries(3, 7, rng)
-    for scope, picked in (("per_unitary", samples), ("per_shot", samples[:2])):
+    labels = sample_unitaries(3, 7, rng)
+    for scope, picked in (("per_unitary", labels), ("per_shot", labels[:2])):
         kwargs = dict(
             fluct=FluctuationModel(3.0, scope), n_meas=EXACT_SHOTS, seed=8, tol=1e-4
         )
@@ -892,21 +913,29 @@ def test_load_record_rejects_malformed_counts(tmp_path, counts, match):
         ("entry", "seed", True, "seed True is not a non-negative"),
         ("entry", "seed", 2**64, "seed 18446744073709551616 is not a non-negative"),
         ("entry", "seed", None, "seed on some entries only"),
+        ("header", None, [1], "not a measurement record"),
+        ("header", "version", True, "unsupported record version True"),
+        ("header", "n_meas", True, "n_meas must be a positive integer"),
+        ("header", "meta", [["seed", 1]], "meta .* not a JSON object"),
+        ("header", "meta", 5, "meta 5 is not a JSON object"),
     ],
     ids=[
         "no_n_meas", "no_num_sites", "no_mode", "no_labels", "list_num_sites", "fractional_num_sites",
         "fractional_label", "boolean_label", "string_label", "long_labels", "scalar_labels",
         "label_out_of_range", "huge_label", "string_seed", "negative_seed", "fractional_seed",
-        "boolean_seed", "huge_seed", "seed_on_one_entry",
+        "boolean_seed", "huge_seed", "seed_on_one_entry", "header_not_object", "boolean_version",
+        "boolean_n_meas", "list_meta", "number_meta",
     ],
 )
 def test_load_record_rejects_missing_or_malformed_fields(tmp_path, part, key, value, match):
-    # a value of None removes the field
+    # a value of None removes the field, a key of None replaces the line
     path = tmp_path / "rec.ndjson"
     save_record(_toy_record(), path)
     docs = [json.loads(line) for line in path.read_text().splitlines()]
     doc = docs[0] if part == "header" else docs[1]
-    if value is None:
+    if key is None:
+        docs[0 if part == "header" else 1] = value
+    elif value is None:
         del doc[key]
     else:
         doc[key] = value

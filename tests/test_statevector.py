@@ -171,10 +171,17 @@ def test_site_matrix_stack_matches_one_matrix_per_column():
     block = rng.normal(size=(2**L, K)) + 1j * rng.normal(size=(2**L, K))
     stacks = [rng.normal(size=(K, 2, 2)) + 1j * rng.normal(size=(K, 2, 2)) for _ in range(L)]
     stacks[2] = None
+    before = block.copy()
     got = apply_site_matrices(block, stacks)
     for k in range(K):
         own = [None if m is None else m[k] for m in stacks]
         assert np.max(np.abs(got[:, k] - apply_site_matrices(block[:, k], own))) < 1e-12
+    # the stacked sites update a copy in place: the caller's block is kept,
+    # and a real block is widened to the stack's dtype first
+    assert np.array_equal(block, before)
+    real = np.ascontiguousarray(block.real)
+    assert np.array_equal(apply_site_matrices(real, stacks), apply_site_matrices(real.astype(complex), stacks))
+    assert np.array_equal(real, before.real)
 
 
 def test_evolve_static_vs_expm():
