@@ -31,10 +31,14 @@ holds, per rotation label of the golden schedule, the best of five
 (random) gain rows, in milliseconds. ``estimator_record_ms`` holds the
 best of five calls of ``purity_estimate`` (sites 1 to L/2),
 ``observable_expectation`` (H) and ``hamiltonian_variance`` (with H^2
-built once, as a run does), in milliseconds, on each of two records of
-the dimerized chain's ground state built in-process through
-``run_ideal``: a sampled one at L = 8 (N_U = 100, N_meas = 400) and an
-exact one at L = 10 (N_U = 100). ``run_ideal_record_ms`` holds the best
+built once, as a run does), and of ``whole_record``: the purities of
+sites 1 to L/2 and L/2 + 1 to L, the energy and the variance, as a run
+takes them. Each call, in milliseconds, gets a fresh copy of the record
+made outside the timing, so it includes the record's one Walsh
+transform. The records are two of the dimerized chain's ground state
+built in-process through ``run_ideal``: a sampled one at L = 8
+(N_U = 100, N_meas = 400) and an exact one at L = 10 (N_U = 100).
+``run_ideal_record_ms`` holds the best
 of five of the ``run_ideal`` calls that build those two records, in
 milliseconds, per record. ``square_observable_ms`` holds the best
 of five ``pauli.square_observable`` calls on the dimerized chain's
@@ -108,12 +112,14 @@ def run_tier1() -> dict:
             "returncode": proc.returncode, "counts": counts, "wall_s": wall_s, "slowest": slowest}
 
 
-def best_ms(call, repeats: int = 5) -> float:
-    """Best of ``repeats`` wall times of ``call()``, in milliseconds."""
+def best_ms(call, repeats: int = 5, make=None) -> float:
+    """Best of ``repeats`` wall times of ``call()``, or of ``call(make())``
+    with each ``make()`` run outside the timing, in milliseconds."""
     best = math.inf
     for _ in range(repeats):
+        args = () if make is None else (make(),)
         start = time.perf_counter()
-        call()
+        call(*args)
         best = min(best, time.perf_counter() - start)
     return 1e3 * best
 
@@ -142,9 +148,11 @@ def propagator_layer(repeats: int = 5) -> dict:
 
 def record_layers(repeats: int = 5) -> tuple[dict, dict]:
     """Best-of-``repeats`` milliseconds per ``run_ideal`` call that builds a
-    sampled L = 8 and an exact L = 10 record, and per estimator call on
-    each record."""
+    sampled L = 8 and an exact L = 10 record, and per estimator call, or
+    per whole record's estimates, on a fresh copy of each record."""
     sys.path.insert(0, str(ROOT / "src"))
+    from dataclasses import replace
+
     import numpy as np
 
     from rmlab.estimators import hamiltonian_variance, observable_expectation, purity_estimate
@@ -162,12 +170,26 @@ def record_layers(repeats: int = 5) -> tuple[dict, dict]:
         samples = sample_unitaries(L, 100, np.random.default_rng(0))
         runs[name] = best_ms(lambda: run_ideal(psi, samples, n_meas, seed=0), repeats)
         record = run_ideal(psi, samples, n_meas, seed=0)
+        halves = (range(1, L // 2 + 1), range(L // 2 + 1, L + 1))
+
+        def whole_record(rec):
+            for sites in halves:
+                purity_estimate(rec, sites)
+            observable_expectation(rec, h)
+            hamiltonian_variance(rec, h, h2)
+
         calls = {
-            "purity": lambda: purity_estimate(record, range(1, L // 2 + 1)),
-            "energy": lambda: observable_expectation(record, h),
-            "variance": lambda: hamiltonian_variance(record, h, h2),
+            "purity": lambda rec: purity_estimate(rec, halves[0]),
+            "energy": lambda rec: observable_expectation(rec, h),
+            "variance": lambda rec: hamiltonian_variance(rec, h, h2),
+            "whole_record": whole_record,
         }
-        estimators[name] = {estimator: best_ms(call, repeats) for estimator, call in calls.items()}
+        # a record keeps the Walsh table its first estimate builds, so each
+        # call gets a fresh copy of the record, made outside the timing
+        estimators[name] = {
+            estimator: best_ms(call, repeats, make=lambda: replace(record))
+            for estimator, call in calls.items()
+        }
     return runs, estimators
 
 

@@ -4,22 +4,28 @@ Every estimator reads a record the same way: row u of its (N_U, 2^L)
 outcome table, divided by the record's ``norm`` (n_meas for sampled
 counts, 1 for exact probabilities), is unitary u's empirical or exact
 outcome distribution P̃_U, and row u of its (N_U, L) label array is the
-rotation pattern U.
+rotation pattern U. Every estimate reads rows of one table per record,
+its signed Walsh transform (``MeasurementRecord._parities``, built once):
+row S, column u holds ``norm`` times W_U(S) = Σ_s Π_{m in S} (2 s_m - 1)
+P̃_U(s), the sum of Z parities over the sites of support mask S. With
+integer counts every Walsh sum is exact.
 
-Purity. With outcome distribution P̃_U on an ℓ-site subsystem, each
+Purity. With outcome distribution P̃_U on an ℓ-site subsystem A, each
 unitary contributes
 
     X_U = 2^ℓ Σ_{s,s'} (-2)^{-D[s,s']} P̃_U(s) P̃_U(s'),
 
 where D is the Hamming distance. The kernel factorizes per site into
-[[2, -1], [-1, 2]], so X_U is a quadratic form evaluated with one
-O(ℓ 2^ℓ) transform instead of a 4^ℓ double sum. Averaging X_U over
-unitaries gives x; for empirical distributions from N shots the
-unbiased value is x N/(N-1) - 2^ℓ/(N-1). That closed form equals the
-U-statistic over distinct shot pairs exactly: the diagonal of the
-double sum contributes k(s, s) = 2^ℓ per shot, and removing it is
-algebra, not approximation; the tests confirm the identity with a
-U-statistic that walks the pairs directly.
+[[2, -1], [-1, 2]], with eigenvalue 1 on (1, 1) and 3 on (1, -1), so
+X_U = 2^-ℓ Σ_{S ⊆ A} 3^|S| W_U(S)², the Pauli-basis form (Elben et al.,
+Nat. Rev. Phys. 5, 9 (2023), arXiv:2203.11374): 2^ℓ rows of the table,
+summed in non-negative terms. Averaging X_U over unitaries gives x; for
+empirical distributions from N shots the unbiased value is
+x N/(N-1) - 2^ℓ/(N-1). That closed form equals the U-statistic over
+distinct shot pairs exactly: the diagonal of the double sum contributes
+k(s, s) = 2^ℓ per shot, and removing it is algebra, not approximation;
+the tests confirm the identity with a U-statistic that walks the pairs
+directly.
 
 Pauli expectations. Rotating the state by U and reading z is the same
 as measuring U P U†, so each recorded pattern estimates Tr[P ρ] whenever
@@ -31,16 +37,10 @@ classical-shadow estimator, linear in the outcome probabilities. Records
 store nominal labels, so miscalibrated rotations shift these estimates
 exactly as they would in the lab.
 
-A whole record is estimated at once. Its outcome table is read as
-transposed (2^L, width) slices, one column per unitary, each of at most
-``protocol._BLOCK_AMPLITUDES`` weights. One signed Walsh transform,
-[[1, 1], [-1, 1]] on every site through ``apply_site_matrices``, turns a
-chunk into every support mask's per-unitary sum of Z parities
-Σ_s Π_{m in mask} (2 s_m - 1) P̃_U(s): a string's shadow sums are the row
-at its support mask. The label rule, applied to the record's label array
-for every string at once, gives a (strings, N_U) hit matrix that selects
-and weights them. With integer counts every Walsh sum is exact, so sampled
-records give the same bits as a per-string dot product.
+A string's per-unitary shadow sums are the table's row at its support
+mask. The label rule, applied to the record's label array for every
+string at once, gives a (strings, N_U) hit matrix that selects and
+weights them; sampled records give the same bits as a per-string dot.
 
 All reductions over unitaries use compensated summation (``math.fsum``
 over each string's, or each purity's, per-unitary contributions), making
@@ -59,8 +59,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .pauli import _DIAGONALIZING_LABEL, LABELS, PauliStringSum, _letter_codes, square_observable
-from .protocol import _BLOCK_AMPLITUDES, EXACT_SHOTS, MeasurementRecord
-from .statevector import _check_sites, apply_site_matrices
+from .protocol import EXACT_SHOTS, MeasurementRecord
+from .statevector import _check_sites, index_to_bits
 
 __all__ = [
     "EstimatorResult",
@@ -91,28 +91,6 @@ class EstimatorResult:
 # Purity
 # ---------------------------------------------------------------------------
 
-_KERNEL = np.array([[2.0, -1.0], [-1.0, 2.0]])
-
-
-def _outcome_chunks(record: MeasurementRecord):
-    """The record's outcome table as transposed ``(2^L, width)`` views, one
-    column per unitary, each of at most ``_BLOCK_AMPLITUDES`` weights."""
-    width = max(1, _BLOCK_AMPLITUDES >> record.num_sites)
-    for start in range(0, record.n_unitaries, width):
-        yield record.outcomes[start : start + width].T
-
-
-def _marginal_distribution(
-    outcomes: np.ndarray, norm: float, num_sites: int, sites: tuple[int, ...]
-) -> np.ndarray:
-    """Subsystem outcome distribution of a ``(2^L,)`` outcome array, or of
-    each column of a ``(2^L, K)`` block: the outcomes summed over the other
-    sites, then divided by ``norm``."""
-    columns = outcomes.shape[1:]
-    shaped = outcomes.reshape((2,) * num_sites + columns)
-    drop = tuple(ax for ax in range(num_sites) if (ax + 1) not in sites)
-    return shaped.sum(axis=drop).reshape((-1,) + columns) / norm
-
 
 def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> EstimatorResult:
     """Second Renyi purity of the subsystem from one experiment.
@@ -123,16 +101,13 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
     """
     if record.n_unitaries == 0:
         raise ValueError("record has no entries")
-    sub = tuple(sorted(_check_sites(sites, record.num_sites)))
+    sub = sorted(_check_sites(sites, record.num_sites))
     ell = len(sub)
-    x_values: list[float] = []
-    for chunk in _outcome_chunks(record):
-        # a C-ordered copy, so the marginal's sums keep one order
-        p = _marginal_distribution(np.ascontiguousarray(chunk), record.norm, record.num_sites, sub)
-        kp = apply_site_matrices(p, [_KERNEL] * ell)
-        # one BLAS dot per contiguous row, as p @ Kp on a single entry
-        rows, krows = np.ascontiguousarray(p.T), np.ascontiguousarray(kp.T)
-        x_values += (rows[:, None, :] @ krows[:, :, None]).ravel().tolist()
+    # every subset S of the subsystem as a support mask, and its weight 3^|S|
+    subsets = index_to_bits(np.arange(2**ell), ell)
+    masks = subsets @ (1 << (record.num_sites - np.array(sub)))
+    squares = np.square(record._parities[masks])
+    x_values = ((3.0 ** subsets.sum(axis=1) @ squares) / (2.0**ell * record.norm**2)).tolist()
     x = math.fsum(x_values) / len(x_values)
     if record.n_meas == EXACT_SHOTS:
         value = x
@@ -147,9 +122,6 @@ def purity_estimate(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
 # ---------------------------------------------------------------------------
 # Pauli and observable expectations
 # ---------------------------------------------------------------------------
-
-_WALSH = np.array([[1.0, 1.0], [-1.0, 1.0]])
-
 
 def _shadow_terms(words: Sequence[str], labels: np.ndarray) -> tuple[np.ndarray, ...]:
     """The shadow rule for each word against an ``(N_U, L)`` label array.
@@ -181,10 +153,8 @@ def observable_expectation(record: MeasurementRecord, obs: PauliStringSum) -> fl
         raise ValueError(f"invalid rotation label; expected one of {LABELS}")
     terms = obs.items()
     hits, masks, factors = _shadow_terms([w for w, _ in terms], record.labels)
-    walsh = [_WALSH] * record.num_sites
-    # row m of a chunk's transform: each entry's sum of Z parities over mask m
-    parity = [apply_site_matrices(c, walsh)[masks] for c in _outcome_chunks(record)]
-    parity = np.concatenate(parity, axis=1)
+    # row m: each unitary's sum of Z parities over mask m
+    parity = record._parities[masks]
     # each string's nonzero per-unitary contributions, string after string
     flat = (factors[:, None] * (parity / record.norm))[hits].tolist()
     bounds = np.concatenate(([0], np.cumsum(hits.sum(axis=1)))).tolist()

@@ -55,6 +55,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -111,8 +112,11 @@ _RECORD_VERSION = 2
 _PROBS_KEY = {1: "probs", 2: "probs_f64le"}
 
 # amplitudes per block that run_ideal rotates or run_pulsed evolves at
-# once (16 MB of complex)
+# once (16 MB of complex), and weights per chunk of a record's Walsh table
 _BLOCK_AMPLITUDES = 2**20
+
+# the signed Walsh matrix, applied on every site by MeasurementRecord._parities
+_WALSH = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,10 @@ class MeasurementRecord:
     None, and every row of outcomes holds 2^L finite weights summing to
     ``norm``: n_meas non-negative whole shots in a sampled record, one
     (within 1e-10) in an exact one.
+
+    Estimates read its Walsh table, built on first use and kept (2^L N_U 8
+    bytes), so a record's arrays are not modified in place after
+    construction: ``replace`` or ``subset`` makes a new record.
     """
 
     num_sites: int
@@ -162,9 +170,7 @@ class MeasurementRecord:
         exact = _check_n_meas(self.n_meas)
         if not exact:
             object.__setattr__(self, "n_meas", int(self.n_meas))
-        labels = _check_labels(self.labels).astype(np.int8)
-        if labels.ndim != 2 or labels.shape[1] != self.num_sites:
-            raise ValueError("entry label length differs from num_sites")
+        labels = _check_labels(self.labels, self.num_sites).astype(np.int8)
         w = np.ascontiguousarray(self.outcomes, dtype=np.float64)
         if w.shape != (len(labels), 2**self.num_sites):
             raise ValueError("outcomes must hold 2^num_sites weights per label row")
@@ -183,6 +189,23 @@ class MeasurementRecord:
             if seeds.shape != (len(labels),):
                 raise ValueError("seeds must hold one seed per label row")
             object.__setattr__(self, "seeds", seeds)
+
+    @cached_property
+    def _parities(self) -> np.ndarray:
+        """The read-only (2^L, N_U) Walsh table: row m, column u is row u of
+        outcomes summed with the sign of its Z parity over mask m, made in
+        column chunks of at most _BLOCK_AMPLITUDES weights."""
+        width = max(1, _BLOCK_AMPLITUDES >> self.num_sites)
+        walsh = [_WALSH] * self.num_sites
+        table = np.empty((2**self.num_sites, self.n_unitaries))
+        for start in range(0, self.n_unitaries, width):
+            chunk = self.outcomes[start : start + width].T
+            table[:, start : start + width] = apply_site_matrices(chunk, walsh)
+        table.flags.writeable = False
+        return table
+
+    def __getstate__(self) -> dict:  # a pickle leaves the Walsh table behind
+        return {k: v for k, v in self.__dict__.items() if k != "_parities"}
 
     @property
     def n_unitaries(self) -> int:
@@ -285,10 +308,15 @@ def _check_n_meas(n_meas: int | float) -> bool:
     return False
 
 
-def _check_labels(labels: np.ndarray) -> np.ndarray:
-    """``labels`` as an array under the package's one label rule: a value
+def _check_labels(labels: np.ndarray, num_sites: int) -> np.ndarray:
+    """``labels`` under the package's one label rule: a table that is not
+    (N_U, num_sites) (an empty one reads as (0, num_sites)) or a value
     outside LABELS raises ValueError. Both runs and the record call it."""
     labels = np.asarray(labels)
+    if not labels.size:
+        labels = labels.reshape(0, num_sites)
+    if labels.ndim != 2 or labels.shape[1] != num_sites:
+        raise ValueError(f"label length differs from num_sites: {labels.shape} is not (N_U, {num_sites})")
     if not np.isin(labels, LABELS).all():
         raise ValueError(f"labels must be integers in {LABELS}")
     return labels
@@ -311,10 +339,10 @@ def run_ideal(
 
     n_meas = EXACT_SHOTS records the full outcome distribution per
     sample (optionally pushed through the readout channel); otherwise
-    n_meas shots are drawn from the (seed, k) stream of row k. A label
-    outside LABELS raises ValueError before any rotation.
+    n_meas shots are drawn from the (seed, k) stream of row k. A malformed
+    table (``_check_labels``) raises ValueError before any rotation.
     """
-    labels = _check_labels(labels)
+    labels = _check_labels(labels, psi.num_sites)
     width = max(1, _BLOCK_AMPLITUDES >> psi.num_sites)
     probs = np.empty((len(labels), 2**psi.num_sites))
     for start in range(0, len(labels), width):
@@ -449,8 +477,8 @@ def run_pulsed(
 ) -> MeasurementRecord:
     """Integrate the pulse Hamiltonian per row of the (N_U, L) label table,
     interactions included, on ``steps`` CFM4 steps (``_certify_grid`` gives
-    the run's count), with the run's ``_drive_operators``. A label outside
-    LABELS raises ValueError before any evolution.
+    the run's count), with the run's ``_drive_operators``. A malformed
+    table (``_check_labels``) raises ValueError before any gain is drawn.
 
     Sample k's outcome distribution is the weighted sum of its columns'
     probabilities (block layout and (seed, k) streams per scope: see the
@@ -467,7 +495,7 @@ def run_pulsed(
     _check_n_meas(n_meas)
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError("steps must be a positive integer")
-    labels = _check_labels(labels)
+    labels = _check_labels(labels, psi.num_sites)
 
     num_sites = psi.num_sites
     rngs = [_stream(seed, k) for k in range(len(labels))]

@@ -2,8 +2,9 @@
 
 Each is a second route to a number the package computes another way: a
 Haar-random input state, the state overlap, the square-pulse analytical
-schedule, the exact 3-design over labels, the pairwise purity U-statistic
-and the letter-table product of Pauli sums. Tests import them from here.
+schedule, the exact 3-design over labels, the pairwise purity U-statistic,
+the per-entry marginal-and-kernel purity and the letter-table product of
+Pauli sums. Tests import them from here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from rmlab.estimators import EstimatorResult
 from rmlab.pauli import LABELS, TWO_PI, PauliString, PauliStringSum
 from rmlab.protocol import EXACT_SHOTS, MeasurementRecord
 from rmlab.pulses import PulseSchedule, Waveform
-from rmlab.statevector import StateVector, _check_sites, index_to_bits
+from rmlab.statevector import StateVector, _check_sites, apply_site_matrices, index_to_bits
 
 
 def random_state(num_sites: int, rng: np.random.Generator) -> StateVector:
@@ -106,6 +107,33 @@ def purity_pairwise(record: MeasurementRecord, sites: Sequence[int]) -> Estimato
         per_unitary.append((gross - diagonal) / (n * (n - 1)))
     value = math.fsum(per_unitary) / len(per_unitary)
     return EstimatorResult(value=value)
+
+
+def marginal_distribution(
+    outcomes: np.ndarray, norm: float, num_sites: int, sites: Sequence[int]
+) -> np.ndarray:
+    """Subsystem outcome distribution of a ``(2^L,)`` outcome array: the
+    outcomes summed over the other sites, then divided by ``norm``."""
+    shaped = outcomes.reshape((2,) * num_sites)
+    drop = tuple(ax for ax in range(num_sites) if (ax + 1) not in sites)
+    return shaped.sum(axis=drop).reshape(-1) / norm
+
+
+def purity_per_entry(record: MeasurementRecord, sites: Sequence[int]) -> float:
+    """The purity estimate one entry at a time, each X_U = p . K p with the
+    per-site kernel [[2, -1], [-1, 2]] on the entry's marginal p: the tests'
+    reference for the estimator's Walsh-square form."""
+    sub = tuple(sorted(_check_sites(sites, record.num_sites)))
+    kernel = [np.array([[2.0, -1.0], [-1.0, 2.0]])] * len(sub)
+    x_values = []
+    for row in record.outcomes:
+        p = marginal_distribution(row, record.norm, record.num_sites, sub)
+        x_values.append(float(p @ apply_site_matrices(p, kernel)))
+    x = math.fsum(x_values) / len(x_values)
+    if record.n_meas == EXACT_SHOTS:
+        return x
+    n = record.n_meas
+    return x * n / (n - 1) - (2 ** len(sub)) / (n - 1)
 
 
 # Single-site products sigma_a sigma_b = i^_MUL_PHASE[a][b] sigma_c with

@@ -1,6 +1,8 @@
 """Estimator exactness, bias correction, and the results table."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,13 @@ from rmlab.statevector import (
     product_state,
 )
 
-from oracles import all_label_settings, purity_pairwise, random_state
+from oracles import (
+    all_label_settings,
+    marginal_distribution,
+    purity_pairwise,
+    purity_per_entry,
+    random_state,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -120,8 +128,11 @@ def test_bell_pair_single_site_purity():
 
 
 def test_kernel_factorization_matches_double_sum():
-    # the per-site factor of 2^l (-2)^(-D), applied through the site kernel
+    # the per-site factor of 2^l (-2)^(-D), applied through the site kernel,
+    # and the same quadratic form in the kernel's eigenbasis: the squared
+    # signed Walsh sums W(S) weighted by 3^|S| / 2^l
     kernel = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    walsh = np.array([[1.0, 1.0], [-1.0, 1.0]])
     rng = np.random.default_rng(11)
     for ell in (1, 2, 3, 4):
         for _ in range(5):
@@ -133,6 +144,9 @@ def test_kernel_factorization_matches_double_sum():
                     d = bin(s ^ t).count("1")
                     direct += (2.0**ell) * (-2.0) ** (-d) * p[s] * p[t]
             assert abs(p @ apply_site_matrices(p, [kernel] * ell) - direct) < 1e-12
+            w = apply_site_matrices(p, [walsh] * ell)
+            weights = 3.0 ** np.array([bin(S).count("1") for S in range(2**ell)])
+            assert abs(weights @ w**2 / 2**ell - direct) < 1e-12
 
 
 def test_correction_arithmetic_fixed_point():
@@ -158,8 +172,6 @@ def test_pairwise_route_is_identical():
 def test_marginal_matches_per_index_loop():
     # a loop over basis indices and their site bits; integer counts make the
     # two routes exactly equal
-    from rmlab.estimators import _marginal_distribution
-
     rng = np.random.default_rng(21)
     psi = random_state(5, rng)
     readout = ReadoutErrorModel(0.01, 0.03)
@@ -174,67 +186,116 @@ def test_marginal_matches_per_index_loop():
                     idx = (idx << 1) | int(bits[m - 1])
                 acc[idx] += c
             want = acc / 50
-            assert np.array_equal(_marginal_distribution(row, rec.norm, 5, sites), want)
+            assert np.array_equal(marginal_distribution(row, rec.norm, 5, sites), want)
 
 
-def _purity_per_entry(record: MeasurementRecord, sites) -> float:
-    """The purity estimate one entry at a time: the loop the batched
-    estimator replaced."""
-    from rmlab.estimators import _marginal_distribution
-
-    kernel = [np.array([[2.0, -1.0], [-1.0, 2.0]])] * len(sites)
-    x_values = []
+def _purity_fraction(record: MeasurementRecord, sites) -> Fraction:
+    """A sampled record's purity estimate in exact rational arithmetic: the
+    double sum 2^l (-2)^(-D) = (-1)^D 2^(l-D), an integer kernel, over each
+    entry's integer marginal counts, then the shot-noise correction."""
+    ell, n = len(sites), record.n_meas
+    d = np.array([[bin(s ^ t).count("1") for t in range(2**ell)] for s in range(2**ell)])
+    kern = (-1) ** d * 2 ** (ell - d)
+    total = Fraction(0)
     for row in record.outcomes:
-        p = _marginal_distribution(row, record.norm, record.num_sites, sites)
-        x_values.append(float(p @ apply_site_matrices(p, kernel)))
-    x = math.fsum(x_values) / len(x_values)
-    if record.n_meas == EXACT_SHOTS:
-        return x
-    n = record.n_meas
-    return x * n / (n - 1) - (2 ** len(sites)) / (n - 1)
+        c = marginal_distribution(row, 1.0, record.num_sites, sites).astype(np.int64)
+        total += Fraction(int(c @ kern @ c), n * n)
+    x = total / record.n_unitaries
+    return x * Fraction(n, n - 1) - Fraction(2**ell, n - 1)
 
 
 @pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 400])
 def test_batched_purity_matches_per_entry_loop(n_meas):
-    # sampled marginals are whole counts over n_meas and each X_U is the
-    # same BLAS dot, so the two routes agree bit for bit (a dot summed in
-    # another order, as einsum over the block, moves sites (2, 4, 5) here by
-    # one bit); exact marginals may sum their probabilities in another order
+    # exact records against the per-entry marginal-and-kernel loop; sampled
+    # ones against the double sum in exact rationals, which neither float
+    # route matches bit for bit (both were seen up to 3e-16 relative off)
     rng = np.random.default_rng(31)
     psi = random_state(7, rng)
     readout = ReadoutErrorModel(0.01, 0.03)
     rec = run_ideal(psi, sample_unitaries(7, 30, rng), n_meas, readout=readout, seed=9)
     for sites in ((1,), (2, 4, 5), (1, 2, 3, 4, 5, 6, 7), (3, 7)):
-        got, want = purity_estimate(rec, sites).value, _purity_per_entry(rec, sites)
+        got = purity_estimate(rec, sites).value
         if n_meas == EXACT_SHOTS:
+            want = purity_per_entry(rec, sites)
             assert abs(got - want) <= 1e-13 * abs(want)
         else:
-            assert got == want
+            want = _purity_fraction(rec, sites)
+            assert abs(Fraction(got) - want) <= Fraction(1e-15) * abs(want)
 
 
 @pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 200])
 def test_record_split_into_chunks_gives_the_same_estimates(monkeypatch, n_meas):
-    # three entries a chunk, the last chunk short: every per-entry value is
-    # computed column by column and reduced with fsum, so the split cannot
-    # show
-    from rmlab import estimators
+    # three entries a chunk, the last chunk short: the record rebuilt after
+    # the patch makes its own transform column by column, and every estimate
+    # reduces per-entry values with fsum, so the split cannot show
+    from rmlab import protocol
 
     L = 6
     rng = np.random.default_rng(33)
     rec = run_ideal(random_state(L, rng), sample_unitaries(L, 20, rng), n_meas, seed=4)
     h = build_ssh(L, 0.484 * TWO_PI, -0.18 * TWO_PI, 0.04 * TWO_PI, mu_edge=0.1)
 
-    def estimates():
+    def estimates(record):
         return (
-            observable_expectation(rec, h),
-            hamiltonian_variance(rec, h).value,
-            purity_estimate(rec, (1, 2, 3)).value,
+            observable_expectation(record, h),
+            hamiltonian_variance(record, h).value,
+            purity_estimate(record, (1, 2, 3)).value,
         )
 
-    whole = estimates()
-    monkeypatch.setattr(estimators, "_BLOCK_AMPLITUDES", 3 * 2**L)
-    assert [c.shape[1] for c in estimators._outcome_chunks(rec)] == [3] * 6 + [2]
-    assert estimates() == whole
+    whole = estimates(rec)
+    widths = []
+
+    def spy(block, matrices):
+        widths.append(block.shape[1])
+        return apply_site_matrices(block, matrices)
+
+    monkeypatch.setattr(protocol, "_BLOCK_AMPLITUDES", 3 * 2**L)
+    monkeypatch.setattr(protocol, "apply_site_matrices", spy)
+    assert estimates(replace(rec)) == whole
+    assert widths == [3] * 6 + [2]
+
+
+@pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 200])
+def test_one_walsh_transform_serves_every_estimate(monkeypatch, n_meas):
+    # two purities, the energy and the variance of one record make one
+    # signed Walsh transform per chunk of the record, and no other
+    # per-site pass
+    from rmlab import estimators, protocol
+
+    L = 6
+    rng = np.random.default_rng(35)
+    rec = run_ideal(random_state(L, rng), sample_unitaries(L, 20, rng), n_meas, seed=6)
+    h = build_ssh(L, 0.484 * TWO_PI, -0.18 * TWO_PI, 0.04 * TWO_PI, mu_edge=0.1)
+    shapes = []
+
+    def spy(block, matrices):
+        shapes.append(block.shape)
+        return apply_site_matrices(block, matrices)
+
+    for module in (protocol, estimators):
+        if hasattr(module, "apply_site_matrices"):
+            monkeypatch.setattr(module, "apply_site_matrices", spy)
+    monkeypatch.setattr(protocol, "_BLOCK_AMPLITUDES", 8 * 2**L)
+    purity_estimate(rec, (1, 2, 3))
+    purity_estimate(rec, (2, 5))
+    observable_expectation(rec, h)
+    hamiltonian_variance(rec, h)
+    assert shapes == [(2**L, 8), (2**L, 8), (2**L, 4)]
+
+
+def test_pickled_record_leaves_its_walsh_table_behind():
+    # a record sent to or from a worker process carries its arrays, not the
+    # table its first estimate built; the copy builds the same table
+    import pickle
+
+    rng = np.random.default_rng(37)
+    rec = run_ideal(random_state(5, rng), sample_unitaries(5, 8, rng), 100, seed=2)
+    before = pickle.dumps(rec)
+    value = purity_estimate(rec, (1, 2)).value
+    assert pickle.dumps(rec) == before
+    copy = pickle.loads(before)
+    assert purity_estimate(copy, (1, 2)).value == value
+    assert np.array_equal(copy._parities, rec._parities)
 
 
 def test_correction_unbiased_under_multinomial_resampling():

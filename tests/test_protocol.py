@@ -73,6 +73,30 @@ def test_bad_labels_rejected(golden, monkeypatch):
         sample_unitaries(3, 0, np.random.default_rng(0))
 
 
+def test_label_table_of_the_wrong_width_rejected_by_both_runs(golden, monkeypatch):
+    # the one label rule checks the table's shape too: both runs raise the
+    # same error before any rotation, evolution or gain draw
+    import rmlab.protocol as protocol
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run went on with a malformed label table")
+
+    for name in ("apply_local_unitaries", "evolve_blend", "perturb"):
+        monkeypatch.setattr(protocol, name, forbidden)
+    psi = random_state(2, np.random.default_rng(0))
+    drive = _drive_operators(2, None)
+    for labels in (np.array([[1, 2, 3]]), np.array([[1]])):
+        match = rf"label length differs from num_sites: \(1, {labels.shape[1]}\) is not \(N_U, 2\)"
+        for n_meas in (EXACT_SHOTS, 10):
+            with pytest.raises(ValueError, match=match):
+                run_ideal(psi, labels, n_meas)
+            for fluct in (FluctuationModel(3.0), FluctuationModel(3.0, scope="per_shot")):
+                with pytest.raises(ValueError, match=match):
+                    run_pulsed(psi, labels, golden, 300, drive, fluct=fluct, n_meas=n_meas)
+        with pytest.raises(ValueError, match=match):
+            MeasurementRecord(2, "ideal", EXACT_SHOTS, labels, [[1.0, 0.0, 0.0, 0.0]])
+
+
 # ---------------------------------------------------------------------------
 # Readout errors
 # ---------------------------------------------------------------------------
