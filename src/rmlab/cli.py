@@ -115,6 +115,8 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dic
         values["variance:model"] = hamiltonian_variance(
             record, scen.hamiltonian, h_squared=h_squared
         ).value
+    # the record is kept until written; its Walsh table is not needed again
+    vars(record).pop("_parities", None)
     return rep, values, record, _integrator_since(start)
 
 

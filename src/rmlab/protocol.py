@@ -152,8 +152,10 @@ class MeasurementRecord:
     (within 1e-10) in an exact one.
 
     Estimates read its Walsh table, built on first use and kept (2^L N_U 8
-    bytes), so a record's arrays are not modified in place after
-    construction: ``replace`` or ``subset`` makes a new record.
+    bytes) until ``vars(record).pop("_parities")`` drops it. outcomes is
+    the record's own read-only copy, so the table cannot go stale; a
+    record's arrays are not modified in place after construction:
+    ``replace`` or ``subset`` makes a new record.
     """
 
     num_sites: int
@@ -171,7 +173,8 @@ class MeasurementRecord:
         if not exact:
             object.__setattr__(self, "n_meas", int(self.n_meas))
         labels = _check_labels(self.labels, self.num_sites).astype(np.int8)
-        w = np.ascontiguousarray(self.outcomes, dtype=np.float64)
+        # a private read-only copy, so the Walsh table built from it stays valid
+        w = np.array(self.outcomes, dtype=np.float64, order="C")
         if w.shape != (len(labels), 2**self.num_sites):
             raise ValueError("outcomes must hold 2^num_sites weights per label row")
         if not np.isfinite(w).all():
@@ -183,6 +186,7 @@ class MeasurementRecord:
         if not exact and (w.sum(axis=1) != self.n_meas).any():
             raise ValueError("counts must sum to n_meas")
         object.__setattr__(self, "labels", labels)
+        w.flags.writeable = False
         object.__setattr__(self, "outcomes", w)
         if self.seeds is not None:
             seeds = np.asarray(self.seeds, dtype=np.int64)
@@ -203,9 +207,6 @@ class MeasurementRecord:
             table[:, start : start + width] = apply_site_matrices(chunk, walsh)
         table.flags.writeable = False
         return table
-
-    def __getstate__(self) -> dict:  # a pickle leaves the Walsh table behind
-        return {k: v for k, v in self.__dict__.items() if k != "_parities"}
 
     @property
     def n_unitaries(self) -> int:

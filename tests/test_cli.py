@@ -133,6 +133,22 @@ def test_run_squares_the_hamiltonian_once(tmp_path, monkeypatch, variance, build
     assert calls == {"square": builds, "in_prepare": 0}
 
 
+def test_run_drops_each_walsh_table_after_its_estimates(tmp_path, monkeypatch):
+    # records wait in memory until all are written; their tables need not
+    import rmlab.cli as cli
+
+    kept = []
+    save = cli.save_record
+
+    def spy(record, path):
+        kept.append("_parities" in vars(record))
+        return save(record, path)
+
+    monkeypatch.setattr(cli, "save_record", spy)
+    assert run_cli("run", _variance_config(tmp_path), "--out", tmp_path / "out") == 0
+    assert kept == [False, False]
+
+
 def test_variance_run_does_not_depend_on_thread_count(tmp_path):
     cfg = _variance_config(tmp_path, n_meas=200)
     a, b = tmp_path / "a", tmp_path / "b"

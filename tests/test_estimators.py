@@ -283,21 +283,6 @@ def test_one_walsh_transform_serves_every_estimate(monkeypatch, n_meas):
     assert shapes == [(2**L, 8), (2**L, 8), (2**L, 4)]
 
 
-def test_pickled_record_leaves_its_walsh_table_behind():
-    # a record sent to or from a worker process carries its arrays, not the
-    # table its first estimate built; the copy builds the same table
-    import pickle
-
-    rng = np.random.default_rng(37)
-    rec = run_ideal(random_state(5, rng), sample_unitaries(5, 8, rng), 100, seed=2)
-    before = pickle.dumps(rec)
-    value = purity_estimate(rec, (1, 2)).value
-    assert pickle.dumps(rec) == before
-    copy = pickle.loads(before)
-    assert purity_estimate(copy, (1, 2)).value == value
-    assert np.array_equal(copy._parities, rec._parities)
-
-
 def test_correction_unbiased_under_multinomial_resampling():
     # fixed exact distributions; 1e4 multinomial resamples at N = 50 per
     # unitary; the mean corrected estimate must sit within 5 standard

@@ -249,6 +249,16 @@ def test_record_holds_one_table():
     assert rec.seeds.tolist() == [4, 5] and rec.n_unitaries == 2
 
 
+def test_record_outcomes_are_a_read_only_copy():
+    # the Walsh table built from outcomes on first use cannot go stale
+    counts = np.array([[2.0, 0.0, 1.0, 0.0]])
+    rec = MeasurementRecord(2, "ideal", 3, [[1, 3]], counts)
+    with pytest.raises(ValueError, match="read-only"):
+        rec.outcomes[0, 0] = 3.0
+    counts[0, :2] = [0.0, 2.0]
+    assert rec.outcomes.tolist() == [[2.0, 0.0, 1.0, 0.0]]
+
+
 def test_subset_picks_entries():
     rec = _toy_record()
     sub = rec.subset([1])
@@ -791,7 +801,8 @@ def test_roundtrip_exact(tmp_path):
     back = load_record(path)
     assert back.n_meas == EXACT_SHOTS and back.n_unitaries == 100
     assert back.outcomes.dtype == np.float64
-    assert back.outcomes.flags.writeable and back.outcomes.flags.owndata
+    # the record's own copy (not a view of the decoded bytes), read-only
+    assert back.outcomes.flags.owndata and not back.outcomes.flags.writeable
     assert back.outcomes.tobytes() == rec.outcomes.tobytes()
     assert np.array_equal(back.labels, rec.labels)
     assert back.seeds is None and rec.seeds is None
@@ -833,7 +844,8 @@ def test_version_1_exact_record_loads_like_version_2(tmp_path):
     save_record(rec, v2)
     assert '"probs": [' in v1.read_text() and '"probs": [' not in v2.read_text()
     old, new = load_record(v1), load_record(v2)
-    assert old.outcomes.dtype == np.float64 and old.outcomes.flags.writeable
+    assert old.outcomes.dtype == np.float64 and old.outcomes.flags.owndata
+    assert not old.outcomes.flags.writeable
     assert old.outcomes.tobytes() == new.outcomes.tobytes()
     assert purity_estimate(old, [1, 2, 3]).value == purity_estimate(new, [1, 2, 3]).value
     assert hamiltonian_variance(old, h).value == hamiltonian_variance(new, h).value
