@@ -152,10 +152,9 @@ class MeasurementRecord:
     (within 1e-10) in an exact one.
 
     Estimates read its Walsh table, built on first use and kept (2^L N_U 8
-    bytes) until ``vars(record).pop("_parities")`` drops it. outcomes is
-    the record's own read-only copy, so the table cannot go stale; a
-    record's arrays are not modified in place after construction:
-    ``replace`` or ``subset`` makes a new record.
+    bytes) until ``vars(record).pop("_parities")`` drops it. A record's
+    arrays are not modified in place: outcomes is its own read-only copy,
+    so the table cannot go stale, and ``replace`` or ``subset`` makes a new record.
     """
 
     num_sites: int
@@ -173,7 +172,6 @@ class MeasurementRecord:
         if not exact:
             object.__setattr__(self, "n_meas", int(self.n_meas))
         labels = _check_labels(self.labels, self.num_sites).astype(np.int8)
-        # a private read-only copy, so the Walsh table built from it stays valid
         w = np.array(self.outcomes, dtype=np.float64, order="C")
         if w.shape != (len(labels), 2**self.num_sites):
             raise ValueError("outcomes must hold 2^num_sites weights per label row")
