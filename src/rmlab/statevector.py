@@ -38,7 +38,11 @@ its parts are column-valued (per-column coefficients or a (2^L, K) diagonal):
 the columns share the step grid. H is assembled once per exponential
 (``_BlendHamiltonian``), so a term of either series makes one sparse
 product per coefficient kind, on real arithmetic where a block meets a
-real matrix.
+real matrix. A series term allocates no block: each run of steps owns six
+blocks of the state's shape (``_SeriesBuffers``: two sums, three terms
+and a work block for the sparse products, which call scipy's CSR kernel
+into it) and its series reuse them. No series writes into its input, so
+the state handed to a run is never changed.
 
 This module owns the bit convention for the whole package:
 ``index_to_bits`` / ``bits_to_index`` are the only conversions between
@@ -61,6 +65,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
+# the CSR kernels scipy's own ``@`` calls; tests pin them to ``@`` byte for byte
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import eigsh
 
 from .pauli import LABELS, ROTATION_MATRICES, PauliString, PauliStringSum
@@ -368,13 +374,46 @@ def _union_csr(entries: Sequence[tuple[np.ndarray, np.ndarray]], n: int, block: 
     return sparse.csr_matrix((data[0], cols, indptr), shape=(n, n)), data
 
 
-def _sparse_product(m: sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
-    """m @ v for complex v; a real m acts on v's real and imaginary parts
-    as twice as many real columns."""
-    if m.dtype.kind == "c":
-        return m @ v
-    w = np.ascontiguousarray(v).reshape(len(v), -1).view(float)
-    return (m @ w).view(complex).reshape(v.shape)
+def _csr_product(m: sparse.csr_matrix, out: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The function v -> m @ v, written into ``out`` and returned, for a
+    complex vector or (2^L, K) block v of ``out``'s shape, byte for byte
+    as scipy's ``@`` computes it.
+
+    Each call zero-fills ``out`` and hands it to the kernel that ``@``
+    calls: ``csr_matvec`` for one column, ``csr_matvecs`` for several. A
+    real m acts on v's real and imaginary parts as twice as many real
+    columns. The kernel and its arguments are bound here, once. Raises
+    ValueError unless ``out`` is complex and C-contiguous (raveling any
+    other array would hand the kernel a copy, and the product would be
+    lost), and unless m is square with a row per row of ``out`` and each
+    v has ``out``'s shape and dtype: the kernel trusts the sizes it is
+    given.
+    """
+    if out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError("the output of a sparse product must be complex and C-contiguous")
+    n = len(out)
+    if m.shape != (n, n):
+        raise ValueError(f"a {m.shape} matrix cannot act on {out.shape}")
+    real = m.dtype.kind != "c"
+    y = out.reshape(-1)
+    if real:
+        y = y.view(float)
+    width = y.size // n
+    if width == 1:
+        kernel, head = _sparsetools.csr_matvec, (n, n, m.indptr, m.indices, m.data)
+    else:
+        kernel, head = _sparsetools.csr_matvecs, (n, n, width, m.indptr, m.indices, m.data)
+
+    def product(v: np.ndarray) -> np.ndarray:
+        if v.shape != out.shape or v.dtype != out.dtype:
+            raise ValueError(f"a sparse product of {v.dtype} {v.shape} into {out.dtype} {out.shape}")
+        # C-ordered and flat, as the kernel reads it: a copy only if v is not
+        x = v.reshape(-1)
+        out.fill(0)
+        kernel(*head, x.view(float) if real else x, y)
+        return out
+
+    return product
 
 
 class _BlendHamiltonian:
@@ -387,7 +426,11 @@ class _BlendHamiltonian:
     own CSR. ``matvec`` then folds every diagonal into one vector (or block)
     and blends the shared data into one matrix, once per exponential, so a
     series term costs one elementwise multiply, one sparse product for the
-    shared matrix and one per column-valued part.
+    shared matrix and one per column-valued part. The function it returns
+    writes into buffers its caller owns and allocates no block: the result
+    into the ``out`` it is handed, each sparse product into the work block
+    ``matvec`` was given (see ``_csr_product``). It never writes into its
+    input.
 
     Column-valued parts make H act on a (2^L, K) block: a coefficient that
     returns a length-K array gives column j its j-th value, and a dense
@@ -399,7 +442,9 @@ class _BlendHamiltonian:
     On a block, an off-diagonal CSR with no imaginary entries is stored
     real and multiplies the block as 2K real columns, half the
     multiply-adds of the complex product. A single vector keeps complex
-    matrices: scipy's one-vector kernel beats its two-column one.
+    matrices: called directly on the dimerized chain's off-diagonal
+    entries, scipy's complex one-vector kernel took 6.9 us at L = 8 and
+    118 us at L = 12, its real two-column one 10.7 and 208 us.
     """
 
     def __init__(self, parts: Sequence[tuple[float | Coefficient, Operator]], t0: float):
@@ -456,26 +501,28 @@ class _BlendHamiltonian:
         (2^L, K) on a block, 0 when no part has a diagonal."""
         return sum(cs[k] * d for k, d in self.diags)
 
-    def matvec(self, cs: Sequence, shift=0.0):
-        """v -> (sum_k cs[k] A_k - shift) v, for coefficient values ``cs``
-        and a scalar or per-column ``shift``.
+    def matvec(self, cs: Sequence, work: np.ndarray, shift=0.0):
+        """(v, out) -> out = (sum_k cs[k] A_k - shift) v, for coefficient
+        values ``cs`` and a scalar or per-column ``shift``.
 
         The diagonals and the shared matrix are blended here, once; the
-        returned function applies them to each series term.
+        returned function applies them to each series term. ``out`` and
+        ``work``, a C-contiguous complex block of the state's shape, must
+        not be ``v``; ``work`` holds each sparse product in turn.
         """
         diag = self.diagonal(cs) - shift
-        products = [(m, cs[k]) for k, m in self.own]
+        products = [(_csr_product(m, work), cs[k]) for k, m in self.own]
         if self.shared is not None:
             index, template, data = self.shared
             # a shallow copy shares the pattern arrays; only the values change
             m = copy.copy(template)
             m.data = np.array([cs[k] for k in index]) @ data
-            products.append((m, None))
+            products.append((_csr_product(m, work), None))
 
-        def mv(v: np.ndarray) -> np.ndarray:
-            out = diag * v
-            for m, c in products:
-                w = _sparse_product(m, v)
+        def mv(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.multiply(diag, v, out=out)
+            for product, c in products:
+                w = product(v)
                 if c is not None:
                     w *= c
                 out += w
@@ -508,21 +555,49 @@ def _sq_norms(v: np.ndarray):
     return s[0::2] + s[1::2]
 
 
-def _taylor_apply(mv, v: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H) v by Taylor series, for a vector or a (2^L, K) block.
+class _SeriesBuffers:
+    """The complex blocks of the state's shape that one run of steps owns
+    and every series in it reuses, so that a series term allocates none.
+
+    ``sums`` are two blocks that successive exponentials alternate
+    between: each writes its sum into the one its input is not
+    (``sum_for``), so no series writes into its input. ``terms`` are three
+    series terms and ``work`` the block that ``_BlendHamiltonian.matvec``
+    makes its sparse products in, which a series may also use between
+    applications. Each is its own allocation, so the sum a run returns
+    keeps no other block alive.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.sums = tuple(np.empty(shape, dtype=complex) for _ in range(2))
+        self.terms = tuple(np.empty(shape, dtype=complex) for _ in range(3))
+        self.work = np.empty(shape, dtype=complex)
+
+    def sum_for(self, v: np.ndarray) -> np.ndarray:
+        """The sum block that is not ``v``."""
+        return self.sums[1] if v is self.sums[0] else self.sums[0]
+
+
+def _taylor_apply(mv, v: np.ndarray, dt: float, bufs: _SeriesBuffers) -> np.ndarray:
+    """exp(-i dt H) v by Taylor series, for a vector or a (2^L, K) block,
+    where ``mv(u, out)`` returns H u, as ``_BlendHamiltonian.matvec`` does.
 
     The caller keeps |H| dt within _STEP_BUDGET. The series stops once its
     last term is below 1e-16 of the input in every column; one that has
     not got there by term _TAYLOR_TERMS raises NumericalContractError.
-    The sum accumulates in place in a copy, so ``v`` is never written to,
-    even by an ``mv`` that returns its argument.
+    The sum is ``bufs.sum_for(v)``, which is returned; the terms alternate
+    between two of ``bufs.terms``, and each scaled term is written into
+    the series' own term block, so ``v`` is never written to, even by an
+    ``mv`` that returns its argument.
     """
-    out = v.astype(complex)
+    out = bufs.sum_for(v)
+    out[...] = v
     term = v
     block = v.ndim == 2
     tiny2 = (1e-16 * _norms(v)) ** 2
     for k in range(1, _TAYLOR_TERMS + 1):
-        term = mv(term) * (-1j * dt / k)
+        nxt = bufs.terms[k % 2]
+        term = np.multiply(mv(term, nxt), -1j * dt / k, out=nxt)
         out += term
         # the one-vector test stays scalar: it runs once per term
         if (_sq_norms(term) <= tiny2).all() if block else _sq_norms(term) <= tiny2:
@@ -585,7 +660,9 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     return np.array([(2.0 if k else 1.0) * (1, -1j, -1, 1j)[k % 4] * j[k] / norm for k in range(n)])
 
 
-def _chebyshev_apply(ham: _BlendHamiltonian, cs: Sequence, tau: float, v: np.ndarray) -> np.ndarray:
+def _chebyshev_apply(
+    ham: _BlendHamiltonian, cs: Sequence, tau: float, v: np.ndarray, bufs: _SeriesBuffers
+) -> np.ndarray:
     """exp(-i tau B) v by Chebyshev series, for the blend B = sum_k cs[k] A_k.
 
     Each column is shifted by s, the multiple of 2 pi / tau nearest the
@@ -600,43 +677,53 @@ def _chebyshev_apply(ham: _BlendHamiltonian, cs: Sequence, tau: float, v: np.nda
     term does. The number of terms is fixed in advance, about
     R tau + 12 (R tau)^(1/3), so no term is tested. A non-finite interval
     (a NaN or infinite coefficient) raises NumericalContractError.
+
+    The sum is ``bufs.sum_for(v)``, which is returned. T_k v lives in
+    ``bufs.terms[(k - 1) % 3]``, distinct from T_(k-1) v and T_(k-2) v,
+    and each c_k T_k v is formed in ``bufs.work`` before it is added, so
+    ``v`` is never written to.
     """
     lo, hi = ham.interval(cs)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise NumericalContractError(f"non-finite spectral interval of H at tau = {tau:.3g}")
+    out = bufs.sum_for(v)
     centre = (lo + hi) / 2.0
     turn = 2.0 * math.pi / tau
     shift = turn * np.round(centre / turn)
     half = float(np.max((hi - lo) / 2.0 + np.abs(centre - shift)))
     if half == 0.0:
-        return v.copy()
+        out[...] = v
+        return out
     coeffs = _chebyshev_coefficients(half * tau)
     scale = 2.0 / half
-    mv = ham.matvec([scale * c for c in cs], shift=scale * shift)
-    prev, cur = v, mv(v)
+    work = bufs.work
+    mv = ham.matvec([scale * c for c in cs], work, shift=scale * shift)
+    prev, cur = v, mv(v, bufs.terms[0])
     cur *= 0.5
-    out = coeffs[1] * cur
-    out += coeffs[0] * v
-    for c in coeffs[2:]:
-        nxt = mv(cur)
+    np.multiply(coeffs[1], cur, out=out)
+    out += np.multiply(coeffs[0], v, out=work)
+    for k, c in enumerate(coeffs[2:], 2):
+        nxt = mv(cur, bufs.terms[(k - 1) % 3])
         nxt -= prev
         prev, cur = cur, nxt
-        out += c * cur
+        out += np.multiply(c, cur, out=work)
     _INTEGRATOR_COUNTS["series_terms"] += len(coeffs) - 1
     return out
 
 
-def _exponential(ham: _BlendHamiltonian, cs: Sequence, tau: float, v: np.ndarray) -> np.ndarray:
+def _exponential(
+    ham: _BlendHamiltonian, cs: Sequence, tau: float, v: np.ndarray, bufs: _SeriesBuffers
+) -> np.ndarray:
     """exp(-i tau B) v for the blend B = sum_k cs[k] A_k: one Taylor series
     when |B| tau is within the step budget, where its adaptive stop needs
     the fewest terms, and a Chebyshev series beyond it, where Taylor
     pieces would cost about ten terms per unit of |B| tau. A NaN or
     infinite |B| fails the budget test, and the Chebyshev path raises on
-    it."""
+    it. The result is ``bufs.sum_for(v)``."""
     if ham.norm_bound(cs) * tau <= _STEP_BUDGET:
-        v = _taylor_apply(ham.matvec(cs), v, tau)
+        v = _taylor_apply(ham.matvec(cs, bufs.work), v, tau, bufs)
     else:
-        v = _chebyshev_apply(ham, cs, tau, v)
+        v = _chebyshev_apply(ham, cs, tau, v, bufs)
     _INTEGRATOR_COUNTS["exponentials"] += 1
     return v
 
@@ -654,6 +741,9 @@ def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n:
     run of m steps is applied as the one exponential exp(-i m dt H). That
     is the propagator of the same n-step grid, with only the series
     roundoff changed; every node is still evaluated exactly once.
+
+    The steps share one ``_SeriesBuffers``; ``amp`` is never written to,
+    and the returned state is one of its sum blocks.
     """
     dt = (t1 - t0) / n
 
@@ -663,6 +753,7 @@ def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n:
         t = t0 + k * dt
         return ham.values(t + (0.5 - _GAUSS_OFF) * dt), ham.values(t + (0.5 + _GAUSS_OFF) * dt)
 
+    bufs = _SeriesBuffers(amp.shape)
     v = amp
     k = 0
     step = nodes(0)
@@ -673,12 +764,12 @@ def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n:
         step = nodes(k)
         if not _equal(h1, h2):
             for w1, w2 in ((_A2, _A1), (_A1, _A2)):
-                v = _exponential(ham, [w1 * c1 + w2 * c2 for c1, c2 in zip(h1, h2)], dt, v)
+                v = _exponential(ham, [w1 * c1 + w2 * c2 for c1, c2 in zip(h1, h2)], dt, v, bufs)
             continue
         while step is not None and _equal(step[0], h1) and _equal(step[1], h1):
             k += 1
             step = nodes(k)
-        v = _exponential(ham, h1, (k - start) * dt, v)
+        v = _exponential(ham, h1, (k - start) * dt, v, bufs)
     return v
 
 

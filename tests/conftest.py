@@ -22,9 +22,10 @@ def _per_step_run_steps(ham, amp, t0, t1, n):
     two exponentials on every CFM4 step, whatever its coefficient values."""
     import numpy as np
 
-    from rmlab.statevector import _A1, _A2, _GAUSS_OFF, _STEP_BUDGET, _taylor_apply
+    from rmlab.statevector import _A1, _A2, _GAUSS_OFF, _STEP_BUDGET, _SeriesBuffers, _taylor_apply
 
     dt = (t1 - t0) / n
+    bufs = _SeriesBuffers(amp.shape)
     v = amp
     for k in range(n):
         t = t0 + k * dt
@@ -32,11 +33,11 @@ def _per_step_run_steps(ham, amp, t0, t1, n):
         h2 = ham.values(t + (0.5 + _GAUSS_OFF) * dt)
         for w1, w2 in ((_A2, _A1), (_A1, _A2)):
             cs = [w1 * c1 + w2 * c2 for c1, c2 in zip(h1, h2)]
-            mv = ham.matvec(cs)
+            mv = ham.matvec(cs, bufs.work)
             pieces = max(1, int(np.ceil(ham.norm_bound(cs) * dt / _STEP_BUDGET)))
             sub = dt / pieces
             for _ in range(pieces):
-                v = _taylor_apply(mv, v, sub)
+                v = _taylor_apply(mv, v, sub, bufs)
     return v
 
 

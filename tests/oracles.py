@@ -3,12 +3,15 @@
 Each is a second route to a number the package computes another way: a
 Haar-random input state, the state overlap, the square-pulse analytical
 schedule, the exact 3-design over labels, the pairwise purity U-statistic,
-the per-entry marginal-and-kernel purity and the letter-table product of
-Pauli sums. Tests import them from here.
+the per-entry marginal-and-kernel purity, the letter-table product of
+Pauli sums, and the allocating series terms that the buffer-reusing ones
+in :mod:`rmlab.statevector` must match byte for byte. Tests import them
+from here.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from typing import Sequence
@@ -19,7 +22,17 @@ from rmlab.estimators import EstimatorResult
 from rmlab.pauli import LABELS, TWO_PI, PauliString, PauliStringSum
 from rmlab.protocol import EXACT_SHOTS, MeasurementRecord
 from rmlab.pulses import PulseSchedule, Waveform
-from rmlab.statevector import StateVector, _check_sites, apply_site_matrices, index_to_bits
+from rmlab.statevector import (
+    _TAYLOR_TERMS,
+    NumericalContractError,
+    StateVector,
+    _check_sites,
+    _chebyshev_coefficients,
+    _norms,
+    _sq_norms,
+    apply_site_matrices,
+    index_to_bits,
+)
 
 
 def random_state(num_sites: int, rng: np.random.Generator) -> StateVector:
@@ -164,4 +177,81 @@ def sum_product(a: PauliStringSum, b: PauliStringSum) -> PauliStringSum:
     for wa, ca in a._terms.items():
         for wb, cb in b._terms.items():
             out.add_term(ca * cb, pauli_product(PauliString(wa), PauliString(wb)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The allocating series terms
+# ---------------------------------------------------------------------------
+
+
+def _sparse_product(m, v: np.ndarray) -> np.ndarray:
+    """m @ v for complex v; a real m acts on v's real and imaginary parts
+    as twice as many real columns."""
+    if m.dtype.kind == "c":
+        return m @ v
+    w = np.ascontiguousarray(v).reshape(len(v), -1).view(float)
+    return (m @ w).view(complex).reshape(v.shape)
+
+
+def allocating_matvec(ham, cs: Sequence, shift=0.0):
+    """``_BlendHamiltonian.matvec`` as it was before its terms reused
+    buffers: v -> (sum_k cs[k] A_k - shift) v, each product a new array."""
+    diag = ham.diagonal(cs) - shift
+    products = [(m, cs[k]) for k, m in ham.own]
+    if ham.shared is not None:
+        index, template, data = ham.shared
+        m = copy.copy(template)
+        m.data = np.array([cs[k] for k in index]) @ data
+        products.append((m, None))
+
+    def mv(v: np.ndarray) -> np.ndarray:
+        out = diag * v
+        for m, c in products:
+            w = _sparse_product(m, v)
+            if c is not None:
+                w *= c
+            out += w
+        return out
+
+    return mv
+
+
+def allocating_taylor(mv, v: np.ndarray, dt: float) -> np.ndarray:
+    """``statevector._taylor_apply`` with a one-argument ``mv``, as it was
+    before its terms reused buffers."""
+    out = v.astype(complex)
+    term = v
+    block = v.ndim == 2
+    tiny2 = (1e-16 * _norms(v)) ** 2
+    for k in range(1, _TAYLOR_TERMS + 1):
+        term = mv(term) * (-1j * dt / k)
+        out += term
+        if (_sq_norms(term) <= tiny2).all() if block else _sq_norms(term) <= tiny2:
+            return out
+    raise NumericalContractError(f"Taylor series not converged in {_TAYLOR_TERMS} terms")
+
+
+def allocating_chebyshev(ham, cs: Sequence, tau: float, v: np.ndarray) -> np.ndarray:
+    """``statevector._chebyshev_apply`` as it was before its terms reused
+    buffers."""
+    lo, hi = ham.interval(cs)
+    centre = (lo + hi) / 2.0
+    turn = 2.0 * math.pi / tau
+    shift = turn * np.round(centre / turn)
+    half = float(np.max((hi - lo) / 2.0 + np.abs(centre - shift)))
+    if half == 0.0:
+        return v.copy()
+    coeffs = _chebyshev_coefficients(half * tau)
+    scale = 2.0 / half
+    mv = allocating_matvec(ham, [scale * c for c in cs], shift=scale * shift)
+    prev, cur = v, mv(v)
+    cur *= 0.5
+    out = coeffs[1] * cur
+    out += coeffs[0] * v
+    for c in coeffs[2:]:
+        nxt = mv(cur)
+        nxt -= prev
+        prev, cur = cur, nxt
+        out += c * cur
     return out

@@ -387,9 +387,9 @@ def test_fused_steps_match_the_per_step_loop(monkeypatch, per_step_loop, columns
     chebyshev = statevector._chebyshev_apply
     long_runs = []
 
-    def recorded(ham, cs, tau, v):
+    def recorded(ham, cs, tau, v, bufs):
         long_runs.append(tau)
-        return chebyshev(ham, cs, tau, v)
+        return chebyshev(ham, cs, tau, v, bufs)
 
     monkeypatch.setattr(statevector, "_chebyshev_apply", recorded)
     for n in (20, 80, 320):
@@ -427,9 +427,9 @@ def _exponentials_applied(monkeypatch, times, values, n):
     applied = []
     exponential = statevector._exponential
 
-    def recorded(ham, cs, tau, v):
+    def recorded(ham, cs, tau, v, bufs):
         applied.append((round(tau, 12), float(cs[0])))
-        return exponential(ham, cs, tau, v)
+        return exponential(ham, cs, tau, v, bufs)
 
     monkeypatch.setattr(statevector, "_exponential", recorded)
     psi = random_state(2, np.random.default_rng(33))
@@ -659,30 +659,31 @@ def test_evolve_blend_rejects_mismatched_columns():
 
 
 def test_taylor_series_raises_when_not_converged():
-    from rmlab.statevector import _taylor_apply
+    from rmlab.statevector import _SeriesBuffers, _taylor_apply
 
     v = random_state(2, np.random.default_rng(24)).amp
     # |H| dt = 100 is far past the step budget of 2
     with pytest.raises(NumericalContractError, match="not converged"):
-        _taylor_apply(lambda w: 100.0 * w, v, 1.0)
+        _taylor_apply(lambda w, out: np.multiply(100.0, w, out=out), v, 1.0, _SeriesBuffers(v.shape))
     # one column converging does not excuse another
     block = np.stack([v, v], axis=1)
+    bufs = _SeriesBuffers(block.shape)
     with pytest.raises(NumericalContractError, match="not converged"):
-        _taylor_apply(lambda w: w * np.array([0.0, 100.0]), block, 1.0)
-    small = _taylor_apply(lambda w: w * np.array([0.0, 1.0]), block, 1.0)
+        _taylor_apply(lambda w, out: np.multiply(w, np.array([0.0, 100.0]), out=out), block, 1.0, bufs)
+    small = _taylor_apply(lambda w, out: np.multiply(w, np.array([0.0, 1.0]), out=out), block, 1.0, bufs)
     assert np.allclose(small[:, 0], v, atol=1e-15)
     assert np.allclose(small[:, 1], np.exp(-1j) * v, atol=1e-14)
 
 
 def test_taylor_apply_leaves_its_input_alone():
-    from rmlab.statevector import _taylor_apply
+    from rmlab.statevector import _SeriesBuffers, _taylor_apply
 
     v = random_state(3, np.random.default_rng(25)).amp
     block = np.stack([v, 1j * v], axis=1)
     for w in (v, block):
         kept = w.copy()
-        # an operator that hands back its argument: H = 1
-        out = _taylor_apply(lambda u: u, w, 0.3)
+        # an operator that hands back its argument, leaving out alone: H = 1
+        out = _taylor_apply(lambda u, out: u, w, 0.3, _SeriesBuffers(w.shape))
         assert np.max(np.abs(out - np.exp(-0.3j) * kept)) < 1e-15
         assert np.array_equal(w, kept)
 
@@ -741,10 +742,76 @@ def test_fused_matvec_matches_per_part_sum(case):
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     for t in (0.0, 0.37):
         cs = ham.values(t)
-        got = ham.matvec(cs)(v)
+        kept = v.copy()
+        got = ham.matvec(cs, np.empty_like(v))(v, np.empty_like(v))
+        assert np.array_equal(v, kept)
         want = _per_part(parts, cs, v)
         assert got.shape == v.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("columns", [None, 1, 5])
+def test_csr_kernel_matches_scipy_matmul_byte_for_byte(kind, columns):
+    # the kernel module is private to scipy: this pins the direct call to `@`
+    from rmlab.statevector import _csr_product
+
+    n = 16
+    rng = np.random.default_rng(33)
+    m = sparse.random(n, n, density=0.3, format="csr", rng=rng)
+    if kind == "complex":
+        m = (m + 1j * sparse.random(n, n, density=0.3, format="csr", rng=rng)).tocsr()
+    shape = (n,) if columns is None else (n, columns)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # a real matrix acts on the float view: real and imaginary parts as columns
+    want = m @ v if kind == "complex" else (m @ v.reshape(n, -1).view(float)).view(complex).reshape(shape)
+    out = np.full(shape, np.nan + 1j)
+    product = _csr_product(m, out)
+    for _ in range(2):  # the second call overwrites the first product
+        got = product(v)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+    # a block that is not C-contiguous: its ravel would be a copy
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _csr_product(m, np.empty((n, 2 * (columns or 1)), dtype=complex)[:, ::2].reshape(shape))
+    # the kernel trusts sizes: a real or misshapen input is refused, and
+    # so is an output the matrix does not fit
+    for bad in (v.real.copy(), np.concatenate([v, v])):
+        with pytest.raises(ValueError, match="sparse product of"):
+            product(bad)
+    with pytest.raises(ValueError, match="cannot act on"):
+        _csr_product(m, np.empty((2 * n,) + shape[1:], dtype=complex))
+
+
+@pytest.mark.parametrize("case", sorted(_blend_cases()))
+def test_series_match_the_allocating_terms(case):
+    # the buffer-reusing series keep every byte of the allocating ones,
+    # across a chain of exponentials that share one set of buffers
+    from oracles import allocating_chebyshev, allocating_matvec, allocating_taylor
+
+    from rmlab.statevector import _BlendHamiltonian, _chebyshev_apply, _SeriesBuffers, _taylor_apply
+
+    parts, columns = _blend_cases()[case]
+    ham = _BlendHamiltonian(parts, 0.0)
+    rng = np.random.default_rng(34)
+    shape = (8,) if columns is None else (8, columns)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    kept = v.copy()
+    bufs = _SeriesBuffers(shape)
+    new, old = v, v
+    for t, series in ((0.1, "taylor"), (0.37, "chebyshev"), (0.6, "taylor"), (0.9, "chebyshev")):
+        cs = ham.values(t)
+        bound = ham.norm_bound(cs)
+        if series == "taylor":
+            dt = 1.5 / bound
+            new = _taylor_apply(ham.matvec(cs, bufs.work), new, dt, bufs)
+            old = allocating_taylor(allocating_matvec(ham, cs), old, dt)
+        else:
+            tau = 20.0 / bound
+            new = _chebyshev_apply(ham, cs, tau, new, bufs)
+            old = allocating_chebyshev(ham, cs, tau, old)
+        assert np.array_equal(new, old)
+    assert np.array_equal(v, kept)
 
 
 @pytest.mark.parametrize("columns", [None, 3])
