@@ -12,11 +12,9 @@ from .pauli import (
     PAULI_MATRICES,
     ROTATION_MATRICES,
     TWO_PI,
-    PauliString,
     PauliStringSum,
     square_observable,
     build_ssh,
-    build_staggered_xy,
 )
 from .statevector import (
     StateVector,

@@ -11,13 +11,15 @@ Conventions used across the package:
 
   i.e. ``<Z> = -1`` on ``|down>`` and the number operator ``n = (Z + 1)/2``
   counts ``|up>``. The cyclic algebra X Y = i Z holds unchanged.
-* A Pauli string is stored as a letter word over {I, X, Y, Z} plus an integer
-  power of i, so products are exact integer arithmetic.
-* Bit masks are derived from the word where a fast path needs them, never
-  stored: site m is bit ``2^(L-m)``, ``x_mask`` holds the X and Y sites and
-  ``z_mask`` the Y and Z sites. Since Y = i X Z and Z|b> = (2b - 1)|b>,
-  column j of the string has its one nonzero in row ``j ^ x_mask``, equal to
-  ``i^phase * i^#Y * (-1)^popcount(~j & z_mask)``.
+* A Pauli string is a letter word over {I, X, Y, Z}, position m-1 acting on
+  site m, and a ``PauliStringSum`` maps each word to a complex coefficient.
+  Any phase of a product is folded into its coefficient.
+* Bit masks are derived from the words where a fast path needs them, never
+  stored, and ``_letter_codes`` is the one parse of words into them: site m
+  is bit ``2^(L-m)``, ``x_mask`` holds the X and Y sites and ``z_mask`` the
+  Y and Z sites. Since Y = i X Z and Z|b> = (2b - 1)|b>, column j of a word
+  has its one nonzero in row ``j ^ x_mask``, equal to
+  ``i^#Y * (-1)^popcount(~j & z_mask)``.
 
 Hamiltonian builders are unit agnostic: coefficients pass through unchanged.
 The configuration layer converts plain MHz to angular rad/us (factor 2*pi)
@@ -27,9 +29,8 @@ before anything is handed to the time-evolution engine.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,11 +39,9 @@ __all__ = [
     "PAULI_MATRICES",
     "ROTATION_MATRICES",
     "ROTATION_ORDER",
-    "PauliString",
     "PauliStringSum",
     "square_observable",
     "build_ssh",
-    "build_staggered_xy",
     "TWO_PI",
 ]
 
@@ -70,7 +69,6 @@ ROTATION_MATRICES: dict[int, np.ndarray] = {
 }
 
 _LETTERS = "IXYZ"
-_CODE = {c: k for k, c in enumerate(_LETTERS)}
 
 # The label whose rotation R maps each letter onto Z, by letter code
 # I, X, Y, Z (0: any label). Label 1 rotates the Bloch sphere by +pi/2
@@ -79,14 +77,6 @@ _CODE = {c: k for k, c in enumerate(_LETTERS)}
 _DIAGONALIZING_LABEL = np.array([0, 2, 1, 3], dtype=np.int8)
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-_X_BITS = str.maketrans("IXYZ", "0110")
-_Z_BITS = str.maketrans("IXYZ", "0011")
-
-
-def _masks(letters: str) -> tuple[int, int]:
-    """(x_mask, z_mask) of a letter word; site m is bit 2^(L-m)."""
-    return int("0" + letters.translate(_X_BITS), 2), int("0" + letters.translate(_Z_BITS), 2)
 
 
 def _z_signs(idx: np.ndarray, mask: int) -> np.ndarray:
@@ -104,65 +94,21 @@ def _check_letters(letters: str) -> None:
         raise ValueError(f"invalid Pauli letters {sorted(bad)}")
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A tensor product of single-site Paulis times an integer power of i.
-
-    Attributes:
-        letters: word over {I, X, Y, Z}; position m-1 acts on site m.
-        phase_pow: k in i^k, kept mod 4.
-    """
-
-    letters: str
-    phase_pow: int = 0
-
-    def __post_init__(self) -> None:
-        _check_letters(self.letters)
-        object.__setattr__(self, "phase_pow", self.phase_pow % 4)
-
-    @property
-    def num_sites(self) -> int:
-        return len(self.letters)
-
-    @property
-    def phase(self) -> complex:
-        return _PHASES[self.phase_pow]
-
-    @classmethod
-    def identity(cls, num_sites: int) -> "PauliString":
-        return cls("I" * num_sites)
-
-    @classmethod
-    def from_ops(cls, ops: Mapping[int, str], num_sites: int) -> "PauliString":
-        """Build from a {site: letter} map with 1-based sites."""
-        word = ["I"] * num_sites
-        for site, letter in ops.items():
-            if not 1 <= site <= num_sites:
-                raise ValueError(f"site {site} outside 1..{num_sites}")
-            if word[site - 1] != "I":
-                raise ValueError(f"duplicate letter on site {site}")
-            word[site - 1] = letter
-        return cls("".join(word))
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense 2^L x 2^L matrix, site 1 as the most significant factor.
-
-        A Kronecker chain, independent of the bitmask path: no pipeline
-        stage calls it; the tests check ``to_sparse`` against it.
-        """
-        out = np.array([[self.phase]], dtype=complex)
-        for c in self.letters:
-            out = np.kron(out, PAULI_MATRICES[c])
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        pref = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.phase_pow]
-        return f"{pref}{self.letters}"
+def _word(letters: str, sites: Sequence[int], num_sites: int) -> str:
+    """The word with ``letters[k]`` on 1-based site ``sites[k]`` and I elsewhere."""
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"repeated site in {tuple(sites)}")
+    word = ["I"] * num_sites
+    for site, letter in zip(sites, letters, strict=True):
+        if not 1 <= site <= num_sites:
+            raise ValueError(f"site {site} outside 1..{num_sites}")
+        word[site - 1] = letter
+    return "".join(word)
 
 
 # ASCII encode table: the letter code of each byte of a letter word.
 _ENC = np.zeros(128, dtype=np.int8)
-for _c, _k in _CODE.items():
+for _k, _c in enumerate(_LETTERS):
     _ENC[ord(_c)] = _k
 # the letter of each X bit + 2 * Z bit
 _XZ_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
@@ -176,8 +122,8 @@ def _letter_codes(words: Iterable[str], num_sites: int) -> np.ndarray:
 class PauliStringSum:
     """A Hermitian-friendly linear combination of Pauli strings.
 
-    Terms are kept canonical: the i^k phase of each string is folded into
-    its complex coefficient, coefficients of equal words are merged, and
+    Terms are kept canonical: a word of L letters over {I, X, Y, Z} maps to
+    one complex coefficient, coefficients of equal words are merged, and
     terms below 1e-13 in magnitude are dropped. For a Hermitian sum all
     canonical coefficients are real.
     """
@@ -189,14 +135,14 @@ class PauliStringSum:
         self._terms: dict[str, complex] = {}
         if terms:
             for word, coeff in terms.items():
-                self.add_term(coeff, PauliString(word))
+                self.add_term(coeff, word)
 
-    def add_term(self, coeff: complex, string: PauliString) -> None:
-        if string.num_sites != self.num_sites:
-            raise ValueError("length mismatch")
-        c = complex(coeff) * string.phase
-        word = string.letters
-        new = self._terms.get(word, 0.0 + 0.0j) + c
+    def add_term(self, coeff: complex, word: str) -> None:
+        """Add coeff times the word; ValueError on a bad letter or length."""
+        _check_letters(word)
+        if len(word) != self.num_sites:
+            raise ValueError(f"word {word!r} is not {self.num_sites} letters long")
+        new = self._terms.get(word, 0.0 + 0.0j) + complex(coeff)
         if abs(new) < 1e-13:
             self._terms.pop(word, None)
         else:
@@ -209,11 +155,8 @@ class PauliStringSum:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, word: str) -> complex:
-        return self._terms.get(word, 0.0 + 0.0j)
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) <= 1e-10 for c in self._terms.values())
 
     def __matmul__(self, other: "PauliStringSum") -> "PauliStringSum":
         """Operator product on site bits, re-canonicalized.
@@ -255,15 +198,6 @@ class PauliStringSum:
         coeffs = np.array(list(self._terms.values()), dtype=complex)
         return (codes == 1) | (codes == 2), codes >= 2, coeffs
 
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix as the sum of the strings' Kronecker chains: the
-        tests' reference for ``to_sparse``, unused by the pipeline."""
-        dim = 2**self.num_sites
-        out = np.zeros((dim, dim), dtype=complex)
-        for word, c in self._terms.items():
-            out += c * PauliString(word).to_matrix()
-        return out
-
     def to_sparse(self):
         """CSR matrix with sorted indices. Terms sharing an x_mask fill the
         same entries; each entry sums them in insertion order from +0, and
@@ -272,10 +206,13 @@ class PauliStringSum:
 
         dim = 2**self.num_sites
         cols = np.arange(dim)
+        x_bits, z_bits, coeffs = self._bit_arrays()
+        site_bits = 1 << np.arange(self.num_sites - 1, -1, -1)
+        masks = zip((x_bits @ site_bits).tolist(), (z_bits @ site_bits).tolist())
+        num_y = (x_bits & z_bits).sum(axis=1).tolist()
         groups: dict[int, np.ndarray] = defaultdict(partial(np.zeros, dim, dtype=complex))
-        for word, c in self._terms.items():
-            x_mask, z_mask = _masks(word)
-            groups[x_mask] += c * (_PHASES[word.count("Y") % 4] * _z_signs(cols, z_mask))
+        for (x_mask, z_mask), y, c in zip(masks, num_y, coeffs):
+            groups[x_mask] += c * (_PHASES[y % 4] * _z_signs(cols, z_mask))
         x_masks = np.fromiter(groups, dtype=np.int64, count=len(groups))
         rows = (x_masks[:, None] ^ cols).ravel()
         data = np.array(list(groups.values()), dtype=complex).ravel()
@@ -305,8 +242,8 @@ def square_observable(obs: PauliStringSum) -> PauliStringSum:
 
 def _add_hopping(out: PauliStringSum, coeff: float, a: int, b: int) -> None:
     # -J (s+_a s-_b + h.c.) expands to -(J/2)(X_a X_b + Y_a Y_b)
-    out.add_term(-0.5 * coeff, PauliString.from_ops({a: "X", b: "X"}, out.num_sites))
-    out.add_term(-0.5 * coeff, PauliString.from_ops({a: "Y", b: "Y"}, out.num_sites))
+    out.add_term(-0.5 * coeff, _word("XX", (a, b), out.num_sites))
+    out.add_term(-0.5 * coeff, _word("YY", (a, b), out.num_sites))
 
 
 def build_ssh(
@@ -337,11 +274,6 @@ def build_ssh(
             _add_hopping(out, j_nnn, x, x + 3)
     if mu_edge != 0.0:
         # -mu * n_1 with n = (Z + 1)/2
-        out.add_term(-0.5 * mu_edge, PauliString.from_ops({1: "Z"}, L))
-        out.add_term(-0.5 * mu_edge, PauliString.identity(L))
+        out.add_term(-0.5 * mu_edge, _word("Z", (1,), L))
+        out.add_term(-0.5 * mu_edge, "I" * L)
     return out
-
-
-def build_staggered_xy(L: int, j: float) -> PauliStringSum:
-    """Uniform-magnitude staggered chain: J = +j on even bonds, -j on odd."""
-    return build_ssh(L, j_e=j, j_o=-j)

@@ -75,6 +75,7 @@ from .pulses import (
 from .statevector import (
     _EXP_WEIGHT,
     _STEP_BUDGET,
+    MAX_SITES,
     StateVector,
     _certify,
     apply_local_unitaries,
@@ -610,8 +611,9 @@ def load_record(path: str | Path) -> MeasurementRecord:
     version 1 one from the "probs" list of text floats, a sampled entry
     from its "counts" object. ValueError is raised for a header that is not
     a JSON object, a version that is not the JSON integer 1 or 2, a header
-    without num_sites, mode or n_meas, a num_sites that is not a positive
-    JSON integer, an n_meas that is neither "exact" nor a positive JSON
+    without num_sites, mode or n_meas, a num_sites that is not a JSON
+    integer in 1..MAX_SITES (checked before the outcome table is
+    allocated), an n_meas that is neither "exact" nor a positive JSON
     integer, a meta that is not a JSON object, an entry without labels,
     labels that are not num_sites JSON integers in LABELS, a seed that is
     not a non-negative 64-bit JSON integer or is on some entries only, an
@@ -638,8 +640,8 @@ def load_record(path: str | Path) -> MeasurementRecord:
     if not isinstance(meta, dict):
         raise ValueError(f"record meta {meta!r} is not a JSON object")
     num_sites = header["num_sites"]
-    if type(num_sites) is not int or num_sites < 1:
-        raise ValueError(f"num_sites {num_sites!r} is not a positive integer")
+    if type(num_sites) is not int or not 1 <= num_sites <= MAX_SITES:
+        raise ValueError(f"num_sites {num_sites!r} is not an integer in 1..{MAX_SITES}")
     docs = [json.loads(line) for line in lines[1:]]
     labels, seeds = [], []
     outcomes = np.empty((len(docs), 2**num_sites))

@@ -30,12 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import (
-    PauliStringSum,
-    TWO_PI,
-    build_ssh,
-    build_staggered_xy,
-)
+from .pauli import PauliStringSum, TWO_PI, build_ssh
 from .statevector import (
     MAX_SITES,
     StateVector,
@@ -116,8 +111,9 @@ def model_hamiltonian(num_sites: int, phase: str = "topological") -> PauliString
 
 
 def quench_hamiltonian(num_sites: int, j: float = J_QUENCH) -> PauliStringSum:
+    """The staggered XY chain: J = +j on even bonds and -j on odd ones."""
     _check_sites(num_sites, 2, even=True)
-    return build_staggered_xy(num_sites, j)
+    return build_ssh(num_sites, j, -j)
 
 
 def prepare_exact_gs(num_sites: int, phase: str = "topological") -> StateVector:

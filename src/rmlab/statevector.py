@@ -69,7 +69,7 @@ from scipy.linalg import eigh
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import eigsh
 
-from .pauli import LABELS, ROTATION_MATRICES, PauliString, PauliStringSum
+from .pauli import LABELS, ROTATION_MATRICES, PauliStringSum, _word
 
 __all__ = [
     "StateVector",
@@ -230,7 +230,7 @@ def x_total(num_sites: int) -> sparse.csr_matrix:
     """sum_m X_m, the global drive, as a sparse matrix."""
     ham = PauliStringSum(num_sites)
     for m in range(1, num_sites + 1):
-        ham.add_term(1.0, PauliString.from_ops({m: "X"}, num_sites))
+        ham.add_term(1.0, _word("X", (m,), num_sites))
     return ham.to_sparse()
 
 
@@ -249,9 +249,10 @@ def occupation(num_sites: int, sites: Iterable[int]) -> sparse.csr_matrix:
 def expectation(psi: StateVector, obs: PauliStringSum) -> float:
     """<psi|O|psi> for a Hermitian Pauli sum.
 
-    The imaginary residue is asserted below 1e-10 of the value scale and
-    discarded; residues at or above 1e-8 raise NumericalContractError
-    (non-Hermitian input or broken algebra upstream).
+    The imaginary part is discarded when it is below 1e-8 of the value
+    scale max(1, |Re <O>|); at or above that it raises
+    NumericalContractError (non-Hermitian input or broken algebra
+    upstream).
     """
     if obs.num_sites != psi.num_sites:
         raise ValueError("operator length mismatch")

@@ -3,8 +3,9 @@
 Each is a second route to a number the package computes another way: a
 Haar-random input state, the state overlap, the square-pulse analytical
 schedule, the exact 3-design over labels, the pairwise purity U-statistic,
-the per-entry marginal-and-kernel purity, the letter-table product of
-Pauli sums, and the allocating series terms that the buffer-reusing ones
+the per-entry marginal-and-kernel purity, the Kronecker chain of a Pauli
+word, the letter-table product of Pauli sums, and the allocating series
+terms that the buffer-reusing ones
 in :mod:`rmlab.statevector` must match byte for byte. Tests import them
 from here.
 """
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from rmlab.estimators import EstimatorResult
-from rmlab.pauli import LABELS, TWO_PI, PauliString, PauliStringSum
+from rmlab.pauli import _PHASES, LABELS, TWO_PI, PauliStringSum
 from rmlab.protocol import EXACT_SHOTS, MeasurementRecord
 from rmlab.pulses import PulseSchedule, Waveform
 from rmlab.statevector import (
@@ -149,34 +150,66 @@ def purity_per_entry(record: MeasurementRecord, sites: Sequence[int]) -> float:
     return x * n / (n - 1) - (2 ** len(sub)) / (n - 1)
 
 
+# The single-site Paulis in basis order (down, up), written out here so
+# that a table error in the package cannot cancel against itself.
+_MATS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, 1j], [-1j, 0]], dtype=complex),
+    "Z": np.diag([-1.0, 1.0]).astype(complex),
+}
+
+
+def dense(word: str) -> np.ndarray:
+    """The 2^L x 2^L matrix of a letter word as a Kronecker chain, site 1
+    the most significant factor: the tests' dense reference for a Pauli
+    string, independent of the package's bitmask path."""
+    out = np.ones((1, 1), dtype=complex)
+    for letter in word:
+        out = np.kron(out, _MATS[letter])
+    return out
+
+
+def dense_sum(s: PauliStringSum) -> np.ndarray:
+    """The dense matrix of a Pauli sum: its words' chains, summed in
+    insertion order."""
+    dim = 2**s.num_sites
+    out = np.zeros((dim, dim), dtype=complex)
+    for word, c in s._terms.items():
+        out += c * dense(word)
+    return out
+
+
 # Single-site products sigma_a sigma_b = i^_MUL_PHASE[a][b] sigma_c with
 # c = _MUL_LETTER[a][b], codes I=0, X=1, Y=2, Z=3.
 _MUL_LETTER = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 _MUL_PHASE = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
 
 
-def pauli_product(a: PauliString, b: PauliString) -> PauliString:
-    """Product of two strings, site by site from the letter tables."""
-    if a.num_sites != b.num_sites:
+def pauli_product(a: str, b: str) -> tuple[str, int]:
+    """Product of two words, site by site from the letter tables: the word
+    and the k of its phase i^k."""
+    if len(a) != len(b):
         raise ValueError("length mismatch")
-    ia = ["IXYZ".index(c) for c in a.letters]
-    ib = ["IXYZ".index(c) for c in b.letters]
-    letters = "".join("IXYZ"[_MUL_LETTER[p, q]] for p, q in zip(ia, ib))
-    phase = a.phase_pow + b.phase_pow + sum(int(_MUL_PHASE[p, q]) for p, q in zip(ia, ib))
-    return PauliString(letters, phase % 4)
+    ia = ["IXYZ".index(c) for c in a]
+    ib = ["IXYZ".index(c) for c in b]
+    word = "".join("IXYZ"[_MUL_LETTER[p, q]] for p, q in zip(ia, ib))
+    return word, sum(int(_MUL_PHASE[p, q]) for p, q in zip(ia, ib)) % 4
 
 
 def sum_product(a: PauliStringSum, b: PauliStringSum) -> PauliStringSum:
-    """Operator product expanded term by term: every pair's string product
+    """Operator product expanded term by term: every pair's word product
     goes through ``add_term`` in insertion order (a's terms outer), which
-    merges equal words and drops a running sum below 1e-13. The tests'
-    reference for ``PauliStringSum.__matmul__``."""
+    merges equal words and drops a running sum below 1e-13. The phase i^k
+    multiplies the pair's coefficient as ``complex(c) * _PHASES[k]``. The
+    tests' reference for ``PauliStringSum.__matmul__``."""
     if a.num_sites != b.num_sites:
         raise ValueError("length mismatch")
     out = PauliStringSum(a.num_sites)
     for wa, ca in a._terms.items():
         for wb, cb in b._terms.items():
-            out.add_term(ca * cb, pauli_product(PauliString(wa), PauliString(wb)))
+            word, k = pauli_product(wa, wb)
+            out.add_term(complex(ca * cb) * _PHASES[k], word)
     return out
 
 

@@ -15,7 +15,7 @@ from rmlab.estimators import (
     purity_estimate,
     results_to_csv,
 )
-from rmlab.pauli import PauliString, PauliStringSum, build_ssh, square_observable
+from rmlab.pauli import _PHASES, PauliStringSum, build_ssh, square_observable
 from rmlab.protocol import (
     EXACT_SHOTS,
     MeasurementRecord,
@@ -34,6 +34,7 @@ from rmlab.statevector import (
 
 from oracles import (
     all_label_settings,
+    dense_sum,
     marginal_distribution,
     purity_pairwise,
     purity_per_entry,
@@ -47,11 +48,11 @@ def _enumerated(psi: StateVector) -> MeasurementRecord:
     return run_ideal(psi, all_label_settings(psi.num_sites), EXACT_SHOTS)
 
 
-def _string_expectation(record: MeasurementRecord, p: PauliString) -> float:
+def _string_expectation(record: MeasurementRecord, word: str, phase_pow: int = 0) -> float:
     """Shadow estimate of one string: the one-term sum whose coefficient
-    is the string's +-1 phase."""
-    obs = PauliStringSum(p.num_sites)
-    obs.add_term(1.0, p)
+    is the string's phase i^phase_pow."""
+    obs = PauliStringSum(len(word))
+    obs.add_term(_PHASES[phase_pow], word)
     return observable_expectation(record, obs)
 
 
@@ -90,7 +91,7 @@ def test_observable_two_design_exactness():
         obs = PauliStringSum(3)
         for _ in range(5):
             word = "".join(rng.choice(list("IXYZ")) for _ in range(3))
-            obs.add_term(float(rng.normal()), PauliString(word))
+            obs.add_term(float(rng.normal()), word)
         est = observable_expectation(rec, obs)
         assert abs(est - expectation(psi, obs)) < 1e-10
 
@@ -98,11 +99,11 @@ def test_observable_two_design_exactness():
 def test_single_string_examples():
     up_down = product_state([1, 0])
     rec = _enumerated(up_down)
-    assert abs(_string_expectation(rec, PauliString("ZI")) - 1.0) < 1e-12
-    assert abs(_string_expectation(rec, PauliString("IZ")) + 1.0) < 1e-12
+    assert abs(_string_expectation(rec, "ZI") - 1.0) < 1e-12
+    assert abs(_string_expectation(rec, "IZ") + 1.0) < 1e-12
     plus = StateVector(np.array([1.0, 0, 1.0, 0]) / np.sqrt(2), 2)
     rec = _enumerated(plus)
-    assert abs(_string_expectation(rec, PauliString("XI")) - 1.0) < 1e-10
+    assert abs(_string_expectation(rec, "XI") - 1.0) < 1e-10
 
 
 def test_cross_string_matches_oracle():
@@ -110,8 +111,8 @@ def test_cross_string_matches_oracle():
     psi = random_state(4, rng)
     rec = _enumerated(psi)
     s = PauliStringSum(4)
-    s.add_term(1.0, PauliString("XXII"))
-    assert abs(_string_expectation(rec, PauliString("XXII")) - expectation(psi, s)) < 1e-10
+    s.add_term(1.0, "XXII")
+    assert abs(_string_expectation(rec, "XXII") - expectation(psi, s)) < 1e-10
 
 
 def test_bell_pair_single_site_purity():
@@ -346,9 +347,9 @@ def test_identity_rotations_scale_z_correlators():
                 total += z * c
         return total / (rec.n_unitaries * 40)
 
-    assert abs(_string_expectation(rec, PauliString("ZI")) - 3 * correlator([1])) < 1e-12
+    assert abs(_string_expectation(rec, "ZI") - 3 * correlator([1])) < 1e-12
     assert abs(
-        _string_expectation(rec, PauliString("ZZ")) - 9 * correlator([1, 2])
+        _string_expectation(rec, "ZZ") - 9 * correlator([1, 2])
     ) < 1e-12
 
 
@@ -362,25 +363,26 @@ _REF_LETTER = {1: (0, 1, 3, 2), 2: (0, 3, 2, 1), 3: (0, 1, 2, 3)}
 _REF_SIGN = {1: (1, 1, 1, -1), 2: (1, -1, 1, 1), 3: (1, 1, 1, 1)}
 
 
-def _reference_string_term(p: PauliString, record: MeasurementRecord) -> float:
-    """Per-unitary conjugation of p, then the z-eigenvalue product."""
+def _reference_string_term(word: str, record: MeasurementRecord, phase_pow: int = 0) -> float:
+    """Per-unitary conjugation of i^phase_pow times the word, then the
+    z-eigenvalue product."""
     L = record.num_sites
-    weight = sum(c != "I" for c in p.letters)
+    weight = sum(c != "I" for c in word)
     if weight == 0:
-        return {0: 1.0, 2: -1.0}[p.phase_pow]
+        return {0: 1.0, 2: -1.0}[phase_pow]
     contributions = []
     for labels, row in zip(record.labels.tolist(), record.outcomes):
         bits = index_to_bits(np.arange(2**L), L)
-        word, sign = [], 1
-        for c, lab in zip(p.letters, labels):
+        rotated, sign = [], 1
+        for c, lab in zip(word, labels):
             k = "IXYZ".index(c)
-            word.append("IXYZ"[_REF_LETTER[lab][k]])
+            rotated.append("IXYZ"[_REF_LETTER[lab][k]])
             sign *= _REF_SIGN[lab][k]
-        if any(c in "XY" for c in word):
+        if any(c in "XY" for c in rotated):
             contributions.append(0.0)
             continue
-        phase = (p.phase_pow + (2 if sign < 0 else 0)) % 4
-        cols = [m for m, c in enumerate(word) if c == "Z"]
+        phase = (phase_pow + (2 if sign < 0 else 0)) % 4
+        cols = [m for m, c in enumerate(rotated) if c == "Z"]
         zeros = len(cols) - bits[:, cols].sum(axis=1)
         z = np.where(zeros % 2 == 0, 1.0, -1.0)
         mean_z = float(z @ row) / record.norm
@@ -389,7 +391,7 @@ def _reference_string_term(p: PauliString, record: MeasurementRecord) -> float:
 
 
 def _reference_observable(record: MeasurementRecord, obs: PauliStringSum) -> float:
-    parts = [c * _reference_string_term(PauliString(w), record) for w, c in obs.items()]
+    parts = [c * _reference_string_term(w, record) for w, c in obs.items()]
     return math.fsum(complex(c).real for c in parts)
 
 
@@ -417,8 +419,8 @@ def test_label_mask_matches_conjugation_loop(L, n_meas, flips):
     words += ["".join(rng.choice(list("IXYZ"), size=L)) for _ in range(20)]
     for word in words:
         for phase_pow in (0, 2):
-            p = PauliString(word, phase_pow)
-            assert agrees(_string_expectation(rec, p), _reference_string_term(p, rec))
+            got = _string_expectation(rec, word, phase_pow)
+            assert agrees(got, _reference_string_term(word, rec, phase_pow))
 
 
 def test_invalid_label_rejected():
@@ -433,7 +435,7 @@ def test_invalid_label_rejected():
     )
     rec.labels[0, 1] = 4
     with pytest.raises(ValueError, match="invalid rotation label"):
-        _string_expectation(rec, PauliString("ZI"))
+        _string_expectation(rec, "ZI")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +448,7 @@ def test_identity_observable_is_exact():
     psi = random_state(2, rng)
     rec = run_ideal(psi, sample_unitaries(2, 3, rng), 5, seed=0)
     obs = PauliStringSum(2)
-    obs.add_term(2.75, PauliString("II"))
+    obs.add_term(2.75, "II")
     assert observable_expectation(rec, obs) == pytest.approx(2.75, abs=1e-14)
     # exact probabilities need only sum to one within 1e-10; the identity
     # still enters as its coefficient, not as the mean of those sums
@@ -485,7 +487,7 @@ def test_variance_matches_dense_oracle_on_af_state():
     rec = _enumerated(af)
     est = hamiltonian_variance(rec, h)
 
-    hm = h.to_matrix()
+    hm = dense_sum(h)
     v = af.amp
     eh = float(np.real(v.conj() @ hm @ v))
     eh2 = float(np.real(v.conj() @ hm @ hm @ v))
@@ -497,8 +499,8 @@ def test_variance_normalization_error():
     # a single adversarial entry drives the H^2 estimate negative:
     # labels (2,2) make X1 X2 diagonal with shadow weight 9
     h = PauliStringSum(2)
-    h.add_term(1.0, PauliString("XI"))
-    h.add_term(1.0, PauliString("IX"))
+    h.add_term(1.0, "XI")
+    h.add_term(1.0, "IX")
     rec = MeasurementRecord(
         num_sites=2,
         mode="ideal",
@@ -515,8 +517,8 @@ def test_precomputed_square_agrees():
     psi = random_state(3, rng)
     rec = run_ideal(psi, sample_unitaries(3, 25, rng), 60, seed=3)
     obs = PauliStringSum(3)
-    obs.add_term(0.7, PauliString("ZZI"))
-    obs.add_term(-0.4, PauliString("IXX"))
+    obs.add_term(0.7, "ZZI")
+    obs.add_term(-0.4, "IXX")
     a = hamiltonian_variance(rec, obs)
     b = hamiltonian_variance(rec, obs, h_squared=square_observable(obs))
     assert a.value == b.value
@@ -554,7 +556,7 @@ def test_string_length_checked():
     psi = random_state(2, rng)
     rec = _enumerated(psi)
     with pytest.raises(ValueError):
-        _string_expectation(rec, PauliString("ZII"))
+        _string_expectation(rec, "ZII")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Pauli algebra against an independent dense-matrix oracle.
 
-The oracle builds every operator from raw 2x2 matrices with its own kron
-chain (site 1 most significant), so table errors in the package cannot
-cancel against themselves.
+The oracle (``oracles.dense``) builds every operator from raw 2x2 matrices
+with its own kron chain (site 1 most significant), so table errors in the
+package cannot cancel against themselves.
 """
 
 import numpy as np
@@ -13,32 +13,24 @@ from scipy import sparse
 
 from rmlab.estimators import _shadow_terms
 from rmlab.pauli import (
+    _PHASES,
     LABELS,
     PAULI_MATRICES,
     ROTATION_MATRICES,
-    PauliString,
     PauliStringSum,
+    _word,
     build_ssh,
-    build_staggered_xy,
     square_observable,
 )
 from rmlab.scenarios import J_E, J_NNN, J_O, MU_EDGE, model_hamiltonian, quench_hamiltonian
 from rmlab.statevector import x_total
 
-from oracles import sum_product
+from oracles import dense, dense_sum, sum_product
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)  # basis order (down, up)
 Z = np.diag([-1.0, 1.0]).astype(complex)
-MATS = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
-
-def dense(letters: str) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for c in letters:
-        out = np.kron(out, MATS[c])
-    return out
 
 
 def test_matrix_conventions():
@@ -58,7 +50,7 @@ def test_rotation_matrices():
 
 def _one_term(letters: str, phase_pow: int = 0) -> PauliStringSum:
     out = PauliStringSum(len(letters))
-    out.add_term(1.0, PauliString(letters, phase_pow))
+    out.add_term(_PHASES[phase_pow], letters)
     return out
 
 
@@ -67,13 +59,39 @@ def _one_term(letters: str, phase_pow: int = 0) -> PauliStringSum:
 def test_pauli_mul_against_dense(a, b):
     prod = _one_term(a) @ _one_term(b)
     assert len(prod) == 1
-    assert np.allclose(prod.to_matrix(), dense(a) @ dense(b))
+    assert np.allclose(dense_sum(prod), dense(a) @ dense(b))
 
 
 def test_to_matrix_site_order():
-    # site 1 is the most significant factor
-    p = PauliString.from_ops({1: "Z"}, 2)
-    assert np.allclose(p.to_matrix(), np.kron(Z, I2))
+    # site 1 is the first letter of a word and the most significant factor
+    assert _word("Z", (1,), 2) == "ZI"
+    assert _word("XY", (3, 1), 3) == "YIX"
+    assert np.allclose(dense("ZI"), np.kron(Z, I2))
+
+
+def test_add_term_rejects_bad_words():
+    s = PauliStringSum(2)
+    with pytest.raises(ValueError, match="invalid Pauli letters \\['Q'\\]"):
+        s.add_term(1.0, "XQ")
+    with pytest.raises(ValueError, match="invalid Pauli letters \\['x'\\]"):
+        s.add_term(1.0, "xI")
+    for word in ("X", "XYZ", ""):
+        with pytest.raises(ValueError, match="is not 2 letters long"):
+            s.add_term(1.0, word)
+    with pytest.raises(ValueError, match="invalid Pauli letters"):
+        PauliStringSum(2, {"XQ": 1})
+    assert s.items() == []
+
+
+def test_word_rejects_bad_sites():
+    with pytest.raises(ValueError, match="site 0 outside 1..3"):
+        _word("X", (0,), 3)
+    with pytest.raises(ValueError, match="site 4 outside 1..3"):
+        _word("XX", (1, 4), 3)
+    with pytest.raises(ValueError, match="repeated site"):
+        _word("XY", (2, 2), 3)
+    with pytest.raises(ValueError):
+        _word("XY", (1,), 3)
 
 
 def _rotated(letters: str, labels, phase_pow: int = 0) -> np.ndarray:
@@ -164,16 +182,17 @@ def test_mul_closure_and_phase(letters, data, phase_pow):
     assert set(word) <= set("IXYZ")
     assert coeff in (1, -1, 1j, -1j)
     want = 1j**phase_pow * dense(letters) @ dense(other)
-    assert np.allclose(prod.to_matrix(), want)
+    assert np.allclose(dense_sum(prod), want)
 
 
 def test_sum_merges_and_drops():
     s = PauliStringSum(2)
-    s.add_term(0.5, PauliString(letters="XI"))
-    s.add_term(0.5, PauliString(letters="XI", phase_pow=2))  # -XI, cancels
-    assert s.coefficient("XI") == 0
-    s.add_term(1.25, PauliString(letters="ZZ"))
-    assert s.coefficient("ZZ") == 1.25
+    s.add_term(0.5, "XI")
+    s.add_term(0.5 * _PHASES[2], "XI")  # -XI, cancels
+    assert s.items() == []
+    s.add_term(1.25, "ZZ")
+    s.add_term(0.25, "ZZ")
+    assert s.items() == [("ZZ", 1.5)]
 
 
 @pytest.mark.parametrize("phase", ["topological", "trivial"])
@@ -186,7 +205,7 @@ def test_matmul_matches_term_by_term_product_on_model_chains(phase):
         want = sum_product(h, h)
         got = h @ h
         assert list(got._terms) == list(want._terms)
-        assert all(got.coefficient(w) == c for w, c in want._terms.items())
+        assert all(got._terms[w] == c for w, c in want._terms.items())
     for L in (6, 8, 10, 12, 14):
         h = model_hamiltonian(L, phase)
         assert square_observable(h)._terms == sum_product(h, h)._terms
@@ -197,7 +216,7 @@ def _random_sum(rng: np.random.Generator, num_sites: int, size: int) -> PauliStr
     for _ in range(size):
         word = "".join(rng.choice(list("IXYZ"), size=num_sites))
         coeff = rng.normal() + (1j * rng.normal() if rng.random() < 0.5 else 0.0)
-        out.add_term(coeff, PauliString(word))
+        out.add_term(coeff, word)
     return out
 
 
@@ -214,11 +233,11 @@ def test_matmul_matches_term_by_term_product_on_random_sums():
         b = _random_sum(rng, num_sites, int(rng.integers(0, 4)))
         for word, c in a.items():
             nudge = [-1.0, -1.0 + 1e-14 * rng.integers(1, 8), 1.0][trial % 3]
-            b.add_term(c * nudge, PauliString(word))
+            b.add_term(c * nudge, word)
         for x, y in ((a, b), (b, a), (a, a)):
             got, want = x @ y, sum_product(x, y)
             for word in set(got._terms) | set(want._terms):
-                assert abs(got.coefficient(word) - want.coefficient(word)) <= 1e-13
+                assert abs(got._terms.get(word, 0) - want._terms.get(word, 0)) <= 1e-13
 
 
 def test_sum_matmul_vs_dense():
@@ -226,30 +245,30 @@ def test_sum_matmul_vs_dense():
     a = PauliStringSum(2)
     b = PauliStringSum(2)
     for letters in ("XI", "ZY", "IZ"):
-        a.add_term(rng.normal(), PauliString(letters=letters))
-        b.add_term(rng.normal(), PauliString(letters=letters))
+        a.add_term(rng.normal(), letters)
+        b.add_term(rng.normal(), letters)
     prod = a @ b
-    assert np.allclose(prod.to_matrix(), a.to_matrix() @ b.to_matrix())
+    assert np.allclose(dense_sum(prod), dense_sum(a) @ dense_sum(b))
 
 
 def test_square_observable_dense():
     h = build_ssh(4, j_e=0.484, j_o=-0.18, j_nnn=0.04, mu_edge=0.1)
     h2 = square_observable(h)
-    m = h.to_matrix()
-    assert np.allclose(h2.to_matrix(), m @ m)
+    m = dense_sum(h)
+    assert np.allclose(dense_sum(h2), m @ m)
     assert h2.is_hermitian()
 
 
 def test_build_ssh_minimal_bond():
     # L=2 has one bond (1,2), even x=1? bonds use 1-based x: x=1 is odd, so J_o
     h = build_ssh(2, j_e=0.0, j_o=1.0)
-    assert np.allclose(h.to_matrix(), -0.5 * (dense("XX") + dense("YY")))
+    assert np.allclose(dense_sum(h), -0.5 * (dense("XX") + dense("YY")))
 
 
 def test_build_ssh_hopping_sign_dynamics():
     # -J(s+ s- + h.c.) on |up,down> oscillates as sin^2(J t) into |down,up>
     h = build_ssh(2, j_e=0.0, j_o=0.3)
-    m = h.to_matrix()
+    m = dense_sum(h)
     # index of |up,down> = 10b = 2, |down,up> = 01b = 1
     from scipy.linalg import expm
 
@@ -274,7 +293,7 @@ def test_build_ssh_term_structure():
 
 def test_staggered_xy_alternation():
     # bond x carries (-1)^x J (1-based): bond 1 -> -J, bond 2 -> +J, ...
-    h = build_staggered_xy(4, 0.18)
+    h = quench_hamiltonian(4, 0.18)
     words = dict(h.items())
     assert abs(words["XXII"] - (+0.09)) < 1e-15
     assert abs(words["IXXI"] - (-0.09)) < 1e-15
@@ -322,10 +341,10 @@ def _pauli_sums(draw):
     for w, c, k in draw(
         st.lists(st.tuples(word, st.sampled_from(_COEFFS), st.integers(0, 3)), max_size=12)
     ):
-        s.add_term(c, PauliString(w, k))
+        s.add_term(complex(c) * _PHASES[k], w)
         if draw(st.booleans()):
             # XX + YY on a pair of sites cancels on the equal-bit entries
-            s.add_term(c, PauliString(w.replace("X", "Y"), k))
+            s.add_term(complex(c) * _PHASES[k], w.replace("X", "Y"))
     return s
 
 
@@ -333,7 +352,7 @@ def _pauli_sums(draw):
 @settings(max_examples=80, deadline=None)
 def test_to_sparse_matches_kron_chain(s):
     _assert_same_csr(s.to_sparse(), _kron_chain(s))
-    assert np.allclose(s.to_sparse().toarray(), s.to_matrix())
+    assert np.allclose(s.to_sparse().toarray(), dense_sum(s))
 
 
 def test_to_sparse_drops_cancelled_entries():
@@ -361,7 +380,7 @@ def test_x_total_matches_kron_chain():
     for L in (1, 4, 8):
         xt = PauliStringSum(L)
         for m in range(1, L + 1):
-            xt.add_term(1.0, PauliString.from_ops({m: "X"}, L))
+            xt.add_term(1.0, "I" * (m - 1) + "X" + "I" * (L - m))
         _assert_same_csr(x_total(L), _kron_chain(xt))
 
 

@@ -3,6 +3,7 @@
 import base64
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -978,6 +979,22 @@ def test_load_record_rejects_missing_or_malformed_fields(tmp_path, part, key, va
     path.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
     with pytest.raises(ValueError, match=match):
         load_record(path)
+
+
+def test_load_record_bounds_num_sites_before_allocating(tmp_path):
+    # a header of 40 sites would ask for a (1, 2^40) float64 outcome table
+    path = tmp_path / "rec.ndjson"
+    header = {"format": "rmlab-record", "version": 2, "num_sites": 40, "mode": "ideal", "n_meas": 2}
+    entry = {"labels": [3] * 40, "counts": {"0" * 40: 2}}
+    path.write_text("\n".join(json.dumps(d) for d in (header, entry)) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="num_sites 40 is not an integer in 1..14"):
+            load_record(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_save_is_deterministic(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from rmlab.pauli import ROTATION_MATRICES, TWO_PI, PauliString
+from rmlab.pauli import ROTATION_MATRICES, TWO_PI, _word
 from rmlab.pulses import (
     AMP_CAP,
     CalibrationError,
@@ -34,7 +34,7 @@ from rmlab.pulses import (
 )
 from rmlab.statevector import _GAUSS_OFF, evolve_blend
 
-from oracles import ideal_schedule, random_state
+from oracles import dense, ideal_schedule, random_state
 
 
 def ideal_rset():
@@ -285,7 +285,7 @@ def test_multisite_evolution_factorizes():
     L = 2
     rng = np.random.default_rng(5)
     psi = random_state(L, rng)
-    xt = sum(PauliString.from_ops({m: "X"}, L).to_matrix() for m in (1, 2))
+    xt = sum(dense(_word("X", (m,), L)) for m in (1, 2))
     bits = np.array(
         [[(i >> (L - 1 - m)) & 1 for i in range(2**L)] for m in range(L)], float
     )

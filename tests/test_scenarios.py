@@ -26,7 +26,7 @@ from rmlab.statevector import (
     ground_state,
 )
 
-from oracles import state_fidelity
+from oracles import dense_sum, state_fidelity
 
 
 def _front(ell):
@@ -109,9 +109,9 @@ def test_af_state():
 def test_af_energy_matches_dense():
     af = prepare_af(6)
     h = model_hamiltonian(6, "trivial")
-    dense = h.to_matrix()
+    m = dense_sum(h)
     assert expectation(af, h) == pytest.approx(
-        float(np.real(af.amp.conj() @ dense @ af.amp)), abs=1e-12
+        float(np.real(af.amp.conj() @ m @ af.amp)), abs=1e-12
     )
 
 

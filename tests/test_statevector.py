@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, expm
 from scipy import sparse
 
-from rmlab.pauli import PauliString, PauliStringSum, build_ssh
+from rmlab.pauli import PauliStringSum, _word, build_ssh
 from rmlab.statevector import (
     ConvergenceError,
     DegenerateGroundStateError,
@@ -31,7 +31,7 @@ from rmlab.statevector import (
     x_total,
 )
 
-from oracles import random_state, state_fidelity
+from oracles import dense, dense_sum, random_state, state_fidelity
 
 
 def test_bit_ordering():
@@ -94,14 +94,14 @@ def test_drive_operators_against_pauli_sums():
     n_all = PauliStringSum(L)
     n_odd = PauliStringSum(L)
     for m in range(1, L + 1):
-        x.add_term(1.0, PauliString.from_ops({m: "X"}, L))
+        x.add_term(1.0, _word("X", (m,), L))
         # n = (Z + 1) / 2
         for target in (n_all, n_odd) if m % 2 else (n_all,):
-            target.add_term(0.5, PauliString.from_ops({m: "Z"}, L))
-            target.add_term(0.5, PauliString.identity(L))
-    assert np.allclose(x_total(L).toarray(), x.to_matrix())
-    assert np.allclose(occupation(L, range(1, L + 1)).toarray(), n_all.to_matrix())
-    assert np.allclose(occupation(L, range(1, L + 1, 2)).toarray(), n_odd.to_matrix())
+            target.add_term(0.5, _word("Z", (m,), L))
+            target.add_term(0.5, "I" * L)
+    assert np.allclose(x_total(L).toarray(), dense_sum(x))
+    assert np.allclose(occupation(L, range(1, L + 1)).toarray(), dense_sum(n_all))
+    assert np.allclose(occupation(L, range(1, L + 1, 2)).toarray(), dense_sum(n_odd))
 
 
 def test_norm_validation():
@@ -116,14 +116,14 @@ def test_expectation_against_dense():
     rng = np.random.default_rng(1)
     psi = random_state(3, rng)
     h = build_ssh(3, 1.1, -0.4, mu_edge=0.3)
-    ref = np.vdot(psi.amp, h.to_matrix() @ psi.amp).real
+    ref = np.vdot(psi.amp, dense_sum(h) @ psi.amp).real
     assert abs(expectation(psi, h) - ref) < 1e-12
 
 
 def test_expectation_rejects_non_hermitian():
     psi = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), 2)
     bad = PauliStringSum(2)
-    bad.add_term(1j, PauliString(letters="XX"))  # <i XX> = i on this state
+    bad.add_term(1j, "XX")  # <i XX> = i on this state
     with pytest.raises(NumericalContractError):
         expectation(psi, bad)
 
@@ -131,7 +131,7 @@ def test_expectation_rejects_non_hermitian():
 def test_z_on_all_down():
     psi = all_down(2)
     z1 = PauliStringSum(2)
-    z1.add_term(1.0, PauliString.from_ops({1: "Z"}, 2))
+    z1.add_term(1.0, _word("Z", (1,), 2))
     assert abs(expectation(psi, z1) - (-1.0)) < 1e-14
 
 
@@ -189,7 +189,7 @@ def test_evolve_static_vs_expm():
     psi = random_state(3, rng)
     h = build_ssh(3, 2.0, -0.7, mu_edge=0.5)
     out = evolve_static(psi, h, 0.8)
-    ref = expm(-1j * 0.8 * h.to_matrix()) @ psi.amp
+    ref = expm(-1j * 0.8 * dense_sum(h)) @ psi.amp
     assert np.max(np.abs(out.amp - ref)) < 1e-10
 
 
@@ -197,8 +197,8 @@ def _smooth_sweep():
     """Two non-commuting parts with smooth coefficients on two sites, and
     the state at t = 1 from a tight adaptive ODE solve."""
     psi = random_state(2, np.random.default_rng(4))
-    a = PauliString(letters="XX").to_matrix()
-    b = PauliString(letters="ZI").to_matrix()
+    a = dense("XX")
+    b = dense("ZI")
     parts = [
         (lambda t: 1.3 * np.cos(2.0 * t), sparse.csr_matrix(a)),
         (lambda t: 0.7 * np.sin(3.0 * t) + 0.2, sparse.csr_matrix(b)),
@@ -470,7 +470,7 @@ def test_constant_hamiltonian_far_past_the_step_budget():
     # within the step budget would take hundreds of them
     norm_t = np.abs(h.to_sparse()).sum(axis=1).max() * duration
     assert norm_t > 100 * statevector._STEP_BUDGET
-    ref = expm(-1j * duration * h.to_matrix()) @ psi.amp
+    ref = expm(-1j * duration * dense_sum(h)) @ psi.amp
     counts = statevector._INTEGRATOR_COUNTS
     before = counts["series_terms"]
     out = evolve_static(psi, h, duration)
@@ -565,7 +565,7 @@ def test_gershgorin_interval_holds_the_spectrum(scalar_parts, columns, column_pa
     # Pauli strings, on which the bound is tight (one entry of modulus 1
     # per row); on a block also a column-valued one and a dense diagonal
     def pauli(word):
-        return sparse.csr_matrix(PauliString(letters=word).to_matrix())
+        return sparse.csr_matrix(dense(word))
 
     parts = [(c, pauli(word)) for c, word in scalar_parts]
     if columns is not None:
@@ -610,7 +610,7 @@ def _block_problem(num_sites, k):
     """Shared X drive, a per-column drive gain and per-column diagonals."""
     rng = np.random.default_rng(21)
     x = sum(
-        PauliString.from_ops({m: "X"}, num_sites).to_matrix()
+        dense(_word("X", (m,), num_sites))
         for m in range(1, num_sites + 1)
     )
     zz = build_ssh(num_sites, 0.8, -0.4).to_sparse()
@@ -702,7 +702,7 @@ def _blend_cases():
     rng = np.random.default_rng(26)
     model = build_ssh(L, 0.9, -0.4).to_sparse() + 0.7 * occupation(L, [1, 3])
     hop = build_ssh(L, 0.5, 0.2).to_sparse()
-    y_sum = sum(PauliString.from_ops({m: "Y"}, L).to_matrix() for m in range(1, L + 1))
+    y_sum = sum(dense(_word("Y", (m,), L)) for m in range(1, L + 1))
     y_sum = sparse.csr_matrix(y_sum)
     gains = 1.0 + 0.1 * rng.normal(size=k)
     shifts = rng.normal(size=(2**L, k))
@@ -836,8 +836,8 @@ def test_evolve_conserves_magnetization():
     psi = product_state([1, 0, 1, 0])
     ntot = PauliStringSum(4)
     for m in range(1, 5):
-        ntot.add_term(0.5, PauliString.from_ops({m: "Z"}, 4))
-        ntot.add_term(0.5, PauliString.identity(4))
+        ntot.add_term(0.5, _word("Z", (m,), 4))
+        ntot.add_term(0.5, "I" * 4)
     before = expectation(psi, ntot)
     after = expectation(evolve_static(psi, h, 2.3), ntot)
     assert abs(before - after) < 1e-9
@@ -846,14 +846,14 @@ def test_evolve_conserves_magnetization():
 def test_ground_state_vs_dense():
     h = build_ssh(6, 3.04, -1.13, j_nnn=0.25, mu_edge=0.63)
     e, psi = ground_state(h)
-    vals = eigh(h.to_matrix(), eigvals_only=True)
+    vals = eigh(dense_sum(h), eigvals_only=True)
     assert abs(e - vals[0]) < 1e-10
     assert abs(expectation(psi, h) - e) < 1e-9
 
 
 def test_ground_state_degenerate_error():
     zz = PauliStringSum(2)
-    zz.add_term(1.0, PauliString(letters="ZZ"))
+    zz.add_term(1.0, "ZZ")
     with pytest.raises(DegenerateGroundStateError):
         ground_state(zz)
 
@@ -928,10 +928,10 @@ def test_degenerate_levels_in_different_sectors_raise():
     L = 4
     h = PauliStringSum(L)
     for m in range(1, L):
-        h.add_term(1.0, PauliString.from_ops({m: "X", m + 1: "X"}, L))
-        h.add_term(1.0, PauliString.from_ops({m: "Y", m + 1: "Y"}, L))
+        h.add_term(1.0, _word("XX", (m, m + 1), L))
+        h.add_term(1.0, _word("YY", (m, m + 1), L))
     for m in range(1, L + 1):
-        h.add_term((np.sqrt(5) - 1) / 2, PauliString.from_ops({m: "Z"}, L))
+        h.add_term((np.sqrt(5) - 1) / 2, _word("Z", (m,), L))
     lows = sorted(level[0] for level in _sector_levels(h))
     assert lows[1] - lows[0] < 1e-12 and lows[2] - lows[0] > 1.0
     with pytest.raises(DegenerateGroundStateError):
@@ -945,7 +945,7 @@ def test_transverse_field_breaks_sectors_and_keeps_the_dense_ground_state():
     for L in (8, 10):
         h = model_hamiltonian(L)
         for m in range(1, L + 1):
-            h.add_term(0.7, PauliString.from_ops({m: "X"}, L))
+            h.add_term(0.7, _word("X", (m,), L))
         _assert_dense_ground(h)
 
 
@@ -966,8 +966,8 @@ def test_sector_blocks_are_real_unless_h_has_imaginary_entries(monkeypatch):
     assert set(kinds) == {"f"}
     # a Dzyaloshinskii-Moriya term X Y - Y X conserves N but is imaginary
     for m in range(1, L):
-        h.add_term(0.9, PauliString.from_ops({m: "X", m + 1: "Y"}, L))
-        h.add_term(-0.9, PauliString.from_ops({m: "Y", m + 1: "X"}, L))
+        h.add_term(0.9, _word("XY", (m, m + 1), L))
+        h.add_term(-0.9, _word("YX", (m, m + 1), L))
     assert h.to_sparse().data.imag.any()
     kinds.clear()
     _assert_dense_ground(h)
