@@ -29,6 +29,7 @@ from . import __version__
 from .config import (
     ConfigError,
     ExperimentConfig,
+    ProtocolConfig,
     config_hash,
     config_to_dict,
     load_config,
@@ -36,6 +37,7 @@ from .config import (
     validate,
 )
 from .estimators import (
+    RESULT_COLUMNS,
     hamiltonian_variance,
     observable_expectation,
     purity_estimate,
@@ -45,7 +47,6 @@ from .pauli import ROTATION_ORDER, TWO_PI, square_observable
 from .protocol import (
     _RECORD_VERSION,
     BIT_CONVENTION,
-    EXACT_SHOTS,
     MeasurementRecord,
     _certify_grid,
     _drive_operators,
@@ -71,6 +72,16 @@ from .statevector import _INTEGRATOR_COUNTS, exact_purity, expectation
 
 def _sites_label(sites) -> str:
     return "sites=" + ",".join(str(s) for s in sites)
+
+
+def _result_row(
+    cfg: ExperimentConfig, quantity: str, target: str, value: float, std: float = 0.0
+) -> dict:
+    """One row of results.csv or oracle.csv, in ``RESULT_COLUMNS`` order."""
+    prot = cfg.protocol
+    values = (quantity, target, cfg.scenario.num_sites, prot.n_unitaries, prot.n_meas,
+              prot.eps_percent, prot.mode, value, std, cfg.seed)
+    return dict(zip(RESULT_COLUMNS, values, strict=True))
 
 
 def _rep_seed(master: int, rep: int) -> int:
@@ -180,21 +191,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     keys = list(done[0][1].keys())
     for key in keys:
         series = np.array([values[key] for _, values, *_ in done])
-        quantity, target = key.split(":", 1)
-        rows.append(
-            {
-                "quantity": quantity,
-                "target": target,
-                "L": cfg.scenario.num_sites,
-                "N_U": prot.n_unitaries,
-                "N_meas": prot.n_meas,
-                "eps_percent": prot.eps_percent,
-                "mode": prot.mode,
-                "value": float(series.mean()),
-                "std": float(series.std(ddof=1)) if len(series) > 1 else 0.0,
-                "seed": cfg.seed,
-            }
-        )
+        std = float(series.std(ddof=1)) if len(series) > 1 else 0.0
+        rows.append(_result_row(cfg, *key.split(":", 1), float(series.mean()), std))
     (out_dir / "results.csv").write_text(results_to_csv(rows))
     stages_s = {
         "prepare": prepared - start,
@@ -218,31 +216,18 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 def cmd_oracle(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Exact reference values for the configured scenario, no sampling."""
     scen = prepare_scenario(cfg.scenario)
+    # an oracle row: no unitaries, exact probabilities, no noise
+    exact = replace(cfg, protocol=ProtocolConfig(mode="oracle", n_unitaries=0))
     rows = []
-
-    def row(quantity: str, target: str, value: float) -> dict:
-        return {
-            "quantity": quantity,
-            "target": target,
-            "L": cfg.scenario.num_sites,
-            "N_U": 0,
-            "N_meas": EXACT_SHOTS,
-            "eps_percent": 0.0,
-            "mode": "oracle",
-            "value": value,
-            "std": 0.0,
-            "seed": cfg.seed,
-        }
-
     for sites in cfg.targets.subsystems:
-        rows.append(row("purity", _sites_label(sites), exact_purity(scen.state, sites)))
+        rows.append(_result_row(exact, "purity", _sites_label(sites), exact_purity(scen.state, sites)))
     if cfg.targets.energy:
-        rows.append(row("energy", "model", expectation(scen.state, scen.hamiltonian)))
+        rows.append(_result_row(exact, "energy", "model", expectation(scen.state, scen.hamiltonian)))
     if cfg.targets.variance:
         h = scen.hamiltonian
         eh = expectation(scen.state, h)
         eh2 = expectation(scen.state, square_observable(h))
-        rows.append(row("variance", "model", (eh2 - eh * eh) / eh2))
+        rows.append(_result_row(exact, "variance", "model", (eh2 - eh * eh) / eh2))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "oracle.csv").write_text(results_to_csv(rows))
     _write_meta(cfg, out_dir, extra={"descriptor": scen.descriptor}, name="oracle_meta.json")

@@ -3,6 +3,7 @@
 Unknown keys are rejected everywhere. A typo in a physics parameter must
 fail loudly, not fall back to a default. Validation collects every
 violation before reporting so a config can be fixed in one pass.
+``_KEYS`` is the one key table: every section's keys and their JSON types.
 """
 
 from __future__ import annotations
@@ -81,52 +82,49 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _take(section: Mapping[str, Any], allowed: Mapping[str, Any], where: str, errs: list[str]) -> dict:
-    out = {}
-    for key, value in section.items():
-        if key not in allowed:
-            errs.append(f"{where}: unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
-            continue
-        out[key] = value
-    return out
-
-
-_SCENARIO_KEYS = {
-    "kind": str,
-    "num_sites": int,
-    "phase": str,
-    "t_prep": (int, float),
-    "ramp": str,
-    "quench_time": (int, float),
-    "j_quench_mhz": (int, float),
+# JSON types by the name an error message gives them; a bool is never a number
+_JSON_TYPES = {
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a string": lambda v: type(v) is str,
+    '"exact"': lambda v: v == "exact",
+    "true or false": lambda v: type(v) is bool,
+    "a list": lambda v: type(v) is list,
+    "an object": lambda v: type(v) is dict,
+    "null": lambda v: v is None,
 }
-_PROTOCOL_KEYS = {
-    "mode": str,
-    "n_unitaries": int,
-    "n_meas": (int, str),
-    "n_ave": int,
-    "eps_percent": (int, float),
-    "fluctuation_scope": str,
-    "readout": (dict, type(None)),
-    "tol": (int, float),
+_INT, _NUM, _STR, _BOOL = ("an integer",), ("a number",), ("a string",), ("true or false",)
+_OBJ = ("an object",)
+
+# the one key table: every section's keys and the JSON types each takes
+_KEYS = {
+    "top level": {"scenario": _OBJ, "protocol": _OBJ, "estimators": _OBJ, "seed": _INT, "out": _STR},
+    "scenario": {"kind": _STR, "num_sites": _INT, "phase": _STR, "t_prep": _NUM, "ramp": _STR,
+                 "quench_time": _NUM, "j_quench_mhz": _NUM},
+    "protocol": {"mode": _STR, "n_unitaries": _INT, "n_meas": ("an integer", '"exact"'),
+                 "n_ave": _INT, "eps_percent": _NUM, "fluctuation_scope": _STR,
+                 "readout": ("an object", "null"), "tol": _NUM},
+    "protocol.readout": {"p_up_given_down": _NUM, "p_down_given_up": _NUM},
+    "estimators": {"subsystems": ("a list",), "variance": _BOOL, "energy": _BOOL},
 }
-_ESTIMATOR_KEYS = {"subsystems": list, "variance": bool, "energy": bool}
-_READOUT_KEYS = {"p_up_given_down": (int, float), "p_down_given_up": (int, float)}
-_TOP_KEYS = {"scenario": dict, "protocol": dict, "estimators": dict, "seed": int, "out": str}
 
 
-def _typecheck(raw: dict, types: Mapping[str, Any], where: str, errs: list[str]) -> dict:
+def _section(raw: Mapping[str, Any], where: str, errs: list[str]) -> dict:
+    """The keys of section ``where`` that ``_KEYS`` accepts, numbers as floats.
+
+    Every unknown key and wrong JSON type is appended to ``errs``.
+    """
+    keys = _KEYS[where]
     out = {}
     for key, value in raw.items():
-        want = types[key]
-        if isinstance(value, bool) and want is not bool and bool not in (
-            want if isinstance(want, tuple) else (want,)
-        ):
-            errs.append(f"{where}.{key}: expected {want}, got bool")
-        elif not isinstance(value, want):
-            errs.append(f"{where}.{key}: expected {want}, got {type(value).__name__}")
+        want = keys.get(key)
+        if want is None:
+            errs.append(f"{where}: unknown key {key!r} (allowed: {', '.join(sorted(keys))})")
+        elif not any(_JSON_TYPES[name](value) for name in want):
+            got = {dict: "an object", list: "a list"}.get(type(value)) or json.dumps(value)
+            errs.append(f"{where}.{key}: expected {' or '.join(want)}, got {got}")
         else:
-            out[key] = value
+            out[key] = float(value) if want == _NUM else value
     return out
 
 
@@ -155,83 +153,40 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be an object"])
 
-    top = _typecheck(_take(doc, _TOP_KEYS, "top level", errs), _TOP_KEYS, "top level", errs)
+    top = _section(doc, "top level", errs)
     if "scenario" not in doc:
         errs.append("top level: missing required section 'scenario'")
-
-    scen_raw = _typecheck(
-        _take(top.get("scenario", {}), _SCENARIO_KEYS, "scenario", errs),
-        _SCENARIO_KEYS, "scenario", errs,
-    )
-    prot_raw = _typecheck(
-        _take(top.get("protocol", {}), _PROTOCOL_KEYS, "protocol", errs),
-        _PROTOCOL_KEYS, "protocol", errs,
-    )
-    est_raw = _typecheck(
-        _take(top.get("estimators", {}), _ESTIMATOR_KEYS, "estimators", errs),
-        _ESTIMATOR_KEYS, "estimators", errs,
-    )
+    scen_raw = _section(top.pop("scenario", {}), "scenario", errs)
+    prot_raw = _section(top.pop("protocol", {}), "protocol", errs)
+    est_raw = _section(top.pop("estimators", {}), "estimators", errs)
+    readout_raw = prot_raw.pop("readout", None)
+    if readout_raw is not None:
+        readout_raw = _section(readout_raw, "protocol.readout", errs)
+    subsystems = est_raw.get("subsystems", [])
+    for i, sites in enumerate(subsystems):
+        if type(sites) is not list or not all(type(s) is int for s in sites):
+            errs.append(f"estimators.subsystems[{i}]: must be a list of site indices")
     if errs:
         raise ConfigError(errs)
 
+    # what the table cannot say: units, the "exact" sentinel, tuples
     if "j_quench_mhz" in scen_raw:
-        scen_raw["j_quench"] = TWO_PI * float(scen_raw.pop("j_quench_mhz"))
-    if "t_prep" in scen_raw:
-        scen_raw["t_prep"] = float(scen_raw["t_prep"])
-    if "quench_time" in scen_raw:
-        scen_raw["quench_time"] = float(scen_raw["quench_time"])
+        scen_raw["j_quench"] = TWO_PI * scen_raw.pop("j_quench_mhz")
+    if prot_raw.get("n_meas") == "exact":
+        prot_raw["n_meas"] = EXACT_SHOTS
+    est_raw["subsystems"] = tuple(tuple(sites) for sites in subsystems)
     try:
         scenario = ScenarioConfig(**scen_raw)
     except (TypeError, ValueError) as e:
-        raise ConfigError([f"scenario: {e}"]) from e
-
-    if "n_meas" in prot_raw:
-        if prot_raw["n_meas"] == "exact":
-            prot_raw["n_meas"] = EXACT_SHOTS
-        elif isinstance(prot_raw["n_meas"], str):
-            errs.append(
-                f"protocol.n_meas: the only string value is \"exact\", got {prot_raw['n_meas']!r}"
-            )
-    readout_raw = prot_raw.pop("readout", None)
-    readout = None
-    if readout_raw is not None:
-        fields = _typecheck(
-            _take(readout_raw, _READOUT_KEYS, "protocol.readout", errs),
-            _READOUT_KEYS, "protocol.readout", errs,
-        )
-        if not errs:
-            try:
-                readout = ReadoutErrorModel(**fields)
-            except (TypeError, ValueError) as e:
-                errs.append(f"protocol.readout: {e}")
-    if "eps_percent" in prot_raw:
-        prot_raw["eps_percent"] = float(prot_raw["eps_percent"])
-    if "tol" in prot_raw:
-        prot_raw["tol"] = float(prot_raw["tol"])
+        errs.append(f"scenario: {e}")
+    try:
+        readout = None if readout_raw is None else ReadoutErrorModel(**readout_raw)
+    except ValueError as e:
+        errs.append(f"protocol.readout: {e}")
     if errs:
         raise ConfigError(errs)
-    protocol = ProtocolConfig(readout=readout, **prot_raw)
-
-    subsystems = []
-    for i, sites in enumerate(est_raw.get("subsystems", [])):
-        if not isinstance(sites, list) or not all(isinstance(s, int) and not isinstance(s, bool) for s in sites):
-            errs.append(f"estimators.subsystems[{i}]: must be a list of site indices")
-        else:
-            subsystems.append(tuple(sites))
-    if errs:
-        raise ConfigError(errs)
-    targets = EstimatorTargets(
-        subsystems=tuple(subsystems),
-        variance=est_raw.get("variance", False),
-        energy=est_raw.get("energy", False),
-    )
-
     return ExperimentConfig(
-        scenario=scenario,
-        protocol=protocol,
-        targets=targets,
-        seed=top.get("seed", 0),
-        out=top.get("out", "results"),
+        scenario, ProtocolConfig(readout=readout, **prot_raw), EstimatorTargets(**est_raw), **top
     )
 
 
@@ -284,7 +239,8 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
             # the purity estimator's shot-noise correction divides by N_meas - 1
             errs.append("protocol.n_meas: purity estimation needs at least 2 shots per unitary")
 
-    for i, sites in enumerate(cfg.targets.subsystems):
+    subsystems = cfg.targets.subsystems
+    for i, sites in enumerate(subsystems):
         try:
             # the estimators' own check; "sites=1,2" labels results.csv rows,
             # so a subsystem also has one spelling
@@ -292,7 +248,10 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
                 raise ValueError("sites must be sorted")
         except ValueError as e:
             errs.append(f"estimators.subsystems[{i}]: {e}")
-    if not cfg.targets.subsystems and not cfg.targets.variance and not cfg.targets.energy:
+        if sites in subsystems[:i]:
+            # run would give both one results.csv row, oracle one row each
+            errs.append(f"estimators.subsystems[{i}]: repeats subsystems[{subsystems.index(sites)}]")
+    if not subsystems and not cfg.targets.variance and not cfg.targets.energy:
         errs.append("estimators: nothing to estimate (no subsystems, variance, or energy)")
 
     if prot.mode == "pulsed":
@@ -318,36 +277,15 @@ def validate(cfg: ExperimentConfig, allow_large: bool = False) -> tuple[list[str
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Normalized plain-dict form, inverse of parse_config."""
-    scen = asdict(cfg.scenario)
+    d = asdict(cfg)
+    scen, prot, est = d["scenario"], d["protocol"], d.pop("targets")
     scen["j_quench_mhz"] = scen.pop("j_quench") / TWO_PI
     if scen["t_prep"] is None:
         scen.pop("t_prep")
-    prot = {
-        "mode": cfg.protocol.mode,
-        "n_unitaries": cfg.protocol.n_unitaries,
-        "n_meas": "exact" if cfg.protocol.n_meas == EXACT_SHOTS else cfg.protocol.n_meas,
-        "n_ave": cfg.protocol.n_ave,
-        "eps_percent": cfg.protocol.eps_percent,
-        "fluctuation_scope": cfg.protocol.fluctuation_scope,
-        "readout": None
-        if cfg.protocol.readout is None
-        else {
-            "p_up_given_down": cfg.protocol.readout.p_up_given_down,
-            "p_down_given_up": cfg.protocol.readout.p_down_given_up,
-        },
-        "tol": cfg.protocol.tol,
-    }
-    return {
-        "scenario": scen,
-        "protocol": prot,
-        "estimators": {
-            "subsystems": [list(s) for s in cfg.targets.subsystems],
-            "variance": cfg.targets.variance,
-            "energy": cfg.targets.energy,
-        },
-        "seed": cfg.seed,
-        "out": cfg.out,
-    }
+    if prot["n_meas"] == EXACT_SHOTS:
+        prot["n_meas"] = "exact"
+    est["subsystems"] = [list(sites) for sites in est["subsystems"]]
+    return d | {"estimators": est}
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from typing import Sequence
 
@@ -333,27 +333,15 @@ class RealisticParams:
     d2: float = -33.8534
     d3: float = 650.0
 
-    _FIELDS = (
-        "omega_amp",
-        "omega_start",
-        "omega_end",
-        "omega_rise",
-        "delta_amp",
-        "delta_start",
-        "delta_end",
-        "delta_rise",
-        "f_step_time",
-        "f_step_rise",
-        "f_low",
-        "d2",
-        "d3",
-    )
-
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, k) for k in self._FIELDS])
 
     def with_vector(self, x: Sequence[float]) -> "RealisticParams":
         return replace(self, **{k: float(v) for k, v in zip(self._FIELDS, x)})
+
+
+# the knobs a calibration moves, in field order: every field but the window T
+RealisticParams._FIELDS = tuple(f.name for f in fields(RealisticParams) if f.name != "T")
 
 
 def _two_level_envelope(params: RealisticParams) -> Waveform:

@@ -234,6 +234,9 @@ class ScenarioConfig:
             raise ValueError(f"phase must be one of {PHASES}, got {self.phase!r}")
         if self.ramp not in RAMPS:
             raise ValueError(f"ramp must be one of {RAMPS}, got {self.ramp!r}")
+        # a j_quench_mhz near the float limit overflows in rad/us
+        if not np.isfinite(self.j_quench):
+            raise ValueError("j_quench must be finite")
         # the Hamiltonian of every kind needs an even chain
         _check_sites(self.num_sites, 6 if self.kind in ("ssh_gs", "adiabatic") else 2, even=True)
         if self.kind == "adiabatic":

@@ -436,6 +436,8 @@ def test_workers_never_outnumber_repetitions(tmp_path, monkeypatch, threads, n_a
     ({"seed": -5}, (), "seed: must be a non-negative integer"),
     ({}, ("--seed", -1), "seed: must be a non-negative integer"),
     ({"estimators": {"subsystems": [[]]}}, (), "estimators.subsystems[0]: empty subsystem"),
+    # run would give both one results.csv row, oracle one row each
+    ({"estimators": {"subsystems": [[1, 2], [1, 2]]}}, (), "estimators.subsystems[1]: repeats subsystems[0]"),
 ])
 def test_validate_rejects_what_the_run_cannot_do(tmp_path, capsys, change, flags, message):
     doc = config_to_dict(load_config(SMOKE)) | change

@@ -6,8 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rmlab.config import (
+    _KEYS,
+    MODES,
     SHOT_BUDGET,
     ConfigError,
     EstimatorTargets,
@@ -33,7 +37,7 @@ from rmlab.protocol import (
     sample_unitaries,
 )
 from rmlab.pulses import golden_schedule
-from rmlab.scenarios import ScenarioConfig
+from rmlab.scenarios import KINDS, PHASES, RAMPS, ScenarioConfig
 from rmlab.statevector import all_down, reduced_density
 
 MINIMAL = {
@@ -171,11 +175,29 @@ def test_scenario_rules_surface_as_config_errors():
         parse_config(doc(scenario={"kind": "ssh_gs", "num_sites": 7}))
     with pytest.raises(ConfigError, match="t_prep"):
         parse_config(doc(scenario={"kind": "adiabatic", "num_sites": 6}))
+    # 1e308 MHz is finite in JSON, but not once turned into rad/us
+    with pytest.raises(ConfigError, match="scenario: j_quench must be finite"):
+        parse_config(doc(scenario={"j_quench_mhz": 1e308}))
 
 
 def test_subsystem_entries_must_be_int_lists():
     with pytest.raises(ConfigError, match="subsystems"):
         parse_config(doc(estimators={"subsystems": [["one"]]}))
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"protocol": {"n_unitaries": True}}, "protocol.n_unitaries: expected an integer, got true"),
+    ({"protocol": {"n_meas": 2.5}}, 'protocol.n_meas: expected an integer or "exact", got 2.5'),
+    ({"protocol": {"n_meas": "lots"}}, 'protocol.n_meas: expected an integer or "exact", got "lots"'),
+    ({"protocol": {"readout": [0.1]}}, "protocol.readout: expected an object or null, got a list"),
+    ({"scenario": {"t_prep": "long"}}, 'scenario.t_prep: expected a number, got "long"'),
+    ({"estimators": {"energy": 1}}, "estimators.energy: expected true or false, got 1"),
+    ({"seed": {}}, "top level.seed: expected an integer, got an object"),
+])
+def test_type_errors_name_json_types(over, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc(**over))
+    assert err.value.violations == [message]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +342,65 @@ def test_hash_ignores_document_key_order():
     shuffled = json.dumps(json.loads(doc()), sort_keys=True)
     b = parse_config(shuffled)
     assert config_hash(a) == config_hash(b)
+
+
+def test_hash_ignores_how_a_readout_rate_is_spelled():
+    # JSON 0 and 0.0 are one number; every number-valued key becomes a float
+    a = parse_config(doc(protocol={"readout": {"p_up_given_down": 0}}))
+    b = parse_config(doc(protocol={"readout": {"p_up_given_down": 0.0}}))
+    assert config_hash(a) == config_hash(b)
+
+
+# values these keys accept, drawn in place of any value of their type so
+# that drawn documents often parse
+_CHOICES = {
+    "kind": KINDS, "num_sites": (4, 6, 8), "phase": PHASES, "ramp": RAMPS, "mode": MODES,
+    "fluctuation_scope": ("per_unitary", "per_shot"), "out": ("results",),
+}
+_REQUIRED = {"top level": ("scenario",), "scenario": ("kind", "num_sites")}
+_VALUES = {
+    "an integer": st.integers(-1, 10),
+    "a string": st.text(max_size=3),
+    "a number": st.one_of(
+        st.integers(0, 3),
+        st.floats(0, 1, exclude_max=True),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    '"exact"': st.just("exact"),
+    "true or false": st.booleans(),
+    "a list": st.lists(st.lists(st.integers(1, 8), max_size=3), max_size=3),
+    "null": st.none(),
+}
+
+
+def _documents(where="top level"):
+    """Section ``where`` with each key of ``_KEYS`` left out or given a value
+    of a JSON type the table allows; an object is the key's own section."""
+
+    def value(key, want):
+        if key in _CHOICES:
+            return st.sampled_from(_CHOICES[key])
+        inner = key if where == "top level" else f"{where}.{key}"
+        return st.one_of(*(_documents(inner) if name == "an object" else _VALUES[name] for name in want))
+
+    required = _REQUIRED.get(where, ())
+    keys = {key: value(key, want) for key, want in _KEYS[where].items()}
+    return st.fixed_dictionaries({key: keys.pop(key) for key in required}, optional=keys)
+
+
+@given(_documents())
+@example({"scenario": {"kind": "af", "num_sites": 4, "j_quench_mhz": 1e308}})
+@example({"scenario": {"kind": "af", "num_sites": 4},
+          "protocol": {"n_meas": "exact", "readout": {"p_up_given_down": 0}}})
+@settings(max_examples=300, deadline=None)
+def test_every_document_that_parses_round_trips(document):
+    try:
+        cfg = parse_config(json.dumps(document))
+    except ConfigError:
+        return
+    again = parse_config(json.dumps(config_to_dict(cfg)))
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)
 
 
 def test_hash_sensitive_to_physics_fields():
