@@ -43,16 +43,18 @@ of five of the ``run_ideal`` calls that build those two records, in
 milliseconds, per record. ``square_observable_ms`` holds the best
 of five ``pauli.square_observable`` calls on the dimerized chain's
 Hamiltonian at L = 8, 10 and 12, in milliseconds. ``pulsed_block`` holds
-one pulsed block as ``protocol.run_pulsed`` evolves it: the dimerized
-chain's L = 8 ground state under 100 columns of the golden schedule, each
-with its own per-unitary gains (eps = 3 %) and label row, interactions
+one pulsed block as ``protocol.run_pulsed`` evolves it, under ``K10``
+and ``K100``: the dimerized chain's L = 8 ground state under K = 10 (the
+benchmark's block width) or 100 columns of the golden schedule, each with
+its own per-unitary gains (eps = 3 %) and label row, interactions
 included, through ``evolve_blend`` on 300 CFM4 steps. ``ms`` is the best
-of three calls, in milliseconds, and ``minor_faults`` the fewest minor
-page faults (``resource.getrusage``) that one of those calls took. The
-calls run in a fresh interpreter: the allocator serves a block-sized
-array from the heap or from a fresh mapping depending on what the process
-freed before, so the count taken after the other layers would not be the
-one a run sees.
+of three calls, in milliseconds, ``minor_faults`` the fewest minor page
+faults (``resource.getrusage``) that one of those calls took, and
+``exponentials`` and ``series_terms`` the integrator's work in one call,
+the counts behind the time. Each width runs in a fresh interpreter: the
+allocator serves a block-sized array from the heap or from a fresh
+mapping depending on what the process freed before, so the count taken
+after the other layers would not be the one a run sees.
 
 Next to ``source_lines`` the provenance holds ``public_surface``: per
 rmlab module, the names in its ``__all__`` and the parameters with
@@ -218,15 +220,21 @@ def square_observable_layer(repeats: int = 5) -> dict:
 
 
 def pulsed_block_layer() -> dict:
-    """``pulsed_block`` measured in a fresh interpreter."""
-    cmd = [sys.executable, "-c", "import json, bench; print(json.dumps(bench.pulsed_block()))"]
-    proc = subprocess.run(cmd, cwd=ROOT / "scripts", capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    """``pulsed_block`` at K = 10 and 100 columns, each measured in a fresh
+    interpreter."""
+    out = {}
+    for columns in (10, 100):
+        code = f"import json, bench; print(json.dumps(bench.pulsed_block({columns})))"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "scripts", capture_output=True,
+                              text=True, check=True)
+        out[f"K{columns}"] = json.loads(proc.stdout)
+    return out
 
 
-def pulsed_block(repeats: int = 3) -> dict:
-    """Best-of-``repeats`` milliseconds and the fewest minor page faults of
-    one L = 8, N_U = 100 per-unitary pulsed block on 300 steps."""
+def pulsed_block(columns: int, repeats: int = 3) -> dict:
+    """Best-of-``repeats`` milliseconds, the fewest minor page faults and the
+    integrator's exponentials and series terms of one L = 8 per-unitary
+    pulsed block of ``columns`` columns on 300 steps."""
     sys.path.insert(0, str(ROOT / "src"))
     import resource
 
@@ -235,7 +243,7 @@ def pulsed_block(repeats: int = 3) -> dict:
     from rmlab.protocol import _drive_operators, _pulsed_parts, sample_unitaries
     from rmlab.pulses import FluctuationModel, golden_schedule, perturb
     from rmlab.scenarios import model_hamiltonian
-    from rmlab.statevector import evolve_blend, ground_state
+    from rmlab.statevector import _INTEGRATOR_COUNTS, evolve_blend, ground_state
 
     L = 8
     h = model_hamiltonian(L)
@@ -243,16 +251,18 @@ def pulsed_block(repeats: int = 3) -> dict:
     schedule = golden_schedule()
     rng = np.random.default_rng(0)
     fluct = FluctuationModel(3.0)
-    columns = [(perturb(schedule, fluct, rng), row) for row in sample_unitaries(L, 100, rng)]
-    parts = _pulsed_parts(schedule, columns, _drive_operators(L, h))
+    drawn = [(perturb(schedule, fluct, rng), row) for row in sample_unitaries(L, columns, rng)]
+    parts = _pulsed_parts(schedule, drawn, _drive_operators(L, h))
     ms = faults = math.inf
     for _ in range(repeats):
+        counts = dict(_INTEGRATOR_COUNTS)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=300)
         ms = min(ms, 1e3 * (time.perf_counter() - start))
         faults = min(faults, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    return {"ms": ms, "minor_faults": faults}
+    work = {key: _INTEGRATOR_COUNTS[key] - counts[key] for key in counts}
+    return {"ms": ms, "minor_faults": faults} | work
 
 
 def public_surface() -> dict:

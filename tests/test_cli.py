@@ -264,7 +264,7 @@ _TINY_RUNS = {
     "pulsed": (
         {"kind": "af", "num_sites": 4},
         {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 2, "eps_percent": 3.0, "tol": 1e-4},
-        {"exponentials": (153 + 303) + 2 * 153, "series_terms": 7506},
+        {"exponentials": (153 + 303) + 2 * 153, "series_terms": 6302},
     ),
     # the same grid with 11 sigma-point columns per unitary: one block per
     # repetition, not one integration per shot
@@ -272,13 +272,13 @@ _TINY_RUNS = {
         {"kind": "af", "num_sites": 4},
         {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 2, "eps_percent": 3.0,
          "fluctuation_scope": "per_shot", "tol": 1e-4},
-        {"exponentials": (153 + 303) + 2 * 153, "series_terms": 7535},
+        {"exponentials": (153 + 303) + 2 * 153, "series_terms": 6326},
     ),
     # the sweep's refinement, once per run; ideal repetitions integrate nothing
     "adiabatic": (
         {"kind": "adiabatic", "num_sites": 6, "t_prep": 0.05},
         {"mode": "ideal", "n_unitaries": 3, "n_meas": 20, "n_ave": 2},
-        {"exponentials": 460, "series_terms": 2584},
+        {"exponentials": 460, "series_terms": 2583},
     ),
 }
 

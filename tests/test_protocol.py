@@ -671,6 +671,32 @@ def test_pulsed_tight_tol_doubles_block_grid(golden):
     assert _probe_distance(psi, None, golden, loose.meta["steps"]) > 15 / 16 * 1e-10 / 2
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-10])
+def test_certified_grid_is_a_multiple_of_the_waveform_cells(golden, tol):
+    # the error controller's jumps assume fourth order, which a grid has
+    # only where no step straddles a kink of the piecewise-linear
+    # waveforms: the start grid is a multiple of the cells, and so is
+    # every grid refined from it (900 steps at 1e-10)
+    h = build_ssh(4, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
+    psi = ground_state(h)[1]
+    steps, _ = _certify_grid(psi, golden, _drive_operators(4, h), tol)
+    cells = len(golden.breakpoints()) - 1
+    assert steps % cells == 0
+
+
+def test_pulsed_block_allocates_no_block_per_exponential(pulsed_block):
+    # an exponential blends H into blocks its run owns: one L = 8, K = 100
+    # block on 300 steps (153 exponentials) takes fewer than 2,000 minor
+    # page faults, where a new (2^L, K) diagonal blend per exponential took
+    # about 26,000
+    import resource
+
+    psi, parts, t1 = pulsed_block(8, 100)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evolve_blend(psi, parts, 0.0, t1, tol=None, initial_steps=300)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
 def test_validated_grid_is_within_tol_of_four_times_the_steps(golden):
     # at fourth order the n vs 2n distance is 15/16 of the n-grid error, so
     # a probe grid accepted at 15/16 tol is itself within tol of the exact state

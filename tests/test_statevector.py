@@ -675,6 +675,45 @@ def test_taylor_series_raises_when_not_converged():
     assert np.allclose(small[:, 1], np.exp(-1j) * v, atol=1e-14)
 
 
+def test_centred_taylor_series_stops_within_its_term_limit():
+    # a blend within the step budget, shifted by a diagonal energy at the
+    # edge of its diagonal, is up to twice the budget: the series must still
+    # stop inside the term limit, which 4^32 / 32! < 1e-16 guarantees
+    import math
+
+    import rmlab.statevector as statevector
+    from rmlab.statevector import _BlendHamiltonian, _SeriesBuffers, _exponential, _taylor_apply
+
+    worst = 2.0 * statevector._STEP_BUDGET
+    assert worst**32 / math.factorial(32) < 1e-16 and 32 <= statevector._TAYLOR_TERMS
+    counts = statevector._INTEGRATOR_COUNTS
+    v = random_state(2, np.random.default_rng(38)).amp
+    before = counts["series_terms"]
+    out = _taylor_apply(lambda w, out: np.multiply(worst, w, out=out), v, 1.0, _SeriesBuffers(v.shape))
+    assert counts["series_terms"] - before <= 32
+    assert np.max(np.abs(out - np.exp(-1j * worst) * v)) < 1e-14
+    # |B| tau exactly at the budget; all but 1e-6 of the weight on the top
+    # level puts the shift there and |B - s| tau at 2 (1 - 2e-6) budgets.
+    # On a block, the other column sits at the centre
+    levels = np.array([3.0, -3.0, -3.0, -3.0])
+    top = np.sqrt([1.0 - 1e-6, 1e-6 / 3, 1e-6 / 3, 1e-6 / 3])
+    for block in (False, True):
+        w = (np.stack([top, np.full(4, 0.5)], axis=1) if block else top).astype(complex)
+        part = np.stack([levels, levels], axis=1) if block else sparse.diags(levels).tocsr()
+        ham = _BlendHamiltonian([(1.0, part)], 0.0)
+        cs = ham.values(0.0)
+        tau = statevector._STEP_BUDGET / ham.norm_bound(cs)
+        bufs = _SeriesBuffers(w.shape)
+        ham.bind(bufs)
+        shift = ham.centred_matvec(cs, w)[1]
+        assert np.max(np.abs(levels[1] - shift)) * tau > 1.999 * statevector._STEP_BUDGET
+        before = counts["series_terms"]
+        got = _exponential(ham, cs, tau, w, bufs)
+        assert counts["series_terms"] - before <= (2 if block else 1) * statevector._TAYLOR_TERMS
+        want = np.exp(-1j * tau * levels)[:, None] * w if block else np.exp(-1j * tau * levels) * w
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
 def test_taylor_apply_leaves_its_input_alone():
     from rmlab.statevector import _SeriesBuffers, _taylor_apply
 
@@ -694,6 +733,17 @@ def _per_part(parts, cs, v):
     for c, (_, m) in zip(cs, parts):
         out = out + c * (m * v if isinstance(m, np.ndarray) else m @ v)
     return out
+
+
+def _blend_diagonal(parts, cs, shape):
+    """The diagonal of sum_k c_k A_k on a state of ``shape``, per column:
+    row i of the per-part sum applied to the basis vector e_i."""
+    rows = []
+    for i in range(shape[0]):
+        e = np.zeros(shape, dtype=complex)
+        e[i] = 1.0
+        rows.append(_per_part(parts, cs, e)[i])
+    return np.real(rows)
 
 
 def _blend_cases():
@@ -732,7 +782,7 @@ def _blend_cases():
 
 @pytest.mark.parametrize("case", sorted(_blend_cases()))
 def test_fused_matvec_matches_per_part_sum(case):
-    from rmlab.statevector import _BlendHamiltonian
+    from rmlab.statevector import _BlendHamiltonian, _SeriesBuffers
 
     parts, columns = _blend_cases()[case]
     ham = _BlendHamiltonian(parts, 0.0)
@@ -740,14 +790,23 @@ def test_fused_matvec_matches_per_part_sum(case):
     rng = np.random.default_rng(27)
     shape = (8,) if columns is None else (8, columns)
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ham.bind(_SeriesBuffers(shape))
     for t in (0.0, 0.37):
         cs = ham.values(t)
         kept = v.copy()
-        got = ham.matvec(cs, np.empty_like(v))(v, np.empty_like(v))
+        got = ham.matvec(cs)(v, np.empty_like(v))
         assert np.array_equal(v, kept)
         want = _per_part(parts, cs, v)
         assert got.shape == v.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # the centred blend is B - s, s each column's diagonal energy
+        weights = np.abs(v) ** 2
+        energy = np.sum(weights * _blend_diagonal(parts, cs, shape), axis=0) / np.sum(weights, axis=0)
+        mv, shift = ham.centred_matvec(cs, v)
+        assert np.allclose(shift, energy, rtol=1e-13, atol=1e-14)
+        got = mv(v, np.empty_like(v))
+        assert np.array_equal(v, kept)
+        assert np.linalg.norm(got + shift * v - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -765,53 +824,78 @@ def test_csr_kernel_matches_scipy_matmul_byte_for_byte(kind, columns):
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # a real matrix acts on the float view: real and imaginary parts as columns
     want = m @ v if kind == "complex" else (m @ v.reshape(n, -1).view(float)).view(complex).reshape(shape)
-    out = np.full(shape, np.nan + 1j)
-    product = _csr_product(m, out)
-    for _ in range(2):  # the second call overwrites the first product
-        got = product(v)
-        assert got is out
-        assert got.tobytes() == want.tobytes()
-    # a block that is not C-contiguous: its ravel would be a copy
+    product = _csr_product(m, shape)
+    # into a zero block, as `@` makes it, the product is `@` byte for byte
+    out = np.zeros(shape, dtype=complex)
+    got = product(v, out)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+    # into a filled block it is added, out0 + m @ v, in the kernel's own
+    # order of additions: within a few ulps of the sizes summed
+    out0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out = out0.copy()
+    assert product(v, out) is out
+    size = np.abs(out0) + abs(m) @ np.abs(v)
+    assert np.all(np.abs(out - (out0 + want)) <= 4 * np.finfo(float).eps * size)
+    # an output that is not C-contiguous: its ravel would be a copy
     with pytest.raises(ValueError, match="C-contiguous"):
-        _csr_product(m, np.empty((n, 2 * (columns or 1)), dtype=complex)[:, ::2].reshape(shape))
-    # the kernel trusts sizes: a real or misshapen input is refused, and
-    # so is an output the matrix does not fit
+        product(v, np.empty((n, 2 * (columns or 1)), dtype=complex)[:, ::2].reshape(shape))
+    # the kernel trusts sizes: a real or misshapen input or output is
+    # refused, and so is a shape the matrix does not fit
     for bad in (v.real.copy(), np.concatenate([v, v])):
         with pytest.raises(ValueError, match="sparse product of"):
-            product(bad)
+            product(bad, out)
+        with pytest.raises(ValueError, match="sparse product of"):
+            product(v, bad)
     with pytest.raises(ValueError, match="cannot act on"):
-        _csr_product(m, np.empty((2 * n,) + shape[1:], dtype=complex))
+        _csr_product(m, (2 * n,) + shape[1:])
 
 
-@pytest.mark.parametrize("case", sorted(_blend_cases()))
-def test_series_match_the_allocating_terms(case):
-    # the buffer-reusing series keep every byte of the allocating ones,
-    # across a chain of exponentials that share one set of buffers
-    from oracles import allocating_chebyshev, allocating_matvec, allocating_taylor
+# every amplitude of the centred, buffer-reusing series within this of the
+# allocating, uncentred ones (1.2e-15 at most on a K = 100 pulsed block)
+_SERIES_TOL = 1e-14
 
-    from rmlab.statevector import _BlendHamiltonian, _chebyshev_apply, _SeriesBuffers, _taylor_apply
 
-    parts, columns = _blend_cases()[case]
+@pytest.mark.parametrize("case", sorted(_blend_cases()) + ["pulsed block L8 K10"])
+def test_series_match_the_allocating_terms(case, monkeypatch, pulsed_block):
+    # the centred, buffer-reusing exponentials move amplitudes at roundoff
+    # only: a chain of Taylor and Chebyshev series sharing one set of
+    # buffers, and a whole evolution on the same grid
+    from oracles import allocating_exponential
+
+    import rmlab.statevector as statevector
+    from rmlab.statevector import _BlendHamiltonian, _SeriesBuffers, _exponential
+
+    if case in _blend_cases():
+        parts, columns = _blend_cases()[case]
+        psi, t1, steps = random_state(3, np.random.default_rng(35)), 1.0, 20
+    else:
+        psi, parts, t1 = pulsed_block(8, 10)
+        columns, steps = 10, 300
     ham = _BlendHamiltonian(parts, 0.0)
+    assert ham.columns == columns
     rng = np.random.default_rng(34)
-    shape = (8,) if columns is None else (8, columns)
+    shape = ham.shape
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     kept = v.copy()
     bufs = _SeriesBuffers(shape)
+    ham.bind(bufs)
     new, old = v, v
-    for t, series in ((0.1, "taylor"), (0.37, "chebyshev"), (0.6, "taylor"), (0.9, "chebyshev")):
-        cs = ham.values(t)
-        bound = ham.norm_bound(cs)
-        if series == "taylor":
-            dt = 1.5 / bound
-            new = _taylor_apply(ham.matvec(cs, bufs.work), new, dt, bufs)
-            old = allocating_taylor(allocating_matvec(ham, cs), old, dt)
-        else:
-            tau = 20.0 / bound
-            new = _chebyshev_apply(ham, cs, tau, new, bufs)
-            old = allocating_chebyshev(ham, cs, tau, old)
-        assert np.array_equal(new, old)
+    # |B| tau of 1.5 is one Taylor series, 20 one Chebyshev series
+    for t, norm_tau in ((0.1, 1.5), (0.37, 20.0), (0.6, 1.5), (0.9, 20.0)):
+        cs = ham.values(t * t1)
+        tau = norm_tau / ham.norm_bound(cs)
+        new = _exponential(ham, cs, tau, new, bufs)
+        old = allocating_exponential(ham, cs, tau, old)
+        assert np.max(np.abs(new - old)) <= _SERIES_TOL
     assert np.array_equal(v, kept)
+    fast = evolve_blend(psi, parts, 0.0, t1, tol=None, initial_steps=steps)
+    monkeypatch.setattr(statevector, "_exponential", allocating_exponential)
+    slow = evolve_blend(psi, parts, 0.0, t1, tol=None, initial_steps=steps)
+    if columns is None:
+        fast, slow = [fast], [slow]
+    for a, b in zip(fast, slow, strict=True):
+        assert np.max(np.abs(a.amp - b.amp)) <= _SERIES_TOL
 
 
 @pytest.mark.parametrize("columns", [None, 3])
