@@ -10,8 +10,9 @@ holds each run's last output line (the result) under the workload's
 name, next to ``integrator``: the integrator's exponentials and series
 terms from ``run_meta.json`` of one untimed ``rmlab run`` of the
 workload's config at the seed, work counts that host speed cannot blur,
-and, for a pulsed workload, ``grid``: that run's certified step count and
-its probe's n vs 2n distance.
+and, for a pulsed workload, ``grid``: that run's certified step count,
+its probe's n vs 2n distance and its per-exponential series truncation
+budget.
 It also holds the provenance of the first run: git hash, source digest
 (the hash does not see uncommitted edits), numpy and scipy versions,
 nproc and the line counts of ``src`` and ``tests``. ``git_dirty`` is
@@ -47,14 +48,17 @@ one pulsed block as ``protocol.run_pulsed`` evolves it, under ``K10``
 and ``K100``: the dimerized chain's L = 8 ground state under K = 10 (the
 benchmark's block width) or 100 columns of the golden schedule, each with
 its own per-unitary gains (eps = 3 %) and label row, interactions
-included, through ``evolve_blend`` on 300 CFM4 steps. ``ms`` is the best
-of three calls, in milliseconds, ``minor_faults`` the fewest minor page
-faults (``resource.getrusage``) that one of those calls took, and
+included, through ``evolve_blend`` on the step count and at the series
+truncation budget that ``protocol._certify_grid`` certifies at the
+benchmark's tol, 1e-4 (300 steps, budget 4.2e-11), as a run does. ``ms`` is
+the best of three calls, in milliseconds, ``minor_faults`` the fewest
+minor page faults (``resource.getrusage``) that one of those calls took,
 ``exponentials`` and ``series_terms`` the integrator's work in one call,
-the counts behind the time. Each width runs in a fresh interpreter: the
-allocator serves a block-sized array from the heap or from a fresh
-mapping depending on what the process freed before, so the count taken
-after the other layers would not be the one a run sees.
+the counts behind the time, and ``steps`` and ``budget`` the grid. Each
+width runs in a fresh interpreter: the allocator serves a block-sized
+array from the heap or from a fresh mapping depending on what the
+process freed before, so the count taken after the other layers would
+not be the one a run sees.
 
 Next to ``source_lines`` the provenance holds ``public_surface``: per
 rmlab module, the names in its ``__all__`` and the parameters with
@@ -232,15 +236,16 @@ def pulsed_block_layer() -> dict:
 
 
 def pulsed_block(columns: int, repeats: int = 3) -> dict:
-    """Best-of-``repeats`` milliseconds, the fewest minor page faults and the
-    integrator's exponentials and series terms of one L = 8 per-unitary
-    pulsed block of ``columns`` columns on 300 steps."""
+    """Best-of-``repeats`` milliseconds, the fewest minor page faults, the
+    integrator's exponentials and series terms, and the step count and
+    series budget of one L = 8 per-unitary pulsed block of ``columns``
+    columns on the grid certified at the benchmark's tol, 1e-4."""
     sys.path.insert(0, str(ROOT / "src"))
     import resource
 
     import numpy as np
 
-    from rmlab.protocol import _drive_operators, _pulsed_parts, sample_unitaries
+    from rmlab.protocol import _certify_grid, _drive_operators, _pulsed_parts, sample_unitaries
     from rmlab.pulses import FluctuationModel, golden_schedule, perturb
     from rmlab.scenarios import model_hamiltonian
     from rmlab.statevector import _INTEGRATOR_COUNTS, evolve_blend, ground_state
@@ -252,17 +257,19 @@ def pulsed_block(columns: int, repeats: int = 3) -> dict:
     rng = np.random.default_rng(0)
     fluct = FluctuationModel(3.0)
     drawn = [(perturb(schedule, fluct, rng), row) for row in sample_unitaries(L, columns, rng)]
-    parts = _pulsed_parts(schedule, drawn, _drive_operators(L, h))
+    drive = _drive_operators(L, h)
+    parts = _pulsed_parts(schedule, drawn, drive)
+    steps, budget, _ = _certify_grid(psi, schedule, drive, 1e-4)
     ms = faults = math.inf
     for _ in range(repeats):
         counts = dict(_INTEGRATOR_COUNTS)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=300)
+        evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps, budget=budget)
         ms = min(ms, 1e3 * (time.perf_counter() - start))
         faults = min(faults, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     work = {key: _INTEGRATOR_COUNTS[key] - counts[key] for key in counts}
-    return {"ms": ms, "minor_faults": faults} | work
+    return {"ms": ms, "minor_faults": faults, "steps": steps, "budget": budget} | work
 
 
 def public_surface() -> dict:

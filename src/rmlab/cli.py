@@ -96,7 +96,7 @@ def _integrator_since(start: dict[str, int]) -> dict[str, int]:
 def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dict[str, int]]:
     """One repetition's estimates and record, and the integrator work it did
     (its own difference, so a worker process reports only its share)."""
-    cfg, scen, schedule, steps, drive, h_squared, rep = args
+    cfg, scen, schedule, grid, drive, h_squared, rep = args
     start = dict(_INTEGRATOR_COUNTS)
     prot = cfg.protocol
     seed = _rep_seed(cfg.seed, rep)
@@ -106,11 +106,13 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dic
         record = run_ideal(scen.state, labels, prot.n_meas, readout=prot.readout, seed=seed)
     else:
         fluct = FluctuationModel(prot.eps_percent, prot.fluctuation_scope)
+        steps, budget, _ = grid
         record = run_pulsed(
             scen.state,
             labels,
             schedule,
             steps,
+            budget,
             drive,
             fluct=fluct,
             n_meas=prot.n_meas,
@@ -135,17 +137,17 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     """Run every repetition, then write records, results.csv and run_meta.json.
 
     The scenario, the pulse schedule, its drive operators, its step count
-    (certified once by ``protocol._certify_grid``) and H^2 (only when the
-    variance is requested) are shared by all repetitions, which run in
-    min(threads, n_ave) worker processes, or in this one. run_meta.json
-    records the record format version, the wall time of each stage:
-    prepare (the other shared inputs), certify (pulsed runs),
-    repetitions, and write (records and results.csv), a pulsed run's
-    ``grid`` (steps and the probe's n vs 2n distance), and the
-    integrator's exponentials and series terms summed over the run,
-    whatever the thread count. Records under ``records/`` that this run
-    did not write, left by an earlier run with more repetitions, are
-    deleted.
+    and series budget (certified once by ``protocol._certify_grid``) and
+    H^2 (only when the variance is requested) are shared by all
+    repetitions, which run in min(threads, n_ave) worker processes, or in
+    this one. run_meta.json records the record format version, the wall
+    time of each stage: prepare (the other shared inputs), certify (pulsed
+    runs), repetitions, and write (records and results.csv), a pulsed
+    run's ``grid`` (steps, the probe's n vs 2n distance and the
+    per-exponential truncation budget), and the integrator's exponentials
+    and series terms summed over the run, whatever the thread count.
+    Records under ``records/`` that this run did not write, left by an
+    earlier run with more repetitions, are deleted.
     """
     start = time.perf_counter()
     start_counts = dict(_INTEGRATOR_COUNTS)
@@ -157,12 +159,12 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         drive = _drive_operators(scen.state.num_sites, scen.hamiltonian)
     h_squared = square_observable(scen.hamiltonian) if cfg.targets.variance else None
     prepared = time.perf_counter()
-    steps = distance = None
+    grid = None
     if schedule is not None:
-        steps, distance = _certify_grid(scen.state, schedule, drive, prot.tol)
+        grid = _certify_grid(scen.state, schedule, drive, prot.tol)
     certified = time.perf_counter()
     integrator = _integrator_since(start_counts)
-    work = [(cfg, scen, schedule, steps, drive, h_squared, rep) for rep in range(prot.n_ave)]
+    work = [(cfg, scen, schedule, grid, drive, h_squared, rep) for rep in range(prot.n_ave)]
     workers = min(threads, prot.n_ave)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -207,7 +209,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     }
     if schedule is not None:
         stages_s["certify"] = certified - prepared
-        extra["grid"] = {"steps": steps, "probe_distance": distance}
+        steps, budget, distance = grid
+        extra["grid"] = {"steps": steps, "probe_distance": distance, "budget": budget}
     _write_meta(cfg, out_dir, extra=extra)
     print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows, {prot.n_ave} repetitions)")
     return 0

@@ -38,10 +38,11 @@ gains. Scope "per_unitary" gives a sample one column, under its drawn
 gains, with weight 1; "per_shot" gives it the 11 sigma points of
 ``pulses._sigma_gains`` with weights ``pulses._SIGMA_WEIGHTS``, whose
 mixture is the gain-averaged distribution that per-shot draws sample.
-Every block of a run is evolved once, on one step count that
-``_certify_grid`` certifies per run on a seed-free probe column, with the
-operators that ``_drive_operators`` builds once per run (X_tot, N_tot,
-the occupation table and the sparse H_mod).
+Every block of a run is evolved once, on one step count and at one
+series truncation budget that ``_certify_grid`` certifies per run on a
+seed-free probe column, with the operators that ``_drive_operators``
+builds once per run (X_tot, N_tot, the occupation table and the sparse
+H_mod).
 
 Reproducibility contract: every stochastic step under sample k draws from
 a stream keyed by (seed, k), in a fixed order: pulse gains (per_unitary
@@ -75,9 +76,11 @@ from .pulses import (
 from .statevector import (
     _EXP_WEIGHT,
     _STEP_BUDGET,
+    _TRUNCATION_SHARE,
     MAX_SITES,
     StateVector,
     _certify,
+    _truncation_budget,
     apply_local_unitaries,
     apply_site_matrices,
     bits_to_index,
@@ -429,9 +432,10 @@ def _pulsed_parts(
 
 def _certify_grid(
     psi: StateVector, schedule: PulseSchedule, drive: _Drive, tol: float
-) -> tuple[int, float]:
-    """The step count for every pulsed block of a run, and the probe's n vs
-    2n distance there, under the run's ``_drive_operators``.
+) -> tuple[int, float, float]:
+    """The step count and the per-exponential series truncation budget for
+    every pulsed block of a run, and the probe's n vs 2n distance there,
+    under the run's ``_drive_operators``.
 
     The probe is the nominal schedule under labels that alternate the
     largest-|d| and the smallest-|d| label, the largest at site 1; it draws
@@ -441,6 +445,14 @@ def _certify_grid(
     columns ran up to 1.4 times the probe's distance. Each extra digit of
     tol costs about 1.8 times the steps. Raises ValueError unless tol is
     finite and positive.
+
+    A probe run on m steps stops its series at the budget
+    ``_truncation_budget(tol / 2, m)``, which truncates at most tol / 32
+    in all, and the controller counts that share: the certified n-step
+    probe, truncation included, is within tol / 2 of the exact state. The
+    blocks run at the budget of that n-step run, so each of their columns
+    truncates at most tol / 32 too. At the benchmark's tol, 1e-4, on 300
+    steps, the budget is the norm drift's cap, 4.2e-11.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
@@ -457,11 +469,14 @@ def _certify_grid(
     probe = np.resize(extremes, num_sites)
     parts = _pulsed_parts(schedule, [(schedule, probe)], drive)
 
-    def run(m: int) -> np.ndarray:
-        return evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=m).amp
+    half = tol / 2.0
 
-    steps, _, distance = _certify(run, n0, tol / 2.0)
-    return steps, distance
+    def run(m: int) -> np.ndarray:
+        budget = _truncation_budget(half, m)
+        return evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=m, budget=budget).amp
+
+    steps, _, distance = _certify(run, n0, half, _TRUNCATION_SHARE)
+    return steps, _truncation_budget(half, steps), distance
 
 
 def run_pulsed(
@@ -469,6 +484,7 @@ def run_pulsed(
     labels: np.ndarray,
     schedule: PulseSchedule,
     steps: int,
+    budget: float,
     drive: _Drive,
     fluct: FluctuationModel | None = None,
     n_meas: int | float = EXACT_SHOTS,
@@ -476,9 +492,11 @@ def run_pulsed(
     seed: int = 0,
 ) -> MeasurementRecord:
     """Integrate the pulse Hamiltonian per row of the (N_U, L) label table,
-    interactions included, on ``steps`` CFM4 steps (``_certify_grid`` gives
-    the run's count), with the run's ``_drive_operators``. A malformed
-    table (``_check_labels``) raises ValueError before any gain is drawn.
+    interactions included, on ``steps`` CFM4 steps with every series
+    stopped at the per-exponential truncation ``budget`` (``_certify_grid``
+    gives the run's count and budget), with the run's
+    ``_drive_operators``. A malformed table (``_check_labels``) raises
+    ValueError before any gain is drawn.
 
     Sample k's outcome distribution is the weighted sum of its columns'
     probabilities (block layout and (seed, k) streams per scope: see the
@@ -514,7 +532,7 @@ def run_pulsed(
     for start in range(0, len(columns), width):
         chunk = columns[start : start + width]
         parts = _pulsed_parts(schedule, chunk, drive)
-        states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
+        states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps, budget=budget)
         for j, state in enumerate(states if len(chunk) > 1 else [states], start):
             mixtures[j // per_sample] += weights[j] * np.abs(state.amp) ** 2
         del states  # free this block's amplitudes before the next is evolved

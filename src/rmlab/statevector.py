@@ -23,16 +23,24 @@ that one H, and the whole run of steps is the single exponential
 exp(-i m dt H). An exponential with ``|B| * t <= 2`` is one Taylor series
 of B - s, s each column's diagonal energy <v|D|v> / <v|v> (D the diagonal
 of B), times the phase exp(-i t s): |B - s| * t <= 4, and the series stops
-on its own once a term falls below 1e-16 (about 10-30 terms) and raises if
-it has not by term 40. A longer one (a fused stretch) is a
-Chebyshev series in (B - s) / R, with s near the centre and R the
-half-width of B's Gershgorin interval, per column (Tal-Ezer and Kosloff,
-J. Chem. Phys. 81, 3967 (1984)): about one application of B per unit of
+at the run's budget eps, once a rigorous bound on its tail is below eps
+|v| in every column, and raises if it has not by term 40. A longer one (a
+fused stretch) is a Chebyshev series in (B - s) / R, with s near the
+centre and R the half-width of B's Gershgorin interval, per column
+(Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)), cut where its
+coefficients' tail is below eps: about one application of B per unit of
 R * t, where Taylor pieces would need about ten per unit of |B| * t.
 ``_certify``, the package's one error controller, refines a step count
 until runs on n and 2n steps agree, by rules that follow from the order
 ``_ORDER``; ``evolve_blend``, the pulsed grid in :mod:`rmlab.protocol` and
-the single-site propagator in :mod:`rmlab.pulses` use it.
+the single-site propagator in :mod:`rmlab.pulses` use it. A run's budget
+comes from its tol (``_truncation_budget``): a fixed share of tol, split
+over the run's exponentials, capped so that the norm drift stays within
+``_NORM_TOL`` and clamped to [1e-16, 1e-10], so a series stops at the
+digits the run keeps. An L = 8, K = 10 pulsed block at the benchmark's
+tol, 1e-4 (300 steps, budget 4.2e-11), takes 1,156 series terms where a
+stop at 1e-16 took 1,614, and 84 ms where it took 102 ms (best of seven,
+alternating, on a 2-core VM).
 ``evolve_static`` is the same engine on a constant H.
 
 ``evolve_blend`` also evolves a block of K copies of one state at once when
@@ -102,13 +110,26 @@ __all__ = [
 MAX_SITES = 14
 MAX_SUBSYSTEM = 12
 
+# largest norm drift evolve_blend accepts. A series stopped at the run's
+# budget eps moves a column's norm by at most eps |v|, the norm of the tail
+# it leaves out, so an m-step run, at most 2m exponentials, by at most
+# 2 m eps: within this wherever eps is the tol share of a tol of at most
+# 1.6e-8, the adiabatic sweep's 1e-9 included. For looser tols the budget
+# also keeps within _NORM_TOL / (4 _DRIFT_RATE m), which holds the drift
+# to half of this if each exponential drifts by at most _DRIFT_RATE eps.
+# That margin is empirical: pulsed L = 6 and 8 blocks on 300 to 10,000
+# steps at eps 5e-12 to 1e-10 drifted by 0.002 to 0.012 eps per exponential
+# (an L = 6, K = 4 block on 10,000 steps at 1e-10 by 6.2e-9, beyond this;
+# the cap puts that run's eps at 1.25e-12)
 _NORM_TOL = 1e-9
+_DRIFT_RATE = 0.02
 # |B| * t up to which an exponential exp(-i t B), B a blend of H at the
 # Gauss nodes, is one Taylor series and beyond which it is a Chebyshev
 # series; the start grid of evolve_blend gives each step about this much.
 # The series is of B - s, s a diagonal energy, and |B - s| * t can reach
-# twice this, 4, where it converges to 1e-16 by term 32 (4^32 / 32! < 1e-16).
-# Accuracy is owned by the error controller, _certify
+# twice this, 4, where it stops at the run's budget eps by term 32 even at
+# the floor eps = 1e-16 (4^32 / 32! < 1e-16). Accuracy is owned by the
+# error controller, _certify
 _STEP_BUDGET = 2.0
 
 # CFM4 step: Gauss nodes at t + (1/2 -+ _GAUSS_OFF) dt, shared with the
@@ -328,16 +349,33 @@ Coefficient = Callable[[float], "float | np.ndarray"]
 Operator = "sparse.spmatrix | np.ndarray"
 
 # Taylor terms after which an unconverged series is an error; a series
-# within twice the step budget stops by term 32
+# within twice the step budget stops at the run's budget by term 32
 _TAYLOR_TERMS = 40
-# a Chebyshev series stops where every later coefficient is below this
-# (the Taylor series' stop rule, relative to a unit input)
-_SERIES_TINY = 1e-16
+# A series stops once its tail is below eps |v|, eps the run's
+# per-exponential truncation budget: _TRUNCATION_SHARE of the run's tol,
+# split over the 2m exponentials an m-step run applies at most, capped by
+# the norm drift (see _NORM_TOL) and clamped to [_BUDGET_FLOOR,
+# _BUDGET_CEILING]. The floor is where roundoff takes over, and the budget
+# of a tol=None run that is given none
+_TRUNCATION_SHARE = 1.0 / 16.0
+_BUDGET_FLOOR = 1e-16
+_BUDGET_CEILING = 1e-10
 
 # integrator work done in this process since import: exponentials (one
 # blend of H each) and series terms (one application of H each, Taylor or
 # Chebyshev); a caller takes differences
 _INTEGRATOR_COUNTS = {"exponentials": 0, "series_terms": 0}
+
+
+def _truncation_budget(tol: float, steps: int) -> float:
+    """The per-exponential truncation budget eps of a run on ``steps`` steps
+    under ``tol``: (tol / 16) / (2 steps), so that its at most 2 steps
+    exponentials truncate at most tol / 16 in all, at most 1e-9 / (0.08
+    steps), the norm drift's cap (see ``_NORM_TOL``), and clamped to
+    [1e-16, 1e-10]. On 300 steps the cap is 4.2e-11."""
+    share = _TRUNCATION_SHARE * tol / (2 * steps)
+    drift = _NORM_TOL / (4 * _DRIFT_RATE * steps)
+    return max(_BUDGET_FLOOR, min(_BUDGET_CEILING, share, drift))
 
 
 def _as_coefficient(c: float | Coefficient) -> Coefficient:
@@ -613,7 +651,9 @@ def _re_dots(a: np.ndarray, b: np.ndarray):
 
 class _SeriesBuffers:
     """The complex blocks of the state's shape that one run of steps owns
-    and every series in it reuses, so that a series term allocates none.
+    and every series in it reuses, so that a series term allocates none,
+    and the run's per-exponential truncation budget ``budget``, at which
+    every series in it stops.
 
     ``sums`` are two blocks that successive exponentials alternate
     between: each writes its sum into the one its input is not
@@ -625,7 +665,8 @@ class _SeriesBuffers:
     allocation, so the sum a run returns keeps no other block alive.
     """
 
-    def __init__(self, shape: tuple[int, ...]):
+    def __init__(self, shape: tuple[int, ...], budget: float):
+        self.budget = budget
         self.sums = tuple(np.empty(shape, dtype=complex) for _ in range(2))
         self.terms = tuple(np.empty(shape, dtype=complex) for _ in range(3))
         self.work = np.empty(shape, dtype=complex)
@@ -635,34 +676,41 @@ class _SeriesBuffers:
         return self.sums[1] if v is self.sums[0] else self.sums[0]
 
 
-def _taylor_apply(mv, v: np.ndarray, dt: float, bufs: _SeriesBuffers) -> np.ndarray:
+def _taylor_apply(mv, v: np.ndarray, dt: float, bufs: _SeriesBuffers, x: float) -> np.ndarray:
     """exp(-i dt H) v by Taylor series, for a vector or a (2^L, K) block,
-    where ``mv(u, out)`` returns H u, as ``_BlendHamiltonian.matvec`` does.
+    where ``mv(u, out)`` returns H u, as ``_BlendHamiltonian.matvec`` does,
+    and x bounds |H| dt.
 
-    The caller keeps |H| dt within 2 _STEP_BUDGET: ``_exponential`` hands
-    it B - s, a blend within the budget shifted by a diagonal energy, and
-    |B - s| <= 2 |B|. Term k is at most (|H| dt)^k / k! of the input, and
-    4^32 / 32! = 7e-17, so the series stops once its last term is below
-    1e-16 of the input in every column, by term 32 at that bound; one that
-    has not got there by term _TAYLOR_TERMS raises NumericalContractError.
-    The sum is ``bufs.sum_for(v)``, which is returned; the terms alternate
-    between two of ``bufs.terms``, and each scaled term is written into
-    the series' own term block, so ``v`` is never written to, even by an
-    ``mv`` that returns its argument.
+    The caller keeps x within 2 _STEP_BUDGET: ``_exponential`` hands it
+    B - s, a blend within the budget shifted by a diagonal energy, with
+    x = 2 |B| dt since |B - s| <= 2 |B|. Term k + 1
+    is at most x / (k + 1) of term k, so once k + 2 > x the tail after
+    term k is at most |term_k| q / (1 - q'), q = x / (k + 1) and
+    q' = x / (k + 2). The series stops at the run's budget eps =
+    ``bufs.budget``: once that bound is below eps |v_j| in every column j,
+    tested as one dot product of the whole term block against the
+    smallest column's threshold. Term k is at most x^k / k! of the input
+    and 4^32 / 32! = 7e-17, so even the floor eps = 1e-16 stops by term 32;
+    a series that has not stopped by term _TAYLOR_TERMS raises
+    NumericalContractError. The sum is ``bufs.sum_for(v)``, which is
+    returned; the terms alternate between two of ``bufs.terms``, and each
+    scaled term is written into the series' own term block, so ``v`` is
+    never written to, even by an ``mv`` that returns its argument.
     """
     out = bufs.sum_for(v)
     out[...] = v
     term = v
-    block = v.ndim == 2
-    tiny2 = (1e-16 * _norms(v)) ** 2
+    limit = bufs.budget * float(np.min(_norms(v)))
     for k in range(1, _TAYLOR_TERMS + 1):
         nxt = bufs.terms[k % 2]
         term = np.multiply(mv(term, nxt), -1j * dt / k, out=nxt)
         out += term
-        # the one-vector test stays scalar: it runs once per term
-        if (_re_dots(term, term) <= tiny2).all() if block else _re_dots(term, term) <= tiny2:
-            _INTEGRATOR_COUNTS["series_terms"] += k
-            return out
+        if k + 2 > x:
+            q = x / (k + 1)
+            tail = q / (1.0 - x / (k + 2))
+            if np.vdot(term, term).real * tail * tail <= limit * limit:
+                _INTEGRATOR_COUNTS["series_terms"] += k
+                return out
     raise NumericalContractError(
         f"Taylor series not converged in {_TAYLOR_TERMS} terms at dt = {dt:.3g}; "
         "|H| dt is beyond the step budget"
@@ -678,27 +726,31 @@ def _equal(a: Sequence, b: Sequence) -> bool:
 
 
 def _bessel_cutoff(x: float, tiny: float) -> int:
-    """Least n >= x, n >= 2, with |J_k(x)| < tiny for every k >= n.
+    """Least n >= x, n >= 2, with sum_(k >= n) |J_k(x)| < tiny by the bound below.
 
-    Kapteyn's inequality |J_k(k z)| <= (z e^s / (1 + s))^k, s = sqrt(1 - z^2),
-    0 < z <= 1, bounds J_k(x) for k >= x; its logarithm falls strictly as k
-    grows, so the first k below ``tiny`` is the cut. x must be finite and
-    positive.
+    Kapteyn's inequality |J_k(k z)| <= b_k = (z e^s / (1 + s))^k,
+    s = sqrt(1 - z^2), 0 < z = x / k <= 1, bounds J_k(x) for k >= x. The
+    slope of log b_k in k is log(z / (1 + s)), which falls as k grows, so
+    b_(k+1) / b_k <= r = z / (1 + s) from n on and the tail is at most
+    b_n / (1 - r). x must be finite and positive.
     """
     n = max(2, math.ceil(x))
     log_tiny = math.log(tiny)
     while True:
         z = x / n
         s = math.sqrt(1.0 - z * z)
-        if n * (math.log(z) + s - math.log1p(s)) < log_tiny:
+        r = z / (1.0 + s)
+        if r < 1.0 and n * (math.log(z) + s - math.log1p(s)) - math.log1p(-r) < log_tiny:
             return n
         n += 1
 
 
-def _chebyshev_coefficients(x: float) -> np.ndarray:
+def _chebyshev_coefficients(x: float, budget: float) -> np.ndarray:
     """(2 - delta_k0) (-i)^k J_k(x), k = 0 .. n - 1: exp(-i x y) = sum_k
-    c_k T_k(y) on [-1, 1] (Jacobi-Anger), cut at ``_bessel_cutoff(x,
-    _SERIES_TINY)``. x must be finite and positive.
+    c_k T_k(y) on [-1, 1] (Jacobi-Anger), cut at the run's budget, n =
+    ``_bessel_cutoff(x, budget / 2)``: |T_k(y)| <= 1 there, so the
+    coefficients left out add up to less than ``budget``. x must be finite
+    and positive.
 
     J_k comes from Miller's backward recurrence J_(k-1) = (2k / x) J_k -
     J_(k+1), normalised by J_0 + 2 sum_k J_2k = 1. It starts where every
@@ -707,7 +759,7 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     where an FFT of exp(-i x cos theta) loses 1e-14 to the rounding of its
     phases.
     """
-    n = _bessel_cutoff(x, _SERIES_TINY)
+    n = _bessel_cutoff(x, budget / 2.0)
     start = _bessel_cutoff(x, 1e-40)
     j = [0.0] * (start + 2)
     j[start] = 1.0
@@ -731,12 +783,13 @@ def _chebyshev_apply(
     largest half-width over the columns of the interval about s, at most
     pi / tau wider than the interval itself. Then exp(-i tau B) =
     sum_k c_k T_k(X), X = (B - s) / R, with the coefficients of
-    ``_chebyshev_coefficients(R tau)``. The shift and the scale are folded
-    into the blend, which is assembled once as 2X, so each term
-    T_(k+1) v = 2X T_k v - T_(k-1) v costs one application, as a Taylor
-    term does. The number of terms is fixed in advance, about
-    R tau + 12 (R tau)^(1/3), so no term is tested. A non-finite interval
-    (a NaN or infinite coefficient) raises NumericalContractError.
+    ``_chebyshev_coefficients(R tau, bufs.budget)``, whose tail is below the
+    run's budget eps. The shift and the scale are folded into the blend,
+    which is assembled once as 2X, so each term T_(k+1) v = 2X T_k v -
+    T_(k-1) v costs one application, as a Taylor term does. The number of
+    terms is fixed in advance, about R tau + 12 (R tau)^(1/3) at the floor
+    eps, so no term is tested. A non-finite interval (a NaN or infinite
+    coefficient) raises NumericalContractError.
 
     The sum is ``bufs.sum_for(v)``, which is returned. T_k v lives in
     ``bufs.terms[(k - 1) % 3]``, distinct from T_(k-1) v and T_(k-2) v,
@@ -754,7 +807,7 @@ def _chebyshev_apply(
     if half == 0.0:
         out[...] = v
         return out
-    coeffs = _chebyshev_coefficients(half * tau)
+    coeffs = _chebyshev_coefficients(half * tau, bufs.budget)
     scale = 2.0 / half
     work = bufs.work
     mv = ham.matvec([scale * c for c in cs], shift=scale * shift)
@@ -777,18 +830,22 @@ def _exponential(
     """exp(-i tau B) v for the blend B = sum_k cs[k] A_k: one Taylor series
     when |B| tau is within the step budget, where its adaptive stop needs
     the fewest terms, and a Chebyshev series beyond it, where Taylor
-    pieces would cost about ten terms per unit of |B| tau. A NaN or
-    infinite |B| fails the budget test, and the Chebyshev path raises on
-    it. The result is ``bufs.sum_for(v)``; ``ham`` is bound to ``bufs``.
+    pieces would cost about ten terms per unit of |B| tau. Either stops at
+    the run's budget eps, ``bufs.budget``: what it leaves out is below
+    eps |v| per column. A NaN or infinite |B| fails the step-budget test,
+    and the Chebyshev path raises on it. The result is
+    ``bufs.sum_for(v)``; ``ham`` is bound to ``bufs``.
 
     The Taylor series is centred: it sums exp(-i tau (B - s)) v, s the
     diagonal energy of each column of v (``centred_matvec``), and then
     multiplies in the phase exp(-i tau s). B - s is smaller than B on the
     state the series acts on; on the pulsed blocks at L = 8 the series
-    took 13 to 16 % fewer terms."""
-    if ham.norm_bound(cs) * tau <= _STEP_BUDGET:
+    took 13 to 16 % fewer terms. Its tail bound uses |B - s| tau <=
+    2 |B| tau, the bound this test already has."""
+    x = ham.norm_bound(cs) * tau
+    if x <= _STEP_BUDGET:
         mv, shift = ham.centred_matvec(cs, v)
-        v = _taylor_apply(mv, v, tau, bufs)
+        v = _taylor_apply(mv, v, tau, bufs, 2.0 * x)
         v *= np.exp(-1j * tau * shift)
     else:
         v = _chebyshev_apply(ham, cs, tau, v, bufs)
@@ -796,7 +853,9 @@ def _exponential(
     return v
 
 
-def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n: int) -> np.ndarray:
+def _run_steps(
+    ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n: int, budget: float
+) -> np.ndarray:
     """n CFM4 steps: exp(-i dt (a1 H1 + a2 H2)) exp(-i dt (a2 H1 + a1 H2)).
 
     H1 and H2 are H at the earlier and later Gauss node. The right-hand
@@ -808,11 +867,12 @@ def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n:
     that follow it with those same values at both nodes join it, and the
     run of m steps is applied as the one exponential exp(-i m dt H). That
     is the propagator of the same n-step grid, with only the series
-    roundoff changed; every node is still evaluated exactly once.
+    truncation changed, within ``budget`` per exponential; every node is
+    still evaluated exactly once.
 
-    The steps share one ``_SeriesBuffers``, which ``ham`` is bound to
-    once here; ``amp`` is never written to, and the returned state is one
-    of its sum blocks.
+    The steps share one ``_SeriesBuffers`` with the run's per-exponential
+    truncation budget, which ``ham`` is bound to once here; ``amp`` is
+    never written to, and the returned state is one of its sum blocks.
     """
     dt = (t1 - t0) / n
 
@@ -822,7 +882,7 @@ def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n:
         t = t0 + k * dt
         return ham.values(t + (0.5 - _GAUSS_OFF) * dt), ham.values(t + (0.5 + _GAUSS_OFF) * dt)
 
-    bufs = _SeriesBuffers(amp.shape)
+    bufs = _SeriesBuffers(amp.shape, budget)
     ham.bind(bufs)
     v = amp
     k = 0
@@ -843,22 +903,34 @@ def _run_steps(ham: _BlendHamiltonian, amp: np.ndarray, t0: float, t1: float, n:
     return v
 
 
-def _certify(run: Callable[[int], np.ndarray], n: int, tol: float) -> tuple[int, np.ndarray, float]:
+def _certify(
+    run: Callable[[int], np.ndarray], n: int, tol: float, share: float = 0.0
+) -> tuple[int, np.ndarray, float]:
     """The error controller: the first certified step count from n, the run
-    on twice its steps, and their distance (the largest over columns of
+    on twice its steps, and their distance err (the largest over columns of
     ``run(m)``, a vector, block or matrix computed on m steps at order
-    ``_ORDER``). That distance is (1 - 2^-_ORDER) of the n-step error, so
-    one within (1 - 2^-_ORDER) tol certifies n. Otherwise n jumps by the
-    whole factor ceil(1.3 (err / tol)^(1/_ORDER)) in 2..16, so every grid
-    is a multiple of the start; a jump of 2 reuses the 2n run. A jump past
+    ``_ORDER``).
+
+    ``share`` is the truncation share: each run(m) is within T = share tol
+    of the exact m-step result (a run at ``_truncation_budget(tol, m)`` is
+    within tol / 16). The exact n- and 2n-step results are then within
+    err + 2T of each other, and that distance is (1 - 2^-_ORDER) of the
+    exact n-step error, so run(n) is within tol of the exact state when
+    err + 2T <= (1 - 2^-_ORDER) (tol - T). That certifies n: at share 0 it
+    is err <= 15/16 tol, at share 1/16 err <= 193/256 tol, about 0.75 tol,
+    and the returned 2n run, at a sixteenth of the n-step error plus its
+    own truncation, is within tol / 8. Otherwise n jumps by the whole
+    factor ceil(1.3 (err / tol)^(1/_ORDER)) in 2..16, so every grid is a
+    multiple of the start; a jump of 2 reuses the 2n run. A jump past
     _MAX_GRID times the start, at most 15 rounds in, is ConvergenceError.
     """
+    accept = ((1.0 - 2.0**-_ORDER) * (1.0 - share) - 2.0 * share) * tol
     start = n
     coarse = run(n)
     while True:
         fine = run(2 * n)
         err = float(np.max(_norms(fine - coarse)))
-        if err <= (1.0 - 2.0**-_ORDER) * tol:
+        if err <= accept:
             return n, fine, err
         jump = math.ceil(min(16.0, max(2.0, 1.3 * (err / tol) ** (1.0 / _ORDER))))
         if n * jump > _MAX_GRID * start:
@@ -874,6 +946,7 @@ def evolve_blend(
     t1: float,
     tol: float = 1e-9,
     initial_steps: int | None = None,
+    budget: float | None = None,
 ) -> StateVector | list[StateVector]:
     """Evolve under H(t) = sum_k c_k(t) A_k from t0 to t1.
 
@@ -885,11 +958,17 @@ def evolve_blend(
     step count: an exponential within the step budget is one Taylor
     series, centred on each column's diagonal energy, a longer one a
     Chebyshev series of about one term per unit of half the spectral
-    width times its length (see ``_exponential``). A NaN or infinite
-    coefficient value raises NumericalContractError.
-    ``_certify`` refines the grid until runs on n and 2n steps agree within
-    15/16 ``tol`` and returns the 2n run. ``tol=None`` accepts the first
-    grid: pulsed blocks use the one ``protocol._certify_grid`` certifies.
+    width times its length (see ``_exponential``). Both series stop at the
+    run's budget eps: once what they leave out is below eps |v|. A NaN or
+    infinite coefficient value raises NumericalContractError.
+    ``_certify`` refines the grid until runs on n and 2n steps agree, and
+    returns the 2n run. A run on m steps stops its series at
+    ``_truncation_budget(tol, m)``, and the controller counts that share
+    of tol: runs agree when their distance is within 193/256 ``tol`` (see
+    ``_certify``). ``tol=None`` accepts the first grid, with every series
+    stopped at ``budget``, the floor 1e-16 if it is None: pulsed blocks use
+    the grid and the budget that ``protocol._certify_grid`` certifies. A
+    ``budget`` given with a tol is ValueError: the tol sets the budget.
 
     The refinement rule assumes fourth order, which a coefficient with
     kinks, such as a piecewise-linear waveform, has only on grids whose
@@ -917,6 +996,8 @@ def evolve_blend(
     """
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
+    if tol is not None and budget is not None:
+        raise ValueError("budget applies only to tol=None; a tol sets its own")
     ham = _BlendHamiltonian(parts, t0)
     amp = psi.amp
     if ham.columns is not None:
@@ -931,10 +1012,14 @@ def evolve_blend(
     else:
         n = max(1, int(initial_steps))
 
-    def run(m: int) -> np.ndarray:
-        return _run_steps(ham, amp, t0, t1, m)
+    if tol is None:
+        v = _run_steps(ham, amp, t0, t1, n, _BUDGET_FLOOR if budget is None else budget)
+    else:
 
-    v = run(n) if tol is None else _certify(run, n, tol)[1]
+        def run(m: int) -> np.ndarray:
+            return _run_steps(ham, amp, t0, t1, m, _truncation_budget(tol, m))
+
+        v = _certify(run, n, tol, _TRUNCATION_SHARE)[1]
     norm = _norms(v)
     drift = float(np.max(np.abs(norm - 1.0)))
     # written so that a NaN drift fails too

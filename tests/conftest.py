@@ -18,16 +18,17 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
 import pytest  # noqa: E402
 
 
-def _per_step_run_steps(ham, amp, t0, t1, n):
+def _per_step_run_steps(ham, amp, t0, t1, n, budget):
     """``statevector._run_steps`` before runs of equal blends were fused:
     two exponentials on every CFM4 step, whatever its coefficient values,
-    each an uncentred Taylor series in pieces within the step budget."""
+    each an uncentred Taylor series in pieces within the step budget,
+    stopped at the run's truncation ``budget``."""
     import numpy as np
 
     from rmlab.statevector import _A1, _A2, _GAUSS_OFF, _STEP_BUDGET, _SeriesBuffers, _taylor_apply
 
     dt = (t1 - t0) / n
-    bufs = _SeriesBuffers(amp.shape)
+    bufs = _SeriesBuffers(amp.shape, budget)
     ham.bind(bufs)
     v = amp
     for k in range(n):
@@ -40,7 +41,7 @@ def _per_step_run_steps(ham, amp, t0, t1, n):
             pieces = max(1, int(np.ceil(ham.norm_bound(cs) * dt / _STEP_BUDGET)))
             sub = dt / pieces
             for _ in range(pieces):
-                v = _taylor_apply(mv, v, sub, bufs)
+                v = _taylor_apply(mv, v, sub, bufs, ham.norm_bound(cs) * sub)
     return v
 
 

@@ -264,7 +264,7 @@ _TINY_RUNS = {
     "pulsed": (
         {"kind": "af", "num_sites": 4},
         {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 2, "eps_percent": 3.0, "tol": 1e-4},
-        {"exponentials": (153 + 303) + 2 * 153, "series_terms": 6302},
+        {"exponentials": (153 + 303) + 2 * 153, "series_terms": 3777},
     ),
     # the same grid with 11 sigma-point columns per unitary: one block per
     # repetition, not one integration per shot
@@ -272,13 +272,13 @@ _TINY_RUNS = {
         {"kind": "af", "num_sites": 4},
         {"mode": "pulsed", "n_unitaries": 3, "n_meas": 20, "n_ave": 2, "eps_percent": 3.0,
          "fluctuation_scope": "per_shot", "tol": 1e-4},
-        {"exponentials": (153 + 303) + 2 * 153, "series_terms": 6326},
+        {"exponentials": (153 + 303) + 2 * 153, "series_terms": 3848},
     ),
     # the sweep's refinement, once per run; ideal repetitions integrate nothing
     "adiabatic": (
         {"kind": "adiabatic", "num_sites": 6, "t_prep": 0.05},
         {"mode": "ideal", "n_unitaries": 3, "n_meas": 20, "n_ave": 2},
-        {"exponentials": 460, "series_terms": 2583},
+        {"exponentials": 460, "series_terms": 1742},
     ),
 }
 
@@ -353,11 +353,12 @@ def test_pulsed_run_loads_the_schedule_once(tmp_path, monkeypatch):
 def test_pulsed_run_certifies_its_grid_once(tmp_path, monkeypatch):
     import rmlab.protocol as protocol
 
-    steps = []
+    steps, budgets = [], []
     evolve = protocol.evolve_blend
 
     def counted(*args, **kwargs):
         steps.append(kwargs["initial_steps"])
+        budgets.append(kwargs["budget"])
         return evolve(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "evolve_blend", counted)
@@ -381,7 +382,13 @@ def test_pulsed_run_certifies_its_grid_once(tmp_path, monkeypatch):
     assert steps == 2 * [300, 600, 300, 300, 300]
     # the probe draws nothing from the seed
     assert grids[0] == grids[1] and grids[0]["steps"] == 300
-    assert 0.0 < grids[0]["probe_distance"] <= 15 / 16 * 1e-4 / 2
+    assert 0.0 < grids[0]["probe_distance"] <= 193 / 256 * 1e-4 / 2
+    # (1e-4 / 2) / 16 over 2 m exponentials is above the norm drift's cap,
+    # 1e-9 / (0.08 m): the probe on m steps and every block on 300 stop
+    # their series there, and the grid says so
+    b300, b600 = 1e-9 / (0.08 * 300), 1e-9 / (0.08 * 600)
+    assert grids[0]["budget"] == pytest.approx(b300)
+    assert budgets == pytest.approx(2 * [b300, b600, b300, b300, b300])
 
 
 def test_pulsed_run_builds_its_drive_operators_once(tmp_path, monkeypatch):

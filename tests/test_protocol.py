@@ -1,6 +1,7 @@
 """Experiment orchestration: sampling, readout errors, records, NDJSON."""
 
 import base64
+import itertools
 import json
 import math
 import tracemalloc
@@ -25,8 +26,8 @@ from rmlab.protocol import (
     sample_unitaries,
     save_record,
 )
-from rmlab.pulses import FluctuationModel, golden_schedule
-from rmlab.statevector import evolve_blend, ground_state
+from rmlab.pulses import _SIGMA_WEIGHTS, FluctuationModel, golden_schedule
+from rmlab.statevector import _BUDGET_FLOOR, _truncation_budget, evolve_blend, ground_state
 
 from oracles import random_state
 
@@ -69,7 +70,7 @@ def test_bad_labels_rejected(golden, monkeypatch):
                 run_ideal(psi, labels, n_meas)
             for fluct in (FluctuationModel(3.0), FluctuationModel(3.0, scope="per_shot")):
                 with pytest.raises(ValueError, match="labels must be integers in"):
-                    run_pulsed(psi, labels, golden, 300, drive, fluct=fluct, n_meas=n_meas)
+                    run_pulsed(psi, labels, golden, 300, 1e-10, drive, fluct=fluct, n_meas=n_meas)
     with pytest.raises(ValueError):
         sample_unitaries(3, 0, np.random.default_rng(0))
 
@@ -93,7 +94,7 @@ def test_label_table_of_the_wrong_width_rejected_by_both_runs(golden, monkeypatc
                 run_ideal(psi, labels, n_meas)
             for fluct in (FluctuationModel(3.0), FluctuationModel(3.0, scope="per_shot")):
                 with pytest.raises(ValueError, match=match):
-                    run_pulsed(psi, labels, golden, 300, drive, fluct=fluct, n_meas=n_meas)
+                    run_pulsed(psi, labels, golden, 300, 1e-10, drive, fluct=fluct, n_meas=n_meas)
         with pytest.raises(ValueError, match=match):
             MeasurementRecord(2, "ideal", EXACT_SHOTS, labels, [[1.0, 0.0, 0.0, 0.0]])
 
@@ -339,7 +340,7 @@ def test_empty_sample_list_rejected_by_both_runs():
     drive = _drive_operators(2, None)
     for fluct in (FluctuationModel(3.0), FluctuationModel(3.0, scope="per_shot")):
         with pytest.raises(ValueError, match="at least one unitary sample"):
-            run_pulsed(psi, [], golden_schedule(), 300, drive, fluct=fluct, n_meas=10)
+            run_pulsed(psi, [], golden_schedule(), 300, 1e-10, drive, fluct=fluct, n_meas=10)
 
 
 def _per_column_ideal(psi, labels, n_meas, readout, seed):
@@ -400,12 +401,13 @@ def golden():
     return golden_schedule()
 
 
-def _run(psi, labels, schedule, tol=1e-6, h_mod=None, **kwargs):
-    """run_pulsed on the step count that the probe certifies at tol, with
-    drive operators built once, as a CLI run does."""
+def _run(psi, labels, schedule, tol=1e-6, h_mod=None, budget=None, **kwargs):
+    """run_pulsed on the step count and series budget that the probe
+    certifies at tol, with drive operators built once, as a CLI run does;
+    a ``budget`` replaces the certified budget."""
     drive = _drive_operators(psi.num_sites, h_mod)
-    steps, _ = _certify_grid(psi, schedule, drive, tol)
-    return run_pulsed(psi, labels, schedule, steps, drive, **kwargs)
+    steps, certified, _ = _certify_grid(psi, schedule, drive, tol)
+    return run_pulsed(psi, labels, schedule, steps, certified if budget is None else budget, drive, **kwargs)
 
 
 def _probe(L):
@@ -414,18 +416,23 @@ def _probe(L):
     return np.array([(3, 1)[m % 2] for m in range(L)])
 
 
-def _evolve_columns(psi, h, schedule, columns, steps):
+def _evolve_columns(psi, h, schedule, columns, steps, budget=_BUDGET_FLOOR):
     """The amplitudes of each (schedule, label row) column on ``steps``
-    steps, one row per column."""
+    steps with series stopped at ``budget``, one row per column."""
     parts = _pulsed_parts(schedule, columns, _drive_operators(psi.num_sites, h))
-    states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps)
+    states = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=steps, budget=budget)
     return np.array([state.amp for state in (states if len(columns) > 1 else [states])])
 
 
-def _probe_distance(psi, h, schedule, steps):
-    """The probe column's distance between runs on steps and 2 steps."""
+def _probe_distance(psi, h, schedule, steps, tol=None):
+    """The probe column's distance between runs on steps and 2 steps, with
+    series stopped at the floor, or with ``tol`` at the budgets that
+    ``_certify_grid`` gives those runs."""
     coarse, fine = (
-        _evolve_columns(psi, h, schedule, [(schedule, _probe(psi.num_sites))], n)
+        _evolve_columns(
+            psi, h, schedule, [(schedule, _probe(psi.num_sites))], n,
+            _BUDGET_FLOOR if tol is None else _truncation_budget(tol / 2, n),
+        )[0]
         for n in (steps, 2 * steps)
     )
     return float(np.linalg.norm(coarse - fine))
@@ -577,7 +584,7 @@ def test_pulsed_steps_must_be_a_positive_integer(golden, steps):
     psi = random_state(2, np.random.default_rng(24))
     labels = sample_unitaries(2, 1, np.random.default_rng(24))
     with pytest.raises(ValueError, match="steps"):
-        run_pulsed(psi, labels, golden, steps, _drive_operators(2, None))
+        run_pulsed(psi, labels, golden, steps, 1e-10, _drive_operators(2, None))
 
 
 def test_pulsed_with_interactions_runs(golden):
@@ -588,7 +595,7 @@ def test_pulsed_with_interactions_runs(golden):
     assert np.abs(rec.outcomes.sum(axis=1) - 1.0).max() < 1e-12
 
 
-def _per_unitary_reference(psi, labels, schedule, fluct, h_mod, n_meas, readout, seed, steps):
+def _per_unitary_reference(psi, labels, schedule, fluct, h_mod, n_meas, readout, seed, steps, budget):
     """The loop run_pulsed's block replaces: one evolve_blend per label row,
     on the perturbed waveforms themselves, gains then shots then flips
     drawn from the (seed, k) stream."""
@@ -599,17 +606,30 @@ def _per_unitary_reference(psi, labels, schedule, fluct, h_mod, n_meas, readout,
     for k, row in enumerate(labels):
         rng = _stream(seed, k)
         perturbed = perturb(schedule, fluct, rng)
-        amp = _evolve_columns(psi, h_mod, perturbed, [(perturbed, row)], steps)[0]
+        amp = _evolve_columns(psi, h_mod, perturbed, [(perturbed, row)], steps, budget)[0]
         rngs.append(rng)
         probs.append(np.abs(amp) ** 2)
     return _measure("pulsed", labels, rngs, np.array(probs), n_meas, readout, {})
 
 
-def _assert_same_table(record, reference):
-    # whole-number counts within 1e-12 are equal counts
+def _layout_atol(steps, budget, weight=1.0):
+    """How far the outcomes of two layouts of the same pulsed columns may
+    differ when their series stop at ``budget``: roundoff's 1e-12 at the
+    floor. A series stops once every column of its block is within the
+    budget, so a column's truncation depends on the columns beside it.
+    Either layout leaves a column within (2 steps) budget of the floor stop,
+    its at most 2 steps exponentials' truncation; amplitudes within
+    (4 steps) budget of each other are within twice that in probability,
+    summed over outcomes, and a sample weighs its columns by ``weight`` in
+    all."""
+    return max(1e-12, 8 * steps * budget * weight)
+
+
+def _assert_same_table(record, reference, atol=1e-12):
+    # whole-number counts within atol are equal counts
     assert np.array_equal(record.labels, reference.labels)
     assert (record.seeds is None and reference.seeds is None) or np.array_equal(record.seeds, reference.seeds)
-    assert np.max(np.abs(record.outcomes - reference.outcomes)) < 1e-12
+    assert np.max(np.abs(record.outcomes - reference.outcomes)) < atol
 
 
 @pytest.mark.parametrize("with_h", [False, True])
@@ -622,10 +642,14 @@ def test_pulsed_block_matches_per_unitary_loop(golden, with_h, n_meas):
         psi, labels, golden, FluctuationModel(3.0), h if with_h else None,
         n_meas, ReadoutErrorModel(0.01, 0.03), 17,
     )
-    rec = _run(*args[:3], fluct=args[3], h_mod=args[4], n_meas=n_meas,
-               readout=args[6], seed=args[7], tol=1e-4)
-    steps = rec.meta["steps"]
-    _assert_same_table(rec, _per_unitary_reference(*args, steps))
+    # at the floor budget the block and the loop differ at roundoff only;
+    # at the run's certified budget, within it (see _layout_atol)
+    for budget in (_BUDGET_FLOOR, None):
+        rec = _run(*args[:3], fluct=args[3], h_mod=args[4], n_meas=n_meas,
+                   readout=args[6], seed=args[7], tol=1e-4, budget=budget)
+        steps = rec.meta["steps"]
+        eps = _truncation_budget(1e-4 / 2, steps) if budget is None else budget
+        _assert_same_table(rec, _per_unitary_reference(*args, steps, eps), _layout_atol(steps, eps))
     # the grid contract: the probe agrees with twice the steps to 15/16 of
     # half the tol
     assert _probe_distance(psi, args[4], golden, steps) <= 15 / 16 * 1e-4 / 2
@@ -634,20 +658,27 @@ def test_pulsed_block_matches_per_unitary_loop(golden, with_h, n_meas):
 @pytest.mark.parametrize("n_meas", [EXACT_SHOTS, 300])
 def test_pulsed_run_matches_the_per_step_loop(golden, monkeypatch, per_step_loop, n_meas):
     # fusing the schedule's constant cells changes only the Taylor roundoff
+    # at the floor budget, and the series truncation within the run's
+    # certified budget (see _layout_atol; the per-step loop's blends are
+    # within one Taylor piece each, so it too runs 2 steps series)
     import rmlab.statevector as statevector
 
     h = build_ssh(4, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
     psi = ground_state(h)[1]
     labels = sample_unitaries(4, 4, np.random.default_rng(18))
-    kwargs = dict(
-        fluct=FluctuationModel(3.0), h_mod=h, n_meas=n_meas,
-        readout=ReadoutErrorModel(0.01, 0.03), seed=19, tol=1e-4,
-    )
-    fused = _run(psi, labels, golden, **kwargs)
-    monkeypatch.setattr(statevector, "_run_steps", per_step_loop)
-    stepped = _run(psi, labels, golden, **kwargs)
-    assert fused.meta == stepped.meta
-    _assert_same_table(fused, stepped)
+    for budget in (_BUDGET_FLOOR, None):
+        kwargs = dict(
+            fluct=FluctuationModel(3.0), h_mod=h, n_meas=n_meas,
+            readout=ReadoutErrorModel(0.01, 0.03), seed=19, tol=1e-4, budget=budget,
+        )
+        fused = _run(psi, labels, golden, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(statevector, "_run_steps", per_step_loop)
+            stepped = _run(psi, labels, golden, **kwargs)
+        assert fused.meta == stepped.meta
+        steps = fused.meta["steps"]
+        eps = _truncation_budget(1e-4 / 2, steps) if budget is None else budget
+        _assert_same_table(fused, stepped, _layout_atol(steps, eps))
 
 
 def test_pulsed_tight_tol_doubles_block_grid(golden):
@@ -663,7 +694,7 @@ def test_pulsed_tight_tol_doubles_block_grid(golden):
     assert ratio >= 2 and tight.meta["steps"] == ratio * loose.meta["steps"]
     reference = _per_unitary_reference(
         psi, labels, golden, kwargs["fluct"], None, EXACT_SHOTS, None, 4,
-        tight.meta["steps"],
+        tight.meta["steps"], _truncation_budget(1e-10 / 2, tight.meta["steps"]),
     )
     _assert_same_table(tight, reference)
     assert _probe_distance(psi, None, golden, tight.meta["steps"]) <= 15 / 16 * 1e-10 / 2
@@ -679,7 +710,7 @@ def test_certified_grid_is_a_multiple_of_the_waveform_cells(golden, tol):
     # every grid refined from it (900 steps at 1e-10)
     h = build_ssh(4, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
     psi = ground_state(h)[1]
-    steps, _ = _certify_grid(psi, golden, _drive_operators(4, h), tol)
+    steps, _, _ = _certify_grid(psi, golden, _drive_operators(4, h), tol)
     cells = len(golden.breakpoints()) - 1
     assert steps % cells == 0
 
@@ -756,8 +787,8 @@ def _covers(distance, distances):
 def test_probe_is_as_hard_as_random_columns(golden, random_columns_l6):
     psi, h, amps = random_columns_l6
     columns = np.linalg.norm(amps[300] - amps[600], axis=1)
-    steps, probe = _certify_grid(psi, golden, _drive_operators(6, h), 1.0)
-    assert steps == 300 and probe == pytest.approx(_probe_distance(psi, h, golden, 300))
+    steps, _, probe = _certify_grid(psi, golden, _drive_operators(6, h), 1.0)
+    assert steps == 300 and probe == pytest.approx(_probe_distance(psi, h, golden, 300, tol=1.0))
     assert _covers(probe, columns)
     # a uniform label pattern is far easier than a random column
     for label in (1, 2, 3):
@@ -769,12 +800,18 @@ def test_probe_is_as_hard_as_random_columns(golden, random_columns_l6):
 def test_every_column_of_a_random_run_is_within_tol(golden, random_columns_l6):
     # a tol at which the probe passes narrowly, 2 % inside its certificate;
     # certifying on one random column at the full tol left other columns
-    # beyond it
+    # beyond it. With its truncation share of 1/16, the controller accepts
+    # a distance within (15/16) (15/16) - 2/16 = 193/256 of its tol. The
+    # distance moves with the probe's budget, which moves with tol: the
+    # certificate is checked against the distance at the budgets of that tol
     psi, h, amps = random_columns_l6
     drive = _drive_operators(6, h)
-    _, probe = _certify_grid(psi, golden, drive, 1.0)
-    tol = 1.02 * 2 * probe / (15 / 16)
-    assert _certify_grid(psi, golden, drive, tol) == (300, probe)
+    accept = 193 / 256
+    _, _, loose = _certify_grid(psi, golden, drive, 1.0)
+    tol = 1.02 * 2 * loose / accept
+    probe = _probe_distance(psi, h, golden, 300, tol=tol)
+    assert probe <= accept * tol / 2 / 1.01
+    assert _certify_grid(psi, golden, drive, tol) == (300, _truncation_budget(tol / 2, 300), probe)
     # the probe is certified at half the run's tol: 4 % less and it refines
     assert _certify_grid(psi, golden, drive, tol / 1.04)[0] > 300
     assert np.max(np.linalg.norm(amps[300] - amps[1200], axis=1)) <= tol
@@ -786,9 +823,12 @@ def test_pulsed_blocks_split_without_changing_records(golden, monkeypatch):
     rng = np.random.default_rng(17)
     psi = random_state(3, rng)
     labels = sample_unitaries(3, 7, rng)
-    for scope, picked in (("per_unitary", labels), ("per_shot", labels[:2])):
+    # at the floor budget the split moves outcomes at roundoff only; at the
+    # run's certified budget, within it (see _layout_atol)
+    cases = (("per_unitary", labels, 1.0), ("per_shot", labels[:2], np.abs(_SIGMA_WEIGHTS).sum()))
+    for (scope, picked, weight), budget in itertools.product(cases, (_BUDGET_FLOOR, None)):
         kwargs = dict(
-            fluct=FluctuationModel(3.0, scope), n_meas=EXACT_SHOTS, seed=8, tol=1e-4
+            fluct=FluctuationModel(3.0, scope), n_meas=EXACT_SHOTS, seed=8, tol=1e-4, budget=budget,
         )
         whole = _run(psi, picked, golden, **kwargs)
         # six columns a block: per_shot blocks split a sample's 11 columns
@@ -798,7 +838,9 @@ def test_pulsed_blocks_split_without_changing_records(golden, monkeypatch):
             m.setattr(protocol, "_BLOCK_AMPLITUDES", 6 * 2**3)
             split = _run(psi, picked, golden, **kwargs)
         assert split.meta == whole.meta
-        _assert_same_table(split, whole)
+        steps = whole.meta["steps"]
+        eps = _truncation_budget(1e-4 / 2, steps) if budget is None else budget
+        _assert_same_table(split, whole, _layout_atol(steps, eps, weight))
 
 
 # ---------------------------------------------------------------------------

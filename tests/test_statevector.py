@@ -10,6 +10,7 @@ from scipy import sparse
 
 from rmlab.pauli import PauliStringSum, _word, build_ssh
 from rmlab.statevector import (
+    _BUDGET_FLOOR,
     ConvergenceError,
     DegenerateGroundStateError,
     NumericalContractError,
@@ -242,8 +243,8 @@ def test_refinement_jumps_by_the_fourth_root(monkeypatch):
     runs = []
     run_steps = statevector._run_steps
 
-    def recorded(ham, amp, t0, t1, n):
-        runs.append((n, run_steps(ham, amp, t0, t1, n)))
+    def recorded(ham, amp, t0, t1, n, budget):
+        runs.append((n, run_steps(ham, amp, t0, t1, n, budget)))
         return runs[-1][1]
 
     monkeypatch.setattr(statevector, "_run_steps", recorded)
@@ -488,7 +489,7 @@ def test_chebyshev_coefficients_match_scipy_bessel():
     from rmlab.statevector import _chebyshev_coefficients
 
     for x in np.logspace(-3, 3, 25):
-        coeffs = _chebyshev_coefficients(x)
+        coeffs = _chebyshev_coefficients(x, 1e-16)
         k = np.arange(coeffs.size)
         # c_k = (2 - delta_k0) (-i)^k J_k(x): undo the factor, exactly
         bessel = coeffs / np.where(k == 0, 1.0, 2.0) * np.array([1.0, 1j, -1.0, -1j])[k % 4]
@@ -658,19 +659,28 @@ def test_evolve_blend_rejects_mismatched_columns():
         evolve_blend(psi, [(1.0, np.ones(4))], 0.0, 1.0, tol=None)
 
 
+def test_evolve_blend_takes_a_budget_only_without_a_tol():
+    # a tol sets the budget of each of its runs
+    psi = random_state(2, np.random.default_rng(23))
+    with pytest.raises(ValueError, match="budget"):
+        evolve_blend(psi, [(1.0, x_total(2))], 0.0, 1.0, tol=1e-6, budget=1e-12)
+
+
 def test_taylor_series_raises_when_not_converged():
-    from rmlab.statevector import _SeriesBuffers, _taylor_apply
+    from rmlab.statevector import _STEP_BUDGET, _SeriesBuffers, _taylor_apply
 
     v = random_state(2, np.random.default_rng(24)).amp
-    # |H| dt = 100 is far past the step budget of 2
+    # |H| dt = 100 is far past the step budget of 2, and past the bound x
+    # that the caller claims for it
+    x = 2 * _STEP_BUDGET
     with pytest.raises(NumericalContractError, match="not converged"):
-        _taylor_apply(lambda w, out: np.multiply(100.0, w, out=out), v, 1.0, _SeriesBuffers(v.shape))
+        _taylor_apply(lambda w, out: np.multiply(100.0, w, out=out), v, 1.0, _SeriesBuffers(v.shape, _BUDGET_FLOOR), x)
     # one column converging does not excuse another
     block = np.stack([v, v], axis=1)
-    bufs = _SeriesBuffers(block.shape)
+    bufs = _SeriesBuffers(block.shape, _BUDGET_FLOOR)
     with pytest.raises(NumericalContractError, match="not converged"):
-        _taylor_apply(lambda w, out: np.multiply(w, np.array([0.0, 100.0]), out=out), block, 1.0, bufs)
-    small = _taylor_apply(lambda w, out: np.multiply(w, np.array([0.0, 1.0]), out=out), block, 1.0, bufs)
+        _taylor_apply(lambda w, out: np.multiply(w, np.array([0.0, 100.0]), out=out), block, 1.0, bufs, x)
+    small = _taylor_apply(lambda w, out: np.multiply(w, np.array([0.0, 1.0]), out=out), block, 1.0, bufs, 1.0)
     assert np.allclose(small[:, 0], v, atol=1e-15)
     assert np.allclose(small[:, 1], np.exp(-1j) * v, atol=1e-14)
 
@@ -689,7 +699,7 @@ def test_centred_taylor_series_stops_within_its_term_limit():
     counts = statevector._INTEGRATOR_COUNTS
     v = random_state(2, np.random.default_rng(38)).amp
     before = counts["series_terms"]
-    out = _taylor_apply(lambda w, out: np.multiply(worst, w, out=out), v, 1.0, _SeriesBuffers(v.shape))
+    out = _taylor_apply(lambda w, out: np.multiply(worst, w, out=out), v, 1.0, _SeriesBuffers(v.shape, _BUDGET_FLOOR), worst)
     assert counts["series_terms"] - before <= 32
     assert np.max(np.abs(out - np.exp(-1j * worst) * v)) < 1e-14
     # |B| tau exactly at the budget; all but 1e-6 of the weight on the top
@@ -703,7 +713,7 @@ def test_centred_taylor_series_stops_within_its_term_limit():
         ham = _BlendHamiltonian([(1.0, part)], 0.0)
         cs = ham.values(0.0)
         tau = statevector._STEP_BUDGET / ham.norm_bound(cs)
-        bufs = _SeriesBuffers(w.shape)
+        bufs = _SeriesBuffers(w.shape, _BUDGET_FLOOR)
         ham.bind(bufs)
         shift = ham.centred_matvec(cs, w)[1]
         assert np.max(np.abs(levels[1] - shift)) * tau > 1.999 * statevector._STEP_BUDGET
@@ -722,9 +732,126 @@ def test_taylor_apply_leaves_its_input_alone():
     for w in (v, block):
         kept = w.copy()
         # an operator that hands back its argument, leaving out alone: H = 1
-        out = _taylor_apply(lambda u, out: u, w, 0.3, _SeriesBuffers(w.shape))
+        out = _taylor_apply(lambda u, out: u, w, 0.3, _SeriesBuffers(w.shape, _BUDGET_FLOOR), 0.3)
         assert np.max(np.abs(out - np.exp(-0.3j) * kept)) < 1e-15
         assert np.array_equal(w, kept)
+
+
+def test_truncation_budget_shares_tol_under_the_drift_cap_and_clamp():
+    from rmlab.statevector import _DRIFT_RATE, _NORM_TOL, _truncation_budget
+
+    # (tol / 16) / (2 steps), the 2 steps exponentials at most tol / 16
+    assert _truncation_budget(1e-9, 192) == pytest.approx(1e-9 / 16 / 384)
+    # the norm drift's cap, 1e-9 / (0.08 steps), below the tol share
+    assert _truncation_budget(1e-4, 300) == pytest.approx(1e-9 / 24)
+    assert _truncation_budget(np.finfo(float).max, 20_000) == pytest.approx(1e-9 / 1600)
+    # the clamp
+    assert _truncation_budget(1e-20, 300) == 1e-16
+    assert _truncation_budget(np.finfo(float).max, 1) == 1e-10
+    # 2 steps exponentials at the drift rate stay within half of _NORM_TOL
+    for tol in (1e-12, 1e-9, 1e-6, 1e-4, 1.0):
+        for steps in (1, 96, 300, 1_000, 10_000, 10**6):
+            assert 2 * steps * _DRIFT_RATE * _truncation_budget(tol, steps) <= _NORM_TOL / 2 * (1 + 1e-12)
+
+
+def test_taylor_series_waits_for_every_column_to_reach_its_budget():
+    # a unit column whose series converges fast beside a column of norm
+    # 1e-8 whose series converges slowly: the one whole-block test, against
+    # the smallest column's threshold, keeps the series going until the small
+    # column is within the budget of its own norm too. A test against the
+    # unit column's threshold would stop near term 8, with the small column
+    # 6e-3 of its norm off
+    import rmlab.statevector as statevector
+    from rmlab.statevector import _SeriesBuffers, _taylor_apply
+
+    levels = np.stack([np.array([0.2, -0.1, 0.15, -0.2]), np.array([2.0, -1.7, 1.1, -2.0])], axis=1)
+    v = random_state(2, np.random.default_rng(26)).amp
+    block = np.stack([v, 1e-8 * v[::-1]], axis=1)
+    budget = 1e-10
+    counts = statevector._INTEGRATOR_COUNTS
+    before = counts["series_terms"]
+    got = _taylor_apply(
+        lambda w, out: np.multiply(levels, w, out=out), block, 1.0, _SeriesBuffers(block.shape, budget), 2.0
+    )
+    assert 8 < counts["series_terms"] - before <= statevector._TAYLOR_TERMS
+    err = np.linalg.norm(got - np.exp(-1j * levels) * block, axis=0)
+    assert np.all(err <= budget * np.linalg.norm(block, axis=0))
+
+
+def _recorded_runs(monkeypatch, evolve, reference):
+    """(steps, budget, exponentials, state) of every run of steps that
+    ``evolve()`` makes; with ``reference`` each exponential is the oracle
+    series that stops at 1e-16, whatever the run's budget."""
+    from oracles import allocating_exponential
+
+    import rmlab.statevector as statevector
+
+    counts = statevector._INTEGRATOR_COUNTS
+    run_steps = statevector._run_steps
+    runs = []
+
+    def recorded(ham, amp, t0, t1, n, budget):
+        before = counts["exponentials"]
+        v = run_steps(ham, amp, t0, t1, n, budget)
+        runs.append((n, budget, counts["exponentials"] - before, v))
+        return v
+
+    with monkeypatch.context() as m:
+        m.setattr(statevector, "_run_steps", recorded)
+        if reference:
+            m.setattr(statevector, "_exponential", allocating_exponential)
+        evolve()
+    return runs
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-9])
+def test_series_at_the_run_budget_agree_with_the_floor_stop(tol, monkeypatch, pulsed_block):
+    # a pulsed block on the certified 300 steps at the budget a run at tol
+    # gives it, and an adiabatic sweep certified at tol: every run of steps
+    # is within (its exponentials) x (its budget) per column of the same run
+    # with every series stopped at 1e-16
+    from rmlab.scenarios import prepare_adiabatic
+    from rmlab.statevector import _norms, _truncation_budget
+
+    psi, parts, t1 = pulsed_block(6, 4)
+    budget = _truncation_budget(tol / 2, 300)
+    cases = {
+        "pulsed": lambda: evolve_blend(psi, parts, 0.0, t1, tol=None, initial_steps=300, budget=budget),
+        "adiabatic": lambda: prepare_adiabatic(6, 0.05, tol=tol),
+    }
+    for name, evolve in cases.items():
+        fast = _recorded_runs(monkeypatch, evolve, reference=False)
+        slow = _recorded_runs(monkeypatch, evolve, reference=True)
+        # the same grids, and so the same budgets
+        assert [run[:2] for run in fast] == [run[:2] for run in slow], name
+        for (n, eps, exponentials, v), (*_, w) in zip(fast, slow):
+            assert eps == _truncation_budget(tol / 2 if name == "pulsed" else tol, n)
+            assert np.max(_norms(v - w)) <= exponentials * eps, name
+
+
+def test_norm_drift_check_holds_at_the_loosest_budgets(pulsed_block):
+    # the loosest tol validate accepts, any finite one, puts the pulsed
+    # budget at the norm drift's cap: an L = 8, K = 10 block on its
+    # certified 300 steps there (4.2e-11), an L = 6, K = 4 block on 10,000
+    # steps there (1.25e-12; at the 1e-10 ceiling it drifted by 6.2e-9),
+    # and the adiabatic sweep at tol 1e-9 (budget about 1.6e-13) all pass
+    # evolve_blend's unchanged norm-drift check, 1e-9
+    from rmlab.protocol import _certify_grid, _drive_operators
+    from rmlab.pulses import golden_schedule
+    from rmlab.scenarios import model_hamiltonian, prepare_adiabatic
+    from rmlab.statevector import _NORM_TOL, _truncation_budget
+
+    assert _NORM_TOL == 1e-9
+    loosest = np.finfo(float).max
+    psi, parts, t1 = pulsed_block(8, 10)
+    drive = _drive_operators(8, model_hamiltonian(8))
+    steps, budget, _ = _certify_grid(psi, golden_schedule(), drive, loosest)
+    assert steps == 300 and budget == _truncation_budget(loosest, 300) == pytest.approx(1e-9 / 24)
+    states = evolve_blend(psi, parts, 0.0, t1, tol=None, initial_steps=steps, budget=budget)
+    assert len(states) == 10
+    psi, parts, t1 = pulsed_block(6, 4)
+    evolve_blend(psi, parts, 0.0, t1, tol=None, initial_steps=10_000, budget=_truncation_budget(loosest, 10_000))
+    prepare_adiabatic(8, 0.1, tol=1e-9)
 
 
 def _per_part(parts, cs, v):
@@ -790,7 +917,7 @@ def test_fused_matvec_matches_per_part_sum(case):
     rng = np.random.default_rng(27)
     shape = (8,) if columns is None else (8, columns)
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    ham.bind(_SeriesBuffers(shape))
+    ham.bind(_SeriesBuffers(shape, _BUDGET_FLOOR))
     for t in (0.0, 0.37):
         cs = ham.values(t)
         kept = v.copy()
@@ -879,7 +1006,7 @@ def test_series_match_the_allocating_terms(case, monkeypatch, pulsed_block):
     shape = ham.shape
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     kept = v.copy()
-    bufs = _SeriesBuffers(shape)
+    bufs = _SeriesBuffers(shape, _BUDGET_FLOOR)
     ham.bind(bufs)
     new, old = v, v
     # |B| tau of 1.5 is one Taylor series, 20 one Chebyshev series
