@@ -44,21 +44,26 @@ of five of the ``run_ideal`` calls that build those two records, in
 milliseconds, per record. ``square_observable_ms`` holds the best
 of five ``pauli.square_observable`` calls on the dimerized chain's
 Hamiltonian at L = 8, 10 and 12, in milliseconds. ``pulsed_block`` holds
-one pulsed block as ``protocol.run_pulsed`` evolves it, under ``K10``
-and ``K100``: the dimerized chain's L = 8 ground state under K = 10 (the
-benchmark's block width) or 100 columns of the golden schedule, each with
-its own per-unitary gains (eps = 3 %) and label row, interactions
-included, through ``evolve_blend`` on the step count and at the series
-truncation budget that ``protocol._certify_grid`` certifies at the
-benchmark's tol, 1e-4 (300 steps, budget 4.2e-11), as a run does. ``ms`` is
-the best of three calls, in milliseconds, ``minor_faults`` the fewest
-minor page faults (``resource.getrusage``) that one of those calls took,
+one pulsed block as ``protocol.run_pulsed`` evolves it, under ``K1``,
+``K10`` and ``K100``: the dimerized chain's L = 8 ground state under
+K = 1 (one vector, the path of the grid's probe), 10 (the benchmark's
+block width) or 100 columns of the golden schedule, each with its own
+per-unitary gains (eps = 3 %) and label row, interactions included,
+through ``evolve_blend`` on the step count and at the series truncation
+budget that ``protocol._certify_grid`` certifies at the benchmark's tol,
+1e-4 (300 steps, budget 4.2e-11), as a run does. ``ms`` is the best of
+three calls, in milliseconds, ``minor_faults`` the fewest minor page
+faults (``resource.getrusage``) that one of those calls took,
 ``exponentials`` and ``series_terms`` the integrator's work in one call,
 the counts behind the time, and ``steps`` and ``budget`` the grid. Each
 width runs in a fresh interpreter: the allocator serves a block-sized
 array from the heap or from a fresh mapping depending on what the
 process freed before, so the count taken after the other layers would
-not be the one a run sees.
+not be the one a run sees. ``adiabatic_sweep`` holds the sweep that
+sets up adiabatic_prep_L8, ``scenarios.prepare_adiabatic(8, 0.1)`` at
+its default tol, 1e-9: ``ms``, the best of three calls in milliseconds,
+and ``exponentials`` and ``series_terms``, the integrator's work in one
+call, refinement rounds included.
 
 Next to ``source_lines`` the provenance holds ``public_surface``: per
 rmlab module, the names in its ``__all__`` and the parameters with
@@ -224,10 +229,10 @@ def square_observable_layer(repeats: int = 5) -> dict:
 
 
 def pulsed_block_layer() -> dict:
-    """``pulsed_block`` at K = 10 and 100 columns, each measured in a fresh
-    interpreter."""
+    """``pulsed_block`` at K = 1, 10 and 100 columns, each measured in a
+    fresh interpreter."""
     out = {}
-    for columns in (10, 100):
+    for columns in (1, 10, 100):
         code = f"import json, bench; print(json.dumps(bench.pulsed_block({columns})))"
         proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "scripts", capture_output=True,
                               text=True, check=True)
@@ -259,7 +264,7 @@ def pulsed_block(columns: int, repeats: int = 3) -> dict:
     drawn = [(perturb(schedule, fluct, rng), row) for row in sample_unitaries(L, columns, rng)]
     drive = _drive_operators(L, h)
     parts = _pulsed_parts(schedule, drawn, drive)
-    steps, budget, _ = _certify_grid(psi, schedule, drive, 1e-4)
+    steps, budget, *_ = _certify_grid(psi, schedule, drive, 1e-4)
     ms = faults = math.inf
     for _ in range(repeats):
         counts = dict(_INTEGRATOR_COUNTS)
@@ -270,6 +275,23 @@ def pulsed_block(columns: int, repeats: int = 3) -> dict:
         faults = min(faults, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     work = {key: _INTEGRATOR_COUNTS[key] - counts[key] for key in counts}
     return {"ms": ms, "minor_faults": faults, "steps": steps, "budget": budget} | work
+
+
+def adiabatic_sweep(repeats: int = 3) -> dict:
+    """Best-of-``repeats`` milliseconds and the integrator's exponentials
+    and series terms of one ``prepare_adiabatic(8, 0.1)`` call, the sweep
+    that sets up adiabatic_prep_L8."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from rmlab.scenarios import prepare_adiabatic
+    from rmlab.statevector import _INTEGRATOR_COUNTS
+
+    ms = math.inf
+    for _ in range(repeats):
+        counts = dict(_INTEGRATOR_COUNTS)
+        start = time.perf_counter()
+        prepare_adiabatic(8, 0.1)
+        ms = min(ms, 1e3 * (time.perf_counter() - start))
+    return {"ms": ms} | {key: _INTEGRATOR_COUNTS[key] - counts[key] for key in counts}
 
 
 def public_surface() -> dict:
@@ -331,6 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         "estimator_record_ms": estimator_ms,
         "square_observable_ms": square_observable_layer(),
         "pulsed_block": pulsed_block_layer(),
+        "adiabatic_sweep": adiabatic_sweep(),
     }
     print("tier-1 tests ...", file=sys.stderr, flush=True)
     report["tier1"] = run_tier1()

@@ -18,7 +18,6 @@ from .pauli import (
 )
 from .statevector import (
     StateVector,
-    ReducedDensityMatrix,
     NumericalContractError,
     ConvergenceError,
     DegenerateGroundStateError,
@@ -30,7 +29,6 @@ from .statevector import (
     evolve_static,
     ground_state,
     sample_basis_indices,
-    reduced_density,
     exact_purity,
 )
 from .pulses import (
@@ -47,7 +45,6 @@ from .pulses import (
     perturb,
     single_qubit_propagator,
     propagator_batch,
-    measured_axis,
     axis_fidelity,
     mc_rotation_stats,
     calibrate,

@@ -106,7 +106,7 @@ def _one_repetition(args) -> tuple[int, dict[str, float], MeasurementRecord, dic
         record = run_ideal(scen.state, labels, prot.n_meas, readout=prot.readout, seed=seed)
     else:
         fluct = FluctuationModel(prot.eps_percent, prot.fluctuation_scope)
-        steps, budget, _ = grid
+        steps, budget, *_ = grid
         record = run_pulsed(
             scen.state,
             labels,
@@ -143,8 +143,9 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     this one. run_meta.json records the record format version, the wall
     time of each stage: prepare (the other shared inputs), certify (pulsed
     runs), repetitions, and write (records and results.csv), a pulsed
-    run's ``grid`` (steps, the probe's n vs 2n distance and the
-    per-exponential truncation budget), and the integrator's exponentials
+    run's ``grid`` (steps, the probe's n vs 2n distance, the
+    per-exponential truncation budget and the bound on the truncation
+    within that distance), and the integrator's exponentials
     and series terms summed over the run, whatever the thread count.
     Records under ``records/`` that this run did not write, left by an
     earlier run with more repetitions, are deleted.
@@ -209,8 +210,13 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     }
     if schedule is not None:
         stages_s["certify"] = certified - prepared
-        steps, budget, distance = grid
-        extra["grid"] = {"steps": steps, "probe_distance": distance, "budget": budget}
+        steps, budget, distance, truncation = grid
+        extra["grid"] = {
+            "steps": steps,
+            "probe_distance": distance,
+            "budget": budget,
+            "truncation_bound": truncation,
+        }
     _write_meta(cfg, out_dir, extra=extra)
     print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows, {prot.n_ave} repetitions)")
     return 0

@@ -75,6 +75,7 @@ from .pulses import (
 )
 from .statevector import (
     _EXP_WEIGHT,
+    _INTEGRATOR_COUNTS,
     _STEP_BUDGET,
     _TRUNCATION_SHARE,
     MAX_SITES,
@@ -432,10 +433,11 @@ def _pulsed_parts(
 
 def _certify_grid(
     psi: StateVector, schedule: PulseSchedule, drive: _Drive, tol: float
-) -> tuple[int, float, float]:
+) -> tuple[int, float, float, float]:
     """The step count and the per-exponential series truncation budget for
-    every pulsed block of a run, and the probe's n vs 2n distance there,
-    under the run's ``_drive_operators``.
+    every pulsed block of a run, the probe's n vs 2n distance there, and
+    the bound on the series truncation within that distance, under the
+    run's ``_drive_operators``.
 
     The probe is the nominal schedule under labels that alternate the
     largest-|d| and the smallest-|d| label, the largest at site 1; it draws
@@ -453,6 +455,12 @@ def _certify_grid(
     blocks run at the budget of that n-step run, so each of their columns
     truncates at most tol / 32 too. At the benchmark's tol, 1e-4, on 300
     steps, the budget is the norm drift's cap, 4.2e-11.
+
+    The distance mixes the n-step error with the truncation of both runs.
+    The truncation bound is theirs, summed: each run's exponentials times
+    its budget, 153 x 4.2e-11 + 303 x 2.1e-11 = 1.3e-8 at L = 8 and tol
+    1e-4. That is 6.5 times the distance there, 1.95e-9: a worst case,
+    which the series' actual truncation stays far below.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
@@ -470,13 +478,18 @@ def _certify_grid(
     parts = _pulsed_parts(schedule, [(schedule, probe)], drive)
 
     half = tol / 2.0
+    # the truncation bound of each run: its exponentials times its budget
+    truncation = {}
 
     def run(m: int) -> np.ndarray:
         budget = _truncation_budget(half, m)
-        return evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=m, budget=budget).amp
+        before = _INTEGRATOR_COUNTS["exponentials"]
+        amp = evolve_blend(psi, parts, 0.0, schedule.T, tol=None, initial_steps=m, budget=budget).amp
+        truncation[m] = (_INTEGRATOR_COUNTS["exponentials"] - before) * budget
+        return amp
 
     steps, _, distance = _certify(run, n0, half, _TRUNCATION_SHARE)
-    return steps, _truncation_budget(half, steps), distance
+    return steps, _truncation_budget(half, steps), distance, truncation[steps] + truncation[2 * steps]
 
 
 def run_pulsed(

@@ -53,7 +53,6 @@ __all__ = [
     "draw_gains",
     "single_qubit_propagator",
     "propagator_batch",
-    "measured_axis",
     "axis_fidelity",
     "mc_rotation_stats",
     "calibrate",
@@ -518,7 +517,7 @@ def single_qubit_propagator(
 # ---------------------------------------------------------------------------
 
 
-def measured_axis(u: np.ndarray) -> np.ndarray:
+def _measured_axis(u: np.ndarray) -> np.ndarray:
     """Bloch vector of U^dag Z U; unit length for any unitary U."""
     m = u.conj().T @ PAULI_MATRICES["Z"] @ u
     return np.array(
@@ -531,7 +530,7 @@ def measured_axis(u: np.ndarray) -> np.ndarray:
 
 def axis_fidelity(u: np.ndarray, label: int) -> float:
     """(1 + axis . target)/2; equals 1 iff U is the target up to z-phase."""
-    return float((1.0 + measured_axis(u) @ TARGET_AXES[label]) / 2.0)
+    return float((1.0 + _measured_axis(u) @ TARGET_AXES[label]) / 2.0)
 
 
 _PAIRS = {1: (2, 3), 2: (3, 1), 3: (1, 2)}  # (beta, gamma) with eps_{a,b,g} = +1

@@ -2,8 +2,8 @@
 
 Every quantity the randomized-measurement pipeline estimates statistically
 can also be computed here exactly (for 2 <= L <= 14): expectation values,
-reduced density matrices, subsystem purities, ground states, and Schroedinger
-evolution under a time-dependent Hamiltonian.
+subsystem purities, ground states, and Schroedinger evolution under a
+time-dependent Hamiltonian.
 
 ``ground_state`` diagonalises H one excitation-number sector at a time (the
 SSH and staggered-XY chains conserve it): dense ``eigh`` on sectors of up
@@ -40,7 +40,11 @@ over the run's exponentials, capped so that the norm drift stays within
 digits the run keeps. An L = 8, K = 10 pulsed block at the benchmark's
 tol, 1e-4 (300 steps, budget 4.2e-11), takes 1,156 series terms where a
 stop at 1e-16 took 1,614, and 84 ms where it took 102 ms (best of seven,
-alternating, on a 2-core VM).
+alternating, on a 2-core VM). Planned once per run of steps
+(``_run_steps``), with one reduction per exponential and terms that
+multiply complex blocks only, the same block took 43 ms where it took
+54 ms (medians of ten alternating rounds of best-of-five, on a faster
+host), about 30 ms of it in scipy's CSR kernels.
 ``evolve_static`` is the same engine on a constant H.
 
 ``evolve_blend`` also evolves a block of K copies of one state at once when
@@ -51,10 +55,11 @@ product per coefficient kind, on real arithmetic where a block meets a
 real matrix, each added by scipy's CSR kernel straight into the term. No
 series term and no exponential allocates a block: each run of steps owns
 six blocks of the state's shape (``_SeriesBuffers``: two sums, three
-terms and a work block), its operator is bound to them once, with the
-blend's own diagonal and CSR values, and each exponential only rewrites
-those values. No series writes into its input, so the state handed to a
-run is never changed.
+terms and a work block), its operator is bound to them and to the run's
+input once, with the blend's own diagonal, its complex copy, a complex
+block per column-valued coefficient and the CSR values, and each
+exponential only rewrites those values. No series writes into its input,
+so the state handed to a run is never changed.
 
 This module owns the bit convention for the whole package:
 ``index_to_bits`` / ``bits_to_index`` are the only conversions between
@@ -84,7 +89,6 @@ from .pauli import LABELS, ROTATION_MATRICES, PauliStringSum, _word
 
 __all__ = [
     "StateVector",
-    "ReducedDensityMatrix",
     "NumericalContractError",
     "ConvergenceError",
     "DegenerateGroundStateError",
@@ -103,7 +107,6 @@ __all__ = [
     "evolve_static",
     "ground_state",
     "sample_basis_indices",
-    "reduced_density",
     "exact_purity",
 ]
 
@@ -191,26 +194,6 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.amp.copy(), self.num_sites)
-
-
-@dataclass
-class ReducedDensityMatrix:
-    """Reduced state on an ordered site subset, trace normalized."""
-
-    sites: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        dim = 2 ** len(self.sites)
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (dim, dim):
-            raise ValueError("matrix shape inconsistent with site count")
-        tr = np.trace(self.matrix)
-        if abs(tr - 1.0) > 1e-10:
-            raise NumericalContractError(f"trace {tr} deviates from 1")
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +402,7 @@ def _union_csr(entries: Sequence[tuple[np.ndarray, np.ndarray]], n: int, block: 
 
 
 def _csr_product(
-    m: sparse.csr_matrix, shape: tuple[int, ...]
+    m: sparse.csr_matrix, shape: tuple[int, ...], blocks: Sequence[np.ndarray]
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The function (v, out) -> out += m @ v, which returns ``out``, for
     complex vectors or (2^L, K) blocks v and out of ``shape``.
@@ -431,10 +414,18 @@ def _csr_product(
     acts on v's real and imaginary parts as twice as many real columns.
     The kernel and m's arrays are bound here, once: values written into
     ``m.data`` in place change every later product. Raises ValueError
-    unless m is square with a row per row of ``shape``, and, per call,
-    unless v and out are complex of ``shape`` and out is C-contiguous
-    (raveling any other out would hand the kernel a copy, and the product
-    would be lost): the kernel trusts the sizes it is given.
+    unless m is square with a row per row of ``shape``, and unless v and
+    out are complex of ``shape`` and out is C-contiguous (raveling any
+    other out would hand the kernel a copy, and the product would be
+    lost): the kernel trusts the sizes it is given.
+
+    ``blocks`` are checked here, once, and must be C-contiguous too; the
+    flat (on a real m, float) view the kernel reads of each is made here
+    as well, so a product between two of them only calls the kernel. Any
+    other v or out is checked and viewed per call. A run of steps binds
+    its input and every block of its ``_SeriesBuffers``: against checks
+    and views per call, that took 6 % off an L = 8, K = 10 pulsed block
+    and 8 % off the adiabatic sweep.
     """
     n = shape[0]
     if m.shape != (n, n):
@@ -446,15 +437,27 @@ def _csr_product(
     else:
         kernel, head = _sparsetools.csr_matvecs, (n, n, width, m.indptr, m.indices, m.data)
 
-    def product(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def flat(a: np.ndarray) -> np.ndarray:
+        # C-ordered and flat, as the kernel reads it: a copy only if a is not
+        x = a.reshape(-1)
+        return x.view(float) if real else x
+
+    def checked(v: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if v.shape != shape or out.shape != shape or v.dtype != complex or out.dtype != complex:
             raise ValueError(f"a sparse product of {v.dtype} {v.shape} into {out.dtype} {out.shape}")
         if not out.flags.c_contiguous:
             raise ValueError("the output of a sparse product must be C-contiguous")
-        # C-ordered and flat, as the kernel reads them: a copy of v only if v is not
-        x, y = v.reshape(-1), out.reshape(-1)
-        if real:
-            x, y = x.view(float), y.view(float)
+        return flat(v), flat(out)
+
+    # each block, checked as an output is, with its view; the block is kept, so
+    # its id names it for as long as the product lives
+    views = {id(a): (a, checked(a, a)[0]) for a in blocks}
+
+    def product(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        try:
+            x, y = views[id(v)][1], views[id(out)][1]
+        except KeyError:
+            x, y = checked(v, out)
         kernel(*head, x, y)
         return out
 
@@ -471,19 +474,35 @@ class _BlendHamiltonian:
     own CSR. A diagonal is stored real when it has no imaginary part.
 
     ``bind`` sets up one run of steps: it allocates the blocks the blend
-    is written into (the diagonal, and a scratch block when there are
-    several diagonals) and binds the CSR kernels (see ``_csr_product``)
-    and the run's ``_SeriesBuffers`` work block into the function the
-    series call, once per ``_run_steps`` call. ``matvec`` then blends one
-    exponential's coefficients in place: every diagonal folds into the
-    owned diagonal block and the shared values into the shared CSR's own
-    values buffer, so an exponential allocates no block either.
-    ``centred_matvec`` also shifts the diagonal by each column's diagonal
-    energy. A series term costs one elementwise multiply, one sparse
-    product for the shared matrix and one per column-valued part, each
-    added by its kernel straight into the term's ``out``; a column-valued
-    coefficient scales the input in the work block, X (c v) = c (X v). The
-    function never writes into its input.
+    is written into (the diagonal, a scratch block when there are several
+    diagonals, and complex blocks for the terms, see below) and binds the
+    CSR kernels, with their views of the run's blocks (see
+    ``_csr_product``), and the run's ``_SeriesBuffers`` work block into
+    the function the series call, once per ``_run_steps`` call.
+    ``matvec`` then blends one exponential's coefficients in place: every
+    diagonal folds into the owned diagonal block and the shared values
+    into the shared CSR's own values buffer, so an exponential allocates
+    no block either. ``centred_matvec`` also shifts the diagonal by each
+    column's diagonal energy. A series term costs one elementwise
+    multiply, one sparse product for the shared matrix and one per
+    column-valued part, each added by its kernel straight into the term's
+    ``out``; a column-valued coefficient scales the input in the work
+    block, X (c v) = c (X v). The function never writes into its input.
+
+    The diagonal is blended in real arithmetic when it is real, and then
+    copied, once per exponential, into a complex block; each column-valued
+    coefficient is written, once per exponential, into a complex block of
+    the state's shape. The terms multiply those: numpy's real x complex
+    multiply casts element by element. At L = 8 a real diagonal times a
+    K = 10 block took 2.6 us against 1.35 us for its complex copy, a row
+    of K real gains 3.4 us against 1.4 us for their complex block, 19.6
+    against 11.0 us at K = 100, and 0.62 against 0.35 us on one vector
+    (``timeit``); a K = 10 pulsed block took 8 % less. The values are the
+    same: (d + 0i)(a + bi) = da + (db)i. A real diagonal is still stored
+    and blended real, which keeps the blend's multiplies real, once per
+    exponential; only the term's multiply, once per series term, is no
+    longer real x complex, because the cast it costs there is more than
+    the complex multiply it spares.
 
     Column-valued parts make H act on a (2^L, K) block: a coefficient that
     returns a length-K array gives column j its j-th value, and a dense
@@ -554,35 +573,93 @@ class _BlendHamiltonian:
         """Coefficient values at t, in part order."""
         return [c(t) for c in self.coeffs]
 
+    def node_values(self, times: Sequence[float]) -> list[np.ndarray]:
+        """Coefficient values at each of ``times``, stacked per part: one
+        row per time, (len(times),) for a scalar coefficient and
+        (len(times), K) for a column-valued one, float at least. Every
+        coefficient is called once per time, all at one time before the
+        next, and its value is copied into its stack at once: a list of
+        every time's values, stacked afterwards, raised the benchmark's
+        pulsed peak RSS by 0.2 MB."""
+        stacks = None
+        for i, t in enumerate(times):
+            row = self.values(t)
+            if stacks is None:
+                stacks = [np.empty((len(times),) + np.shape(c), dtype=np.result_type(float, c)) for c in row]
+            for stack, c in zip(stacks, row):
+                stack[i] = c
+        return stacks
+
+    def bound(self, values: Sequence[np.ndarray]) -> np.ndarray:
+        """Bound on |sum_k c_k A_k| per row of stacked coefficient values
+        (``node_values``); on a block, the largest over its columns. The
+        parts are summed in part order, so a row's bound does not depend on
+        the rows stacked with it."""
+        block = self.columns is not None
+        total = sum(np.abs(c[:, None] if block and c.ndim == 1 else c) * b for c, b in zip(values, self.bounds))
+        return np.max(total, axis=1) if block else total
+
     def diagonal(self, cs: Sequence):
         """The diagonal of sum_k cs[k] A_k as a new array: (2^L,) for a
         vector, (2^L, 1) or (2^L, K) on a block, 0 when no part has a
         diagonal."""
         return sum(cs[k] * d for k, d in self.diags)
 
-    def bind(self, bufs: "_SeriesBuffers") -> None:
+    def bind(self, bufs: "_SeriesBuffers", v: np.ndarray) -> None:
         """Set up the series operator of one run of steps on ``bufs``, whose
-        blocks have ``self.shape``: allocate the blend's own blocks and bind
-        the sparse kernels and ``bufs.work`` into the function every later
-        ``matvec`` returns."""
+        blocks have ``self.shape``, from the run's input ``v``: allocate the
+        blend's own blocks and bind the sparse kernels, their views of
+        ``v`` and of every block of ``bufs`` (see ``_csr_product``), and
+        ``bufs.work`` into the function every later ``matvec`` returns."""
         dtype = np.result_type(float, *(d for _, d in self.diags))
-        self._diag = diag = np.zeros(self.shape, dtype=dtype)
+        self._diag = np.zeros(self.shape, dtype=dtype)
         self._scratch = np.empty(self.shape, dtype=dtype) if len(self.diags) > 1 else None
+        # the terms multiply complex blocks: numpy's real x complex loop casts per element
+        self._cdiag = diag = self._diag if dtype.kind == "c" else np.zeros(self.shape, dtype=complex)
         self._work = work = bufs.work
-        own = [_csr_product(m, self.shape) for _, m in self.own]
-        # one exponential's column-valued coefficients, rewritten by matvec
-        self._gains = gains = [None] * len(own)
-        shared = None if self.shared is None else _csr_product(self.shared[1], self.shape)
+        blocks = (v, *bufs.sums, *bufs.terms, work)
+        own = [_csr_product(m, self.shape, blocks) for _, m in self.own]
+        # one exponential's column-valued coefficients, one copy per row, rewritten by matvec
+        self._gains = gains = [np.zeros(self.shape, dtype=complex) for _ in own]
+        shared = None if self.shared is None else _csr_product(self.shared[1], self.shape, blocks)
 
         def mv(v: np.ndarray, out: np.ndarray) -> np.ndarray:
             np.multiply(diag, v, out=out)
-            for product, c in zip(own, gains):
-                product(np.multiply(c, v, out=work), out)
+            for product, gain in zip(own, gains):
+                product(np.multiply(gain, v, out=work), out)
             if shared is not None:
                 shared(v, out)
             return out
 
         self._mv = mv
+
+    def _blend(self, cs: Sequence) -> None:
+        """Write the blend sum_k cs[k] A_k into what ``bind`` set up: the
+        diagonal, in real arithmetic when it is real, the column-valued
+        coefficients and the shared CSR's values."""
+        diag = self._diag
+        if self.diags:
+            (k, d), *rest = self.diags
+            np.multiply(cs[k], d, out=diag)
+            for k, d in rest:
+                diag += np.multiply(cs[k], d, out=self._scratch)
+        else:
+            diag.fill(0.0)
+        for gain, (k, _) in zip(self._gains, self.own):
+            gain[...] = cs[k]
+        if self.shared is not None:
+            index, template, data = self.shared
+            np.matmul(np.array([cs[k] for k in index]), data, out=template.data)
+
+    def _shifted(self, shift):
+        """The bound operator, after the diagonal is shifted by ``shift``
+        (None for no shift) and copied into the complex block the terms
+        multiply."""
+        if shift is not None:
+            self._diag -= shift
+        if self._cdiag is not self._diag:
+            self._cdiag[...] = self._diag
+        return self._mv
 
     def matvec(self, cs: Sequence, shift=None):
         """(v, out) -> out = (sum_k cs[k] A_k - shift) v, for coefficient
@@ -594,40 +671,22 @@ class _BlendHamiltonian:
         until the next ``matvec`` call. ``out`` must be a C-contiguous
         complex block of the state's shape, and not ``v``.
         """
-        diag = self._diag
-        if self.diags:
-            (k, d), *rest = self.diags
-            np.multiply(cs[k], d, out=diag)
-            for k, d in rest:
-                diag += np.multiply(cs[k], d, out=self._scratch)
-        else:
-            diag.fill(0.0)
-        if shift is not None:
-            diag -= shift
-        self._gains[:] = [cs[k] for k, _ in self.own]
-        if self.shared is not None:
-            index, template, data = self.shared
-            np.matmul(np.array([cs[k] for k in index]), data, out=template.data)
-        return self._mv
+        self._blend(cs)
+        return self._shifted(shift)
 
-    def centred_matvec(self, cs: Sequence, v: np.ndarray):
+    def centred_matvec(self, cs: Sequence, v: np.ndarray, squares):
         """``matvec`` of B - s for the blend B = sum_k cs[k] A_k, and s: per
         column of ``v``, its diagonal energy s_j = sum_i |v_ij|^2 D_ij /
-        sum_i |v_ij|^2 under B's diagonal D (the real part of it). s is a
-        float for a vector, one per column on a block, and 0.0 when no part
-        has a diagonal. Since |s| <= max |D| <= |B|, |B - s| <= 2 |B|."""
-        mv = self.matvec(cs)
+        sum_i |v_ij|^2 under B's diagonal D (the real part of it), where
+        ``squares`` is ``_re_dots(v, v)``. s is a float for a vector, one
+        per column on a block, and 0.0 when no part has a diagonal. Since
+        |s| <= max |D| <= |B|, |B - s| <= 2 |B|."""
+        self._blend(cs)
         if not self.diags:
-            return mv, 0.0
+            return self._shifted(None), 0.0
         dv = np.multiply(self._diag, v, out=self._work)
-        shift = _re_dots(v, dv) / _re_dots(v, v)
-        self._diag -= shift
-        return mv, shift
-
-    def norm_bound(self, cs: Sequence) -> float:
-        """Bound on |sum_k cs[k] A_k|; for a block, the largest over its columns."""
-        bound = sum(abs(c) * b for c, b in zip(cs, self.bounds))
-        return bound if self.columns is None else float(np.max(bound))
+        shift = _re_dots(v, dv) / squares
+        return self._shifted(shift), shift
 
     def interval(self, cs: Sequence):
         """Gershgorin interval (lo, hi) holding every eigenvalue of
@@ -676,10 +735,11 @@ class _SeriesBuffers:
         return self.sums[1] if v is self.sums[0] else self.sums[0]
 
 
-def _taylor_apply(mv, v: np.ndarray, dt: float, bufs: _SeriesBuffers, x: float) -> np.ndarray:
+def _taylor_apply(mv, v: np.ndarray, dt: float, bufs: _SeriesBuffers, x: float, squares) -> np.ndarray:
     """exp(-i dt H) v by Taylor series, for a vector or a (2^L, K) block,
     where ``mv(u, out)`` returns H u, as ``_BlendHamiltonian.matvec`` does,
-    and x bounds |H| dt.
+    x bounds |H| dt and ``squares`` is ``_re_dots(v, v)``, v's squared
+    column norms.
 
     The caller keeps x within 2 _STEP_BUDGET: ``_exponential`` hands it
     B - s, a blend within the budget shifted by a diagonal energy, with
@@ -700,7 +760,7 @@ def _taylor_apply(mv, v: np.ndarray, dt: float, bufs: _SeriesBuffers, x: float) 
     out = bufs.sum_for(v)
     out[...] = v
     term = v
-    limit = bufs.budget * float(np.min(_norms(v)))
+    limit = bufs.budget * math.sqrt(squares.min())
     for k in range(1, _TAYLOR_TERMS + 1):
         nxt = bufs.terms[k % 2]
         term = np.multiply(mv(term, nxt), -1j * dt / k, out=nxt)
@@ -717,12 +777,16 @@ def _taylor_apply(mv, v: np.ndarray, dt: float, bufs: _SeriesBuffers, x: float) 
     )
 
 
-def _equal(a: Sequence, b: Sequence) -> bool:
-    """Two lists of coefficient values are exactly equal: == per scalar,
-    elementwise per column array, no tolerance."""
-    return all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b)
-    )
+def _same(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
+    """Per row of two lists of stacked coefficient values (see
+    ``_BlendHamiltonian.node_values``), whether the rows are exactly equal
+    in every part and column: == per value, no tolerance, so a NaN is
+    equal to nothing."""
+    same = True
+    for x, y in zip(a, b):
+        eq = x == y
+        same = same & (eq.all(axis=1) if eq.ndim == 2 else eq)
+    return same
 
 
 def _bessel_cutoff(x: float, tiny: float) -> int:
@@ -825,32 +889,110 @@ def _chebyshev_apply(
 
 
 def _exponential(
-    ham: _BlendHamiltonian, cs: Sequence, tau: float, v: np.ndarray, bufs: _SeriesBuffers
+    ham: _BlendHamiltonian, cs: Sequence, tau: float, bound: float, v: np.ndarray, bufs: _SeriesBuffers
 ) -> np.ndarray:
-    """exp(-i tau B) v for the blend B = sum_k cs[k] A_k: one Taylor series
-    when |B| tau is within the step budget, where its adaptive stop needs
-    the fewest terms, and a Chebyshev series beyond it, where Taylor
-    pieces would cost about ten terms per unit of |B| tau. Either stops at
-    the run's budget eps, ``bufs.budget``: what it leaves out is below
-    eps |v| per column. A NaN or infinite |B| fails the step-budget test,
-    and the Chebyshev path raises on it. The result is
-    ``bufs.sum_for(v)``; ``ham`` is bound to ``bufs``.
+    """exp(-i tau B) v for the blend B = sum_k cs[k] A_k, where ``bound``
+    bounds |B| (``ham.bound`` of cs): one Taylor series when |B| tau is
+    within the step budget, where its adaptive stop needs the fewest
+    terms, and a Chebyshev series beyond it, where Taylor pieces would
+    cost about ten terms per unit of |B| tau. Either stops at the run's
+    budget eps, ``bufs.budget``: what it leaves out is below eps |v| per
+    column. A NaN or infinite |B| fails the step-budget test, and the
+    Chebyshev path raises on it. The result is ``bufs.sum_for(v)``;
+    ``ham`` is bound to ``bufs``.
 
     The Taylor series is centred: it sums exp(-i tau (B - s)) v, s the
     diagonal energy of each column of v (``centred_matvec``), and then
     multiplies in the phase exp(-i tau s). B - s is smaller than B on the
     state the series acts on; on the pulsed blocks at L = 8 the series
     took 13 to 16 % fewer terms. Its tail bound uses |B - s| tau <=
-    2 |B| tau, the bound this test already has."""
-    x = ham.norm_bound(cs) * tau
+    2 |B| tau, the bound this test already has. Each column's squared
+    norm is taken once, by one reduction over the block, for both the
+    shift and the series' stop, where the shift's own reduction and a
+    norm for the stop took three: one took 5 % off an L = 8, K = 10 pulsed
+    block and 9 % off the adiabatic sweep. The bound comes from the run's
+    plan (``_plan``), which forms every exponential's at once."""
+    x = bound * tau
     if x <= _STEP_BUDGET:
-        mv, shift = ham.centred_matvec(cs, v)
-        v = _taylor_apply(mv, v, tau, bufs, 2.0 * x)
+        squares = _re_dots(v, v)
+        mv, shift = ham.centred_matvec(cs, v, squares)
+        v = _taylor_apply(mv, v, tau, bufs, 2.0 * x, squares)
         v *= np.exp(-1j * tau * shift)
     else:
         v = _chebyshev_apply(ham, cs, tau, v, bufs)
     _INTEGRATOR_COUNTS["exponentials"] += 1
     return v
+
+
+# steps x columns of node values in one chunk of a run's plan, which
+# bounds the plan's memory at any K: an L = 8, K = 4,096 pulsed block's
+# plan peaked at 3.7 MB under tracemalloc on 300 and 600 steps, where
+# its node values alone, planned at once, would take 20 MB per
+# column-valued coefficient on 300 steps, against a 17 MB state block.
+# A K = 10 block's 300 steps are one chunk
+_PLAN_CHUNK = 2**14
+
+
+def _plan(ham: _BlendHamiltonian, t0: float, dt: float, n: int):
+    """The exponentials of n CFM4 steps of dt from t0, in the order they
+    act: (coefficient values, tau, bound on |B|) per exponential, tau and
+    the bound as Python floats (see ``_run_steps``).
+
+    The steps are planned a chunk of ``_PLAN_CHUNK`` node values per
+    coefficient at a time. A chunk calls the coefficients at its Gauss
+    nodes (``node_values``), finds its fused stretches by comparing the
+    stacked values under ``_run_steps``' rule, forms both CFM4 blends of
+    every step that is not fused, and bounds every exponential
+    (``ham.bound``), all as arrays; the blends and bounds are the values
+    the per-step arithmetic gives, bit for bit. A stretch that reaches the
+    end of its chunk is held back until the steps that follow show where
+    it ends.
+    """
+    chunk = max(1, _PLAN_CHUNK // (ham.columns or 1))
+    # the stretch held back: its nodes' values (one row per part), |B| bound and steps
+    held = None
+    for first_step in range(0, n, chunk):
+        t = t0 + np.arange(first_step, min(n, first_step + chunk)) * dt
+        times = np.stack([t + (0.5 - _GAUSS_OFF) * dt, t + (0.5 + _GAUSS_OFF) * dt], axis=1)
+        nodes = ham.node_values(times.ravel().tolist())
+        h1, h2 = [c[0::2] for c in nodes], [c[1::2] for c in nodes]
+        fused = _same(h1, h2)
+        # a fused step joins the one before it when that one is fused on the same values
+        joins = np.zeros(len(t), dtype=bool)
+        joins[1:] = fused[1:] & fused[:-1] & _same([c[1:] for c in h1], [c[:-1] for c in h1])
+        if held is not None:
+            joins[0] = fused[0] and _same([c[:1] for c in h1], held[0])[0]
+        starts = np.flatnonzero(~joins)
+        if held is not None:
+            held[2] += int(starts[0]) if starts.size else len(t)
+            if not starts.size:
+                continue
+            values, bound, steps = held
+            yield [c[0] for c in values], steps * dt, bound
+            held = None
+        # per start: the first exponential's values (a stretch's own, or the
+        # blend a2 H1 + a1 H2), and the second's, a1 H1 + a2 H2
+        ends = np.append(starts[1:], len(t))
+        stretch = fused[starts]
+        a, b = [c[starts] for c in h1], [c[starts] for c in h2]
+        first = [np.where(stretch if x.ndim == 1 else stretch[:, None], x, _A2 * x + _A1 * y) for x, y in zip(a, b)]
+        second = [_A1 * x + _A2 * y for x, y in zip(a, b)]
+        bounds = ham.bound(first).tolist()
+        if stretch[-1]:
+            # the chunk's last stretch may go on into the next chunk
+            held = [[c[starts[-1]:starts[-1] + 1] for c in h1], bounds[-1], int(ends[-1] - starts[-1])]
+        taus = np.where(stretch, (ends - starts) * dt, dt).tolist()
+        # zip stops before a held stretch
+        emitted = stretch[:-1] if stretch[-1] else stretch
+        for fuse, tau, cs1, bound1, cs2, bound2 in zip(
+            emitted.tolist(), taus, zip(*first), bounds, zip(*second), ham.bound(second).tolist()
+        ):
+            yield cs1, tau, bound1
+            if not fuse:
+                yield cs2, tau, bound2
+    if held is not None:
+        values, bound, steps = held
+        yield [c[0] for c in values], steps * dt, bound
 
 
 def _run_steps(
@@ -870,36 +1012,26 @@ def _run_steps(
     truncation changed, within ``budget`` per exponential; every node is
     still evaluated exactly once.
 
+    The run is planned once (``_plan``): node values, stretches, blends
+    and |B| bounds are arrays, and the loop here only applies the
+    exponentials. Against a loop that formed lists of node values per
+    step, compared them value by value and blended and bounded each
+    exponential on its own, planning took 8 % off an L = 8, K = 10 pulsed
+    block at the benchmark's tol (46.8 against 43.0 ms), 6 % off the K = 1
+    probe and 5 % off the adiabatic sweep (medians of ten alternating
+    rounds of best-of-five).
+
     The steps share one ``_SeriesBuffers`` with the run's per-exponential
-    truncation budget, which ``ham`` is bound to once here; ``amp`` is
-    never written to, and the returned state is one of its sum blocks.
+    truncation budget, which ``ham`` is bound to once here, together with
+    ``amp`` (made C-contiguous first); ``amp`` is never written to, and
+    the returned state is one of the sum blocks.
     """
-    dt = (t1 - t0) / n
-
-    def nodes(k: int):
-        if k == n:
-            return None
-        t = t0 + k * dt
-        return ham.values(t + (0.5 - _GAUSS_OFF) * dt), ham.values(t + (0.5 + _GAUSS_OFF) * dt)
-
     bufs = _SeriesBuffers(amp.shape, budget)
-    ham.bind(bufs)
+    amp = np.ascontiguousarray(amp)
+    ham.bind(bufs, amp)
     v = amp
-    k = 0
-    step = nodes(0)
-    while step is not None:
-        h1, h2 = step
-        start = k
-        k += 1
-        step = nodes(k)
-        if not _equal(h1, h2):
-            for w1, w2 in ((_A2, _A1), (_A1, _A2)):
-                v = _exponential(ham, [w1 * c1 + w2 * c2 for c1, c2 in zip(h1, h2)], dt, v, bufs)
-            continue
-        while step is not None and _equal(step[0], h1) and _equal(step[1], h1):
-            k += 1
-            step = nodes(k)
-        v = _exponential(ham, h1, (k - start) * dt, v, bufs)
+    for cs, tau, bound in _plan(ham, t0, (t1 - t0) / n, n):
+        v = _exponential(ham, cs, tau, bound, v, bufs)
     return v
 
 
@@ -1004,8 +1136,8 @@ def evolve_blend(
         amp = np.repeat(amp[:, None], ham.columns, axis=1)
     span = t1 - t0
     if initial_steps is None:
-        grid = np.linspace(t0, t1, 33)
-        peak = max(ham.norm_bound(ham.values(float(t))) for t in grid)
+        grid = np.linspace(t0, t1, 33).tolist()
+        peak = float(np.max(ham.bound(ham.node_values(grid))))
         if not math.isfinite(peak):
             raise NumericalContractError(f"non-finite bound {peak} on |H| over the start grid")
         n = max(1, int(np.ceil(peak * _EXP_WEIGHT * span / _STEP_BUDGET)))
@@ -1172,13 +1304,15 @@ def _split_matrix(psi: StateVector, sites: tuple[int, ...]) -> np.ndarray:
     return np.transpose(cube, axes + rest).reshape(2 ** len(axes), 2 ** len(rest))
 
 
-def reduced_density(psi: StateVector, sites: Sequence[int]) -> ReducedDensityMatrix:
-    """Partial trace over the complement of ``sites`` (1-based)."""
-    st = _check_sites(sites, psi.num_sites)
-    a = _split_matrix(psi, st)
-    return ReducedDensityMatrix(st, a @ a.conj().T)
-
-
 def exact_purity(psi: StateVector, sites: Sequence[int]) -> float:
-    """Tr[rho_A^2] through the reduced density matrix (the oracle route)."""
-    return reduced_density(psi, sites).purity()
+    """Tr[rho_A^2] of the reduced state on ``sites`` (1-based), the oracle
+    route: rho_A = A A^dag for the amplitudes A split as (subsystem,
+    complement), so the purity is the sum of |rho_A|^2. Raises
+    NumericalContractError if Tr rho_A, the sum of |A|^2, is more than
+    1e-10 from 1."""
+    a = _split_matrix(psi, _check_sites(sites, psi.num_sites))
+    rho = a @ a.conj().T
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > 1e-10:
+        raise NumericalContractError(f"trace {tr} deviates from 1")
+    return float(np.sum(np.abs(rho) ** 2))

@@ -25,11 +25,11 @@ def _per_step_run_steps(ham, amp, t0, t1, n, budget):
     stopped at the run's truncation ``budget``."""
     import numpy as np
 
-    from rmlab.statevector import _A1, _A2, _GAUSS_OFF, _STEP_BUDGET, _SeriesBuffers, _taylor_apply
+    from rmlab.statevector import _A1, _A2, _GAUSS_OFF, _STEP_BUDGET, _re_dots, _SeriesBuffers, _taylor_apply
 
     dt = (t1 - t0) / n
     bufs = _SeriesBuffers(amp.shape, budget)
-    ham.bind(bufs)
+    ham.bind(bufs, amp)
     v = amp
     for k in range(n):
         t = t0 + k * dt
@@ -38,10 +38,11 @@ def _per_step_run_steps(ham, amp, t0, t1, n, budget):
         for w1, w2 in ((_A2, _A1), (_A1, _A2)):
             cs = [w1 * c1 + w2 * c2 for c1, c2 in zip(h1, h2)]
             mv = ham.matvec(cs)
-            pieces = max(1, int(np.ceil(ham.norm_bound(cs) * dt / _STEP_BUDGET)))
+            bound = float(ham.bound([np.asarray(c)[None] for c in cs])[0])
+            pieces = max(1, int(np.ceil(bound * dt / _STEP_BUDGET)))
             sub = dt / pieces
             for _ in range(pieces):
-                v = _taylor_apply(mv, v, sub, bufs, ham.norm_bound(cs) * sub)
+                v = _taylor_apply(mv, v, sub, bufs, bound * sub, _re_dots(v, v))
     return v
 
 

@@ -4,11 +4,12 @@ Each is a second route to a number the package computes another way: a
 Haar-random input state, the state overlap, the square-pulse analytical
 schedule, the exact 3-design over labels, the pairwise purity U-statistic,
 the per-entry marginal-and-kernel purity, the Kronecker chain of a Pauli
-word, the letter-table product of Pauli sums, and the allocating,
+word, the letter-table product of Pauli sums, the allocating,
 uncentred series that stop at 1e-16: the buffer-reusing, centred ones in
 :mod:`rmlab.statevector` must match them within 1e-14 per amplitude at
-the floor budget, and within the run's budget above it. Tests import
-them from here.
+the floor budget, and within the run's budget above it, and the stepping
+loop as it was before each run of steps was planned, which every planned
+run must match byte for byte. Tests import them from here.
 """
 
 from __future__ import annotations
@@ -25,14 +26,21 @@ from rmlab.pauli import _PHASES, LABELS, TWO_PI, PauliStringSum
 from rmlab.protocol import EXACT_SHOTS, MeasurementRecord
 from rmlab.pulses import PulseSchedule, Waveform
 from rmlab.statevector import (
+    _A1,
+    _A2,
+    _GAUSS_OFF,
+    _INTEGRATOR_COUNTS,
     _STEP_BUDGET,
     _TAYLOR_TERMS,
     NumericalContractError,
     StateVector,
+    _chebyshev_apply,
     _check_sites,
     _chebyshev_coefficients,
+    _csr_product,
     _norms,
     _re_dots,
+    _SeriesBuffers,
     apply_site_matrices,
     index_to_bits,
 )
@@ -294,10 +302,150 @@ def allocating_chebyshev(ham, cs: Sequence, tau: float, v: np.ndarray) -> np.nda
     return out
 
 
-def allocating_exponential(ham, cs: Sequence, tau: float, v: np.ndarray, bufs=None) -> np.ndarray:
+def allocating_exponential(ham, cs: Sequence, tau: float, bound: float, v: np.ndarray, bufs=None) -> np.ndarray:
     """``statevector._exponential`` before its Taylor series was centred
     and its terms reused buffers; ``bufs`` is ignored, so it can stand in
     for ``_exponential``."""
-    if ham.norm_bound(cs) * tau <= _STEP_BUDGET:
+    if bound * tau <= _STEP_BUDGET:
         return allocating_taylor(allocating_matvec(ham, cs), v, tau)
     return allocating_chebyshev(ham, cs, tau, v)
+
+
+# ---------------------------------------------------------------------------
+# The stepping loop before each run of steps was planned
+# ---------------------------------------------------------------------------
+
+
+def _equal(a: Sequence, b: Sequence) -> bool:
+    """Two lists of coefficient values are exactly equal: == per scalar,
+    elementwise per column array, no tolerance."""
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b))
+
+
+class _StepOperator:
+    """``_BlendHamiltonian``'s series operator as it was before each run of
+    steps was planned: a term multiplies the real blended diagonal and the
+    real column-valued coefficients into the complex block, and each
+    sparse product checks and views its blocks per call. ``interval``,
+    ``matvec`` and ``centred_matvec`` are what ``_chebyshev_apply`` and
+    ``reference_exponential`` call."""
+
+    def __init__(self, ham, bufs):
+        self.ham = ham
+        self.interval = ham.interval
+        dtype = np.result_type(float, *(d for _, d in ham.diags))
+        self.diag = diag = np.zeros(ham.shape, dtype=dtype)
+        self.scratch = np.empty(ham.shape, dtype=dtype)
+        self.work = work = bufs.work
+        own = [_csr_product(m, ham.shape, ()) for _, m in ham.own]
+        self.gains = gains = [None] * len(own)
+        shared = None if ham.shared is None else _csr_product(ham.shared[1], ham.shape, ())
+
+        def mv(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.multiply(diag, v, out=out)
+            for product, c in zip(own, gains):
+                product(np.multiply(c, v, out=work), out)
+            if shared is not None:
+                shared(v, out)
+            return out
+
+        self.mv = mv
+
+    def norm_bound(self, cs: Sequence) -> float:
+        bound = sum(abs(c) * b for c, b in zip(cs, self.ham.bounds))
+        return bound if self.ham.columns is None else float(np.max(bound))
+
+    def matvec(self, cs: Sequence, shift=None):
+        diag = self.diag
+        if self.ham.diags:
+            (k, d), *rest = self.ham.diags
+            np.multiply(cs[k], d, out=diag)
+            for k, d in rest:
+                diag += np.multiply(cs[k], d, out=self.scratch)
+        else:
+            diag.fill(0.0)
+        if shift is not None:
+            diag -= shift
+        self.gains[:] = [cs[k] for k, _ in self.ham.own]
+        if self.ham.shared is not None:
+            index, template, data = self.ham.shared
+            np.matmul(np.array([cs[k] for k in index]), data, out=template.data)
+        return self.mv
+
+    def centred_matvec(self, cs: Sequence, v: np.ndarray):
+        mv = self.matvec(cs)
+        if not self.ham.diags:
+            return mv, 0.0
+        dv = np.multiply(self.diag, v, out=self.work)
+        shift = _re_dots(v, dv) / _re_dots(v, v)
+        self.diag -= shift
+        return mv, shift
+
+
+def _step_taylor(mv, v: np.ndarray, dt: float, bufs, x: float) -> np.ndarray:
+    """``statevector._taylor_apply`` before the squared column norms were
+    shared with the shift: its stop limit comes from ``np.linalg.norm``."""
+    out = bufs.sum_for(v)
+    out[...] = v
+    term = v
+    limit = bufs.budget * float(np.min(_norms(v)))
+    for k in range(1, _TAYLOR_TERMS + 1):
+        nxt = bufs.terms[k % 2]
+        term = np.multiply(mv(term, nxt), -1j * dt / k, out=nxt)
+        out += term
+        if k + 2 > x:
+            q = x / (k + 1)
+            tail = q / (1.0 - x / (k + 2))
+            if np.vdot(term, term).real * tail * tail <= limit * limit:
+                _INTEGRATOR_COUNTS["series_terms"] += k
+                return out
+    raise NumericalContractError(f"Taylor series not converged in {_TAYLOR_TERMS} terms")
+
+
+def reference_exponential(op: _StepOperator, cs: Sequence, tau: float, v: np.ndarray, bufs) -> np.ndarray:
+    """``statevector._exponential`` before each run of steps was planned:
+    it sizes itself by ``norm_bound`` and takes three reductions over v."""
+    x = op.norm_bound(cs) * tau
+    if x <= _STEP_BUDGET:
+        mv, shift = op.centred_matvec(cs, v)
+        v = _step_taylor(mv, v, tau, bufs, 2.0 * x)
+        v *= np.exp(-1j * tau * shift)
+    else:
+        v = _chebyshev_apply(op, cs, tau, v, bufs)
+    _INTEGRATOR_COUNTS["exponentials"] += 1
+    return v
+
+
+def reference_run_steps(ham, amp: np.ndarray, t0: float, t1: float, n: int, budget: float) -> np.ndarray:
+    """``statevector._run_steps`` before each run of steps was planned:
+    node values as lists per step, fused stretches found by ``_equal``,
+    blends formed per exponential, and ``reference_exponential``. A
+    drop-in for ``_run_steps``, and the planned run's byte-for-byte
+    reference."""
+    dt = (t1 - t0) / n
+
+    def nodes(k: int):
+        if k == n:
+            return None
+        t = t0 + k * dt
+        return ham.values(t + (0.5 - _GAUSS_OFF) * dt), ham.values(t + (0.5 + _GAUSS_OFF) * dt)
+
+    bufs = _SeriesBuffers(amp.shape, budget)
+    op = _StepOperator(ham, bufs)
+    v = amp
+    k = 0
+    step = nodes(0)
+    while step is not None:
+        h1, h2 = step
+        start = k
+        k += 1
+        step = nodes(k)
+        if not _equal(h1, h2):
+            for w1, w2 in ((_A2, _A1), (_A1, _A2)):
+                v = reference_exponential(op, [w1 * c1 + w2 * c2 for c1, c2 in zip(h1, h2)], dt, v, bufs)
+            continue
+        while step is not None and _equal(step[0], h1) and _equal(step[1], h1):
+            k += 1
+            step = nodes(k)
+        v = reference_exponential(op, h1, (k - start) * dt, v, bufs)
+    return v

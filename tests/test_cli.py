@@ -353,13 +353,17 @@ def test_pulsed_run_loads_the_schedule_once(tmp_path, monkeypatch):
 def test_pulsed_run_certifies_its_grid_once(tmp_path, monkeypatch):
     import rmlab.protocol as protocol
 
-    steps, budgets = [], []
+    steps, budgets, exponentials = [], [], []
     evolve = protocol.evolve_blend
+    counts = protocol._INTEGRATOR_COUNTS
 
     def counted(*args, **kwargs):
         steps.append(kwargs["initial_steps"])
         budgets.append(kwargs["budget"])
-        return evolve(*args, **kwargs)
+        before = counts["exponentials"]
+        out = evolve(*args, **kwargs)
+        exponentials.append(counts["exponentials"] - before)
+        return out
 
     monkeypatch.setattr(protocol, "evolve_blend", counted)
     cfg = tmp_path / "pulsed.json"
@@ -389,6 +393,11 @@ def test_pulsed_run_certifies_its_grid_once(tmp_path, monkeypatch):
     b300, b600 = 1e-9 / (0.08 * 300), 1e-9 / (0.08 * 600)
     assert grids[0]["budget"] == pytest.approx(b300)
     assert budgets == pytest.approx(2 * [b300, b600, b300, b300, b300])
+    # the bound on the truncation within the probe distance: each probe
+    # run's exponentials times its budget
+    assert 0 < exponentials[0] < exponentials[1]
+    truncation = exponentials[0] * budgets[0] + exponentials[1] * budgets[1]
+    assert grids[0]["truncation_bound"] == truncation
 
 
 def test_pulsed_run_builds_its_drive_operators_once(tmp_path, monkeypatch):

@@ -38,7 +38,7 @@ from rmlab.protocol import (
 )
 from rmlab.pulses import golden_schedule
 from rmlab.scenarios import KINDS, PHASES, RAMPS, ScenarioConfig
-from rmlab.statevector import all_down, reduced_density
+from rmlab.statevector import all_down, exact_purity
 
 MINIMAL = {
     "scenario": {"kind": "af", "num_sites": 4},
@@ -232,7 +232,7 @@ def test_one_subsystem_rule_for_validate_and_both_estimators(sites):
     psi = all_down(14)
     record = run_ideal(psi, sample_unitaries(14, 1, np.random.default_rng(0)), 2)
     messages = []
-    for estimate, target in ((reduced_density, psi), (purity_estimate, record)):
+    for estimate, target in ((exact_purity, psi), (purity_estimate, record)):
         with pytest.raises(ValueError) as err:
             estimate(target, sites)
         messages.append(str(err.value))

@@ -406,7 +406,7 @@ def _run(psi, labels, schedule, tol=1e-6, h_mod=None, budget=None, **kwargs):
     certifies at tol, with drive operators built once, as a CLI run does;
     a ``budget`` replaces the certified budget."""
     drive = _drive_operators(psi.num_sites, h_mod)
-    steps, certified, _ = _certify_grid(psi, schedule, drive, tol)
+    steps, certified, *_ = _certify_grid(psi, schedule, drive, tol)
     return run_pulsed(psi, labels, schedule, steps, certified if budget is None else budget, drive, **kwargs)
 
 
@@ -710,7 +710,7 @@ def test_certified_grid_is_a_multiple_of_the_waveform_cells(golden, tol):
     # every grid refined from it (900 steps at 1e-10)
     h = build_ssh(4, 0.484 * 2 * np.pi, -0.18 * 2 * np.pi, 0.04 * 2 * np.pi)
     psi = ground_state(h)[1]
-    steps, _, _ = _certify_grid(psi, golden, _drive_operators(4, h), tol)
+    steps, *_ = _certify_grid(psi, golden, _drive_operators(4, h), tol)
     cells = len(golden.breakpoints()) - 1
     assert steps % cells == 0
 
@@ -787,7 +787,7 @@ def _covers(distance, distances):
 def test_probe_is_as_hard_as_random_columns(golden, random_columns_l6):
     psi, h, amps = random_columns_l6
     columns = np.linalg.norm(amps[300] - amps[600], axis=1)
-    steps, _, probe = _certify_grid(psi, golden, _drive_operators(6, h), 1.0)
+    steps, _, probe, _ = _certify_grid(psi, golden, _drive_operators(6, h), 1.0)
     assert steps == 300 and probe == pytest.approx(_probe_distance(psi, h, golden, 300, tol=1.0))
     assert _covers(probe, columns)
     # a uniform label pattern is far easier than a random column
@@ -807,11 +807,11 @@ def test_every_column_of_a_random_run_is_within_tol(golden, random_columns_l6):
     psi, h, amps = random_columns_l6
     drive = _drive_operators(6, h)
     accept = 193 / 256
-    _, _, loose = _certify_grid(psi, golden, drive, 1.0)
+    _, _, loose, _ = _certify_grid(psi, golden, drive, 1.0)
     tol = 1.02 * 2 * loose / accept
     probe = _probe_distance(psi, h, golden, 300, tol=tol)
     assert probe <= accept * tol / 2 / 1.01
-    assert _certify_grid(psi, golden, drive, tol) == (300, _truncation_budget(tol / 2, 300), probe)
+    assert _certify_grid(psi, golden, drive, tol)[:3] == (300, _truncation_budget(tol / 2, 300), probe)
     # the probe is certified at half the run's tol: 4 % less and it refines
     assert _certify_grid(psi, golden, drive, tol / 1.04)[0] > 300
     assert np.max(np.linalg.norm(amps[300] - amps[1200], axis=1)) <= tol

@@ -24,7 +24,7 @@ from rmlab.pulses import (
     draw_gains,
     golden_schedule,
     mc_rotation_stats,
-    measured_axis,
+    _measured_axis,
     perturb,
     propagator_batch,
     realistic_schedule,
@@ -139,7 +139,7 @@ def test_ideal_label3_leakage_bound(ratio):
 def test_ideal_label2_axis_angle():
     s = ideal_schedule(0.15, 100)
     u = single_qubit_propagator(s, 2)
-    cosang = measured_axis(u) @ TARGET_AXES[2]
+    cosang = _measured_axis(u) @ TARGET_AXES[2]
     assert np.degrees(np.arccos(np.clip(cosang, -1, 1))) <= 2.0
 
 
