@@ -477,7 +477,8 @@ def _runs_of(monkeypatch, evolve, run_steps):
     def recorded(ham, amp, t0, t1, n, budget):
         before = dict(counts)
         v = run_steps(ham, amp, t0, t1, n, budget)
-        runs.append((n, counts["exponentials"] - before["exponentials"], counts["series_terms"] - before["series_terms"], v.tobytes()))
+        work = [counts[key] - before[key] for key in ("exponentials", "series_terms")]
+        runs.append((n, *work, v.tobytes()))
         return v
 
     with monkeypatch.context() as m:
