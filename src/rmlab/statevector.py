@@ -424,7 +424,7 @@ def _csr_product(
     as well, so a product between two of them only calls the kernel. Any
     other v or out is checked and viewed per call. A run of steps binds
     its input and every block of its ``_SeriesBuffers``: against checks
-    and views per call, that took 6 % off an L = 8, K = 10 pulsed block
+    and views per call, that took 5 % off an L = 8, K = 10 pulsed block
     and 8 % off the adiabatic sweep.
     """
     n = shape[0]
