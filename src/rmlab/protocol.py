@@ -28,8 +28,6 @@ nonzero counts as a bitstring -> count object; these two functions are
 the only code that reads or writes bitstrings. Format version 2 stores an exact
 entry's 2^L probabilities as one base64 string of their little-endian
 float64 bytes (key "probs_f64le"), which round-trips bit for bit.
-load_record also reads version 1, whose exact entries hold the
-probabilities as a JSON list of text floats ("probs").
 
 Pulse-level runs evolve the columns of all samples as one amplitude block
 (several past 2^20 amplitudes). The drive is global, so a column differs
@@ -113,8 +111,6 @@ BIT_CONVENTION = "site 1 = leftmost bit, 1 = spin up"
 
 _RECORD_FORMAT = "rmlab-record"
 _RECORD_VERSION = 2
-# exact-entry key of each version load_record reads (save_record writes v2)
-_PROBS_KEY = {1: "probs", 2: "probs_f64le"}
 
 # amplitudes per block that run_ideal rotates or run_pulsed evolves at
 # once (16 MB of complex), and weights per chunk of a record's Walsh table
@@ -445,8 +441,8 @@ def _certify_grid(
     from a start grid that is a multiple of the waveform cells at half of
     ``tol``: at L = 6 to 10 with interactions and eps = 3 %, random
     columns ran up to 1.4 times the probe's distance. Each extra digit of
-    tol costs about 1.8 times the steps. Raises ValueError unless tol is
-    finite and positive.
+    tol costs about 1.8 times the steps. ``_certify`` raises ValueError,
+    before any run, unless tol is finite and positive.
 
     A probe run on m steps stops its series at the budget
     ``_truncation_budget(tol / 2, m)``, which truncates at most tol / 32
@@ -462,8 +458,6 @@ def _certify_grid(
     1e-4. That is 6.5 times the distance there, 1.95e-9: a worst case,
     which the series' actual truncation stays far below.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
     num_sites = psi.num_sites
     # a bound on |H(t)| per site sizes the start grid
     dmax = max(abs(d) for d in schedule.delta_amps)
@@ -597,7 +591,7 @@ def save_record(record: MeasurementRecord, path: str | Path) -> None:
                 doc["seed"] = int(record.seeds[k])
             if exact:
                 raw = row.astype("<f8").tobytes()
-                doc[_PROBS_KEY[_RECORD_VERSION]] = base64.b64encode(raw).decode("ascii")
+                doc["probs_f64le"] = base64.b64encode(raw).decode("ascii")
             else:
                 hit = np.flatnonzero(row)
                 counts = row[hit].astype(np.int64).tolist()
@@ -605,15 +599,12 @@ def save_record(record: MeasurementRecord, path: str | Path) -> None:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _entry_probs(doc: dict, version: int, num_sites: int) -> np.ndarray:
+def _entry_probs(doc: dict, num_sites: int) -> np.ndarray:
     """An exact entry's 2^L probabilities as a float64 array."""
-    stored = doc.get(_PROBS_KEY[version])
+    stored = doc.get("probs_f64le")
     if stored is None:
-        raise ValueError(f"exact entry without {_PROBS_KEY[version]!r}")
-    if version == 1:
-        probs = np.array(stored, dtype=np.float64)
-    else:
-        probs = np.frombuffer(base64.b64decode(stored, validate=True), dtype="<f8")
+        raise ValueError("exact entry without 'probs_f64le'")
+    probs = np.frombuffer(base64.b64decode(stored, validate=True), dtype="<f8")
     if probs.shape != (2**num_sites,):
         raise ValueError(f"exact entry holds {probs.size} probabilities, not 2^num_sites")
     return probs
@@ -635,13 +626,12 @@ def _entry_counts(doc: dict, num_sites: int) -> np.ndarray:
 
 
 def load_record(path: str | Path) -> MeasurementRecord:
-    """Read a record written by save_record, format version 1 or 2.
+    """Read a record written by save_record, format version 2.
 
-    Entry k fills row k of the record's outcome table: a version 2 exact
-    entry from "probs_f64le" (base64 of little-endian float64 bytes), a
-    version 1 one from the "probs" list of text floats, a sampled entry
+    Entry k fills row k of the record's outcome table: an exact entry from
+    "probs_f64le" (base64 of little-endian float64 bytes), a sampled entry
     from its "counts" object. ValueError is raised for a header that is not
-    a JSON object, a version that is not the JSON integer 1 or 2, a header
+    a JSON object, a version that is not the JSON integer 2, a header
     without num_sites, mode or n_meas, a num_sites that is not a JSON
     integer in 1..MAX_SITES (checked before the outcome table is
     allocated), an n_meas that is neither "exact" nor a positive JSON
@@ -660,7 +650,7 @@ def load_record(path: str | Path) -> MeasurementRecord:
     if not isinstance(header, dict) or header.get("format") != _RECORD_FORMAT:
         raise ValueError("not a measurement record file")
     version = header.get("version")
-    if type(version) is not int or version not in _PROBS_KEY:
+    if type(version) is not int or version != _RECORD_VERSION:
         raise ValueError(f"unsupported record version {version!r}")
     missing = [key for key in ("num_sites", "mode", "n_meas") if key not in header]
     if missing:
@@ -687,7 +677,7 @@ def load_record(path: str | Path) -> MeasurementRecord:
             raise ValueError(f"entry seed {seed!r} is not a non-negative 64-bit integer")
         labels.append(labs)
         seeds.append(seed)
-        row[:] = _entry_probs(doc, version, num_sites) if exact else _entry_counts(doc, num_sites)
+        row[:] = _entry_probs(doc, num_sites) if exact else _entry_counts(doc, num_sites)
     if None in seeds and set(seeds) != {None}:
         raise ValueError("seed on some entries only")
     return MeasurementRecord(

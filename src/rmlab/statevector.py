@@ -47,12 +47,13 @@ multiply complex blocks only, the same block took 43 ms where it took
 host), about 30 ms of it in scipy's CSR kernels.
 ``evolve_static`` is the same engine on a constant H.
 
-``evolve_blend`` also evolves a block of K copies of one state at once when
-its parts are column-valued (per-column coefficients or a (2^L, K) diagonal):
-the columns share the step grid. H is blended once per exponential
-(``_BlendHamiltonian``), so a term of either series makes one sparse
-product per coefficient kind, on real arithmetic where a block meets a
-real matrix, each added by scipy's CSR kernel straight into the term. No
+The integrator's state is a (2^L, K) block, K = 1 for one vector: K
+copies of one state when the parts are column-valued (per-column
+coefficients or a (2^L, K) diagonal), sharing the step grid. H is
+blended once per exponential (``_BlendHamiltonian``), so a term of
+either series makes one sparse product per coefficient kind, on real
+arithmetic where a block of several columns meets a real matrix, each
+added by scipy's CSR kernel straight into the term. No
 series term and no exponential allocates a block: each run of steps owns
 six blocks of the state's shape (``_SeriesBuffers``: two sums, three
 terms and a work block), its operator is bound to them and to the run's
@@ -368,11 +369,6 @@ def _as_coefficient(c: float | Coefficient) -> Coefficient:
     return lambda t: val
 
 
-def _norms(v: np.ndarray):
-    """2-norm of a vector, or of each column of a (2^L, K) block."""
-    return np.linalg.norm(v) if v.ndim == 1 else np.linalg.norm(v, axis=0)
-
-
 def _split(m: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal of a square sparse matrix, and its off-diagonal entries as
     keys ``row * n + column`` with their values."""
@@ -384,11 +380,12 @@ def _split(m: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m.diagonal(), rows[off] * n + m.indices[off], m.data[off]
 
 
-def _union_csr(entries: Sequence[tuple[np.ndarray, np.ndarray]], n: int, block: bool):
+def _union_csr(entries: Sequence[tuple[np.ndarray, np.ndarray]], n: int, wide: bool):
     """One n x n CSR pattern covering every (keys, values) pair of ``entries``
     (see ``_split``), and each pair's values on it, one row per pair, zero
-    where the pair has no entry. The CSR holds the first row. On a block
-    the values are stored real when none has an imaginary part."""
+    where the pair has no entry. The CSR holds the first row. For a
+    ``wide`` block, of more than one column, the values are stored real
+    when none has an imaginary part."""
     union = np.sort(np.concatenate([keys for keys, _ in entries]))
     # drop repeats by hand: np.unique hashes, which costs ten times the sort
     union = union[np.append(True, union[1:] != union[:-1])]
@@ -397,7 +394,7 @@ def _union_csr(entries: Sequence[tuple[np.ndarray, np.ndarray]], n: int, block: 
     data = np.zeros((len(entries), union.size), dtype=np.result_type(*(v for _, v in entries)))
     for row, (keys, values) in zip(data, entries):
         row[np.searchsorted(union, keys)] = values
-    data = data.real.astype(float) if block and not data.imag.any() else data.astype(complex)
+    data = data.real.astype(float) if wide and not data.imag.any() else data.astype(complex)
     return sparse.csr_matrix((data[0], cols, indptr), shape=(n, n)), data
 
 
@@ -496,7 +493,7 @@ class _BlendHamiltonian:
     multiply casts element by element. At L = 8 a real diagonal times a
     K = 10 block took 2.6 us against 1.35 us for its complex copy, a row
     of K real gains 3.4 us against 1.4 us for their complex block, 19.6
-    against 11.0 us at K = 100, and 0.62 against 0.35 us on one vector
+    against 11.0 us at K = 100, and 0.62 against 0.35 us on one column
     (``timeit``); a K = 10 pulsed block took 8 % less. The values are the
     same: (d + 0i)(a + bi) = da + (db)i. A real diagonal is still stored
     and blended real, which keeps the blend's multiplies real, once per
@@ -504,16 +501,17 @@ class _BlendHamiltonian:
     longer real x complex, because the cast it costs there is more than
     the complex multiply it spares.
 
-    Column-valued parts make H act on a (2^L, K) block: a coefficient that
-    returns a length-K array gives column j its j-th value, and a dense
-    (2^L, K) array is a diagonal part with one diagonal per column.
-    ``columns`` is then K; it is None when every part is shared by all
-    columns, and the state stays a single vector. Coefficients are called
-    once at ``t0`` to find out which kind they are.
+    H acts on a (2^L, K) block, ``shape``. Column-valued parts set K: a
+    coefficient that returns a length-K array gives column j its j-th
+    value, and a dense (2^L, K) array is a diagonal part with one diagonal
+    per column; ``columns`` is then K. It is None when every part is
+    shared by all columns, and the state is one column, the (2^L, 1)
+    block of a single vector. Coefficients are called once at ``t0`` to
+    find out which kind they are.
 
-    On a block, an off-diagonal CSR with no imaginary entries is stored
-    real and multiplies the block as 2K real columns, half the
-    multiply-adds of the complex product. A single vector keeps complex
+    On more than one column, an off-diagonal CSR with no imaginary entries
+    is stored real and multiplies the block as 2K real columns, half the
+    multiply-adds of the complex product. One column keeps complex
     matrices: called directly on the dimerized chain's off-diagonal
     entries, scipy's complex one-vector kernel took 6.9 us at L = 8 and
     118 us at L = 12, its real two-column one 10.7 and 208 us.
@@ -531,17 +529,16 @@ class _BlendHamiltonian:
         if len(widths) > 1:
             raise ValueError(f"column-valued parts disagree on the column count: {sorted(widths)}")
         self.columns = widths.pop() if widths else None
-        block = self.columns is not None
+        dim = parts[0][1].shape[0]
+        self.shape = (dim, self.columns or 1)
         # per part: the infinity norm, which sizes steps and picks the
         # series, and the largest row sum of its off-diagonal |entries|
         self.bounds = []
         self.off_bounds = []
-        # (part index, diagonal): one (2^L,) vector, (2^L, 1) on a block, or a dense block
+        # (part index, diagonal): a (2^L, 1) column that every column shares, or a dense block
         self.diags = []
         # off-diagonal entries, (part index, (keys, values)), by coefficient kind
         shared, own = [], []
-        dim = parts[0][1].shape[0]
-        self.shape = (dim,) if self.columns is None else (dim, self.columns)
         for k, ((_, m), probe) in enumerate(zip(parts, probes)):
             if isinstance(m, np.ndarray):
                 self.diags.append((k, m))
@@ -555,17 +552,18 @@ class _BlendHamiltonian:
             self.off_bounds.append(float(row_sums.max()))
             if d.any():
                 d = d if d.imag.any() else d.real
-                self.diags.append((k, d[:, None] if block else d))
+                self.diags.append((k, d[:, None]))
             if keys.size:
                 (own if np.ndim(probe) == 1 else shared).append((k, (keys, values)))
+        wide = self.shape[1] > 1
         # (part index, CSR) per off-diagonal part with a column-valued coefficient
-        self.own = [(k, _union_csr([entry], dim, block)[0]) for k, entry in own]
+        self.own = [(k, _union_csr([entry], dim, wide)[0]) for k, entry in own]
         # (part indices, CSR on the union pattern, one row of values per part);
         # the CSR's values are its own buffer, which each blend overwrites
         self.shared = None
         if shared:
             index = [k for k, _ in shared]
-            template, data = _union_csr([entry for _, entry in shared], dim, block)
+            template, data = _union_csr([entry for _, entry in shared], dim, wide)
             template.data = data[0].copy()
             self.shared = (index, template, data)
 
@@ -592,17 +590,15 @@ class _BlendHamiltonian:
 
     def bound(self, values: Sequence[np.ndarray]) -> np.ndarray:
         """Bound on |sum_k c_k A_k| per row of stacked coefficient values
-        (``node_values``); on a block, the largest over its columns. The
-        parts are summed in part order, so a row's bound does not depend on
-        the rows stacked with it."""
-        block = self.columns is not None
-        total = sum(np.abs(c[:, None] if block and c.ndim == 1 else c) * b for c, b in zip(values, self.bounds))
-        return np.max(total, axis=1) if block else total
+        (``node_values``), the largest over the columns. The parts are
+        summed in part order, so a row's bound does not depend on the rows
+        stacked with it."""
+        total = sum(np.abs(c.reshape(len(c), -1)) * b for c, b in zip(values, self.bounds))
+        return np.max(total, axis=1)
 
     def diagonal(self, cs: Sequence):
-        """The diagonal of sum_k cs[k] A_k as a new array: (2^L,) for a
-        vector, (2^L, 1) or (2^L, K) on a block, 0 when no part has a
-        diagonal."""
+        """The diagonal of sum_k cs[k] A_k as a new array, (2^L, 1) or
+        (2^L, K), 0 when no part has a diagonal."""
         return sum(cs[k] * d for k, d in self.diags)
 
     def bind(self, bufs: "_SeriesBuffers", v: np.ndarray) -> None:
@@ -678,9 +674,9 @@ class _BlendHamiltonian:
         """``matvec`` of B - s for the blend B = sum_k cs[k] A_k, and s: per
         column of ``v``, its diagonal energy s_j = sum_i |v_ij|^2 D_ij /
         sum_i |v_ij|^2 under B's diagonal D (the real part of it), where
-        ``squares`` is ``_re_dots(v, v)``. s is a float for a vector, one
-        per column on a block, and 0.0 when no part has a diagonal. Since
-        |s| <= max |D| <= |B|, |B - s| <= 2 |B|."""
+        ``squares`` is ``_re_dots(v, v)``. s is one per column (a float on
+        one), 0.0 when no part has a diagonal. Since |s| <= max |D| <= |B|,
+        |B - s| <= 2 |B|."""
         self._blend(cs)
         if not self.diags:
             return self._shifted(None), 0.0
@@ -692,17 +688,23 @@ class _BlendHamiltonian:
         """Gershgorin interval (lo, hi) holding every eigenvalue of
         sum_k cs[k] A_k: the least and greatest blended diagonal entry,
         widened by sum_k |cs[k]| times part k's largest off-diagonal row
-        sum. Floats for a single vector, one value per column on a block."""
-        diag = np.real(self.diagonal(cs))
-        lo, hi = (np.min(diag, axis=0), np.max(diag, axis=0)) if np.ndim(diag) else (diag, diag)
+        sum: one value per column, or one for all."""
         radius = sum(abs(c) * b for c, b in zip(cs, self.off_bounds))
-        return lo - radius, hi + radius
+        if not self.diags:
+            return -radius, radius
+        diag = np.real(self.diagonal(cs))
+        return np.min(diag, axis=0) - radius, np.max(diag, axis=0) + radius
 
 
 def _re_dots(a: np.ndarray, b: np.ndarray):
-    """Re <a|b> of two complex vectors, or of each pair of columns of two
-    blocks of one shape; _re_dots(v, v) is the squared 2-norm."""
-    if a.ndim == 1:
+    """Re <a_j|b_j> of each pair of columns of two complex (2^L, K) blocks
+    of one shape; _re_dots(v, v) is the squared column norms.
+
+    One column is one ``np.vdot``, a float: 0.7 us at L = 8 against 6.0
+    us for the einsum (``timeit``), two per Taylor exponential. With the
+    einsum, ``prepare_adiabatic(8, 0.1)``, all one column, took 51.3
+    against 44.8 ms (medians of eight alternating best-of-five rounds)."""
+    if a.shape[1] == 1:
         return np.vdot(a, b).real
     s = np.einsum("ij,ij->j", np.ascontiguousarray(a).view(float), np.ascontiguousarray(b).view(float))
     return s[0::2] + s[1::2]
@@ -712,7 +714,8 @@ class _SeriesBuffers:
     """The complex blocks of the state's shape that one run of steps owns
     and every series in it reuses, so that a series term allocates none,
     and the run's per-exponential truncation budget ``budget``, at which
-    every series in it stops.
+    every series in it stops: ValueError unless finite and positive (at
+    NaN the Chebyshev cut would never end).
 
     ``sums`` are two blocks that successive exponentials alternate
     between: each writes its sum into the one its input is not
@@ -724,7 +727,9 @@ class _SeriesBuffers:
     allocation, so the sum a run returns keeps no other block alive.
     """
 
-    def __init__(self, shape: tuple[int, ...], budget: float):
+    def __init__(self, shape: tuple[int, int], budget: float):
+        if not (math.isfinite(budget) and budget > 0):
+            raise ValueError(f"series budget must be finite and positive, not {budget!r}")
         self.budget = budget
         self.sums = tuple(np.empty(shape, dtype=complex) for _ in range(2))
         self.terms = tuple(np.empty(shape, dtype=complex) for _ in range(3))
@@ -736,7 +741,7 @@ class _SeriesBuffers:
 
 
 def _taylor_apply(mv, v: np.ndarray, dt: float, bufs: _SeriesBuffers, x: float, squares) -> np.ndarray:
-    """exp(-i dt H) v by Taylor series, for a vector or a (2^L, K) block,
+    """exp(-i dt H) v by Taylor series, for a (2^L, K) block v,
     where ``mv(u, out)`` returns H u, as ``_BlendHamiltonian.matvec`` does,
     x bounds |H| dt and ``squares`` is ``_re_dots(v, v)``, v's squared
     column norms.
@@ -948,7 +953,7 @@ def _plan(ham: _BlendHamiltonian, t0: float, dt: float, n: int):
     end of its chunk is held back until the steps that follow show where
     it ends.
     """
-    chunk = max(1, _PLAN_CHUNK // (ham.columns or 1))
+    chunk = max(1, _PLAN_CHUNK // ham.shape[1])
     # the stretch held back: its nodes' values (one row per part), |B| bound and steps
     held = None
     for first_step in range(0, n, chunk):
@@ -1023,11 +1028,10 @@ def _run_steps(
 
     The steps share one ``_SeriesBuffers`` with the run's per-exponential
     truncation budget, which ``ham`` is bound to once here, together with
-    ``amp`` (made C-contiguous first); ``amp`` is never written to, and
-    the returned state is one of the sum blocks.
+    ``amp``, a C-contiguous block; ``amp`` is never written to, and the
+    returned state is one of the sum blocks.
     """
     bufs = _SeriesBuffers(amp.shape, budget)
-    amp = np.ascontiguousarray(amp)
     ham.bind(bufs, amp)
     v = amp
     for cs, tau, bound in _plan(ham, t0, (t1 - t0) / n, n):
@@ -1055,13 +1059,16 @@ def _certify(
     factor ceil(1.3 (err / tol)^(1/_ORDER)) in 2..16, so every grid is a
     multiple of the start; a jump of 2 reuses the 2n run. A jump past
     _MAX_GRID times the start, at most 15 rounds in, is ConvergenceError.
+    A tol that is not finite and positive is ValueError, before any run.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     accept = ((1.0 - 2.0**-_ORDER) * (1.0 - share) - 2.0 * share) * tol
     start = n
     coarse = run(n)
     while True:
         fine = run(2 * n)
-        err = float(np.max(_norms(fine - coarse)))
+        err = float(np.max(np.linalg.norm(fine - coarse, axis=0)))
         if err <= accept:
             return n, fine, err
         jump = math.ceil(min(16.0, max(2.0, 1.3 * (err / tol) ** (1.0 / _ORDER))))
@@ -1100,7 +1107,9 @@ def evolve_blend(
     ``_certify``). ``tol=None`` accepts the first grid, with every series
     stopped at ``budget``, the floor 1e-16 if it is None: pulsed blocks use
     the grid and the budget that ``protocol._certify_grid`` certifies. A
-    ``budget`` given with a tol is ValueError: the tol sets the budget.
+    ``budget`` given with a tol is ValueError: the tol sets the budget. So
+    are, before any step, a tol or budget that is not finite and positive
+    and ``initial_steps`` that is not a positive integer.
 
     The refinement rule assumes fourth order, which a coefficient with
     kinks, such as a piecewise-linear waveform, has only on grids whose
@@ -1113,14 +1122,11 @@ def evolve_blend(
 
     Column-valued parts (a coefficient returning a length-K array, or a
     dense (2^L, K) diagonal block) evolve K copies of psi as one block,
-    column j under the j-th values, and return the K states as a list. The
-    columns share one step grid: it is sized by the largest column bound,
-    and ``tol`` applies to the column that moves most. Each series term
-    costs one multiply for all diagonals, one sparse product for the
-    off-diagonal parts with a scalar coefficient and one per column-valued
-    off-diagonal part, each added into the term by scipy's kernel; each
-    run of steps sets the blend up once, and an exponential only rewrites
-    its values (see ``_BlendHamiltonian``).
+    column j under the j-th values, and return the K states as a list;
+    scalar parts evolve psi as one column. The columns share one step
+    grid: it is sized by the largest column bound, and ``tol`` applies to
+    the column that moves most. What a series term costs is set out at
+    ``_BlendHamiltonian``.
 
     Each callable coefficient is called once at ``t0`` to learn its kind,
     then once per Gauss node: 1 + 2n calls for a run of n steps with
@@ -1130,10 +1136,10 @@ def evolve_blend(
         raise ValueError("t1 must exceed t0")
     if tol is not None and budget is not None:
         raise ValueError("budget applies only to tol=None; a tol sets its own")
+    if initial_steps is not None and not (isinstance(initial_steps, (int, np.integer)) and initial_steps >= 1):
+        raise ValueError("initial_steps must be a positive integer")
     ham = _BlendHamiltonian(parts, t0)
-    amp = psi.amp
-    if ham.columns is not None:
-        amp = np.repeat(amp[:, None], ham.columns, axis=1)
+    amp = np.repeat(psi.amp[:, None], ham.shape[1], axis=1)
     span = t1 - t0
     if initial_steps is None:
         grid = np.linspace(t0, t1, 33).tolist()
@@ -1142,7 +1148,7 @@ def evolve_blend(
             raise NumericalContractError(f"non-finite bound {peak} on |H| over the start grid")
         n = max(1, int(np.ceil(peak * _EXP_WEIGHT * span / _STEP_BUDGET)))
     else:
-        n = max(1, int(initial_steps))
+        n = int(initial_steps)
 
     if tol is None:
         v = _run_steps(ham, amp, t0, t1, n, _BUDGET_FLOOR if budget is None else budget)
@@ -1152,14 +1158,14 @@ def evolve_blend(
             return _run_steps(ham, amp, t0, t1, m, _truncation_budget(tol, m))
 
         v = _certify(run, n, tol, _TRUNCATION_SHARE)[1]
-    norm = _norms(v)
+    norm = np.linalg.norm(v, axis=0)
     drift = float(np.max(np.abs(norm - 1.0)))
     # written so that a NaN drift fails too
     if not drift <= _NORM_TOL:
         raise NumericalContractError(f"norm drift {drift:.3e} during evolution")
     v = v / norm
     if ham.columns is None:
-        return StateVector(v, psi.num_sites)
+        return StateVector(v[:, 0], psi.num_sites)
     return [StateVector(col, psi.num_sites) for col in v.T.copy()]
 
 

@@ -9,7 +9,9 @@ uncentred series that stop at 1e-16: the buffer-reusing, centred ones in
 :mod:`rmlab.statevector` must match them within 1e-14 per amplitude at
 the floor budget, and within the run's budget above it, and the stepping
 loop as it was before each run of steps was planned, which every planned
-run must match byte for byte. Tests import them from here.
+run must match byte for byte; it keeps its own copy of the column
+reductions as they were while a single vector was 1-D, so a one-column
+run is checked against that arithmetic. Tests import them from here.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from rmlab.statevector import (
     _check_sites,
     _chebyshev_coefficients,
     _csr_product,
-    _norms,
-    _re_dots,
     _SeriesBuffers,
     apply_site_matrices,
     index_to_bits,
@@ -228,6 +228,22 @@ def sum_product(a: PauliStringSum, b: PauliStringSum) -> PauliStringSum:
 # ---------------------------------------------------------------------------
 
 
+def _norms(v: np.ndarray):
+    """2-norm of each column, as the integrator took it while a single
+    vector was 1-D: one column by the norm of the whole array."""
+    return np.linalg.norm(v) if v.ndim == 1 or v.shape[1] == 1 else np.linalg.norm(v, axis=0)
+
+
+def _re_dots(a: np.ndarray, b: np.ndarray):
+    """Re <a_j|b_j> per pair of columns, as the integrator took it while a
+    single vector was 1-D: one column by ``np.vdot``, more by one einsum
+    over the float view."""
+    if a.ndim == 1 or a.shape[1] == 1:
+        return np.vdot(a, b).real
+    s = np.einsum("ij,ij->j", np.ascontiguousarray(a).view(float), np.ascontiguousarray(b).view(float))
+    return s[0::2] + s[1::2]
+
+
 def _sparse_product(m, v: np.ndarray) -> np.ndarray:
     """m @ v for complex v; a real m acts on v's real and imaginary parts
     as twice as many real columns."""
@@ -267,12 +283,11 @@ def allocating_taylor(mv, v: np.ndarray, dt: float) -> np.ndarray:
     the input in every column."""
     out = v.astype(complex)
     term = v
-    block = v.ndim == 2
     tiny2 = (1e-16 * _norms(v)) ** 2
     for k in range(1, _TAYLOR_TERMS + 1):
         term = mv(term) * (-1j * dt / k)
         out += term
-        if (_re_dots(term, term) <= tiny2).all() if block else _re_dots(term, term) <= tiny2:
+        if np.all(_re_dots(term, term) <= tiny2):
             return out
     raise NumericalContractError(f"Taylor series not converged in {_TAYLOR_TERMS} terms")
 

@@ -9,8 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rmlab.estimators import hamiltonian_variance, purity_estimate
-from rmlab.pauli import TWO_PI, build_ssh
+from rmlab.pauli import build_ssh
 from rmlab.protocol import (
     EXACT_SHOTS,
     MeasurementRecord,
@@ -877,56 +876,6 @@ def test_roundtrip_exact(tmp_path):
     assert back.seeds is None and rec.seeds is None
 
 
-def _save_record_v1(record: MeasurementRecord, path) -> None:
-    """The version-1 writer: exact probabilities as a JSON list of text floats."""
-    header = {
-        "format": "rmlab-record",
-        "version": 1,
-        "num_sites": record.num_sites,
-        "mode": record.mode,
-        "n_meas": "exact" if record.n_meas == EXACT_SHOTS else int(record.n_meas),
-        "bit_convention": "site 1 = leftmost bit, 1 = spin up",
-        "meta": record.meta,
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for k, row in enumerate(record.outcomes):
-            doc: dict = {"labels": record.labels[k].tolist()}
-            if record.seeds is not None:
-                doc["seed"] = int(record.seeds[k])
-            if record.n_meas == EXACT_SHOTS:
-                doc["probs"] = row.tolist()
-            else:
-                doc["counts"] = {
-                    format(i, f"0{record.num_sites}b"): int(row[i]) for i in np.flatnonzero(row)
-                }
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def test_version_1_exact_record_loads_like_version_2(tmp_path):
-    h = build_ssh(6, 0.484 * TWO_PI, -0.18 * TWO_PI, 0.04 * TWO_PI, mu_edge=0.1)
-    _, psi = ground_state(h)
-    rng = np.random.default_rng(4)
-    rec = run_ideal(psi, sample_unitaries(6, 20, rng), EXACT_SHOTS, seed=4)
-    v1, v2 = tmp_path / "v1.ndjson", tmp_path / "v2.ndjson"
-    _save_record_v1(rec, v1)
-    save_record(rec, v2)
-    assert '"probs": [' in v1.read_text() and '"probs": [' not in v2.read_text()
-    old, new = load_record(v1), load_record(v2)
-    assert old.outcomes.dtype == np.float64 and old.outcomes.flags.owndata
-    assert not old.outcomes.flags.writeable
-    assert old.outcomes.tobytes() == new.outcomes.tobytes()
-    assert purity_estimate(old, [1, 2, 3]).value == purity_estimate(new, [1, 2, 3]).value
-    assert hamiltonian_variance(old, h).value == hamiltonian_variance(new, h).value
-
-
-def test_version_1_sampled_record_loads(tmp_path):
-    path = tmp_path / "v1.ndjson"
-    _save_record_v1(_toy_record(), path)
-    back = load_record(path)
-    assert _same_outcomes(back, _toy_record())
-
-
 def test_header_checked(tmp_path):
     path = tmp_path / "bad.ndjson"
     path.write_text('{"format": "something-else"}\n')
@@ -1020,6 +969,7 @@ def test_load_record_rejects_malformed_counts(tmp_path, counts, match):
         ("entry", "seed", None, "seed on some entries only"),
         ("header", None, [1], "not a measurement record"),
         ("header", "version", True, "unsupported record version True"),
+        ("header", "version", 1, "unsupported record version 1"),
         ("header", "n_meas", True, "n_meas must be a positive integer"),
         ("header", "meta", [["seed", 1]], "meta .* not a JSON object"),
         ("header", "meta", 5, "meta 5 is not a JSON object"),
@@ -1029,7 +979,7 @@ def test_load_record_rejects_malformed_counts(tmp_path, counts, match):
         "fractional_label", "boolean_label", "string_label", "long_labels", "scalar_labels",
         "label_out_of_range", "huge_label", "string_seed", "negative_seed", "fractional_seed",
         "boolean_seed", "huge_seed", "seed_on_one_entry", "header_not_object", "boolean_version",
-        "boolean_n_meas", "list_meta", "number_meta",
+        "version_1", "boolean_n_meas", "list_meta", "number_meta",
     ],
 )
 def test_load_record_rejects_missing_or_malformed_fields(tmp_path, part, key, value, match):

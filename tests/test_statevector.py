@@ -260,12 +260,14 @@ def test_refinement_jumps_by_the_fourth_root(monkeypatch):
     # its own doubling check, so refinement ends there
     (n0, v0), (n1, v1), (n2, v2), (n3, v3) = runs
     assert (n0, n1) == (8, 16)
+    # each run is one column, a (2^L, 1) block
+    assert v0.shape == (psi.amp.size, 1)
     jump = 1.3 * (np.linalg.norm(v1 - v0) / tol) ** 0.25
     assert 2.0 < jump < 16.0
     # a whole jump keeps every grid a multiple of the start grid
     assert n2 == n0 * math.ceil(jump) and n3 == 2 * n2
     assert np.linalg.norm(v3 - v2) <= 15 / 16 * tol
-    assert np.array_equal(out.amp, v3 / np.linalg.norm(v3))
+    assert np.array_equal(out.amp, (v3 / np.linalg.norm(v3, axis=0))[:, 0])
     assert np.linalg.norm(out.amp - ref) < tol
 
 
@@ -746,6 +748,84 @@ def test_non_finite_coefficients_raise(bad):
         evolve_blend(psi, [(drive, x_total(2))], 0.0, 1.0, tol=None, initial_steps=64)
 
 
+_BAD_INPUTS = {
+    "tol zero": ({"tol": 0.0}, "tol must be finite and positive"),
+    "tol negative": ({"tol": -1e-6}, "tol must be finite and positive"),
+    "tol nan": ({"tol": np.nan}, "tol must be finite and positive"),
+    "tol infinite": ({"tol": np.inf}, "tol must be finite and positive"),
+    "budget zero": ({"tol": None, "budget": 0.0}, "budget must be finite and positive"),
+    "budget negative": ({"tol": None, "budget": -1e-12}, "budget must be finite and positive"),
+    "budget nan": ({"tol": None, "budget": np.nan}, "budget must be finite and positive"),
+    "budget infinite": ({"tol": None, "budget": np.inf}, "budget must be finite and positive"),
+    "steps zero": ({"initial_steps": 0}, "initial_steps must be a positive integer"),
+    "steps negative": ({"initial_steps": -5}, "initial_steps must be a positive integer"),
+    "steps fractional": ({"initial_steps": 2.7}, "initial_steps must be a positive integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_evolve_blend_refuses_a_bad_tol_budget_or_start_grid(case):
+    # each is refused before the first step. The drive is constant, so the
+    # run is one Chebyshev exponential (|H| t = 30), whose cut would never
+    # end at a NaN budget: the alarm turns such a hang into a failure
+    import signal
+
+    kwargs, match = _BAD_INPUTS[case]
+    psi = random_state(3, np.random.default_rng(39))
+
+    def hung(signum, frame):
+        raise TimeoutError(f"evolve_blend did not refuse {kwargs} within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(ValueError, match=match):
+            evolve_blend(psi, [(1.0, x_total(3))], 0.0, 10.0, **kwargs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_kernel_and_matrix_storage_follow_the_column_count(monkeypatch):
+    # one column, of scalar parts or of column-valued ones, keeps complex
+    # matrices and scipy's one-vector kernel; K > 1 columns store real
+    # off-diagonal entries real and multiply them as 2K real columns
+    import rmlab.statevector as statevector
+    from rmlab.statevector import _BlendHamiltonian, _SeriesBuffers
+
+    from scipy.sparse import _sparsetools
+
+    calls = []
+
+    def recorded(name):
+        kernel = getattr(_sparsetools, name)
+
+        def call(*args):
+            # the matrix values come third from the end in both kernels
+            calls.append((name, args[-3].dtype.kind))
+            return kernel(*args)
+
+        return call
+
+    kernels = type("Kernels", (), {name: staticmethod(recorded(name)) for name in ("csr_matvec", "csr_matvecs")})
+    monkeypatch.setattr(statevector, "_sparsetools", kernels)
+    model = build_ssh(3, 0.9, -0.4).to_sparse()
+    cases = {
+        "scalar": ([(1.0, model), (lambda t: 1.3, x_total(3))], 1, "c", "csr_matvec"),
+        "one column": ([(1.0, model), (lambda t: np.array([1.3]), x_total(3))], 1, "c", "csr_matvec"),
+        "block": ([(1.0, model), (lambda t: np.array([1.3, 0.7, 1.1]), x_total(3))], 3, "f", "csr_matvecs"),
+    }
+    for name, (parts, columns, kind, kernel) in cases.items():
+        ham = _BlendHamiltonian(parts, 0.0)
+        assert ham.shape == (8, columns), name
+        assert ham.shared[1].dtype.kind == kind and all(m.dtype.kind == kind for _, m in ham.own), name
+        v = np.ones(ham.shape, dtype=complex)
+        ham.bind(_SeriesBuffers(ham.shape, _BUDGET_FLOOR), v)
+        calls.clear()
+        ham.matvec(ham.values(0.0))(v, np.empty_like(v))
+        assert calls == [(kernel, kind)] * (1 + len(ham.own)), name
+
+
 def _block_problem(num_sites, k):
     """Shared X drive, a per-column drive gain and per-column diagonals."""
     rng = np.random.default_rng(21)
@@ -809,12 +889,14 @@ def test_taylor_series_raises_when_not_converged():
     from rmlab.statevector import _STEP_BUDGET, _SeriesBuffers, _taylor_apply
 
     v = random_state(2, np.random.default_rng(24)).amp
+    one = v[:, None]
     # |H| dt = 100 is far past the step budget of 2, and past the bound x
     # that the caller claims for it
     x = 2 * _STEP_BUDGET
     with pytest.raises(NumericalContractError, match="not converged"):
         _taylor_apply(
-            lambda w, out: np.multiply(100.0, w, out=out), v, 1.0, _SeriesBuffers(v.shape, _BUDGET_FLOOR), x, _re_dots(v, v)
+            lambda w, out: np.multiply(100.0, w, out=out), one, 1.0, _SeriesBuffers(one.shape, _BUDGET_FLOOR), x,
+            _re_dots(one, one),
         )
     # one column converging does not excuse another
     block = np.stack([v, v], axis=1)
@@ -839,7 +921,7 @@ def test_centred_taylor_series_stops_within_its_term_limit():
     worst = 2.0 * statevector._STEP_BUDGET
     assert worst**32 / math.factorial(32) < 1e-16 and 32 <= statevector._TAYLOR_TERMS
     counts = statevector._INTEGRATOR_COUNTS
-    v = random_state(2, np.random.default_rng(38)).amp
+    v = random_state(2, np.random.default_rng(38)).amp[:, None]
     before = counts["series_terms"]
     out = _taylor_apply(
         lambda w, out: np.multiply(worst, w, out=out), v, 1.0, _SeriesBuffers(v.shape, _BUDGET_FLOOR), worst, _re_dots(v, v)
@@ -852,7 +934,7 @@ def test_centred_taylor_series_stops_within_its_term_limit():
     levels = np.array([3.0, -3.0, -3.0, -3.0])
     top = np.sqrt([1.0 - 1e-6, 1e-6 / 3, 1e-6 / 3, 1e-6 / 3])
     for block in (False, True):
-        w = (np.stack([top, np.full(4, 0.5)], axis=1) if block else top).astype(complex)
+        w = (np.stack([top, np.full(4, 0.5)], axis=1) if block else top[:, None]).astype(complex)
         part = np.stack([levels, levels], axis=1) if block else sparse.diags(levels).tocsr()
         ham = _BlendHamiltonian([(1.0, part)], 0.0)
         cs = ham.values(0.0)
@@ -865,7 +947,7 @@ def test_centred_taylor_series_stops_within_its_term_limit():
         before = counts["series_terms"]
         got = _exponential(ham, cs, tau, bound, w, bufs)
         assert counts["series_terms"] - before <= 32
-        want = np.exp(-1j * tau * levels)[:, None] * w if block else np.exp(-1j * tau * levels) * w
+        want = np.exp(-1j * tau * levels)[:, None] * w
         assert np.max(np.abs(got - want)) < 1e-14
 
 
@@ -874,7 +956,7 @@ def test_taylor_apply_leaves_its_input_alone():
 
     v = random_state(3, np.random.default_rng(25)).amp
     block = np.stack([v, 1j * v], axis=1)
-    for w in (v, block):
+    for w in (v[:, None], block):
         kept = w.copy()
         # an operator that hands back its argument, leaving out alone: H = 1
         out = _taylor_apply(lambda u, out: u, w, 0.3, _SeriesBuffers(w.shape, _BUDGET_FLOOR), 0.3, _re_dots(w, w))
@@ -957,7 +1039,7 @@ def test_series_at_the_run_budget_agree_with_the_floor_stop(tol, monkeypatch, pu
     # is within (its exponentials) x (its budget) per column of the same run
     # with every series stopped at 1e-16
     from rmlab.scenarios import prepare_adiabatic
-    from rmlab.statevector import _norms, _truncation_budget
+    from rmlab.statevector import _truncation_budget
 
     psi, parts, t1 = pulsed_block(6, 4)
     budget = _truncation_budget(tol / 2, 300)
@@ -972,7 +1054,7 @@ def test_series_at_the_run_budget_agree_with_the_floor_stop(tol, monkeypatch, pu
         assert [run[:2] for run in fast] == [run[:2] for run in slow], name
         for (n, eps, exponentials, v), (*_, w) in zip(fast, slow):
             assert eps == _truncation_budget(tol / 2 if name == "pulsed" else tol, n)
-            assert np.max(_norms(v - w)) <= exponentials * eps, name
+            assert np.max(np.linalg.norm(v - w, axis=0)) <= exponentials * eps, name
 
 
 def test_norm_drift_check_holds_at_the_loosest_budgets(pulsed_block):
@@ -1061,7 +1143,7 @@ def test_fused_matvec_matches_per_part_sum(case):
     ham = _BlendHamiltonian(parts, 0.0)
     assert ham.columns == columns
     rng = np.random.default_rng(27)
-    shape = (8,) if columns is None else (8, columns)
+    shape = (8, columns or 1)
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     ham.bind(_SeriesBuffers(shape, _BUDGET_FLOOR), v)
     for t in (0.0, 0.37):
