@@ -402,7 +402,7 @@ def _csr_product(
     m: sparse.csr_matrix, shape: tuple[int, ...], blocks: Sequence[np.ndarray]
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The function (v, out) -> out += m @ v, which returns ``out``, for
-    complex vectors or (2^L, K) blocks v and out of ``shape``.
+    complex (2^L, K) blocks v and out of ``shape``, K = 1 for one vector.
 
     It calls the kernel that scipy's ``@`` calls, ``csr_matvec`` for one
     column and ``csr_matvecs`` for several, on ``out`` itself: both kernels

@@ -790,10 +790,12 @@ def test_kernel_and_matrix_storage_follow_the_column_count(monkeypatch):
     # one column, of scalar parts or of column-valued ones, keeps complex
     # matrices and scipy's one-vector kernel; K > 1 columns store real
     # off-diagonal entries real and multiply them as 2K real columns
-    import rmlab.statevector as statevector
-    from rmlab.statevector import _BlendHamiltonian, _SeriesBuffers
+    import types
 
     from scipy.sparse import _sparsetools
+
+    import rmlab.statevector as statevector
+    from rmlab.statevector import _BlendHamiltonian, _SeriesBuffers
 
     calls = []
 
@@ -807,7 +809,7 @@ def test_kernel_and_matrix_storage_follow_the_column_count(monkeypatch):
 
         return call
 
-    kernels = type("Kernels", (), {name: staticmethod(recorded(name)) for name in ("csr_matvec", "csr_matvecs")})
+    kernels = types.SimpleNamespace(csr_matvec=recorded("csr_matvec"), csr_matvecs=recorded("csr_matvecs"))
     monkeypatch.setattr(statevector, "_sparsetools", kernels)
     model = build_ssh(3, 0.9, -0.4).to_sparse()
     cases = {
